@@ -31,6 +31,7 @@ canonical dict.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
@@ -59,7 +60,15 @@ __all__ = [
 #: ``stage_runs``/``stage_hits`` count stages computed vs. served from a
 #: store.  The ``service`` bench area gates on deltas of these to prove
 #: that identical resubmissions execute zero stages.
+#: The job service runs specs on worker threads, so every update goes
+#: through :func:`_count` under :data:`_STATS_LOCK`.
 _STATS: Dict[str, int] = {"executions": 0, "stage_runs": 0, "stage_hits": 0}
+_STATS_LOCK = threading.Lock()
+
+
+def _count(name: str) -> None:
+    with _STATS_LOCK:
+        _STATS[name] += 1
 
 
 def execution_count() -> int:
@@ -69,11 +78,12 @@ def execution_count() -> int:
 
 def executor_stats() -> Dict[str, int]:
     """Copy of the process-wide execution/stage counters."""
-    return dict(_STATS)
+    with _STATS_LOCK:
+        return dict(_STATS)
 
 
 def _stage_done(on_stage: Optional[Callable[[str], None]], name: str) -> None:
-    _STATS["stage_runs"] += 1
+    _count("stage_runs")
     if on_stage is not None:
         on_stage(name)
 
@@ -113,7 +123,7 @@ def execute_spec(
         if isinstance(cached, PipelineReport):
             return cached
 
-    _STATS["executions"] += 1
+    _count("executions")
     if session is None:
         session = Session.from_spec(spec)
     key = plan.label
@@ -141,7 +151,7 @@ def execute_spec(
             if isinstance(cached, OptimizationResult):
                 optimization = cached
                 optimize_hit = True
-                _STATS["stage_hits"] += 1
+                _count("stage_hits")
         if optimization is None:
             optimization = session.optimize(key, max_sweeps=spec.optimize.max_sweeps)
             if store is not None:
@@ -246,14 +256,14 @@ def execute_spec(
             cached = store.load(stage.store_keys["result"])
             if isinstance(cached, MultiWeightReport):
                 multi_weight_report = cached
-                _STATS["stage_hits"] += 1
+                _count("stage_hits")
         if multi_weight_report is None:
             weight_sets = None
             if store is not None:
                 cached = store.load(stage.store_keys["weight_sets"])
                 if isinstance(cached, MultiWeightSet):
                     weight_sets = cached
-                    _STATS["stage_hits"] += 1
+                    _count("stage_hits")
             if weight_sets is None:
                 weight_sets = session.build_weight_sets(
                     key,
@@ -319,6 +329,6 @@ def _coverage_experiment(
         return None
     cached = store.load(store_key)
     if isinstance(cached, CoverageExperiment):
-        _STATS["stage_hits"] += 1
+        _count("stage_hits")
         return cached
     return None

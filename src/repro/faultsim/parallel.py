@@ -18,6 +18,29 @@ kernels, fan-out cone bitsets) every other engine over the circuit uses:
   from the fault-free value, and detected faults are dropped from subsequent
   batches.
 
+Fault dropping takes effect before the propagation kernel pays for a fault,
+in the PPSFP spirit of Waicukauski et al. ("Fault Simulation for Structured
+VLSI", 1985) — simulate a fault only while its machine can still differ from
+the good one:
+
+* **batch ramp** — with dropping on, a stream's batches start at one
+  64-pattern word and double up to ``batch_size`` (the ramp carries across
+  chunk boundaries), so easy faults drop after 64–512 patterns instead of
+  riding a full first batch;
+* **site-activity prefilter** — before a partition is grouped, every fault
+  whose effect provably dies at its site is taken out of the batch: it is
+  not excited by any valid pattern, or its site is not a primary output and
+  every gate reading the site computes its fault-free value anyway.  Such a
+  fault has an all-zero detection row, so it simply stays active.  The check
+  runs off a static per-fault table (:class:`_SiteActivity`) as a fixed
+  number of vectorized calls per batch;
+* **one column budget** — the surviving faults are packed into dense groups
+  of ``max(1, _GROUP_COLUMNS // n_words)`` faults, so a group's value matrix
+  is at most :data:`_GROUP_COLUMNS` words wide whatever the batch width.
+
+:class:`FaultSimStats` counts the work exactly: fault-batches simulated,
+pruned by the prefilter, and fault-words sent to the kernel.
+
 The per-fault interpreted baseline this replaced is preserved as
 :class:`repro.faultsim.legacy.LegacyParallelFaultSimulator` and is
 differential-tested against this implementation.
@@ -33,21 +56,23 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
-from ..simulation.compiled import first_detection_indices, popcount_words
+from ..lowered import LoweredCircuit, ragged_positions
+from ..simulation.compiled import (
+    _OP_UFUNC,
+    _ZERO,
+    first_detection_indices,
+    popcount_words,
+)
 from ..simulation.logicsim import WORD_BITS, pack_patterns
 
 __all__ = ["ParallelFaultSimulator", "FaultSimResult", "FaultSimStats"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Target width (in 64-pattern words) of one fault-parallel value matrix;
-#: the adaptive group size packs this many columns regardless of batch size.
-_TARGET_COLUMNS = 4096
-
-#: Upper bound on the adaptive group size.  Larger groups mean fewer kernel
-#: passes but a larger union fan-out cone per group (more gather traffic);
-#: around this size the product is minimal on the registry circuits.
-_MAX_ADAPTIVE_GROUP = 64
+#: Column budget (in 64-pattern words) of one fault-parallel value matrix:
+#: a group packs ``max(1, _GROUP_COLUMNS // n_words)`` faults, i.e. 64
+#: faults on a 2048-pattern batch and 2048 faults on a one-word batch.
+_GROUP_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -64,10 +89,15 @@ class FaultSimStats:
             partition spanning the whole active set).
         n_batches: pattern batches simulated against at least one live fault.
         faults_simulated: total fault-batch simulations, i.e. the sum of the
-            active-set size over all batches.
+            active-set size over all batches.  The batch ramp adds batches,
+            so this rises with it even as the kernel work falls.
         faults_dropped: faults physically removed from the active partition
             arrays by inter-batch compaction.
         active_sizes: active-set size at the start of each simulated batch.
+        fault_words: propagation-kernel work, the sum over batches of the
+            faults sent to the kernel times the batch's 64-pattern words.
+        faults_pruned: fault-batches the site-activity prefilter proved
+            undetectable, so they never reached the kernel.
     """
 
     backend: str
@@ -76,6 +106,8 @@ class FaultSimStats:
     faults_simulated: int
     faults_dropped: int
     active_sizes: Tuple[int, ...]
+    fault_words: int = 0
+    faults_pruned: int = 0
 
     def to_dict(self) -> Dict:
         """JSON-serializable artifact dict (job-spec API)."""
@@ -90,6 +122,8 @@ class FaultSimStats:
                 "faults_simulated": int(self.faults_simulated),
                 "faults_dropped": int(self.faults_dropped),
                 "active_sizes": [int(size) for size in self.active_sizes],
+                "fault_words": int(self.fault_words),
+                "faults_pruned": int(self.faults_pruned),
             },
         )
 
@@ -108,7 +142,7 @@ class FaultSimStats:
                 "faults_dropped",
                 "active_sizes",
             ),
-            optional=("partition_size",),
+            optional=("partition_size", "fault_words", "faults_pruned"),
         )
         partition_size = payload["partition_size"]
         return cls(
@@ -118,6 +152,8 @@ class FaultSimStats:
             faults_simulated=int(payload["faults_simulated"]),
             faults_dropped=int(payload["faults_dropped"]),
             active_sizes=tuple(int(size) for size in payload["active_sizes"]),
+            fault_words=int(payload["fault_words"] or 0),
+            faults_pruned=int(payload["faults_pruned"] or 0),
         )
 
     def merged_with(self, other: "FaultSimStats") -> "FaultSimStats":
@@ -133,6 +169,8 @@ class FaultSimStats:
             faults_simulated=self.faults_simulated + other.faults_simulated,
             faults_dropped=self.faults_dropped + other.faults_dropped,
             active_sizes=self.active_sizes + other.active_sizes,
+            fault_words=self.fault_words + other.fault_words,
+            faults_pruned=self.faults_pruned + other.faults_pruned,
         )
 
 
@@ -251,6 +289,113 @@ class FaultSimResult:
         )
 
 
+class _SiteActivity:
+    """Static per-fault table of the exact site-activity prefilter.
+
+    A fault's effect can only leave its site through the gates reading the
+    faulty net: every reader of a stem fault's net, or the one gate of a
+    branch fault.  Each such (fault, reader gate) pair is an *entry*.
+    Evaluating the reader with every pin that reads the net forced to the
+    stuck value, and comparing with its fault-free output, tells whether the
+    effect survives the first gate.  A fault none of whose entries differ on
+    a valid pattern, and which is not a stem fault on a primary output
+    excited by some valid pattern, has an all-zero detection row: the faulty
+    machine differs from the good one at its site alone.
+
+    Entries are sorted by the reader's base op (ties in fault order), so one
+    ``reduceat`` per op evaluates any subset of them; a batch costs a fixed
+    number of vectorized calls whatever the number of faults.
+    """
+
+    def __init__(self, lowered: LoweredCircuit, faults: Sequence[Fault]):
+        n_faults = len(faults)
+        net = np.fromiter((f.net for f in faults), dtype=np.int64, count=n_faults)
+        gate = np.fromiter(
+            (-1 if f.is_stem else f.gate for f in faults), dtype=np.int64, count=n_faults
+        )
+        stuck = np.fromiter((f.stuck_value for f in faults), dtype=bool, count=n_faults)
+        stem = gate < 0
+        is_output = np.zeros(lowered.n_nets, dtype=bool)
+        is_output[lowered.outputs] = True
+        self.n_faults = n_faults
+        self.net = net
+        self.stuck = np.where(stuck, _ALL_ONES, _ZERO)
+        # Stem faults on a primary output are detected wherever excited.
+        self.observed = stem & is_output[net]
+
+        # Reader gates of every net (CSR; a gate reading a net on several
+        # pins is one reader).
+        n_gates = max(lowered.n_gates, 1)
+        pin_gate = np.repeat(
+            np.arange(lowered.n_gates, dtype=np.int64), lowered.gate_fanin_len
+        )
+        pairs = np.unique(lowered.gate_fanin_flat.astype(np.int64) * n_gates + pin_gate)
+        reader_net, reader_gate = np.divmod(pairs, n_gates)
+        reader_start = np.searchsorted(reader_net, np.arange(lowered.n_nets + 1))
+
+        stem_faults = np.flatnonzero(stem)
+        counts = reader_start[net[stem_faults] + 1] - reader_start[net[stem_faults]]
+        stem_faults, counts = stem_faults[counts > 0], counts[counts > 0]
+        branch_faults = np.flatnonzero(~stem)
+        entry_fault = np.concatenate([np.repeat(stem_faults, counts), branch_faults])
+        entry_gate = np.concatenate(
+            [
+                reader_gate[ragged_positions(reader_start[net[stem_faults]], counts)],
+                gate[branch_faults],
+            ]
+        )
+        order = np.lexsort((entry_fault, lowered.gate_op[entry_gate]))
+        entry_fault, entry_gate = entry_fault[order], entry_gate[order]
+        self.entry_fault = entry_fault
+        self.entry_op = lowered.gate_op[entry_gate]
+        self.entry_out = lowered.gate_output[entry_gate]
+        self.entry_invert = np.where(lowered.gate_invert[entry_gate], _ALL_ONES, _ZERO)
+        self.entry_len = lowered.gate_fanin_len[entry_gate]
+
+        # Every entry's operand rows, entry-major; a pin reading the faulty
+        # net is forced to the fault's stuck word.
+        pin_entry = np.repeat(np.arange(entry_gate.size), self.entry_len)
+        self.pin_fault = entry_fault[pin_entry]
+        self.pin_src = lowered.gate_fanin_flat[
+            ragged_positions(lowered.gate_fanin_start[entry_gate], self.entry_len)
+        ]
+        self.pin_forced = self.pin_src == net[self.pin_fault]
+
+    def live(self, part: np.ndarray, good: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Mask over the fault indices ``part``: effect may leave the site.
+
+        ``False`` proves the fault undetected by every valid pattern of the
+        batch whose fault-free net values are ``good``.
+        """
+        chosen = np.zeros(self.n_faults, dtype=bool)
+        chosen[part] = True
+        live = np.zeros(self.n_faults, dtype=bool)
+        entries = np.flatnonzero(chosen[self.entry_fault])
+        if entries.size:
+            pins = chosen[self.pin_fault]
+            ops = good[self.pin_src[pins]]
+            forced = self.pin_forced[pins]
+            ops[forced] = self.stuck[self.pin_fault[pins][forced]][:, None]
+            lengths = self.entry_len[entries]
+            starts = np.cumsum(lengths) - lengths
+            entry_op = self.entry_op[entries]
+            acc = np.empty((entries.size, good.shape[1]), dtype=np.uint64)
+            for op, ufunc in _OP_UFUNC.items():
+                lo, hi = np.searchsorted(entry_op, (op, op + 1))
+                if lo < hi:
+                    base, end = starts[lo], starts[hi - 1] + lengths[hi - 1]
+                    acc[lo:hi] = ufunc.reduceat(ops[base:end], starts[lo:hi] - base, axis=0)
+            acc ^= good[self.entry_out[entries]]
+            acc ^= self.entry_invert[entries][:, None]
+            acc &= mask
+            live[self.entry_fault[entries[acc.any(axis=1)]]] = True
+        observed = part[self.observed[part]]
+        if observed.size:
+            excited = (good[self.net[observed]] ^ self.stuck[observed][:, None]) & mask
+            live[observed[excited.any(axis=1)]] = True
+        return live[part]
+
+
 class ParallelFaultSimulator:
     """Fault-parallel x pattern-parallel fault simulator (compiled engine).
 
@@ -258,8 +403,8 @@ class ParallelFaultSimulator:
         circuit: circuit under test.
         faults: fault list; defaults to the collapsed stuck-at list.
         fault_group: number of faults simulated simultaneously per group;
-            ``None`` picks a size that fills :data:`_TARGET_COLUMNS` pattern
-            words per value matrix.
+            ``None`` packs ``max(1, _GROUP_COLUMNS // n_words)`` faults, so
+            every value matrix is at most :data:`_GROUP_COLUMNS` words wide.
         backend: kernel backend name (``"numpy"``, ``"numba"``); ``None``
             uses the process default.  Backends are bit-identical, so this
             only selects the execution strategy.
@@ -304,22 +449,49 @@ class ParallelFaultSimulator:
         self.backend_name = kernel_engine.backend_name
         self._engine = kernel_engine.sim
         self.lowered = self._engine.lowered
+        self._activity = _SiteActivity(self.lowered, self.faults)
 
     def _group_size(self, n_words: int) -> int:
         if self.fault_group is not None:
             return max(1, int(self.fault_group))
-        return max(1, min(_MAX_ADAPTIVE_GROUP, _TARGET_COLUMNS // max(1, n_words)))
+        return max(1, _GROUP_COLUMNS // max(1, n_words))
 
-    def _site_level_order(self, faults: Sequence[Fault]) -> List[int]:
-        """Indices of ``faults`` stably sorted by fault-site logic level.
+    def _site_level_order(self) -> np.ndarray:
+        """Fault indices stably sorted by fault-site logic level.
 
         Faults with nearby sites have heavily overlapping fan-out cones, so
         grouping them minimizes the union cone each group re-evaluates.  The
         processing order does not affect results (detections are per fault and
         per pattern), only locality.
         """
-        levels = self._engine.net_level
-        return sorted(range(len(faults)), key=lambda fi: int(levels[faults[fi].net]))
+        levels = self._engine.net_level[self._activity.net]
+        return np.argsort(levels, kind="stable").astype(np.int64)
+
+    def _detect(
+        self, indices: np.ndarray, good: np.ndarray, n_words: int, mask: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Detection words of the faults ``indices`` against one batch.
+
+        Returns ``(survivors, detection)``: the faults of ``indices`` (in
+        order) the site-activity prefilter could not rule out, and their
+        detection rows from the propagation kernel, in dense groups of
+        :meth:`_group_size` faults.  Every other fault of ``indices`` is
+        undetected by the batch.
+        """
+        survivors = indices[self._activity.live(indices, good, mask)]
+        group_size = self._group_size(n_words)
+        rows = [
+            self._engine.fault_batch_detection(
+                [self.faults[fi] for fi in survivors[g_start : g_start + group_size]],
+                good,
+                n_words,
+                valid_mask=mask,
+            )
+            for g_start in range(0, int(survivors.size), group_size)
+        ]
+        if not rows:
+            return survivors, np.zeros((0, n_words), dtype=np.uint64)
+        return survivors, np.concatenate(rows)
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -336,8 +508,8 @@ class ParallelFaultSimulator:
             patterns: boolean array ``(n_patterns, n_inputs)``.
             drop_detected: drop faults from later batches once detected
                 (the normal mode; disable only for diagnostics).
-            batch_size: patterns per bit-parallel batch (rounded up to a
-                multiple of 64 internally).
+            batch_size: patterns per bit-parallel batch (the widest batch of
+                the ramp, see :meth:`run_stream`).
 
         Returns:
             a :class:`FaultSimResult` with first-detection indices.
@@ -363,6 +535,12 @@ class ParallelFaultSimulator:
         at a time, and the stream can stop early once a coverage target is
         reached.
 
+        With ``drop_detected`` the batches ramp: the first one is one
+        64-pattern word wide and each next one doubles, up to
+        ``batch_size``, carrying across chunk boundaries (a chunk's last
+        batch ends with the chunk).  Faults the site-activity prefilter
+        rules out for a batch skip the propagation kernel for it.
+
         Args:
             chunks: iterable of boolean pattern matrices applied back to
                 back (e.g. ``WeightedPatternGenerator.generate_stream``).
@@ -379,63 +557,62 @@ class ParallelFaultSimulator:
             number of patterns consumed from the stream and the run's
             :class:`FaultSimStats` counters.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size!r}")
         engine = self._engine
         n_faults = len(self.faults)
         # PPSFP active set: fault indices, site-level sorted, physically
         # compacted between batches — dropped faults vanish from the arrays
         # instead of being masked, so later batches never touch them.
-        active = np.asarray(self._site_level_order(self.faults), dtype=np.int64)
+        active = self._site_level_order()
         first_det = np.full(n_faults, -1, dtype=np.int64)
         applied = 0
         n_batches = 0
         faults_simulated = 0
         faults_dropped = 0
+        faults_pruned = 0
+        fault_words = 0
         active_sizes: List[int] = []
+        width = min(WORD_BITS, batch_size) if drop_detected else batch_size
 
         for chunk in chunks:
             chunk = np.asarray(chunk, dtype=bool)
             chunk_len = chunk.shape[0]
-            if active.size:
-                for start in range(0, chunk_len, batch_size):
-                    if active.size == 0:
-                        break
-                    batch = chunk[start : start + batch_size]
-                    batch_len = batch.shape[0]
-                    n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
-                    good = engine.simulate_words(pack_patterns(batch))
-                    mask = _valid_mask(batch_len, n_words)
-                    group_size = self._group_size(n_words)
-                    n_batches += 1
-                    active_sizes.append(int(active.size))
-                    faults_simulated += int(active.size)
-                    partition_size = (
-                        self.partition_size
-                        if self.partition_size is not None
-                        else int(active.size)
-                    )
-                    for p_start in range(0, int(active.size), partition_size):
-                        partition = active[p_start : p_start + partition_size]
-                        for g_start in range(0, int(partition.size), group_size):
-                            group_idx = partition[g_start : g_start + group_size]
-                            group = [self.faults[fi] for fi in group_idx]
-                            detection = engine.fault_batch_detection(
-                                group, good, n_words, valid_mask=mask
-                            )
-                            firsts = first_detection_indices(detection)
-                            hit = firsts >= 0
-                            if hit.any():
-                                # Without dropping a fault stays active after
-                                # detection; never let a later batch overwrite
-                                # the first index.
-                                hit_idx = group_idx[hit]
-                                fresh = first_det[hit_idx] < 0
-                                first_det[hit_idx[fresh]] = (
-                                    applied + start + firsts[hit][fresh]
-                                )
-                    if drop_detected:
-                        before = int(active.size)
-                        active = active[first_det[active] < 0]
-                        faults_dropped += before - int(active.size)
+            start = 0
+            while start < chunk_len and active.size:
+                batch = chunk[start : start + width]
+                batch_len = batch.shape[0]
+                n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
+                good = engine.simulate_words(pack_patterns(batch))
+                mask = _valid_mask(batch_len, n_words)
+                n_batches += 1
+                active_sizes.append(int(active.size))
+                faults_simulated += int(active.size)
+                partition_size = (
+                    self.partition_size
+                    if self.partition_size is not None
+                    else int(active.size)
+                )
+                for p_start in range(0, int(active.size), partition_size):
+                    partition = active[p_start : p_start + partition_size]
+                    survivors, detection = self._detect(partition, good, n_words, mask)
+                    faults_pruned += int(partition.size - survivors.size)
+                    fault_words += int(survivors.size) * n_words
+                    firsts = first_detection_indices(detection)
+                    hit = firsts >= 0
+                    if hit.any():
+                        # Without dropping a fault stays active after
+                        # detection; never let a later batch overwrite the
+                        # first index.
+                        hit_idx = survivors[hit]
+                        fresh = first_det[hit_idx] < 0
+                        first_det[hit_idx[fresh]] = applied + start + firsts[hit][fresh]
+                if drop_detected:
+                    before = int(active.size)
+                    active = active[first_det[active] < 0]
+                    faults_dropped += before - int(active.size)
+                start += batch_len
+                width = min(2 * width, batch_size)
             applied += chunk_len
             if (
                 target_coverage is not None
@@ -455,6 +632,8 @@ class ParallelFaultSimulator:
             faults_simulated=faults_simulated,
             faults_dropped=faults_dropped,
             active_sizes=tuple(active_sizes),
+            fault_words=fault_words,
+            faults_pruned=faults_pruned,
         )
         return FaultSimResult(list(self.faults), first_detection, applied, stats=stats)
 
@@ -469,23 +648,16 @@ class ParallelFaultSimulator:
         """
         patterns = np.asarray(patterns, dtype=bool)
         n_patterns = patterns.shape[0]
-        engine = self._engine
         counts = np.zeros(len(self.faults), dtype=np.int64)
-        order = self._site_level_order(self.faults)
+        order = self._site_level_order()
         for start in range(0, n_patterns, batch_size):
             batch = patterns[start : start + batch_size]
             batch_len = batch.shape[0]
             n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
-            good = engine.simulate_words(pack_patterns(batch))
+            good = self._engine.simulate_words(pack_patterns(batch))
             mask = _valid_mask(batch_len, n_words)
-            group_size = self._group_size(n_words)
-            for g_start in range(0, len(order), group_size):
-                group_idx = order[g_start : g_start + group_size]
-                group = [self.faults[fi] for fi in group_idx]
-                detection = engine.fault_batch_detection(
-                    group, good, n_words, valid_mask=mask
-                )
-                counts[group_idx] += popcount_words(detection)
+            survivors, detection = self._detect(order, good, n_words, mask)
+            counts[survivors] += popcount_words(detection)
         return counts
 
     def detects(self, fault: Fault, pattern: Sequence[bool]) -> bool:

@@ -24,6 +24,7 @@ of its stages.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
 from typing import Dict
@@ -46,10 +47,14 @@ _MAX_ENTRIES = 16
 _CACHE: "weakref.WeakValueDictionary[str, LoweredCircuit]" = weakref.WeakValueDictionary()
 _RECENT: "OrderedDict[str, LoweredCircuit]" = OrderedDict()
 _STATS: Dict[str, int] = {"compile_events": 0, "hits": 0, "evictions": 0}
+#: Guards the three structures above: the job service compiles from worker
+#: threads.  Held across a lowering, so concurrent compiles of one structure
+#: lower it once.
+_LOCK = threading.RLock()
 
 
 def _touch(key: str, lowered: LoweredCircuit) -> None:
-    """Mark ``key`` most-recently-used in the strong LRU."""
+    """Mark ``key`` most-recently-used in the strong LRU (lock held)."""
     _RECENT[key] = lowered
     _RECENT.move_to_end(key)
     while len(_RECENT) > _MAX_ENTRIES:
@@ -70,16 +75,17 @@ def compile_lowered(circuit: Circuit) -> LoweredCircuit:
     if lowered is not None and lowered.n_gates == circuit.n_gates:
         return lowered
     key = circuit.structural_hash()
-    lowered = _CACHE.get(key)
-    if lowered is not None and lowered.n_gates != circuit.n_gates:
-        lowered = None  # stale digest memo on a mutated circuit
-    if lowered is None:
-        lowered = LoweredCircuit(circuit)
-        _STATS["compile_events"] += 1
-        _CACHE[key] = lowered
-    else:
-        _STATS["hits"] += 1
-    _touch(key, lowered)
+    with _LOCK:
+        lowered = _CACHE.get(key)
+        if lowered is not None and lowered.n_gates != circuit.n_gates:
+            lowered = None  # stale digest memo on a mutated circuit
+        if lowered is None:
+            lowered = LoweredCircuit(circuit)
+            _STATS["compile_events"] += 1
+            _CACHE[key] = lowered
+        else:
+            _STATS["hits"] += 1
+        _touch(key, lowered)
     circuit._lowered_ir = lowered
     return lowered
 
@@ -97,14 +103,15 @@ def compile_count() -> int:
 
 def lowered_cache_info() -> Dict[str, int]:
     """Cache statistics: live entries, strong LRU size/capacity, counters."""
-    return {
-        "size": len(_CACHE),
-        "strong_size": len(_RECENT),
-        "max_size": _MAX_ENTRIES,
-        "compile_events": _STATS["compile_events"],
-        "hits": _STATS["hits"],
-        "evictions": _STATS["evictions"],
-    }
+    with _LOCK:
+        return {
+            "size": len(_CACHE),
+            "strong_size": len(_RECENT),
+            "max_size": _MAX_ENTRIES,
+            "compile_events": _STATS["compile_events"],
+            "hits": _STATS["hits"],
+            "evictions": _STATS["evictions"],
+        }
 
 
 def clear_lowered_cache() -> None:
@@ -113,8 +120,9 @@ def clear_lowered_cache() -> None:
     Instance-pinned artifacts survive (they belong to their circuits); only
     the process-wide content cache and the strong LRU are cleared.
     """
-    _CACHE.clear()
-    _RECENT.clear()
-    _STATS["compile_events"] = 0
-    _STATS["hits"] = 0
-    _STATS["evictions"] = 0
+    with _LOCK:
+        _CACHE.clear()
+        _RECENT.clear()
+        _STATS["compile_events"] = 0
+        _STATS["hits"] = 0
+        _STATS["evictions"] = 0

@@ -76,8 +76,11 @@ def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated index ranges ``[starts[i], starts[i]+lengths[i])``.
 
     Vectorized replacement for ``np.concatenate([np.arange(s, s+l) ...])``.
-    All segments must be non-empty.
+    All segments must be non-empty; an empty segment list gives an empty
+    result.
     """
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64)
     total = int(lengths.sum())
     idx = np.ones(total, dtype=np.int64)
     ends = np.cumsum(lengths)

@@ -22,6 +22,12 @@ as a handful of vectorized kernels per logic level instead of a Python loop
   block of pattern words.  Fault effects are injected by forcing rows (stem
   faults) or gathered operand slots (gate-input branch faults), and the union
   of the group's fan-out cones selects the sub-kernels that are re-evaluated.
+  Every column of a group is evaluated over the whole union cone, so the
+  callers decide what is worth sending: the fault simulator
+  (:mod:`repro.faultsim.parallel`) ramps its batch width from one word,
+  drops faults whose effect provably dies at their site before grouping,
+  and packs the rest into groups of ``max(1, 2048 // n_words)`` faults (one
+  column budget).
 
 The engine is exact: for every net and pattern it computes precisely the same
 values as the scalar reference simulator (:mod:`repro.simulation.eventsim`),

@@ -8,6 +8,9 @@ circuit structure at most once (asserted via the per-worker compile
 counters streamed back with the results).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -380,3 +383,36 @@ class TestJobsStore:
         run_jobs([spec], store=str(tmp_path / "store"))
         (result,) = list(iter_jobs([spec], store=str(tmp_path / "store")))
         assert result.store_hit
+
+
+def test_concurrent_executions_count_exactly():
+    from repro.api.executor import executor_stats
+
+    spec = PipelineSpec(circuit="c432", optimize=None, quantize=None, fault_sim=None)
+    before = executor_stats()
+    execute_spec(spec)
+    per_run = executor_stats()["stage_runs"] - before["stage_runs"]
+    n_threads, per_thread = 8, 4
+    barrier = threading.Barrier(n_threads)
+
+    def work():
+        barrier.wait()
+        for _ in range(per_thread):
+            execute_spec(spec)
+
+    before = executor_stats()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # make lost updates likely if unlocked
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    after = executor_stats()
+    runs = n_threads * per_thread
+    assert after["executions"] - before["executions"] == runs
+    assert after["stage_runs"] - before["stage_runs"] == runs * per_run

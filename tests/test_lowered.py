@@ -7,6 +7,9 @@ hits, LRU eviction, the compile counter) and the invariant that both compiled
 engines consume one shared :class:`LoweredCircuit` per circuit.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.lowered import (
     OP_AND,
     OP_OR,
     OP_XOR,
+    LoweredCircuit,
     clear_lowered_cache,
     compile_count,
     compile_lowered,
@@ -182,6 +186,37 @@ class TestCompileLoweredCache:
         assert compile_count() == 0
         compile_lowered(and_or_tree_circuit())
         assert compile_count() == 1
+
+    def test_concurrent_compiles_count_exactly(self, monkeypatch):
+        class SlowLowering(LoweredCircuit):
+            def __init__(self, circuit):
+                time.sleep(0.02)  # other threads reach the cache meanwhile
+                super().__init__(circuit)
+
+        monkeypatch.setattr(lowered_cache, "LoweredCircuit", SlowLowering)
+        n_threads, per_thread = 8, 25
+        batches = [
+            [s1_comparator(width=6) for _ in range(per_thread)]
+            for _ in range(n_threads)
+        ]
+        clear_lowered_cache()
+        barrier = threading.Barrier(n_threads)
+
+        def work(batch):
+            barrier.wait()
+            for circuit in batch:
+                compile_lowered(circuit)
+
+        threads = [threading.Thread(target=work, args=(batch,)) for batch in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        info = lowered_cache_info()
+        assert info["compile_events"] == 1
+        assert info["hits"] == n_threads * per_thread - 1
+        assert len({id(c._lowered_ir) for batch in batches for c in batch}) == 1
 
 
 class TestSharedIr:
