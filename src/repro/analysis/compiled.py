@@ -58,6 +58,7 @@ from ..lowered import (
     LoweredCircuit,
     PinLevel,
     compile_lowered,
+    ragged_positions,
 )
 from .signal_prob import input_probability_vector, validate_input_override
 
@@ -390,23 +391,42 @@ class CompiledCop:
         key = tuple(faults)
         plan = self._fault_plans.get(key)
         if plan is None:
-            lowered = self.lowered
-            nets = np.asarray([f.net for f in faults], dtype=np.int64)
-            stuck = np.asarray([f.stuck_value for f in faults], dtype=bool)
-            stem = np.asarray([f.is_stem for f in faults], dtype=bool)
-            slots = np.zeros(len(faults), dtype=np.int64)
-            for fi, fault in enumerate(faults):
-                if fault.is_stem:
-                    continue
-                position = int(
-                    np.flatnonzero(lowered.gate_inputs(fault.gate) == fault.net)[0]
-                )
-                slots[fi] = lowered.pin_slot_of(fault.gate, position)
-            plan = (nets, stuck, stem, slots)
+            fields = np.array(
+                [(f.net, f.stuck_value, -1 if f.gate is None else f.gate) for f in key],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            nets = fields[:, 0]
+            gates = fields[:, 2]
+            stem = gates < 0
+            slots = np.zeros(len(key), dtype=np.int64)
+            branch = np.flatnonzero(~stem)
+            if branch.size:
+                slots[branch] = self._branch_pin_slots(gates[branch], nets[branch])
+            plan = (nets, fields[:, 1].astype(bool), stem, slots)
             if len(self._fault_plans) >= 16:
                 self._fault_plans.clear()
             self._fault_plans[key] = plan
         return plan
+
+    def _branch_pin_slots(self, gates: np.ndarray, nets: np.ndarray) -> np.ndarray:
+        """Pin slot of each branch fault: the first pin of ``gates[i]`` reading
+        ``nets[i]`` (a gate reading the net on several pins is faulted on the
+        first), found by one vectorized match over the gates' fan-in."""
+        lowered = self.lowered
+        starts = lowered.gate_fanin_start[gates]
+        lengths = lowered.gate_fanin_len[gates]
+        if np.any(lengths == 0):
+            raise ValueError("branch fault on a gate without inputs")
+        pins = ragged_positions(starts, lengths)
+        owner = np.repeat(np.arange(gates.size), lengths)
+        hits = np.flatnonzero(lowered.gate_fanin_flat[pins] == nets[owner])
+        # Hits ascend, so the first hit of each fault starts a run of owners.
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = owner[hits[1:]] != owner[hits[:-1]]
+        hits = hits[first]
+        if hits.size != gates.size:
+            raise ValueError("branch fault on a net its gate does not read")
+        return lowered.pin_base[gates] + (pins[hits] - starts)
 
     def detection_probabilities_batch(
         self,

@@ -64,16 +64,28 @@ def row_to_dict(row: Any) -> Dict[str, Any]:
     return tagged_dict(kind, dataclasses.asdict(row))
 
 
+def _has_default(field: dataclasses.Field) -> bool:
+    return (
+        field.default is not dataclasses.MISSING
+        or field.default_factory is not dataclasses.MISSING
+    )
+
+
 def row_from_dict(data: Mapping[str, Any]) -> Any:
     """Rebuild an experiment table row from :func:`row_to_dict` output."""
     kind = data.get("kind") if isinstance(data, Mapping) else None
     row_type = _row_types().get(kind)
     if row_type is None:
         raise SchemaError(f"unknown experiment row kind {kind!r}")
-    names = [field.name for field in dataclasses.fields(row_type)]
-    payload = untag(data, kind, required=names)
+    # A field with a default may be missing from rows written before it was
+    # added; the dataclass default then applies.
+    row_fields = dataclasses.fields(row_type)
+    required = [field.name for field in row_fields if not _has_default(field)]
+    optional = [field.name for field in row_fields if _has_default(field)]
+    payload = untag(data, kind, required=required, optional=optional)
+    kwargs = {name: value for name, value in payload.items() if name in data}
     try:
-        return row_type(**payload)
+        return row_type(**kwargs)
     except TypeError as exc:
         raise SchemaError(f"invalid {kind} payload: {exc}") from exc
 

@@ -5,7 +5,8 @@ the starred circuits) once with the scalar reference estimator and once with
 the batched COP engine (:mod:`repro.analysis.compiled`).  The two engines are
 the same mathematical specification compiled two ways, so the test-length
 histories must be bit-identical; the speedup of the batched engine is the
-gated metric and the optimized test lengths are exact counters.
+gated metric; the optimized test lengths and the sweep counts are exact
+counters.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def run_bench(quick: bool = False) -> BenchResult:
         runner.metric(f"{row.key}_speedup", row.speedup)
         runner.counter(f"{row.key}_test_length", row.test_length)
         runner.counter(f"{row.key}_n_faults", row.n_faults)
+        runner.counter(f"{row.key}_sweeps", row.sweeps)
 
     largest = max(rows, key=lambda row: row.n_gates)
     runner.workload(

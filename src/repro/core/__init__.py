@@ -19,7 +19,12 @@ from .objective import (
     test_confidence,
 )
 from .testlength import MAX_TEST_LENGTH, NormalizeResult, normalize, required_test_length, sort_faults
-from .minimize import MinimizeResult, coordinate_objective, minimize_coordinate
+from .minimize import (
+    MinimizeResult,
+    coordinate_objective,
+    minimize_coordinate,
+    minimize_coordinates,
+)
 from .optimizer import OptimizationResult, WeightOptimizer, optimize_input_probabilities
 from .quantize import quantization_error, quantize_to_lfsr_grid, quantize_weights
 from .partition import PartitionedResult, WeightSession, optimize_partitioned
@@ -38,6 +43,7 @@ __all__ = [
     "sort_faults",
     "MinimizeResult",
     "minimize_coordinate",
+    "minimize_coordinates",
     "coordinate_objective",
     "OptimizationResult",
     "WeightOptimizer",

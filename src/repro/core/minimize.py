@@ -12,16 +12,37 @@ The minimiser here works purely on the two pre-computed cofactor vectors
 paper points out in observation (2) — its cost is independent of the circuit
 size.  A bisection safeguard keeps the iteration inside the allowed interval
 even when terms underflow.
+
+Two entry points share that iteration:
+
+* :func:`minimize_coordinate` minimises one coordinate; it is the slow
+  reference.
+* :func:`minimize_coordinates` minimises every coordinate of a sweep at once,
+  one row of the cofactor matrices per input.  Each row is a lane with its own
+  bracket and its own stopping tests (gradient sign at the bounds, ``|J'| <=
+  tol``, bracket width); a lane that passes one is frozen and drops out of the
+  arrays, so every row takes exactly the steps the scalar path takes and ends
+  on the same float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MinimizeResult", "minimize_coordinate", "coordinate_objective"]
+#: Convergence tolerance on the bracket width and on the scaled gradient.
+TOLERANCE = 1e-6
+#: Safety cap on Newton/bisection steps per coordinate.
+MAX_ITERATIONS = 60
+
+__all__ = [
+    "MinimizeResult",
+    "minimize_coordinate",
+    "minimize_coordinates",
+    "coordinate_objective",
+]
 
 
 @dataclass
@@ -83,8 +104,8 @@ def minimize_coordinate(
     n_patterns: float,
     bounds: Tuple[float, float] = (0.01, 0.99),
     initial: float | None = None,
-    tolerance: float = 1e-6,
-    max_iterations: int = 60,
+    tolerance: float = TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> MinimizeResult:
     """Minimise ``J_N`` along one input probability (MINIMIZE of section 4).
 
@@ -163,3 +184,112 @@ def minimize_coordinate(
     y = float(np.clip(y, low, high))
     value = coordinate_objective(p0, p1, n_patterns, y)
     return MinimizeResult(y, value, iterations, converged)
+
+
+def _row_derivatives(
+    p0: np.ndarray, delta: np.ndarray, n_patterns: float, y: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First and second scaled derivatives of :func:`_derivatives`, per row.
+
+    The same float operations in the same order as the scalar helper: the
+    row sums run along the contiguous last axis, which numpy reduces with the
+    same pairwise summation as a 1-D ``sum``.
+    """
+    probs = p0 + y[:, None] * delta
+    shift = probs.min(axis=1, keepdims=True)
+    exponent = -n_patterns * (probs - shift)
+    with np.errstate(under="ignore"):
+        terms = np.exp(exponent)
+    first = (-n_patterns * delta * terms).sum(axis=1)
+    second = ((n_patterns * delta) ** 2 * terms).sum(axis=1)
+    return first, second
+
+
+def minimize_coordinates(
+    p0: np.ndarray,
+    p1: np.ndarray,
+    n_patterns: float,
+    bounds: Tuple[float, float] = (0.01, 0.99),
+    initial: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """MINIMIZE for every coordinate at once.
+
+    Row ``i`` of the result equals
+    ``minimize_coordinate(p0[i], p1[i], n_patterns, bounds, initial[i]).y``
+    bit for bit, with the default :data:`TOLERANCE` and
+    :data:`MAX_ITERATIONS`.
+
+    Args:
+        p0: ``(n_inputs, n_faults)`` cofactors ``p_f(X, 0|i)``, one row per
+            input.
+        p1: the same shape, ``p_f(X, 1|i)``.
+        n_patterns: the current test length ``N`` (shared by every row).
+        bounds: allowed interval for every probability.
+        initial: per-row starting points (default: the interval midpoint).
+
+    Returns:
+        The minimizing probability of every row.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    if p0.ndim != 2 or p0.shape != p1.shape:
+        raise ValueError("p0 and p1 must be matrices of the same shape")
+    n_rows, n_faults = p0.shape
+    low, high = bounds
+    if n_faults == 0:
+        return np.full(n_rows, 0.5 * (bounds[0] + bounds[1]))
+    if not 0.0 <= low < high <= 1.0:
+        raise ValueError("bounds must satisfy 0 <= low < high <= 1")
+    if initial is None:
+        y = np.full(n_rows, 0.5 * (low + high))
+    else:
+        y = np.array(initial, dtype=float).reshape(n_rows)
+    y = np.clip(y, low, high)
+
+    # Rows with no sensitive fault keep their (clipped) start; the others
+    # first test the gradient sign at both bounds, like the scalar path.
+    delta = p1 - p0
+    rows = np.flatnonzero(delta.any(axis=1))
+    gradient_low, _ = _row_derivatives(
+        p0[rows], delta[rows], n_patterns, np.full(rows.size, float(low))
+    )
+    at_low = gradient_low >= 0.0
+    y[rows[at_low]] = low
+    rows = rows[~at_low]
+    gradient_high, _ = _row_derivatives(
+        p0[rows], delta[rows], n_patterns, np.full(rows.size, float(high))
+    )
+    at_high = gradient_high <= 0.0
+    y[rows[at_high]] = high
+    rows = rows[~at_high]
+
+    # Safeguarded Newton/bisection on the interior rows; ``rows`` holds the
+    # lanes still iterating and shrinks as each one meets its own test.
+    bracket_low = np.full(n_rows, float(low))
+    bracket_high = np.full(n_rows, float(high))
+    for _ in range(MAX_ITERATIONS):
+        if rows.size == 0:
+            break
+        point = y[rows]
+        gradient, curvature = _row_derivatives(
+            p0[rows], delta[rows], n_patterns, point
+        )
+        lower, upper = bracket_low[rows], bracket_high[rows]
+        moving = ~((np.abs(gradient) <= TOLERANCE) | ((upper - lower) <= TOLERANCE))
+        rows, point = rows[moving], point[moving]
+        gradient, curvature = gradient[moving], curvature[moving]
+        descending = gradient < 0.0
+        lower = np.where(descending, point, lower[moving])
+        upper = np.where(descending, upper[moving], point)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            candidate = point - gradient / curvature
+        newton = (
+            (curvature > 0.0)
+            & (lower < candidate)
+            & (candidate < upper)
+            & ~(np.abs(candidate - point) < 0.05 * (upper - lower))
+        )
+        bracket_low[rows] = lower
+        bracket_high[rows] = upper
+        y[rows] = np.where(newton, candidate, 0.5 * (lower + upper))
+    return np.clip(y, low, high)

@@ -15,10 +15,16 @@ Coordinate-descent optimization of the input probability tuple ``X``:
    the default) the pinned inputs become row-wise overrides of a single
    vectorized pass; a scalar estimator is driven row by row with identical
    semantics.  ``MINIMIZE`` then finds, per input, the unique minimum of the
-   single-variable convex objective by Newton iteration and updates the
-   weight coordinate.
-4. Repeat the sweep until the test length stops improving by more than the
+   single-variable convex objective by Newton iteration; every input's row
+   is minimized at once by :func:`~repro.core.minimize.minimize_coordinates`.
+4. The damped and block-coordinate step candidates of the sweep are analysed
+   as one batch and ranked by their NORMALIZE test length alone; SORT reorders
+   the fault list only for the accepted candidate.
+5. Repeat the sweep until the test length stops improving by more than the
    user-defined threshold ``alpha``.
+
+The caller's distribution and the jittered start are analysed as one 2-row
+batch, so a run makes ``1 + 2 x sweeps`` batched estimator calls.
 
 Because PREPARE is batched per sweep, every coordinate of a sweep is minimized
 against the *sweep-start* distribution (a Jacobi-style sweep).  The scalar and
@@ -48,9 +54,9 @@ from ..analysis.signal_prob import input_probability_vector
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
-from .minimize import minimize_coordinate
+from .minimize import minimize_coordinates
 from .quantize import quantize_weights
-from .testlength import NormalizeResult, normalize, sort_faults
+from .testlength import NormalizeResult, required_test_length, sort_faults
 
 __all__ = ["OptimizationResult", "WeightOptimizer", "optimize_input_probabilities"]
 
@@ -277,22 +283,19 @@ class WeightOptimizer:
         )
         return rows[0::2], rows[1::2]
 
-    def _normalize_probs(
-        self, probs: np.ndarray
-    ) -> Tuple[List[Fault], np.ndarray, List[Fault], NormalizeResult]:
-        sorted_faults, sorted_probs, redundant = sort_faults(self.faults, probs)
-        if sorted_probs.size == 0:
+    def _test_length(self, probs: np.ndarray) -> NormalizeResult:
+        """NORMALIZE of one analysis row; SORT's fault reordering is skipped.
+
+        :func:`required_test_length` sorts the positive probabilities, which
+        are exactly SORT's ``sorted_probs``, so the result equals
+        ``normalize(sort_faults(self.faults, probs)[1])``.
+        """
+        if not np.any(probs > 0.0):
             raise ValueError(
                 "every fault has estimated detection probability zero; "
                 "the circuit or fault list is degenerate"
             )
-        result = normalize(sorted_probs, self.confidence)
-        return sorted_faults, sorted_probs, redundant, result
-
-    def _sort_and_normalize(
-        self, weights: np.ndarray
-    ) -> Tuple[List[Fault], np.ndarray, List[Fault], NormalizeResult]:
-        return self._normalize_probs(self.analysis(weights, self.faults))
+        return required_test_length(probs, self.confidence)
 
     # ------------------------------------------------------------------ #
     def optimize(
@@ -321,26 +324,32 @@ class WeightOptimizer:
         circuit = self.circuit
         base_weights = input_probability_vector(circuit, initial_weights).astype(float)
         base_weights = np.clip(base_weights, self.bounds[0], self.bounds[1])
+        starts = [base_weights]
+        if jitter:
+            rng = np.random.default_rng(jitter_seed)
+            jittered = base_weights + rng.uniform(-jitter, jitter, size=base_weights.size)
+            starts.append(np.clip(jittered, self.bounds[0], self.bounds[1]))
+        # Deterministic source for the randomized block-coordinate candidates;
+        # independent of the jitter draw so disabling one keeps the other
+        # reproducible.
+        block_rng = np.random.default_rng(jitter_seed + 1)
+        start_probs = batch_detection_probabilities(
+            circuit, self.faults, np.vstack(starts), self.estimator
+        )
 
         # The reported starting point (and the initial candidate for "best") is
-        # the caller's distribution; the jitter below only seeds the descent.
-        sorted_faults, sorted_probs, redundant, norm = self._sort_and_normalize(base_weights)
+        # the caller's distribution; the jitter only seeds the descent.
+        norm = self._test_length(start_probs[0])
         initial_length = norm.test_length
         history = [norm.test_length]
         best_weights = base_weights.copy()
         best_length = norm.test_length
         best_norm = norm
-        best_redundant = redundant
+        best_probs = start_probs[0]
 
-        weights = base_weights.copy()
-        # Deterministic source for the randomized block-coordinate candidates;
-        # independent of the jitter draw so disabling one keeps the other
-        # reproducible.
-        block_rng = np.random.default_rng(jitter_seed + 1)
+        weights = starts[-1].copy()
+        probs = start_probs[-1]
         if jitter:
-            rng = np.random.default_rng(jitter_seed)
-            weights = weights + rng.uniform(-jitter, jitter, size=weights.size)
-            weights = np.clip(weights, self.bounds[0], self.bounds[1])
             # Re-anchor the sweep bookkeeping at the actual (jittered) start so
             # the monotone acceptance below compares like with like; the
             # reported initial length above still belongs to the caller's
@@ -348,12 +357,13 @@ class WeightOptimizer:
             # distribution, keep it as the incumbent — otherwise a rejected
             # first sweep would record its length in the history yet return
             # the worse base weights.
-            sorted_faults, sorted_probs, redundant, norm = self._sort_and_normalize(weights)
+            norm = self._test_length(probs)
             if norm.test_length < best_length:
                 best_length = norm.test_length
                 best_weights = weights.copy()
                 best_norm = norm
-                best_redundant = redundant
+                best_probs = probs
+        sorted_faults, _, _ = sort_faults(self.faults, probs)
 
         sweeps = 0
         converged = False
@@ -366,16 +376,13 @@ class WeightOptimizer:
             )
             hard_faults = sorted_faults[:hard_count]
             cofactors0, cofactors1 = self.prepare_sweep(weights, hard_faults)
-            proposal = weights.copy()
-            for input_index in range(circuit.n_inputs):
-                outcome = minimize_coordinate(
-                    cofactors0[input_index],
-                    cofactors1[input_index],
-                    norm.test_length,
-                    bounds=self.bounds,
-                    initial=float(weights[input_index]),
-                )
-                proposal[input_index] = outcome.y
+            proposal = minimize_coordinates(
+                cofactors0,
+                cofactors1,
+                norm.test_length,
+                bounds=self.bounds,
+                initial=weights,
+            )
 
             # All coordinates were minimized against the *sweep-start*
             # distribution (the batched PREPARE), so applying the full
@@ -383,8 +390,10 @@ class WeightOptimizer:
             # (the comparator's paired inputs are the canonical case).  Damped
             # steps toward the proposal plus randomized block-coordinate steps
             # (full update on a random half of the inputs) are evaluated in
-            # one further batched analysis; the sweep accepts the best one,
-            # keeping the descent monotone.
+            # one further batched analysis; the sweep accepts the candidate
+            # with the shortest test length (the first on ties), keeping the
+            # descent monotone.  Only the accepted candidate's faults are
+            # sorted.
             direction = proposal - weights
             rows = [
                 weights + step * direction for step in self.step_sizes
@@ -396,24 +405,26 @@ class WeightOptimizer:
             probe = batch_detection_probabilities(
                 circuit, self.faults, candidates, self.estimator
             )
-            evaluations = [self._normalize_probs(row) for row in probe]
+            evaluations = [self._test_length(row) for row in probe]
             best_row = min(
-                range(len(evaluations)), key=lambda r: evaluations[r][3].test_length
+                range(len(evaluations)), key=lambda r: evaluations[r].test_length
             )
             sweeps += 1
-            if evaluations[best_row][3].test_length >= n_before:
+            if evaluations[best_row].test_length >= n_before:
                 # No damped step improves on the current distribution.
                 history.append(n_before)
                 converged = True
                 break
             weights = candidates[best_row].copy()
-            sorted_faults, sorted_probs, redundant, norm = evaluations[best_row]
+            probs = probe[best_row]
+            norm = evaluations[best_row]
+            sorted_faults, _, _ = sort_faults(self.faults, probs)
             history.append(norm.test_length)
             if norm.test_length < best_length:
                 best_length = norm.test_length
                 best_weights = weights.copy()
                 best_norm = norm
-                best_redundant = redundant
+                best_probs = probs
 
             improvement = n_before - norm.test_length
             if improvement <= self.alpha * max(norm.test_length, 1):
@@ -427,6 +438,7 @@ class WeightOptimizer:
         # (hard-fault count, redundancies) of the same distribution.
         weights = best_weights
         final_length = best_length
+        _, _, best_redundant = sort_faults(self.faults, best_probs)
 
         elapsed = time.perf_counter() - start_time
         quantized = quantize_weights(weights, step=quantization_step, bounds=self.bounds)

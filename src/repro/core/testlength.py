@@ -12,9 +12,20 @@ redundancies) and NORMALIZE determines
   numerically to the objective, so the per-input optimization only needs to
   look at the hard subset.
 
-NORMALIZE uses the paper's lower/upper bounds ``l(z, M)`` and ``u(z, M)`` so
-the sums never have to run over the full fault list, and an interval search on
-``M`` (here: exponential growth followed by binary search).
+NORMALIZE searches ``M`` by exponential growth followed by binary search.  Each
+probe sums only the ``z`` leading terms that are not yet negligible at ``M``:
+the paper's lower bound ``l(z, M)``, so the sums never run over the full fault
+list.  The paper's upper bound ``u(z, M) = l(z, M) + (n - z) exp(-M p_z)`` is
+never below ``l``.  So ``u <= Q`` can only confirm a probe that ``l <= Q``
+already accepts, and ``u > Q`` cannot overturn it: ``u`` decides no probe and
+is not computed.  What ``u <= Q`` would add is a certificate that the *full*
+``J_M`` is below ``Q``; the search does not use one, and the returned
+:attr:`NormalizeResult.objective` is the full sum at the final ``N``.
+
+The optimizer ranks its step candidates by test length alone, so it calls
+:func:`normalize` on each candidate's sorted positive probabilities and runs
+:func:`sort_faults`, which reorders the fault objects, only on the accepted
+candidate.
 """
 
 from __future__ import annotations
@@ -60,6 +71,12 @@ class NormalizeResult:
     capped: bool = False
 
 
+def _as_float_array(values: Sequence[float]) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return np.asarray(values, dtype=float)
+    return np.asarray(list(values), dtype=float)
+
+
 def sort_faults(
     faults: Sequence, detection_probs: Sequence[float]
 ) -> Tuple[List, np.ndarray, List]:
@@ -71,45 +88,15 @@ def sort_faults(
     Returns:
         ``(sorted_faults, sorted_probs, redundant_faults)``.
     """
-    probs = np.asarray(list(detection_probs), dtype=float)
+    probs = _as_float_array(detection_probs)
     if len(faults) != probs.size:
         raise ValueError("faults and detection probabilities differ in length")
     order = np.argsort(probs, kind="stable")
-    sorted_faults = [faults[i] for i in order]
     sorted_probs = probs[order]
     detectable_mask = sorted_probs > 0.0
-    redundant = [f for f, keep in zip(sorted_faults, detectable_mask) if not keep]
-    kept_faults = [f for f, keep in zip(sorted_faults, detectable_mask) if keep]
+    kept_faults = [faults[i] for i in order[detectable_mask].tolist()]
+    redundant = [faults[i] for i in order[~detectable_mask].tolist()]
     return kept_faults, sorted_probs[detectable_mask], redundant
-
-
-def _objective_with_bounds(sorted_probs: np.ndarray, n_patterns: float, threshold: float) -> Tuple[float, bool]:
-    """Evaluate ``J_N`` using the paper's truncation bounds.
-
-    Returns ``(value_or_lower_bound, decided_below)`` where ``decided_below``
-    is True when the upper bound ``u(z, N)`` already certifies ``J_N <= Q`` and
-    False means the returned value is a lower bound ``l(z, N)`` that may or may
-    not exceed ``Q`` (the caller compares it to ``Q`` itself).
-    """
-    n_faults = sorted_probs.size
-    if n_faults == 0:
-        return 0.0, True
-    # z: number of leading (hardest) faults whose terms are not yet negligible.
-    # exp(-N p) <= cutoff  <=>  p >= ln(1/cutoff) / N.
-    cutoff = max(threshold, 1e-300) * _RELEVANCE_FRACTION / n_faults
-    limit = np.log(1.0 / cutoff) / max(n_patterns, 1.0)
-    z = int(np.searchsorted(sorted_probs, limit, side="right"))
-    z = max(z, 1)
-    with np.errstate(under="ignore"):
-        lower = float(np.exp(-n_patterns * sorted_probs[:z]).sum())
-    if z >= n_faults:
-        return lower, lower <= threshold
-    with np.errstate(under="ignore"):
-        tail_bound = (n_faults - z) * float(np.exp(-n_patterns * sorted_probs[z]))
-    upper = lower + tail_bound
-    if upper <= threshold:
-        return upper, True
-    return lower, False
 
 
 def normalize(
@@ -123,7 +110,7 @@ def normalize(
             (produced by :func:`sort_faults`).
         confidence: required probability that every fault is detected.
     """
-    probs = np.asarray(list(sorted_probs), dtype=float)
+    probs = _as_float_array(sorted_probs)
     threshold = objective_from_confidence(confidence)
     if probs.size == 0:
         return NormalizeResult(1, 0, 0.0, threshold)
@@ -133,35 +120,40 @@ def normalize(
     if np.any(np.diff(probs) < 0.0):
         raise ValueError("probabilities must be sorted ascending")
 
-    def below(n: float) -> bool:
-        value, decided = _objective_with_bounds(probs, n, threshold)
-        return value <= threshold if not decided else True
+    # z(N): the leading (hardest) faults whose terms are not yet negligible,
+    # exp(-N p) > cutoff  <=>  p < ln(1/cutoff) / N.  A probe is l(z, N) <= Q
+    # (the module docstring says why u(z, N) is not needed).
+    cutoff = max(threshold, 1e-300) * _RELEVANCE_FRACTION / probs.size
+    log_inv_cutoff = np.log(1.0 / cutoff)
 
-    # Exponential search for an upper bracket, then binary search for the
-    # smallest integer N with J_N <= Q.
-    low, high = 1, 1
-    capped = False
-    while not below(high):
-        if high >= MAX_TEST_LENGTH:
-            capped = True
-            break
-        low = high
-        high = min(high * 4, MAX_TEST_LENGTH)
-    if capped:
-        n_final = MAX_TEST_LENGTH
-    else:
-        while low < high:
-            mid = (low + high) // 2
-            if below(mid):
-                high = mid
-            else:
-                low = mid + 1
-        n_final = high
+    def below(n: int) -> bool:
+        limit = log_inv_cutoff / max(n, 1.0)
+        z = max(int(probs.searchsorted(limit, side="right")), 1)
+        return float(np.exp(-n * probs[:z]).sum()) <= threshold
 
     with np.errstate(under="ignore"):
+        # Exponential search for an upper bracket, then binary search for the
+        # smallest integer N with J_N <= Q.
+        low, high = 1, 1
+        capped = False
+        while not below(high):
+            if high >= MAX_TEST_LENGTH:
+                capped = True
+                break
+            low = high
+            high = min(high * 4, MAX_TEST_LENGTH)
+        if capped:
+            n_final = MAX_TEST_LENGTH
+        else:
+            while low < high:
+                mid = (low + high) // 2
+                if below(mid):
+                    high = mid
+                else:
+                    low = mid + 1
+            n_final = high
         terms = np.exp(-float(n_final) * probs)
     objective = float(terms.sum())
-    cutoff = max(threshold, 1e-300) * _RELEVANCE_FRACTION / probs.size
     n_hard = int(np.count_nonzero(terms > cutoff))
     n_hard = max(n_hard, 1)
     return NormalizeResult(n_final, n_hard, objective, threshold, capped)
@@ -171,6 +163,6 @@ def required_test_length(
     detection_probs: Sequence[float], confidence: float = 0.999
 ) -> NormalizeResult:
     """Convenience: SORT (dropping zeros) followed by NORMALIZE."""
-    probs = np.asarray(list(detection_probs), dtype=float)
+    probs = _as_float_array(detection_probs)
     positive = np.sort(probs[probs > 0.0])
     return normalize(positive, confidence)

@@ -88,6 +88,9 @@ class Table5SpeedupRow:
     batched_seconds: float
     test_length: int
     histories_equal: bool
+    #: Sweeps of the batched run; ``None`` on rows serialized before the
+    #: field existed.
+    sweeps: Optional[int] = None
 
     @property
     def speedup(self) -> float:
@@ -125,6 +128,7 @@ def run_table5_speedup(keys: Optional[List[str]] = None) -> List[Table5SpeedupRo
                 scalar_seconds=scalar.cpu_seconds,
                 batched_seconds=batched.cpu_seconds,
                 test_length=batched.test_length,
+                sweeps=batched.sweeps,
                 histories_equal=scalar.history == batched.history,
             )
         )

@@ -49,6 +49,9 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Cap on ``?wait=`` long-poll durations.
 MAX_WAIT_SECONDS = 600.0
 
+#: Deadline for reading one whole request: request line, headers and body.
+REQUEST_TIMEOUT_SECONDS = 30.0
+
 
 class _HttpError(Exception):
     """An error response short-circuiting the handler."""
@@ -131,10 +134,19 @@ class JobServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, Dict[str, Any], bytes]:
+        """Read one request under a single deadline (a stalled client gets a
+        400, never an open connection held forever)."""
         try:
-            request_line = await asyncio.wait_for(reader.readline(), 30.0)
+            return await asyncio.wait_for(
+                self._read_request_parts(reader), REQUEST_TIMEOUT_SECONDS
+            )
         except asyncio.TimeoutError as exc:
             raise _HttpError(400, "request timeout") from exc
+
+    async def _read_request_parts(
+        self, reader: asyncio.StreamReader
+    ) -> Tuple[str, str, Dict[str, Any], bytes]:
+        request_line = await self._read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
@@ -145,19 +157,28 @@ class JobServer:
         }
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError as exc:
-                    raise _HttpError(400, "bad Content-Length") from exc
+                value = value.strip()
+                # Digits only: int() would also take a sign, "_" separators
+                # and non-ASCII digits.
+                if not (value.isascii() and value.isdigit()):
+                    raise _HttpError(400, "bad Content-Length")
+                content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(content_length) if content_length else b""
         return method.upper(), split.path, query, body
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:  # longer than the stream's buffer limit
+            raise _HttpError(400, "request line or header too long") from exc
 
     async def _send_json(
         self, writer: asyncio.StreamWriter, status: int, payload: Any

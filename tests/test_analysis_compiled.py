@@ -29,7 +29,7 @@ from repro.analysis import (
 )
 from repro.circuit import CircuitBuilder, GateType
 from repro.circuits import paper_suite
-from repro.faults import collapsed_fault_list, full_fault_list
+from repro.faults import Fault, collapsed_fault_list, full_fault_list
 
 from .helpers import random_circuit
 
@@ -281,3 +281,88 @@ class TestCopProperties:
     def test_engine_is_cached_per_circuit_instance(self):
         circuit = registry_circuits()[0]
         assert compile_cop(circuit) is compile_cop(circuit)
+
+
+def _reference_fault_plan(engine, faults):
+    """Frozen copy of the original per-fault plan loop (first occurrence of
+    the faulted net among the gate's inputs)."""
+    lowered = engine.lowered
+    nets = np.asarray([f.net for f in faults], dtype=np.int64)
+    stuck = np.asarray([f.stuck_value for f in faults], dtype=bool)
+    stem = np.asarray([f.is_stem for f in faults], dtype=bool)
+    slots = np.zeros(len(faults), dtype=np.int64)
+    for fi, fault in enumerate(faults):
+        if fault.is_stem:
+            continue
+        position = int(np.flatnonzero(lowered.gate_inputs(fault.gate) == fault.net)[0])
+        slots[fi] = lowered.pin_slot_of(fault.gate, position)
+    return nets, stuck, stem, slots
+
+
+def _shared_pin_circuit():
+    """A gate reading one net on two pins, XOR/XNOR readers of a stem with
+    fan-out, and primary inputs read directly by several gates."""
+    builder = CircuitBuilder("shared_pins")
+    a, b, c = builder.input("a"), builder.input("b"), builder.input("c")
+    twice = builder.gate(GateType.AND, [b, a, a, c])
+    parity = builder.gate(GateType.XOR, [a, twice, a])
+    inverted = builder.gate(GateType.XNOR, [twice, b])
+    merged = builder.gate(GateType.NOR, [parity, inverted, twice, c])
+    builder.output(merged, "y")
+    builder.output(parity, "p")
+    return builder.build()
+
+
+class TestFaultPlan:
+    def _assert_plan_matches(self, circuit, faults):
+        engine = compile_cop(circuit)
+        engine._fault_plans.clear()
+        plan = engine._fault_plan(faults)
+        reference = _reference_fault_plan(engine, faults)
+        for got, want in zip(plan, reference):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_shared_pins_xor_readers_and_input_stems(self):
+        circuit = _shared_pin_circuit()
+        faults = full_fault_list(circuit)
+        assert any(f.is_branch for f in faults)
+        self._assert_plan_matches(circuit, faults)
+        # Reordered and partial lists (the hard-fault subsets of a sweep).
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            subset = [faults[i] for i in rng.permutation(len(faults))[: len(faults) // 2]]
+            self._assert_plan_matches(circuit, subset)
+
+    def test_duplicate_pin_is_faulted_on_its_first_occurrence(self):
+        circuit = _shared_pin_circuit()
+        engine = compile_cop(circuit)
+        a = circuit.inputs[0]
+        gate = next(
+            gi for gi, g in enumerate(circuit.gates) if list(g.inputs).count(a) == 2
+        )
+        faults = [Fault(a, True, gate=gate), Fault(a, False)]
+        _, _, stem, slots = engine._fault_plan(faults)
+        assert list(stem) == [False, True]
+        assert slots[0] == engine.pin_slot_of(gate, list(circuit.gates[gate].inputs).index(a))
+
+    @pytest.mark.parametrize("circuit", registry_circuits(), ids=lambda c: c.name)
+    def test_registry_circuits(self, circuit):
+        self._assert_plan_matches(circuit, full_fault_list(circuit))
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_random_netlists(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(rng, n_inputs=5, n_gates=14)
+        faults = full_fault_list(circuit)
+        order = rng.permutation(len(faults))
+        self._assert_plan_matches(circuit, [faults[i] for i in order])
+
+    def test_branch_fault_on_a_net_the_gate_does_not_read(self):
+        circuit = _shared_pin_circuit()
+        engine = compile_cop(circuit)
+        c = circuit.inputs[2]
+        gate = next(gi for gi, g in enumerate(circuit.gates) if c not in g.inputs)
+        with pytest.raises(ValueError):
+            engine._fault_plan([Fault(c, False, gate=gate)])

@@ -351,6 +351,29 @@ class TestExperimentRows:
         restored = load_artifact(json_roundtrip(experiment_rows_dict(rows)))
         assert restored == rows
 
+    def test_speedup_row_roundtrip(self):
+        from repro.experiments import Table5SpeedupRow
+
+        row = Table5SpeedupRow("s2", "S2", 10, 4, 20, 2.0, 0.5, 2338, True, 3)
+        assert row_from_dict(json_roundtrip(row_to_dict(row))) == row
+
+    def test_speedup_row_without_sweeps_still_loads(self):
+        """Rows serialized before ``sweeps`` existed load with ``None``."""
+        from repro.experiments import Table5SpeedupRow
+
+        row = Table5SpeedupRow("s2", "S2", 10, 4, 20, 2.0, 0.5, 2338, True, 3)
+        old = row_to_dict(row)
+        del old["sweeps"]
+        restored = row_from_dict(json_roundtrip(old))
+        assert restored.sweeps is None
+        assert restored.test_length == 2338 and restored.histories_equal
+
+    def test_row_missing_required_field_rejected(self):
+        old = row_to_dict(self.rows()[0])
+        del old["key"]
+        with pytest.raises(SchemaError):
+            row_from_dict(old)
+
     def test_unserializable_row_rejected(self):
         with pytest.raises(TypeError):
             row_to_dict(object())

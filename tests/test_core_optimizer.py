@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import CopDetectionEstimator, MonteCarloDetectionEstimator
+from repro.analysis import (
+    BatchedCopEstimator,
+    CopDetectionEstimator,
+    MonteCarloDetectionEstimator,
+)
 from repro.circuit import CircuitBuilder
 from repro.circuit.library import and_tree
 from repro.circuits import comparator_circuit, resistant_circuit
@@ -131,6 +135,32 @@ class TestOptimizerMechanics:
         )
         assert np.allclose(p0, direct0)
         assert np.allclose(p1, direct1)
+
+    @pytest.mark.parametrize("jitter", [0.1, 0.0])
+    def test_estimator_calls_per_run(self, jitter):
+        """One start batch (caller's and jittered distribution together),
+        then one PREPARE and one candidate batch per sweep."""
+        calls = []
+
+        class CountingEstimator(BatchedCopEstimator):
+            def detection_probabilities_batch(self, circuit, faults, weights, overrides=None):
+                calls.append((np.asarray(weights).shape[0], len(faults)))
+                return super().detection_probabilities_batch(
+                    circuit, faults, weights, overrides
+                )
+
+        circuit = comparator_circuit(4)
+        optimizer = WeightOptimizer(circuit, estimator=CountingEstimator(), max_sweeps=3)
+        result = optimizer.optimize(jitter=jitter)
+        assert len(calls) == 1 + 2 * result.sweeps
+        assert calls[0] == (2 if jitter else 1, len(optimizer.faults))
+        for prepare, candidates in zip(calls[1::2], calls[2::2]):
+            assert prepare[0] == 2 * circuit.n_inputs
+            assert prepare[1] < len(optimizer.faults)
+            assert candidates == (
+                len(optimizer.step_sizes) + optimizer.block_candidates,
+                len(optimizer.faults),
+            )
 
     def test_confidence_validation(self):
         with pytest.raises(ValueError):

@@ -110,3 +110,104 @@ class TestRequiredTestLength:
         needs on the order of 10^8 patterns — the magnitude of Table 1."""
         result = required_test_length([2.0**-24], 0.999)
         assert 10**7 < result.test_length < 10**9
+
+
+def _reference_normalize(probs, confidence):
+    """Frozen copy of the original NORMALIZE probe loop, which computed both
+    truncation bounds ``l(z, N)`` and ``u(z, N)`` at every probe; returns
+    ``(test_length, n_hard_faults, objective, capped)``."""
+    probs = np.asarray(probs, dtype=float)
+    threshold = objective_from_confidence(confidence)
+    relevance = 1e-6
+
+    def bounds(n_patterns):
+        n_faults = probs.size
+        cutoff = max(threshold, 1e-300) * relevance / n_faults
+        limit = np.log(1.0 / cutoff) / max(n_patterns, 1.0)
+        z = max(int(np.searchsorted(probs, limit, side="right")), 1)
+        with np.errstate(under="ignore"):
+            lower = float(np.exp(-n_patterns * probs[:z]).sum())
+        if z >= n_faults:
+            return lower, lower <= threshold
+        with np.errstate(under="ignore"):
+            tail = (n_faults - z) * float(np.exp(-n_patterns * probs[z]))
+        upper = lower + tail
+        if upper <= threshold:
+            return upper, True
+        return lower, False
+
+    def below(n):
+        value, decided = bounds(n)
+        return value <= threshold if not decided else True
+
+    low, high = 1, 1
+    capped = False
+    while not below(high):
+        if high >= MAX_TEST_LENGTH:
+            capped = True
+            break
+        low = high
+        high = min(high * 4, MAX_TEST_LENGTH)
+    if capped:
+        n_final = MAX_TEST_LENGTH
+    else:
+        while low < high:
+            mid = (low + high) // 2
+            if below(mid):
+                high = mid
+            else:
+                low = mid + 1
+        n_final = high
+    with np.errstate(under="ignore"):
+        terms = np.exp(-float(n_final) * probs)
+    cutoff = max(threshold, 1e-300) * relevance / probs.size
+    n_hard = max(int(np.count_nonzero(terms > cutoff)), 1)
+    return n_final, n_hard, float(terms.sum()), capped
+
+
+class TestNormalizeMatchesReferenceProbeLoop:
+    """``normalize`` decides each probe by ``l(z, N) <= Q`` alone; the old
+    loop also consulted ``u(z, N)``.  The answers must be identical."""
+
+    @given(
+        exponents=st.lists(st.floats(0.0, 17.0), min_size=1, max_size=400),
+        confidence=st.sampled_from([0.5, 0.9, 0.999, 0.999999]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_identical_results(self, exponents, confidence):
+        probs = np.sort(10.0 ** -np.asarray(exponents))
+        result = normalize(probs, confidence)
+        assert (
+            result.test_length,
+            result.n_hard_faults,
+            result.objective,
+            result.capped,
+        ) == _reference_normalize(probs, confidence)
+
+    @given(
+        n_easy=st.integers(0, 2000),
+        hard=st.floats(1e-14, 1e-3),
+        easy=st.floats(1e-3, 0.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_identical_with_a_long_easy_tail(self, n_easy, hard, easy):
+        """Many equal easy faults make ``u(z, N)`` differ most from ``l``."""
+        probs = np.sort(np.concatenate([[hard], np.full(n_easy, easy)]))
+        result = normalize(probs, 0.999)
+        assert (
+            result.test_length,
+            result.n_hard_faults,
+            result.objective,
+            result.capped,
+        ) == _reference_normalize(probs, 0.999)
+
+    @pytest.mark.parametrize("probs", [[1e-16], [1e-17, 0.5], [1e-300, 1e-20, 0.1]])
+    def test_identical_when_capped(self, probs):
+        result = normalize(probs, 0.999)
+        assert result.capped and result.test_length == MAX_TEST_LENGTH
+        assert (
+            result.test_length,
+            result.n_hard_faults,
+            result.objective,
+            result.capped,
+        ) == _reference_normalize(probs, 0.999)

@@ -8,6 +8,7 @@ inside plain sync tests (no asyncio pytest plugin in the toolchain).
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.api import PipelineSpec
 from repro.api.serialize import SchemaError
 from repro.api.spec import FaultSimConfig, OptimizeConfig
 from repro.pipeline import PipelineReport
+import repro.service.http as http_module
 from repro.service import JobServer, JobService, ServiceClosed
 from repro.store import MemoryStore, StoreError
 
@@ -377,3 +379,80 @@ class TestHttpServer:
             )
 
         asyncio.run(scenario())
+
+
+async def _raw_exchange(port: int, head: bytes):
+    """Send raw request bytes and keep the connection open until the server
+    answers and closes it.  Returns (status, parsed-JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(head)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(), 10.0)
+    writer.close()
+    await writer.wait_closed()
+    header_blob, _, payload = raw.partition(b"\r\n\r\n")
+    return int(header_blob.split()[1]), json.loads(payload)
+
+
+class TestHttpRequestHardening:
+    """Malformed or stalled requests get a JSON error, never a traceback."""
+
+    def _run(self, scenario, caplog):
+        async def main():
+            service = JobService()
+            server = JobServer(service, port=0)
+            await server.start()
+            try:
+                await scenario(server.port)
+            finally:
+                await server.close()
+                await service.shutdown(grace=5.0)
+
+        with caplog.at_level(logging.DEBUG):
+            asyncio.run(main())
+        assert not [r for r in caplog.records if r.exc_info or r.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize(
+        "length", ["-5", "abc", "", "+5", "1_0", "0x10", "٥"]
+    )
+    def test_bad_content_length_is_400(self, length, caplog):
+        async def scenario(port):
+            head = (
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+            ).encode("utf-8")
+            status, payload = await _raw_exchange(port, head)
+            assert status == 400
+            assert payload["error"] == "bad Content-Length"
+
+        self._run(scenario, caplog)
+
+    def test_client_stalling_mid_headers_times_out(self, monkeypatch, caplog):
+        monkeypatch.setattr(http_module, "REQUEST_TIMEOUT_SECONDS", 0.2)
+
+        async def scenario(port):
+            head = b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            status, payload = await _raw_exchange(port, head)
+            assert status == 400
+            assert payload["error"] == "request timeout"
+
+        self._run(scenario, caplog)
+
+    def test_client_stalling_mid_body_times_out(self, monkeypatch, caplog):
+        monkeypatch.setattr(http_module, "REQUEST_TIMEOUT_SECONDS", 0.2)
+
+        async def scenario(port):
+            head = b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"kind\""
+            status, payload = await _raw_exchange(port, head)
+            assert status == 400
+            assert payload["error"] == "request timeout"
+
+        self._run(scenario, caplog)
+
+    def test_overlong_header_line_is_400(self, caplog):
+        async def scenario(port):
+            head = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n"
+            status, payload = await _raw_exchange(port, head)
+            assert status == 400
+            assert "too long" in payload["error"]
+
+        self._run(scenario, caplog)
