@@ -63,6 +63,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -92,6 +94,16 @@ def _spec_error(path: str, exc: Exception) -> "SystemExit":
     """Exit status 2 with a path-prefixed message (no traceback)."""
     print(f"error: {path}: {exc}", file=sys.stderr)
     return SystemExit(2)
+
+
+@contextmanager
+def _checked_values():
+    """Report out-of-range flag values from config validation as exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _load_spec_file(path: str) -> PipelineSpec:
@@ -174,9 +186,10 @@ def _execute_batch(
 # --------------------------------------------------------------------------- #
 def _cmd_run(args: argparse.Namespace) -> int:
     specs = [_load_spec_file(path) for path in args.spec]
-    stages = _stage_configs(args)
-    for key in args.circuits:
-        specs.append(PipelineSpec(circuit=key, seed=args.seed, **stages))
+    with _checked_values():
+        stages = _stage_configs(args)
+        for key in args.circuits:
+            specs.append(PipelineSpec(circuit=key, seed=args.seed, **stages))
     for path in args.bench:
         try:
             spec = PipelineSpec(
@@ -205,8 +218,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.circuits in (None, "all")
         else [key.strip() for key in args.circuits.split(",") if key.strip()]
     )
-    stages = _stage_configs(args)
-    specs = [PipelineSpec(circuit=key, seed=args.seed, **stages) for key in keys]
+    with _checked_values():
+        stages = _stage_configs(args)
+        specs = [PipelineSpec(circuit=key, seed=args.seed, **stages) for key in keys]
     reports = _execute_batch(specs, args.parallelism, store=args.store)
     _write_artifact(args.json, report_batch_dict(reports))
     return 0
@@ -214,29 +228,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     weighted = not args.unweighted
-    stages = _stage_configs(args)
-    if stages["multi_weight"] is not None and not weighted:
+    if args.multi_weight is not None and not weighted:
         print(
             "error: --multi-weight requires a weighted session "
             "(drop --unweighted)",
             file=sys.stderr,
         )
         return 2
-    spec = PipelineSpec(
-        circuit=args.circuit,
-        seed=args.seed,
-        analysis=stages["analysis"],
-        optimize=stages["optimize"] if weighted else None,
-        quantize=stages["quantize"] if weighted else None,
-        fault_sim=None,
-        self_test=SelfTestConfig(
-            n_patterns=args.patterns,
-            use_lfsr=not args.prng,
-            weighted=weighted,
-            inject_hardest=args.inject_hardest,
-        ),
-        multi_weight=stages["multi_weight"],
-    )
+    with _checked_values():
+        stages = _stage_configs(args)
+        spec = PipelineSpec(
+            circuit=args.circuit,
+            seed=args.seed,
+            analysis=stages["analysis"],
+            optimize=stages["optimize"] if weighted else None,
+            quantize=stages["quantize"] if weighted else None,
+            fault_sim=None,
+            self_test=SelfTestConfig(
+                n_patterns=args.patterns,
+                use_lfsr=not args.prng,
+                weighted=weighted,
+                inject_hardest=args.inject_hardest,
+            ),
+            multi_weight=stages["multi_weight"],
+        )
     reports = _execute_batch([spec], parallelism=1, store=args.store)
     report = reports[0]
     self_test = report.self_test
@@ -270,12 +285,22 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         table5_rows,
     )
 
-    specs = suite_specs(
-        seed=args.seed,
-        max_sweeps=args.max_sweeps,
-        n_patterns=args.patterns,
-        include_fault_sim=not args.quick,
-    )
+    # The suite decides which stages each circuit runs; the flags decide
+    # how the analysis and fault-simulation stages run.
+    with _checked_values():
+        stages = _stage_configs(args)
+        specs = [
+            replace(
+                spec,
+                analysis=stages["analysis"],
+                fault_sim=stages["fault_sim"] if spec.fault_sim else None,
+            )
+            for spec in suite_specs(
+                seed=args.seed,
+                max_sweeps=args.max_sweeps,
+                include_fault_sim=not args.quick,
+            )
+        ]
     reports = _execute_batch(specs, args.parallelism, store=args.store)
     print()
     rows: List[Any] = []
@@ -418,6 +443,17 @@ def _add_common(parser: argparse.ArgumentParser, patterns_default=None) -> None:
         help="PPSFP fault partition size for the fault simulator "
         "(default: one partition; detection results are invariant)",
     )
+    parser.add_argument("--json", metavar="PATH", help="write the JSON artifact here")
+    parser.add_argument(
+        "--store",
+        metavar="DIR",
+        default=None,
+        help="content-addressed artifact store directory shared by the batch "
+        "(reports already stored are served without executing)",
+    )
+
+
+def _add_multi_weight(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--multi-weight",
         type=int,
@@ -442,14 +478,6 @@ def _add_common(parser: argparse.ArgumentParser, patterns_default=None) -> None:
         metavar="F",
         help="stop each multi-weight session early once fault coverage "
         "reaches this fraction",
-    )
-    parser.add_argument("--json", metavar="PATH", help="write the JSON artifact here")
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="content-addressed artifact store directory shared by the batch "
-        "(reports already stored are served without executing)",
     )
 
 
@@ -487,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep faults proven undetectable in the fault list",
     )
     _add_common(run)
+    _add_multi_weight(run)
     run.set_defaults(func=_cmd_run)
 
     sweep = commands.add_parser(
@@ -506,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep faults proven undetectable in the fault list",
     )
     _add_common(sweep)
+    _add_multi_weight(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     selftest = commands.add_parser(
@@ -528,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run with the hardest fault injected and check it is detected",
     )
     _add_common(selftest, patterns_default=2_000)
+    _add_multi_weight(selftest)
     selftest.set_defaults(func=_cmd_selftest)
 
     tables = commands.add_parser(

@@ -1,13 +1,26 @@
 """Bench areas for the design-space ablations (estimators, hard-fault subset,
 partitioning, quantization grid).
 
-The measurement helpers used to live inside the ``benchmarks/bench_ablation_*``
-scripts; they moved here so the scripts keep only their pytest entry points
-and the areas are reachable through ``python -m repro bench <area>``.  Like
-the table areas these are informational (``gated=False``).
+Each area measures one design choice and checks the claim it stands for,
+raising :class:`AssertionError` when the claim fails:
+
+* ``ablation_estimators`` — every estimator backend finds a distribution
+  that beats the conventional test; the batched COP engine equals the
+  scalar reference; COP and STAFAN rank faults like the Monte-Carlo sample
+  (rank correlation above :data:`MIN_RANK_CORRELATION`);
+* ``ablation_hard_faults`` — no hard-fault floor lengthens the test;
+* ``ablation_partitioning`` — on the conflicting-detectors circuit, two or
+  more weight sets beat the single compromise distribution;
+* ``ablation_quantization`` — the paper's 0.05 grid keeps the optimization
+  (far below the conventional length, within 20x of the continuous optimum)
+  and even the coarse 1/8 grid beats the conventional test.
+
+The areas are informational (``gated=False``): no committed trajectory.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ...analysis import (
     BatchedCopEstimator,
@@ -32,12 +45,14 @@ from ..registry import BenchArea, register_area
 from ..runner import BenchRunner
 
 ESTIMATOR_WIDTH = 10
+AGREEMENT_WIDTH = 8
+MIN_RANK_CORRELATION = 0.8
 QUANTIZATION_WIDTH = 12
 HARD_FAULT_FRACTIONS = (0.0, 0.1, 0.25, 0.5)
 
 
 # --------------------------------------------------------------------------- #
-# Shared measurement helpers (imported by the pytest benches)
+# Measurement helpers
 # --------------------------------------------------------------------------- #
 def optimize_with_estimator(estimator, width: int = ESTIMATOR_WIDTH):
     """Optimize S1 with one detection-probability estimator backend."""
@@ -47,6 +62,37 @@ def optimize_with_estimator(estimator, width: int = ESTIMATOR_WIDTH):
         circuit, faults=faults, estimator=estimator, max_sweeps=4
     )
     return optimizer.optimize()
+
+
+def _rank_correlation(a, b) -> float:
+    ranks_a = np.argsort(np.argsort(a)).astype(float)
+    ranks_b = np.argsort(np.argsort(b)).astype(float)
+    return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
+
+
+def estimator_agreement():
+    """Rank correlation of COP and STAFAN with a Monte-Carlo sample on S1.
+
+    Also checks that the batched COP engine equals the scalar reference at
+    the conventional distribution.
+    """
+    circuit = s1_comparator(width=AGREEMENT_WIDTH)
+    faults = collapsed_fault_list(circuit)
+    weights = [0.5] * circuit.n_inputs
+    reference = MonteCarloDetectionEstimator(
+        n_samples=4096, fixed_seed=True
+    ).detection_probabilities(circuit, faults, weights)
+    cop = CopDetectionEstimator().detection_probabilities(circuit, faults, weights)
+    batched = BatchedCopEstimator().detection_probabilities(circuit, faults, weights)
+    if not np.array_equal(cop, batched):
+        raise AssertionError("batched COP must equal the scalar reference")
+    stafan = StafanDetectionEstimator(n_samples=4096).detection_probabilities(
+        circuit, faults, weights
+    )
+    return {
+        "cop": _rank_correlation(cop, reference),
+        "stafan": _rank_correlation(stafan, reference),
+    }
 
 
 def optimize_with_hard_fraction(min_fraction: float):
@@ -127,7 +173,21 @@ def _run_estimators(quick: bool = False) -> BenchResult:
         measurement = runner.measure(
             name, lambda est=estimator: optimize_with_estimator(est), repeats=1
         )
-        runner.counter(f"{name}_optimized_length", measurement.value.test_length)
+        result = measurement.value
+        runner.counter(f"{name}_optimized_length", result.test_length)
+        if result.test_length >= result.initial_test_length:
+            raise AssertionError(
+                f"{name}: optimized length {result.test_length:,} does not beat "
+                f"the conventional {result.initial_test_length:,}"
+            )
+    agreement = runner.measure("agreement", estimator_agreement, repeats=1)
+    for name, correlation in agreement.value.items():
+        runner.metric(f"{name}_rank_correlation", correlation)
+        if correlation <= MIN_RANK_CORRELATION:
+            raise AssertionError(
+                f"{name} ranks faults unlike the Monte-Carlo sample "
+                f"(rank correlation {correlation:.3f} <= {MIN_RANK_CORRELATION})"
+            )
     return runner.result()
 
 
@@ -142,7 +202,13 @@ def _run_hard_faults(quick: bool = False) -> BenchResult:
         measurement = runner.measure(
             label, lambda f=fraction: optimize_with_hard_fraction(f), repeats=1
         )
-        runner.counter(f"{label}_optimized_length", measurement.value.test_length)
+        result = measurement.value
+        runner.counter(f"{label}_optimized_length", result.test_length)
+        if result.test_length > result.initial_test_length:
+            raise AssertionError(
+                f"{label}: optimization lengthened the test "
+                f"({result.initial_test_length:,} -> {result.test_length:,})"
+            )
     return runner.result()
 
 
@@ -158,6 +224,16 @@ def _run_partitioning(quick: bool = False) -> BenchResult:
     runner.metric(
         "partitioning_gain", single.test_length / max(1, partitioned.total_test_length)
     )
+    if partitioned.n_sessions < 2:
+        raise AssertionError(
+            f"partitioning kept {partitioned.n_sessions} weight set(s) on a "
+            "circuit whose detectors need conflicting distributions"
+        )
+    if partitioned.total_test_length >= single.test_length:
+        raise AssertionError(
+            f"partitioned test ({partitioned.total_test_length:,}) is not shorter "
+            f"than the single distribution ({single.test_length:,})"
+        )
     return runner.result()
 
 
@@ -165,8 +241,18 @@ def _run_quantization(quick: bool = False) -> BenchResult:
     runner = BenchRunner("ablation_quantization", quick=quick)
     runner.workload(circuit="s1", width=QUANTIZATION_WIDTH)
     measurement = runner.measure("grids", lengths_per_grid, repeats=1)
-    for label, length in measurement.value.items():
+    lengths = measurement.value
+    for label, length in lengths.items():
         runner.counter(f"{label}_length", length)
+    # The paper's 0.05 grid must not destroy the optimization; the coarse
+    # 1/8 grid may be worse but must still beat the conventional test.
+    for claim, holds in (
+        ("0.05 grid >= conventional / 10", lengths["grid_0p05"] < lengths["conventional"] / 10),
+        ("0.05 grid >= 20 x continuous", lengths["grid_0p05"] < 20 * lengths["continuous"]),
+        ("1/8 grid >= conventional", lengths["lfsr_1_8"] < lengths["conventional"]),
+    ):
+        if not holds:
+            raise AssertionError(f"quantization: {claim} ({lengths})")
     return runner.result()
 
 

@@ -97,6 +97,11 @@ def run_bench(
 
     compiled_patterns, compiled_signature = compiled.value
     scalar_patterns, scalar_signature = scalar.value
+    if compiled_patterns.shape != (n_patterns, circuit.n_inputs):
+        raise AssertionError(
+            f"weighting network emitted shape {compiled_patterns.shape}, "
+            f"expected {(n_patterns, circuit.n_inputs)}"
+        )
     if not np.array_equal(compiled_patterns, scalar_patterns):
         raise AssertionError("compiled and scalar weighting networks disagree")
     if compiled_signature != scalar_signature:

@@ -8,6 +8,9 @@ multi-set scheduled test lengths and the playback MISR signature exactly —
 any drift in the clustering, the optimizer, the joint schedule or the
 LFSR/MISR kernels trips the trajectory gate.  The gated ``length_reduction``
 metric asserts the subsystem keeps beating the paper's single-set optimum.
+The run itself fails when the schedule does not have ``k`` sets, is not
+shorter than the single set, or the fault-free playback does not pass its
+self test.
 """
 
 from __future__ import annotations
@@ -76,6 +79,15 @@ def run_bench(quick: bool = False, repeats: int = 3) -> BenchResult:
 
     single = int(weight_sets.single_set_length)
     multi = int(weight_sets.multi_set_length)
+    if weight_sets.k != k:
+        raise AssertionError(f"asked for {k} weight sets, built {weight_sets.k}")
+    if multi >= single:
+        raise AssertionError(
+            f"multi-set schedule ({multi:,}) is not shorter than the single set "
+            f"({single:,})"
+        )
+    if not report.self_test.passed:
+        raise AssertionError("fault-free multi-set playback failed its self test")
     runner.counter("single_set_length", single)
     runner.counter("multi_set_length", multi)
     runner.counter("n_sets", weight_sets.k)

@@ -7,6 +7,8 @@ dropping.  Times the compiled fault-parallel x pattern-parallel engine
 (:class:`repro.faultsim.legacy.LegacyParallelFaultSimulator`) on the same
 workload and cross-checks that both engines detect exactly the same faults
 at the same pattern indices — the bench doubles as an equivalence test.
+The run fails if the patterns cover :data:`MIN_FAULT_COVERAGE` or less of
+the sampled faults (a broken engine or workload, not a slow one).
 
 One additional ``backend_<name>`` section runs per *available* kernel
 backend (:mod:`repro.backends`): tracked throughput, never gated (committed
@@ -28,6 +30,9 @@ from ..runner import BenchRunner
 
 #: Largest circuit of the registry (by gate count); the acceptance workload.
 LARGEST_CIRCUIT_KEY = "s2"
+
+#: Floor on the workload's fault coverage.
+MIN_FAULT_COVERAGE = 0.5
 
 _QUICK = dict(n_faults=96, n_patterns=256, batch_size=256)
 _FULL = dict(n_faults=256, n_patterns=1024, batch_size=1024)
@@ -85,6 +90,11 @@ def run_bench(
     if compiled.value.first_detection != legacy.value.first_detection:
         raise AssertionError(
             "compiled and legacy engines disagree on first-detection indices"
+        )
+    if compiled.value.fault_coverage <= MIN_FAULT_COVERAGE:
+        raise AssertionError(
+            f"fault coverage {compiled.value.fault_coverage:.3f} is not above "
+            f"{MIN_FAULT_COVERAGE}"
         )
 
     pairs = len(faults) * n_patterns

@@ -83,6 +83,10 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
 
     generated = runner.measure("generate", lambda: generate_circuit(spec))
     circuit = generated.value
+    if circuit.n_gates != spec.n_gates:
+        raise AssertionError(
+            f"generator built {circuit.n_gates} gates, spec asks for {spec.n_gates}"
+        )
     runner.counter("n_gates", circuit.n_gates)
     runner.counter("depth", circuit.depth)
     # Pin the generator output itself: any algorithm change drifts this.
@@ -116,6 +120,10 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
             circuit, faults, input_probs
         ),
     )
+    if batched.value.shape != (len(faults),):
+        raise AssertionError(
+            f"COP returned shape {batched.value.shape} for {len(faults)} faults"
+        )
     mismatches = int((scalar.value != batched.value).sum())
     runner.counter("cop_mismatches", mismatches)
     if mismatches:

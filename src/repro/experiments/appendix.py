@@ -10,12 +10,9 @@ inputs that share a weight exactly like the paper does (e.g. ``108-112  0.9``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .suite import ExperimentCircuit, get_experiment_circuit, optimized_result
-from ..circuits.registry import paper_suite
-
-__all__ = ["AppendixListing", "run_appendix", "format_appendix"]
+__all__ = ["AppendixListing", "format_appendix"]
 
 
 @dataclass
@@ -44,27 +41,6 @@ class AppendixListing:
                 groups.append((label, self.weights[start]))
                 start = index
         return groups
-
-
-def run_appendix(keys: Tuple[str, ...] = ("s1", "c7552")) -> List[AppendixListing]:
-    """Optimized weight listings for the circuits the paper's appendix covers."""
-    listings: List[AppendixListing] = []
-    by_key: Dict[str, ExperimentCircuit] = {
-        entry.key: get_experiment_circuit(entry) for entry in paper_suite()
-    }
-    for key in keys:
-        experiment = by_key[key]
-        result = optimized_result(experiment)
-        circuit = experiment.circuit
-        listings.append(
-            AppendixListing(
-                circuit_key=key,
-                circuit_name=circuit.name,
-                input_names=[circuit.net_name(net) for net in circuit.inputs],
-                weights=[float(w) for w in result.quantized_weights],
-            )
-        )
-    return listings
 
 
 def format_appendix(listings: List[AppendixListing]) -> str:

@@ -1,16 +1,15 @@
-"""The paper-table sweep on the job-spec batch executor.
+"""The paper reproduction: one declarative sweep, folded into table rows.
 
-The session-driven runners (:mod:`repro.experiments.table1` ...) regenerate
-each table through one shared in-process :class:`~repro.pipeline.Session`.
-This module is the same sweep expressed **declaratively**: one
-:class:`~repro.api.PipelineSpec` per benchmark circuit
+Every table, figure and listing of the paper comes from this module.  The
+sweep is one :class:`~repro.api.PipelineSpec` per benchmark circuit
 (:func:`suite_specs`), executed — serially or fanned out over a process
-pool — by :func:`repro.api.run_jobs`, and the resulting
-:class:`~repro.pipeline.session.PipelineReport` artifacts folded back into
-the very same table-row dataclasses (:func:`table1_rows` ...
-:func:`appendix_listings`).  ``examples/reproduce_paper_tables.py`` and
-``python -m repro tables`` both drive this path, so the paper reproduction
-exercises the executor end to end.
+pool — by :func:`repro.api.run_jobs` (or one spec at a time by
+:func:`repro.api.execute_spec`).  The resulting
+:class:`~repro.pipeline.session.PipelineReport` artifacts are folded into
+the row dataclasses of the table modules (:func:`table1_rows` ...
+:func:`appendix_listings`); these builders are the only producers of paper
+rows.  ``python -m repro tables``, ``examples/reproduce_paper_tables.py``,
+the ``tables`` bench area and the tier-1 shape tests all drive this path.
 
 Stage selection mirrors what the paper reports: every circuit is analyzed
 (Table 1); only the starred hard circuits are optimized (Tables 3/5) and
@@ -55,7 +54,6 @@ __all__ = [
 def suite_specs(
     seed: int = EXPERIMENT_SEED,
     max_sweeps: int = OPTIMIZER_SWEEPS,
-    n_patterns: Optional[int] = None,
     include_fault_sim: bool = True,
 ) -> List[PipelineSpec]:
     """One declarative spec per circuit of the paper's evaluation.
@@ -63,18 +61,15 @@ def suite_specs(
     Args:
         seed: root seed of every job (stage seeds derive from it).
         max_sweeps: optimizer sweep budget for the hard circuits.
-        n_patterns: fault-simulation budget override; ``None`` uses each
-            circuit's paper pattern budget (12 000 / 4 000).
         include_fault_sim: drop the fault-simulation stage entirely (the
             ``--quick`` sweep that still reproduces Tables 1/3/5 and the
-            appendix).
+            appendix).  When kept, each hard circuit is fault-simulated at
+            its paper pattern budget (12 000 / 4 000).
     """
     specs: List[PipelineSpec] = []
     for entry in paper_suite():
         if entry.hard:
-            fault_sim = (
-                FaultSimConfig(n_patterns=n_patterns) if include_fault_sim else None
-            )
+            fault_sim = FaultSimConfig() if include_fault_sim else None
             spec = PipelineSpec(
                 circuit=entry.key,
                 seed=seed,

@@ -5,10 +5,8 @@ function of the number of applied patterns, once for conventional and once for
 optimized random patterns; the optimized curve dominates everywhere and
 saturates near 100 % within a few thousand patterns while the conventional one
 stalls around 80 %.  The reproduction produces the two curves (as data series
-and as an ASCII plot) from the same fault-simulation runs used for Tables 2
-and 4; the 12 000-pattern runs are streamed chunk by chunk through
-:meth:`repro.pipeline.Session.fault_simulate` — the full pattern matrix is
-never materialized.
+and as an ASCII plot) from the per-fault first-detection indices of the
+fault-simulation runs behind Tables 2 and 4 — no re-simulation.
 """
 
 from __future__ import annotations
@@ -18,10 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .suite import get_experiment_circuit, optimized_result, simulate_coverage
-from ..circuits.registry import paper_suite
-
-__all__ = ["Figure2Data", "run_figure2", "format_figure2"]
+__all__ = ["Figure2Data", "format_figure2"]
 
 
 @dataclass
@@ -61,27 +56,6 @@ def _sample_points(n_patterns: int, n_points: int) -> List[int]:
         )
     )
     return [int(p) for p in points]
-
-
-def run_figure2(
-    n_patterns: int = 12_000, n_points: int = 16, seed: int = 1987
-) -> Figure2Data:
-    """Produce both coverage curves for the S1 comparator."""
-    entry = next(e for e in paper_suite() if e.key == "s1")
-    experiment = get_experiment_circuit(entry)
-    points = _sample_points(n_patterns, n_points)
-
-    conventional = simulate_coverage(experiment, n_patterns, weights=None, seed=seed)
-    optimization = optimized_result(experiment)
-    optimized = simulate_coverage(
-        experiment, n_patterns, weights=optimization.quantized_weights, seed=seed
-    )
-    return Figure2Data(
-        circuit_name=experiment.circuit.name,
-        points=points,
-        conventional=[100.0 * conventional.result.coverage_at(p) for p in points],
-        optimized=[100.0 * optimized.result.coverage_at(p) for p in points],
-    )
 
 
 def format_figure2(data: Figure2Data, width: int = 52) -> str:

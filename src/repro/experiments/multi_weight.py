@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .suite import EXPERIMENT_SEED, experiment_session, load_hard_suite, optimized_result
+from ..circuits.registry import hard_suite
+from ..pipeline import Session
+from .suite import CONFIDENCE, EXPERIMENT_SEED, OPTIMIZER_SWEEPS
 from .tables import format_count, format_percent, format_table
 
 __all__ = [
@@ -62,25 +64,26 @@ def run_multi_weight(
     suite.
     """
     rows: List[MultiWeightRow] = []
-    session = experiment_session()
-    for experiment in load_hard_suite():
-        if keys is not None and experiment.key not in keys:
+    session = Session(
+        confidence=CONFIDENCE, max_sweeps=OPTIMIZER_SWEEPS, seed=EXPERIMENT_SEED
+    )
+    for entry in hard_suite():
+        if keys is not None and entry.key not in keys:
             continue
-        base = optimized_result(experiment)
+        session.add(entry.instantiate(), key=entry.key)
+        base = session.optimize(entry.key)
         weight_sets = session.build_weight_sets(
-            experiment.key,
+            entry.key,
             k=k,
             cluster_seed=EXPERIMENT_SEED,
             session_seed=EXPERIMENT_SEED,
         )
-        report = session.multi_weight_self_test(
-            experiment.key, weight_sets=weight_sets
-        )
+        report = session.multi_weight_self_test(entry.key, weight_sets=weight_sets)
         multi_length = report.multi_set_length
         rows.append(
             MultiWeightRow(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
+                key=entry.key,
+                paper_name=entry.paper_name,
                 k=k,
                 n_sets=weight_sets.k,
                 single_set_length=int(base.test_length),

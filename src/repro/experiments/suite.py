@@ -1,38 +1,13 @@
-"""Shared experiment configuration: one pipeline session for every runner.
+"""Shared experiment configuration of the paper reproduction.
 
-All table/figure runners operate on the same suite of substituted benchmark
-circuits (see :mod:`repro.circuits.registry`) with the same confidence target
-and pattern budgets.  The expensive intermediates — the lowered-circuit IR,
-collapsed fault lists, baseline analyses, optimization results and coverage
-runs — are shared through a single process-wide
-:class:`repro.pipeline.Session`, so running the whole benchmark suite lowers
-and optimizes each circuit exactly once (just like one PROTEST run feeds all
-of the paper's tables).
+Every table, figure and listing is computed from one declarative sweep
+(:func:`repro.experiments.batch.suite_specs`) with these settings, so the
+same confidence target, sweep budget and root seed feed all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-from ..circuit.netlist import Circuit
-from ..circuits.registry import BenchmarkCircuit, hard_suite, paper_suite
-from ..core.optimizer import OptimizationResult
-from ..faults.model import Fault
-from ..faultsim.coverage import CoverageExperiment
-from ..pipeline import Session
-
-__all__ = [
-    "CONFIDENCE",
-    "ExperimentCircuit",
-    "experiment_session",
-    "load_suite",
-    "load_hard_suite",
-    "get_experiment_circuit",
-    "optimized_result",
-    "simulate_coverage",
-    "clear_caches",
-]
+__all__ = ["CONFIDENCE", "OPTIMIZER_SWEEPS", "EXPERIMENT_SEED"]
 
 #: Confidence target used for every test-length computation (probability that
 #: every modelled fault is detected).
@@ -41,162 +16,6 @@ CONFIDENCE = 0.999
 #: Coordinate-descent sweeps used by the experiment optimizations.
 OPTIMIZER_SWEEPS = 8
 
-#: RNG seed of the fault-simulated validation patterns (kept fixed so the
-#: tables are reproducible).
+#: Root seed of the experiment specs (kept fixed so the tables are
+#: reproducible; stage seeds derive from it).
 EXPERIMENT_SEED = 1987
-
-
-@dataclass
-class ExperimentCircuit:
-    """A benchmark circuit instantiated for the experiments.
-
-    A thin view over the shared pipeline session: :attr:`circuit` and
-    :attr:`faults` are the session's per-circuit artifacts, registered under
-    the registry key.
-    """
-
-    entry: BenchmarkCircuit
-    circuit: Circuit
-    faults: List[Fault]
-
-    @property
-    def key(self) -> str:
-        return self.entry.key
-
-    @property
-    def paper_name(self) -> str:
-        return self.entry.paper_name
-
-    @property
-    def pattern_budget(self) -> int:
-        """Pattern count used by the coverage experiments (Tables 2 and 4)."""
-        return self.entry.paper_pattern_count or 4_000
-
-
-# The session holds the pipeline artifacts; _VIEWS only preserves the
-# identity of the ExperimentCircuit wrappers handed to callers (the test
-# suite relies on `get_experiment_circuit` being referentially cached).  The
-# two are created and cleared together; _ensure_registered re-registers a
-# view that outlived a clear_caches() call, which matches the pre-façade
-# behaviour of re-running a stale experiment's circuit under its key.
-_SESSION: Optional[Session] = None
-_VIEWS: Dict[str, ExperimentCircuit] = {}
-
-
-def experiment_session() -> Session:
-    """The process-wide pipeline session shared by every table runner."""
-    global _SESSION
-    if _SESSION is None:
-        _SESSION = Session(
-            confidence=CONFIDENCE,
-            max_sweeps=OPTIMIZER_SWEEPS,
-            seed=EXPERIMENT_SEED,
-        )
-    return _SESSION
-
-
-def clear_caches() -> None:
-    """Drop the shared session (circuits, analyses and optimization results).
-
-    The content-addressed lowering cache (:mod:`repro.lowered`) is *not*
-    cleared: re-registering a structurally identical circuit afterwards
-    reuses the existing lowering, which is exactly the cache's contract.
-    """
-    global _SESSION
-    _SESSION = None
-    _VIEWS.clear()
-
-
-def _ensure_registered(experiment: ExperimentCircuit) -> Session:
-    """Make sure an (possibly stale) experiment view is known to the session."""
-    session = experiment_session()
-    if not session.has(experiment.key):
-        session.add(experiment.circuit, key=experiment.key, faults=experiment.faults)
-    return session
-
-
-def get_experiment_circuit(entry: BenchmarkCircuit) -> ExperimentCircuit:
-    """Instantiate (and register) one benchmark circuit with its fault list.
-
-    The circuit is registered in the shared session, which builds the
-    collapsed fault list and excludes faults proven undetectable — the
-    paper's coverage figures are "computed only with respect to those faults
-    which are not proven to be undetectable due to redundancy".
-    """
-    view = _VIEWS.get(entry.key)
-    if view is None:
-        session = experiment_session()
-        if session.has(entry.key):
-            circuit = session.circuit(entry.key)
-        else:
-            circuit = entry.instantiate()
-            session.add(circuit, key=entry.key)
-        view = ExperimentCircuit(entry, circuit, session.faults(entry.key))
-        _VIEWS[entry.key] = view
-    return view
-
-
-def load_suite() -> List[ExperimentCircuit]:
-    """All twelve circuits of Table 1."""
-    return [get_experiment_circuit(entry) for entry in paper_suite()]
-
-
-def load_hard_suite() -> List[ExperimentCircuit]:
-    """The four starred circuits of Tables 2-5."""
-    return [get_experiment_circuit(entry) for entry in hard_suite()]
-
-
-def optimized_result(
-    experiment: ExperimentCircuit,
-    max_sweeps: int = OPTIMIZER_SWEEPS,
-    force: bool = False,
-    estimator=None,
-) -> OptimizationResult:
-    """Optimized input probabilities for a suite circuit (session-cached).
-
-    The session cache means Table 3 (test lengths), Table 4 (coverage),
-    Table 5 (CPU time) and the appendix all use the *same* optimization run,
-    exactly as one PROTEST run feeds all of the paper's optimized-test
-    numbers.
-
-    Args:
-        experiment: suite circuit to optimize.
-        max_sweeps: coordinate-descent sweep budget.
-        force: re-run even when a cached result exists (results computed with
-            a non-default ``estimator`` are never cached).
-        estimator: optional detection-probability estimator override; the
-            default is the batched COP engine
-            (:class:`repro.analysis.compiled.BatchedCopEstimator`).  Passing
-            the scalar :class:`repro.analysis.detection.CopDetectionEstimator`
-            reproduces bit-identical results one Python walk at a time, which
-            is what the Table 5 speedup benchmark exploits.
-    """
-    session = _ensure_registered(experiment)
-    return session.optimize(
-        experiment.key, force=force, estimator=estimator, max_sweeps=max_sweeps
-    )
-
-
-def simulate_coverage(
-    experiment: ExperimentCircuit,
-    n_patterns: int,
-    weights: Optional[Sequence[float]] = None,
-    seed: int = EXPERIMENT_SEED,
-    target_coverage: Optional[float] = None,
-) -> CoverageExperiment:
-    """Fault-simulate random patterns through the shared session.
-
-    Used by the Table 2/4 and Figure 2 runners; the session reuses the
-    circuit's lowering (and caches repeated identical runs), so regenerating
-    several tables fault-simulates each workload once.  Patterns are
-    streamed chunkwise; an optional ``target_coverage`` stops the run as
-    soon as that coverage fraction is reached.
-    """
-    session = _ensure_registered(experiment)
-    return session.fault_simulate(
-        experiment.key,
-        n_patterns,
-        weights=weights,
-        seed=seed,
-        target_coverage=target_coverage,
-    )

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .suite import load_hard_suite, optimized_result
 from .tables import format_count, format_table
 
-__all__ = ["Table3Row", "run_table3", "format_table3"]
+__all__ = ["Table3Row", "format_table3"]
 
 
 @dataclass
@@ -29,25 +28,6 @@ class Table3Row:
     improvement_factor: float
     sweeps: int
     paper_optimized_length: Optional[float]
-
-
-def run_table3() -> List[Table3Row]:
-    """Optimize every hard circuit and collect the test-length estimates."""
-    rows: List[Table3Row] = []
-    for experiment in load_hard_suite():
-        result = optimized_result(experiment)
-        rows.append(
-            Table3Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                conventional_length=result.initial_test_length,
-                optimized_length=result.test_length,
-                improvement_factor=result.improvement_factor,
-                sweeps=result.sweeps,
-                paper_optimized_length=experiment.entry.paper_optimized_length,
-            )
-        )
-    return rows
 
 
 def format_table3(rows: List[Table3Row]) -> str:

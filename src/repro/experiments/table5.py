@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.compiled import BatchedCopEstimator
-from ..analysis.detection import CopDetectionEstimator
-from .suite import load_hard_suite, optimized_result
+from ..api.executor import execute_spec
+from ..api.spec import AnalysisConfig, OptimizeConfig, PipelineSpec, QuantizeConfig
+from ..circuits.registry import hard_suite
+from .suite import CONFIDENCE, EXPERIMENT_SEED, OPTIMIZER_SWEEPS
 from .tables import format_seconds, format_table
 
 __all__ = [
     "Table5Row",
-    "run_table5",
     "format_table5",
     "Table5SpeedupRow",
     "run_table5_speedup",
@@ -39,32 +39,6 @@ class Table5Row:
     measured_seconds: float
     sweeps: int
     paper_seconds: Optional[float]
-
-
-def run_table5(force: bool = False) -> List[Table5Row]:
-    """Time the optimization of every hard circuit.
-
-    Args:
-        force: re-run the optimization even if a cached result exists (the
-            benches use ``force=True`` inside the timed region so the reported
-            seconds are real).
-    """
-    rows: List[Table5Row] = []
-    for experiment in load_hard_suite():
-        result = optimized_result(experiment, force=force)
-        rows.append(
-            Table5Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                n_gates=experiment.circuit.n_gates,
-                n_inputs=experiment.circuit.n_inputs,
-                n_faults=len(experiment.faults),
-                measured_seconds=result.cpu_seconds,
-                sweeps=result.sweeps,
-                paper_seconds=experiment.entry.paper_cpu_seconds,
-            )
-        )
-    return rows
 
 
 @dataclass
@@ -99,37 +73,49 @@ class Table5SpeedupRow:
         return self.scalar_seconds / self.batched_seconds
 
 
+def _optimized_report(key: str, estimator: str):
+    """One fresh optimize + quantize run of a hard circuit (no fault sim)."""
+    spec = PipelineSpec(
+        circuit=key,
+        seed=EXPERIMENT_SEED,
+        analysis=AnalysisConfig(confidence=CONFIDENCE, estimator=estimator),
+        optimize=OptimizeConfig(max_sweeps=OPTIMIZER_SWEEPS),
+        quantize=QuantizeConfig(),
+        fault_sim=None,
+    )
+    return execute_spec(spec)
+
+
 def run_table5_speedup(keys: Optional[List[str]] = None) -> List[Table5SpeedupRow]:
     """Time the optimization with the scalar and the batched estimator.
 
     Args:
         keys: restrict to these circuit keys (default: all hard circuits).
 
-    Each engine sees a fresh, uncached optimization run; the recorded
-    test-length histories of the two runs are compared element-wise.
+    Each engine runs its own spec through a fresh session, so neither sees
+    a cached optimization; the recorded test-length histories of the two
+    runs are compared element-wise.
     """
     rows: List[Table5SpeedupRow] = []
-    for experiment in load_hard_suite():
-        if keys is not None and experiment.key not in keys:
+    for entry in hard_suite():
+        if keys is not None and entry.key not in keys:
             continue
-        scalar = optimized_result(
-            experiment, force=True, estimator=CopDetectionEstimator()
-        )
-        batched = optimized_result(
-            experiment, force=True, estimator=BatchedCopEstimator()
-        )
+        scalar = _optimized_report(entry.key, "scalar")
+        batched = _optimized_report(entry.key, "batched")
         rows.append(
             Table5SpeedupRow(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                n_gates=experiment.circuit.n_gates,
-                n_inputs=experiment.circuit.n_inputs,
-                n_faults=len(experiment.faults),
-                scalar_seconds=scalar.cpu_seconds,
-                batched_seconds=batched.cpu_seconds,
-                test_length=batched.test_length,
-                sweeps=batched.sweeps,
-                histories_equal=scalar.history == batched.history,
+                key=entry.key,
+                paper_name=entry.paper_name,
+                n_gates=batched.n_gates,
+                n_inputs=batched.n_inputs,
+                n_faults=batched.n_faults,
+                scalar_seconds=scalar.optimization.cpu_seconds,
+                batched_seconds=batched.optimization.cpu_seconds,
+                test_length=batched.optimization.test_length,
+                sweeps=batched.optimization.sweeps,
+                histories_equal=(
+                    scalar.optimization.history == batched.optimization.history
+                ),
             )
         )
     return rows

@@ -7,7 +7,7 @@ nets.  It computes exactly the same detections as the compiled fault-parallel
 engine in :class:`repro.faultsim.parallel.ParallelFaultSimulator` and is kept
 for two purposes:
 
-* the throughput benchmark (``benchmarks/bench_substrate_throughput.py``)
+* the ``substrate`` bench area (:mod:`repro.bench.areas.substrate`)
   measures the compiled engine's speedup against it, and
 * the equivalence tests use it as an independent implementation to
   differential-test the compiled engine beyond the scalar reference.

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.api import PipelineSpec, load_artifact
+from repro.api import AnalysisConfig, PipelineSpec, execute_spec, load_artifact
 from repro.api.cli import main
 from repro.circuits import alu_circuit
 from repro.pipeline import PipelineReport
@@ -226,6 +226,65 @@ class TestTablesCommand:
         kinds = {type(row).__name__ for row in rows}
         assert {"Table1Row", "Table3Row", "Table5Row", "AppendixListing"} <= kinds
         assert not any(type(row).__name__ == "Table2Row" for row in rows)
+
+    def test_confidence_reaches_the_table1_lengths(self, tmp_path):
+        artifact = tmp_path / "rows.json"
+        rc = main(
+            [
+                "tables",
+                "--quick",
+                "--max-sweeps",
+                "1",
+                "--confidence",
+                "0.9",
+                "--json",
+                str(artifact),
+            ]
+        )
+        assert rc == 0
+        rows = load_artifact(read_json(artifact))
+        s1 = next(
+            row for row in rows if type(row).__name__ == "Table1Row" and row.key == "s1"
+        )
+
+        def s1_length(confidence):
+            spec = PipelineSpec(
+                circuit="s1",
+                analysis=AnalysisConfig(confidence=confidence),
+                optimize=None,
+                quantize=None,
+                fault_sim=None,
+            )
+            return execute_spec(spec).conventional_length
+
+        assert s1.measured_length == s1_length(0.9)
+        assert s1.measured_length < s1_length(0.999)
+
+    def test_multi_weight_flags_are_not_tables_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--quick", "--multi-weight", "2"])
+        assert exc.value.code == 2
+        assert "--multi-weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "s1", "--seed", "-1"],
+        ["run", "s1", "--confidence", "1.5"],
+        ["run", "s1", "--partition-size", "0"],
+        ["tables", "--max-sweeps", "0"],
+        ["selftest", "s1", "--patterns", "0"],
+    ],
+    ids=["seed", "confidence", "partition-size", "max-sweeps", "selftest-patterns"],
+)
+def test_out_of_range_values_exit_2_without_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestStoreCli:
