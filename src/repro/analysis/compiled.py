@@ -493,23 +493,12 @@ class BatchedCopEstimator:
     Args:
         clamp: probabilities are clamped to ``[clamp, 1]`` only when non-zero;
             exact zeros are preserved (estimated redundancies).
-        backend: kernel backend name (``None`` = process default).  Backends
-            are bit-identical, so estimates never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of raising.
     """
 
-    def __init__(
-        self,
-        clamp: float = 0.0,
-        backend: Optional[str] = None,
-        allow_fallback: bool = False,
-    ):
+    def __init__(self, clamp: float = 0.0):
         if clamp < 0.0 or clamp >= 1.0:
             raise ValueError("clamp must lie in [0, 1)")
         self.clamp = clamp
-        self.backend = backend
-        self.allow_fallback = allow_fallback
 
     def detection_probabilities(
         self,
@@ -533,11 +522,6 @@ class BatchedCopEstimator:
         ``overrides`` optionally pins primary inputs per row (the PREPARE
         cofactor mechanism; see :meth:`CompiledCop.signal_probabilities_batch`).
         """
-        # Imported lazily: repro.backends imports this module's engines.
-        from ..backends import compile_engines
-
-        engine = compile_engines(
-            circuit, backend=self.backend, allow_fallback=self.allow_fallback
-        ).cop
+        engine = compile_cop(circuit)
         analysis = engine.analyze(weights, overrides)
         return engine.detection_probabilities_batch(faults, analysis, clamp=self.clamp)

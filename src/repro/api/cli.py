@@ -90,7 +90,7 @@ def _write_artifact(path: Optional[str], data: Dict[str, Any]) -> None:
     print(f"wrote {path}")
 
 
-def _spec_error(path: str, exc: Exception) -> "SystemExit":
+def _spec_error(path: str, exc: object) -> "SystemExit":
     """Exit status 2 with a path-prefixed message (no traceback)."""
     print(f"error: {path}: {exc}", file=sys.stderr)
     return SystemExit(2)
@@ -122,20 +122,15 @@ def _load_spec_file(path: str) -> PipelineSpec:
 def _stage_configs(args: argparse.Namespace) -> Dict[str, Any]:
     """Translate the shared CLI flags into stage configs.
 
-    Every subcommand funnels through here, so ``--backend``,
-    ``--allow-backend-fallback`` and ``--partition-size`` reach each
-    fault-simulating leg the same way — including specs that declare no
-    fault-sim stage of their own (``selftest``), whose sessions pick the
-    knobs up from the analysis config.
+    Every subcommand funnels through here, so ``--partition-size`` reaches
+    each fault-simulating leg the same way — including specs that declare no
+    fault-sim stage of their own (``selftest``), whose sessions pick it up
+    from the analysis config.
     """
-    backend = getattr(args, "backend", None)
-    allow_fallback = bool(getattr(args, "allow_backend_fallback", False))
     partition_size = getattr(args, "partition_size", None)
     analysis = AnalysisConfig(
         confidence=args.confidence,
         drop_redundant=not getattr(args, "keep_redundant", False),
-        backend=backend,
-        allow_fallback=allow_fallback,
         partition_size=partition_size,
     )
     if getattr(args, "analysis_only", False):
@@ -159,8 +154,6 @@ def _stage_configs(args: argparse.Namespace) -> Dict[str, Any]:
         "quantize": QuantizeConfig(),
         "fault_sim": FaultSimConfig(
             n_patterns=args.patterns,
-            backend=backend,
-            allow_fallback=allow_fallback,
             partition_size=partition_size,
         ),
         "multi_weight": multi_weight,
@@ -197,7 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             spec.build_circuit()  # fail fast on missing/invalid files
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot use .bench file {path!r}: {exc}")
+            raise _spec_error(path, f"cannot use .bench file: {exc}")
         specs.append(spec)
     if not specs:
         print("error: no circuits, --bench or --spec files given", file=sys.stderr)
@@ -421,19 +414,6 @@ def _add_common(parser: argparse.ArgumentParser, patterns_default=None) -> None:
         type=int,
         default=1,
         help="worker processes for the batch executor (default: serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="kernel backend for analysis and fault simulation "
-        "(default: process default, numpy); results are bit-identical",
-    )
-    parser.add_argument(
-        "--allow-backend-fallback",
-        action="store_true",
-        help="fall back to the numpy backend when the requested backend "
-        "is unavailable instead of failing",
     )
     parser.add_argument(
         "--partition-size",

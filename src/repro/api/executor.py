@@ -192,8 +192,6 @@ def execute_spec(
                 batch_size=config.batch_size,
                 fault_group=config.fault_group,
                 target_coverage=config.target_coverage,
-                backend=config.backend,
-                allow_fallback=config.allow_fallback,
                 partition_size=config.partition_size,
             )
             if store is not None:
@@ -214,8 +212,6 @@ def execute_spec(
                     batch_size=config.batch_size,
                     fault_group=config.fault_group,
                     target_coverage=config.target_coverage,
-                    backend=config.backend,
-                    allow_fallback=config.allow_fallback,
                     partition_size=config.partition_size,
                 )
                 if store is not None:

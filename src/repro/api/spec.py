@@ -30,6 +30,18 @@ Consequences:
   self-test stage of one circuit no longer share a pattern stream, and two
   circuits in one sweep never reuse each other's patterns, even though the
   whole batch is described by one root seed.
+
+Wire constants
+--------------
+Every spec runs on one kernel path, the numpy engines of
+:mod:`repro.simulation.compiled` and :mod:`repro.analysis.compiled`.  The
+analysis and fault-sim configs once named a kernel backend; their wire
+dicts still carry ``"backend": null`` and ``"allow_fallback": false`` as
+fixed constants (:data:`BACKEND_WIRE`), so spec hashes and stage store keys
+are unchanged.  Reading accepts ``backend`` of ``null`` or ``"numpy"`` and
+any boolean ``allow_fallback``, and drops both.  Any other backend,
+``"numba"`` included, raises :class:`~repro.api.serialize.SchemaError`
+(``backend 'numba' was removed; every spec runs on the numpy kernels``).
 """
 
 from __future__ import annotations
@@ -76,20 +88,26 @@ SEED_NAMESPACES = STAGE_NAMES + ("generate", "cluster", "multi_weight")
 ESTIMATOR_NAMES = ("batched", "scalar")
 
 
-def _check_backend_name(value: Optional[str]) -> None:
-    """Validate a spec-level kernel-backend name (``None`` = process default).
+#: Wire constants of the removed kernel-backend choice.  The analysis and
+#: fault-sim configs still emit them, so the spec hash and every stage store
+#: key of a spec that named no backend stay byte-identical.
+BACKEND_WIRE = {"backend": None, "allow_fallback": False}
 
-    Imported lazily: the backend registry pulls in the engine modules, which
-    this low-level spec module must not load at import time.
+
+def _drop_backend_wire(payload: Dict[str, Any]) -> None:
+    """Validate and drop the :data:`BACKEND_WIRE` fields of a read payload.
+
+    ``backend`` may be ``null`` or ``"numpy"`` (the engine that runs) and
+    ``allow_fallback`` any boolean; any other backend is a typed error.
     """
-    if value is None:
-        return
-    from ..backends import BACKEND_NAMES
-
-    if value not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {value!r}; expected one of {BACKEND_NAMES}"
+    backend = payload.pop("backend", None)
+    if backend not in (None, "numpy"):
+        raise SchemaError(
+            f"backend {backend!r} was removed; every spec runs on the numpy kernels"
         )
+    allow_fallback = payload.pop("allow_fallback", None)
+    if allow_fallback is not None and not isinstance(allow_fallback, bool):
+        raise SchemaError(f"allow_fallback must be a bool, got {allow_fallback!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -136,10 +154,12 @@ class _ConfigBase:
     """to_dict/from_dict + validation shared by the frozen stage configs."""
 
     _kind: str = ""
+    #: Whether the wire form carries the :data:`BACKEND_WIRE` constants.
+    _backend_wire: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable dict with ``kind`` and ``schema_version``."""
-        payload = {}
+        payload = dict(BACKEND_WIRE) if self._backend_wire else {}
         for spec_field in fields(self):  # type: ignore[arg-type]
             value = getattr(self, spec_field.name)
             if isinstance(value, tuple):
@@ -151,7 +171,10 @@ class _ConfigBase:
     def from_dict(cls, data: Mapping[str, Any]) -> "_ConfigBase":
         """Rebuild a config, rejecting unknown versions and fields."""
         names = [spec_field.name for spec_field in fields(cls)]  # type: ignore[arg-type]
-        payload = untag(data, cls._kind, required=(), optional=names)
+        wire = list(BACKEND_WIRE) if cls._backend_wire else []
+        payload = untag(data, cls._kind, required=(), optional=names + wire)
+        if cls._backend_wire:
+            _drop_backend_wire(payload)
         kwargs = {}
         for spec_field in fields(cls):  # type: ignore[arg-type]
             if data.get(spec_field.name) is None and spec_field.name not in data:
@@ -194,11 +217,6 @@ class AnalysisConfig(_ConfigBase):
         estimator: detection-probability estimator by name — ``"batched"``
             (the compiled COP engine, default) or ``"scalar"`` (the
             bit-identical reference implementation).
-        backend: kernel backend for the batched estimator (``"numpy"`` or
-            ``"numba"``; ``None`` = process default).  Backends are
-            bit-identical, so analysis results never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of failing the job.
         partition_size: PPSFP fault partition size for fault-simulating legs
             of specs that declare no fault-sim stage of their own (e.g. the
             multi-weight coverage run of a ``selftest`` job).  ``None`` (one
@@ -207,12 +225,11 @@ class AnalysisConfig(_ConfigBase):
     """
 
     _kind = "analysis_config"
+    _backend_wire = True
 
     confidence: float = 0.999
     drop_redundant: bool = True
     estimator: str = "batched"
-    backend: Optional[str] = None
-    allow_fallback: bool = False
     partition_size: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -229,7 +246,6 @@ class AnalysisConfig(_ConfigBase):
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}"
             )
-        _check_backend_name(self.backend)
 
 
 @dataclass(frozen=True)
@@ -298,24 +314,18 @@ class FaultSimConfig(_ConfigBase):
         fault_group: faults simulated simultaneously per group (``None`` =
             adaptive).
         target_coverage: optional coverage fraction at which to stop early.
-        backend: kernel backend for the fault simulator (``"numpy"`` or
-            ``"numba"``; ``None`` = process default).  Backends are
-            bit-identical, so detection results never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of failing the job.
         partition_size: PPSFP fault partition size (``None`` = one partition
             spanning all active faults).  Detection results are invariant
             under this choice; it only shapes working-set size.
     """
 
     _kind = "fault_sim_config"
+    _backend_wire = True
 
     n_patterns: Optional[int] = None
     batch_size: int = 2048
     fault_group: Optional[int] = None
     target_coverage: Optional[float] = None
-    backend: Optional[str] = None
-    allow_fallback: bool = False
     partition_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -326,7 +336,6 @@ class FaultSimConfig(_ConfigBase):
             _check_positive_int("fault_group", self.fault_group)
         if self.target_coverage is not None:
             _check_fraction("target_coverage", self.target_coverage, open_interval=False)
-        _check_backend_name(self.backend)
         if self.partition_size is not None:
             _check_positive_int("partition_size", self.partition_size)
 

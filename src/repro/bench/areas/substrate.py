@@ -9,16 +9,10 @@ workload and cross-checks that both engines detect exactly the same faults
 at the same pattern indices — the bench doubles as an equivalence test.
 The run fails if the patterns cover :data:`MIN_FAULT_COVERAGE` or less of
 the sampled faults (a broken engine or workload, not a slow one).
-
-One additional ``backend_<name>`` section runs per *available* kernel
-backend (:mod:`repro.backends`): tracked throughput, never gated (committed
-baselines must stay valid on machines without the optional numba JIT), each
-cross-checked bit-identical against the compiled reference run.
 """
 
 from __future__ import annotations
 
-from ...backends import available_backends
 from ...circuits import build_circuit
 from ...faults import collapsed_fault_list
 from ...faultsim import LegacyParallelFaultSimulator, ParallelFaultSimulator
@@ -101,22 +95,6 @@ def run_bench(
     runner.metric("fault_coverage", compiled.value.fault_coverage)
     runner.metric("compiled_pairs_per_second", pairs / compiled.best_seconds)
     runner.metric("legacy_pairs_per_second", pairs / legacy.best_seconds)
-
-    for backend_name in available_backends():
-        backend_run = runner.measure(
-            f"backend_{backend_name}",
-            lambda name=backend_name: ParallelFaultSimulator(
-                build_circuit(circuit_key), faults, backend=name
-            ).run(patterns, batch_size=batch_size),
-        )
-        if backend_run.value.first_detection != compiled.value.first_detection:
-            raise AssertionError(
-                f"backend {backend_name!r} disagrees with the compiled engine "
-                "on first-detection indices"
-            )
-        runner.metric(
-            f"{backend_name}_pairs_per_second", pairs / backend_run.best_seconds
-        )
 
     return runner.result(speedup=("legacy", "compiled"))
 

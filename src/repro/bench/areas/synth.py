@@ -15,11 +15,7 @@ that dominate pipeline cost at scale:
   coverage are deterministic for a fixed seed and gated;
 * PPSFP fault partitioning with inter-batch compaction vs. the same run with
   dropping disabled — the gated ``partition_speedup`` ratio, plus the exact
-  ``faults_simulated_*`` counters that make the work reduction measurable;
-* one ``fault_sim_<backend>``/``batched_cop_<backend>`` section per
-  *available* kernel backend (:mod:`repro.backends`) — tracked, never gated
-  (baselines may be recorded on machines without the optional JIT), with
-  every backend cross-checked bit-identical against the default run.
+  ``faults_simulated_*`` counters that make the work reduction measurable.
 
 Full mode uses a 100 000-gate netlist (the acceptance workload); quick mode
 shrinks it to 4 000 gates for CI.  The structural fingerprint counter pins
@@ -30,7 +26,6 @@ up as a ``changed`` counter, not a silent workload swap.
 from __future__ import annotations
 
 from ...analysis import BatchedCopEstimator, CopDetectionEstimator
-from ...backends import available_backends
 from ...circuits import GeneratorSpec, generate_circuit
 from ...faults import collapsed_fault_list
 from ...faultsim import ParallelFaultSimulator
@@ -176,34 +171,6 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
     runner.metric(
         "partition_speedup", nodrop.best_seconds / partitioned.best_seconds
     )
-
-    # Per-backend sections (tracked, never gated: committed baselines must
-    # stay valid on machines without the optional numba dependency).
-    for backend_name in available_backends():
-        backend_sim = runner.measure(
-            f"fault_sim_{backend_name}",
-            lambda name=backend_name: ParallelFaultSimulator(
-                circuit, faults, backend=name, partition_size=partition_size
-            ).run(patterns, batch_size=batch_size),
-        )
-        if backend_sim.value != sim.value:
-            raise AssertionError(
-                f"backend {backend_name!r} changed fault-simulation results"
-            )
-        runner.metric(
-            f"pairs_per_second_{backend_name}",
-            len(faults) * n_patterns / backend_sim.best_seconds,
-        )
-        backend_cop = runner.measure(
-            f"batched_cop_{backend_name}",
-            lambda name=backend_name: BatchedCopEstimator(
-                backend=name
-            ).detection_probabilities(circuit, faults, input_probs),
-        )
-        if (backend_cop.value != batched.value).any():
-            raise AssertionError(
-                f"backend {backend_name!r} changed COP detection probabilities"
-            )
 
     return runner.result(speedup=("scalar_cop", "batched_cop"))
 

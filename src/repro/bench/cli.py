@@ -226,19 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in 'report': also render the committed trajectories as plot "
         "artifacts (one image per area) into this directory",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="process-default kernel backend for the benchmark run "
-        "(results are bit-identical; only throughput changes)",
-    )
-    parser.add_argument(
-        "--allow-backend-fallback",
-        action="store_true",
-        help="fall back to the numpy backend when --backend is unavailable "
-        "instead of failing",
-    )
     return parser
 
 
@@ -246,14 +233,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        from ..backends import BackendUnavailableError, resolve_backend, set_default_backend
-
-        try:
-            set_default_backend(resolve_backend(args.backend, args.allow_backend_fallback).name)
-        except BackendUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.areas and args.areas[0] == "list":
         return _cmd_list(args)
     if args.areas and args.areas[0] == "report":

@@ -101,8 +101,6 @@ def random_pattern_coverage(
     fault_group: Optional[int] = None,
     chunk_size: int = 4096,
     target_coverage: Optional[float] = None,
-    backend: Optional[str] = None,
-    allow_fallback: bool = False,
     partition_size: Optional[int] = None,
 ) -> CoverageExperiment:
     """Fault-simulate up to ``n_patterns`` weighted random patterns, streamed.
@@ -126,10 +124,6 @@ def random_pattern_coverage(
         target_coverage: optional fault-coverage fraction at which to stop
             the stream early; the returned experiment's ``n_patterns`` then
             reflects the patterns actually applied.
-        backend: kernel backend name (``None`` = process default); backends
-            are bit-identical, so coverage results never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of raising.
         partition_size: PPSFP fault partition size (see
             :class:`ParallelFaultSimulator`); detection results are
             invariant under this choice.
@@ -141,8 +135,6 @@ def random_pattern_coverage(
         circuit,
         faults,
         fault_group=fault_group,
-        backend=backend,
-        allow_fallback=allow_fallback,
         partition_size=partition_size,
     )
     result = simulator.run_stream(

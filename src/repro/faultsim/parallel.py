@@ -60,6 +60,7 @@ from ..lowered import LoweredCircuit, ragged_positions
 from ..simulation.compiled import (
     _OP_UFUNC,
     _ZERO,
+    compile_circuit,
     first_detection_indices,
     popcount_words,
 )
@@ -84,7 +85,6 @@ class FaultSimStats:
     :attr:`faults_simulated` total rather than being inferred from wall time.
 
     Attributes:
-        backend: kernel backend the run executed on.
         partition_size: configured PPSFP partition size (``None`` = one
             partition spanning the whole active set).
         n_batches: pattern batches simulated against at least one live fault.
@@ -100,7 +100,6 @@ class FaultSimStats:
             undetectable, so they never reached the kernel.
     """
 
-    backend: str
     partition_size: Optional[int]
     n_batches: int
     faults_simulated: int
@@ -116,7 +115,6 @@ class FaultSimStats:
         return tagged_dict(
             "fault_sim_stats",
             {
-                "backend": self.backend,
                 "partition_size": self.partition_size,
                 "n_batches": int(self.n_batches),
                 "faults_simulated": int(self.faults_simulated),
@@ -129,24 +127,26 @@ class FaultSimStats:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultSimStats":
-        """Rebuild stats from :meth:`to_dict` output (validated)."""
+        """Rebuild stats from :meth:`to_dict` output (validated).
+
+        Blobs written while a kernel backend was selectable still carry a
+        ``backend`` field; it is read and dropped, so stored reports load.
+        """
         from ..api.serialize import untag
 
         payload = untag(
             data,
             "fault_sim_stats",
             required=(
-                "backend",
                 "n_batches",
                 "faults_simulated",
                 "faults_dropped",
                 "active_sizes",
             ),
-            optional=("partition_size", "fault_words", "faults_pruned"),
+            optional=("partition_size", "fault_words", "faults_pruned", "backend"),
         )
         partition_size = payload["partition_size"]
         return cls(
-            backend=str(payload["backend"]),
             partition_size=None if partition_size is None else int(partition_size),
             n_batches=int(payload["n_batches"]),
             faults_simulated=int(payload["faults_simulated"]),
@@ -159,7 +159,6 @@ class FaultSimStats:
     def merged_with(self, other: "FaultSimStats") -> "FaultSimStats":
         """Counters of two back-to-back runs combined."""
         return FaultSimStats(
-            backend=self.backend if self.backend == other.backend else "mixed",
             partition_size=(
                 self.partition_size
                 if self.partition_size == other.partition_size
@@ -185,7 +184,7 @@ class FaultSimResult:
         n_patterns: total number of patterns applied.
         stats: optional run counters (:class:`FaultSimStats`).  Excluded from
             equality — two runs are "the same result" when they agree on the
-            detection outcome, whatever backend or partitioning produced it.
+            detection outcome, whatever partitioning or batching produced it.
     """
 
     faults: List[Fault]
@@ -405,12 +404,6 @@ class ParallelFaultSimulator:
         fault_group: number of faults simulated simultaneously per group;
             ``None`` packs ``max(1, _GROUP_COLUMNS // n_words)`` faults, so
             every value matrix is at most :data:`_GROUP_COLUMNS` words wide.
-        backend: kernel backend name (``"numpy"``, ``"numba"``); ``None``
-            uses the process default.  Backends are bit-identical, so this
-            only selects the execution strategy.
-        allow_fallback: run on the numpy reference backend when the
-            requested backend is unavailable instead of raising
-            :class:`~repro.backends.BackendUnavailableError`.
         partition_size: PPSFP-style fault partition size for
             :meth:`run_stream` — the active fault set is processed in
             partitions of at most this many faults, and detected faults are
@@ -424,8 +417,6 @@ class ParallelFaultSimulator:
         circuit: Circuit,
         faults: Optional[Sequence[Fault]] = None,
         fault_group: Optional[int] = None,
-        backend: Optional[str] = None,
-        allow_fallback: bool = False,
         partition_size: Optional[int] = None,
     ):
         self.circuit = circuit
@@ -436,18 +427,9 @@ class ParallelFaultSimulator:
         if partition_size is not None and partition_size < 1:
             raise ValueError(f"partition_size must be positive, got {partition_size!r}")
         self.partition_size = partition_size
-        # Imported lazily: repro.backends pulls in the analysis package,
-        # which reaches back into this module via the Monte-Carlo estimator.
-        from ..backends import compile_engines
-
-        # One compile per circuit structure per backend process-wide: the
-        # engine (and the lowering underneath it) comes from the
-        # content-addressed cache.
-        kernel_engine = compile_engines(
-            circuit, backend=backend, allow_fallback=allow_fallback
-        )
-        self.backend_name = kernel_engine.backend_name
-        self._engine = kernel_engine.sim
+        # One compile per circuit structure process-wide: the engine (and
+        # the lowering underneath it) comes from the content-addressed cache.
+        self._engine = compile_circuit(circuit)
         self.lowered = self._engine.lowered
         self._activity = _SiteActivity(self.lowered, self.faults)
 
@@ -626,7 +608,6 @@ class ParallelFaultSimulator:
             if first_det[fi] >= 0
         }
         stats = FaultSimStats(
-            backend=self.backend_name,
             partition_size=self.partition_size,
             n_batches=n_batches,
             faults_simulated=faults_simulated,

@@ -275,9 +275,6 @@ class LoweredCircuit:
         # are shared by every structurally identical circuit instance.
         self._sim_engine = None
         self._cop_engine = None
-        # Kernel-engine cache of repro.backends, keyed by backend cache key
-        # (the numpy backend's entry wraps the two slots above).
-        self._backend_engines: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Per-gate queries

@@ -398,11 +398,6 @@ class Session:
         drop_redundant: remove faults proven/estimated undetectable from the
             default fault list (the paper's coverage convention).  Explicit
             ``faults`` passed to :meth:`add` are used as-is.
-        backend: kernel backend name for the analysis and fault-simulation
-            stages (``"numpy"``/``"numba"``; ``None`` = process default).
-            Backends are bit-identical, so results never depend on this.
-        allow_backend_fallback: fall back to the numpy backend when the
-            requested backend is unavailable instead of raising.
         partition_size: PPSFP fault partition size for the fault-simulation
             stage (``None`` = one partition spanning all active faults).
         store: optional content-addressed artifact store — anything
@@ -423,8 +418,6 @@ class Session:
         seed: int = 1987,
         quantization_step: float = 0.05,
         drop_redundant: bool = True,
-        backend: Optional[str] = None,
-        allow_backend_fallback: bool = False,
         partition_size: Optional[int] = None,
         store: Optional[Any] = None,
     ):
@@ -432,11 +425,7 @@ class Session:
             raise ValueError("confidence must lie strictly between 0 and 1")
         self.confidence = confidence
         self.estimator: DetectionProbabilityEstimator = (
-            estimator
-            if estimator is not None
-            else BatchedCopEstimator(
-                backend=backend, allow_fallback=allow_backend_fallback
-            )
+            estimator if estimator is not None else BatchedCopEstimator()
         )
         self.max_sweeps = max_sweeps
         self.alpha = alpha
@@ -444,8 +433,6 @@ class Session:
         self.seed = seed
         self.quantization_step = quantization_step
         self.drop_redundant = drop_redundant
-        self.backend = backend
-        self.allow_backend_fallback = allow_backend_fallback
         self.partition_size = partition_size
         from ..store import open_store
 
@@ -467,22 +454,14 @@ class Session:
         estimator: DetectionProbabilityEstimator = (
             CopDetectionEstimator()
             if spec.analysis.estimator == "scalar"
-            else BatchedCopEstimator(
-                backend=spec.analysis.backend,
-                allow_fallback=spec.analysis.allow_fallback,
-            )
+            else BatchedCopEstimator()
         )
         if spec.fault_sim is not None:
-            backend = spec.fault_sim.backend
-            allow_fallback = spec.fault_sim.allow_fallback
             partition_size = spec.fault_sim.partition_size
         else:
             # No fault-sim stage declared: simulation legs run elsewhere
             # (e.g. the multi-weight coverage run) still honor the
-            # analysis-stage backend choice instead of silently reverting to
-            # the process default.
-            backend = spec.analysis.backend
-            allow_fallback = spec.analysis.allow_fallback
+            # analysis-stage partition size.
             partition_size = spec.analysis.partition_size
         return cls(
             confidence=spec.analysis.confidence,
@@ -493,8 +472,6 @@ class Session:
             seed=spec.seed,
             quantization_step=quantize.step,
             drop_redundant=spec.analysis.drop_redundant,
-            backend=backend,
-            allow_backend_fallback=allow_fallback,
             partition_size=partition_size,
         )
 
@@ -522,8 +499,6 @@ class Session:
             confidence=self.confidence,
             drop_redundant=self.drop_redundant,
             estimator=self._estimator_name(strict=strict),
-            backend=getattr(self.estimator, "backend", None),
-            allow_fallback=bool(getattr(self.estimator, "allow_fallback", False)),
         )
 
     def optimize_config(self) -> OptimizeConfig:
@@ -577,8 +552,6 @@ class Session:
             quantize=self.quantize_config(),
             fault_sim=FaultSimConfig(
                 n_patterns=n_patterns,
-                backend=self.backend,
-                allow_fallback=self.allow_backend_fallback,
                 partition_size=self.partition_size,
             ),
             self_test=self_test,
@@ -775,8 +748,6 @@ class Session:
         batch_size: int = 2048,
         fault_group: Optional[int] = None,
         target_coverage: Optional[float] = None,
-        backend: Optional[str] = None,
-        allow_fallback: Optional[bool] = None,
         partition_size: Optional[int] = None,
     ) -> CoverageExperiment:
         """Fault-simulate ``n_patterns`` (weighted) random patterns (cached).
@@ -790,19 +761,14 @@ class Session:
         compiled engine is shared with every other stage through the lowered
         IR.  Patterns are streamed chunkwise (never materialized as one
         matrix); ``target_coverage`` stops the stream early once that
-        coverage fraction is reached.  ``backend``/``allow_fallback``/
-        ``partition_size`` default to the session-level settings; detection
-        results are bit-identical across backends and partitionings (only
-        the attached :class:`~repro.faultsim.FaultSimStats` differ), but the
-        cache still keys on them so the stats stay faithful.
+        coverage fraction is reached.  ``partition_size`` defaults to the
+        session-level setting; detection results are bit-identical across
+        partitionings (only the attached :class:`~repro.faultsim.FaultSimStats`
+        differ), but the cache still keys on it so the stats stay faithful.
         """
         entry = self._entry(key)
         self.lowered(key)
         seed = self.stage_seed("fault_sim", key) if seed is None else seed
-        if backend is None:
-            backend = self.backend
-        if allow_fallback is None:
-            allow_fallback = self.allow_backend_fallback
         if partition_size is None:
             partition_size = self.partition_size
         weight_key = None if weights is None else tuple(float(w) for w in weights)
@@ -813,8 +779,6 @@ class Session:
             int(batch_size),
             fault_group,
             target_coverage,
-            backend,
-            bool(allow_fallback),
             partition_size,
         )
         cached = entry.coverage_cache.get(cache_key)
@@ -828,8 +792,6 @@ class Session:
                 batch_size=batch_size,
                 fault_group=fault_group,
                 target_coverage=target_coverage,
-                backend=backend,
-                allow_fallback=bool(allow_fallback),
                 partition_size=partition_size,
             )
             entry.coverage_cache[cache_key] = cached
@@ -989,7 +951,7 @@ class Session:
 
         Builds (or reuses) the :class:`~repro.wrp.MultiWeightSet` schedule,
         plays it through the compiled multi-set session and fault-simulates
-        the scheduled stream with the session's backend settings — the
+        the scheduled stream with the session's partition size — the
         in-process face of the spec's ``multi_weight`` stage.
         """
         entry = self._entry(key)
@@ -1008,8 +970,6 @@ class Session:
             faults=entry.faults,
             target_coverage=target_coverage,
             scan_chains=scan_chains,
-            backend=self.backend,
-            allow_fallback=bool(self.allow_backend_fallback),
             partition_size=self.partition_size,
             misr_width=misr_width,
             misr_taps=misr_taps,

@@ -21,8 +21,8 @@ span orders of magnitude) by a deterministic, seeded k-means: k-means++
 initialization from a :class:`numpy.random.Generator`, Lloyd iterations with
 first-index tie breaking, empty clusters repaired by stealing the globally
 worst-assigned point.  The result is a canonical exact cover of the fault
-list — deterministic per seed and invariant under the kernel backend, because
-backends are bit-identical by contract.
+list — deterministic per seed, because the batched COP engine is
+bit-identical to the scalar reference estimator.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def cluster_faults(
         seed: seed of the k-means++ initialization; the partition is a pure
             function of ``(faults, weights, k, seed)``.
         estimator: detection-probability estimator (defaults to the batched
-            COP engine; backends are bit-identical so the partition never
-            depends on the backend).
+            COP engine, bit-identical to the scalar reference, so the
+            partition never depends on which of the two computed it).
         profiles: optionally a precomputed :func:`detection_profiles` matrix.
     """
     if k < 1:

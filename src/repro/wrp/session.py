@@ -312,8 +312,6 @@ class MultiSetSelfTestSession:
         self,
         faults: Optional[Sequence[Fault]] = None,
         target_coverage: Optional[float] = None,
-        backend: Optional[str] = None,
-        allow_fallback: bool = False,
         partition_size: Optional[int] = None,
         fault_group: Optional[int] = None,
         batch_size: int = 2048,
@@ -332,8 +330,6 @@ class MultiSetSelfTestSession:
             self.circuit,
             faults=faults,
             fault_group=fault_group,
-            backend=backend,
-            allow_fallback=allow_fallback,
             partition_size=partition_size,
         )
         applied = [0] * self.n_sets
@@ -448,8 +444,6 @@ def run_multi_weight_session(
     faults: Optional[Sequence[Fault]] = None,
     target_coverage: Optional[float] = None,
     scan_chains: Optional[int] = None,
-    backend: Optional[str] = None,
-    allow_fallback: bool = False,
     partition_size: Optional[int] = None,
     misr_width: Optional[int] = None,
     misr_taps: Optional[Sequence[int]] = None,
@@ -466,8 +460,6 @@ def run_multi_weight_session(
     coverage = session.coverage(
         faults=faults,
         target_coverage=target_coverage,
-        backend=backend,
-        allow_fallback=allow_fallback,
         partition_size=partition_size,
     )
     self_test = session.run()

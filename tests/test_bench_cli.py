@@ -13,9 +13,7 @@ gate's behaviour is exercised without paying for a real optimization run:
   through :func:`repro.api.load_artifact` and carry both a quick-mode and a
   full-mode baseline;
 * ``report --plot-dir`` renders every committed trajectory as an image
-  (PNG when matplotlib is installed, dependency-free SVG otherwise);
-* ``--backend`` pins the process-default kernel backend for the run, and an
-  unavailable backend is a clean exit-2 error unless fallback is allowed.
+  (PNG when matplotlib is installed, dependency-free SVG otherwise).
 """
 
 import json
@@ -202,51 +200,6 @@ class TestBenchCliPlots:
         assert set(series["speedup"]) == {"quick", "full"}
 
 
-class TestBenchCliBackendFlag:
-    def test_backend_numpy_accepted(self, synthetic_area, tmp_path):
-        from repro.backends import default_backend_name, set_default_backend
-
-        try:
-            assert (
-                bench_main(
-                    ["synthetic", "--quick", "--update", "--backend", "numpy",
-                     "--root", str(tmp_path)]
-                )
-                == 0
-            )
-            assert default_backend_name() == "numpy"
-        finally:
-            set_default_backend("numpy")
-
-    def test_unavailable_backend_exits_2_or_sets_default(self, capsys):
-        from repro.backends import default_backend_name, set_default_backend
-        from repro.backends._numba_kernels import HAVE_NUMBA
-
-        try:
-            code = bench_main(["list", "--backend", "numba"])
-            if HAVE_NUMBA:
-                assert code == 0
-                assert default_backend_name() == "numba"
-            else:
-                assert code == 2
-                assert "not available" in capsys.readouterr().err
-                assert default_backend_name() == "numpy"
-        finally:
-            set_default_backend("numpy")
-
-    def test_unavailable_backend_with_fallback_runs_on_numpy(self, capsys):
-        from repro.backends import default_backend_name, set_default_backend
-
-        try:
-            assert (
-                bench_main(["list", "--backend", "numba", "--allow-backend-fallback"])
-                == 0
-            )
-            assert default_backend_name() in ("numpy", "numba")
-        finally:
-            set_default_backend("numpy")
-
-
 class TestBenchCliSurface:
     def test_unknown_area_exits_2(self, capsys):
         assert bench_main(["no_such_area"]) == 2
@@ -300,8 +253,6 @@ class TestCommittedTrajectories:
             point.counters["faults_simulated_partitioned"]
             < point.counters["faults_simulated_nodrop"]
         )
-        # Per-backend sections are committed for the reference backend.
-        assert "pairs_per_second_numpy" in point.metrics
 
     def test_every_gated_area_has_a_committed_trajectory(self):
         for name in gated_area_names():

@@ -221,6 +221,21 @@ class TestCliBenchFlag:
         assert report.key == "c17"
         assert report.n_patterns == 128
 
-    def test_run_bench_missing_file_fails_fast(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot use .bench file"):
-            main(["run", "--bench", str(tmp_path / "nope.bench")])
+    def test_run_bench_missing_file_fails_fast(self, tmp_path, capsys):
+        missing = tmp_path / "nope.bench"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--bench", str(missing)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: cannot use .bench file")
+        assert "Traceback" not in err
+
+    def test_run_bench_invalid_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bench"
+        bad.write_text("INPUT(a)\nOUTPUT(z)\nz = FOO(a, b\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--bench", str(bad)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot use .bench file")
+        assert "Traceback" not in err

@@ -105,6 +105,20 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert f"error: {missing}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["analysis", "fault_sim"])
+    def test_spec_naming_numba_exits_2_without_traceback(self, config, tmp_path, capsys):
+        data = PipelineSpec(circuit="s1").to_dict()
+        data[config] = {**data[config], "backend": "numba"}
+        spec_path = tmp_path / "numba.json"
+        spec_path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}:")
+        assert "backend 'numba' was removed" in err
+        assert "Traceback" not in err
+
     def test_no_input_is_an_error(self, capsys):
         assert main(["run"]) == 2
         assert "no circuits" in capsys.readouterr().err
@@ -275,8 +289,16 @@ class TestTablesCommand:
         ["run", "s1", "--partition-size", "0"],
         ["tables", "--max-sweeps", "0"],
         ["selftest", "s1", "--patterns", "0"],
+        ["run", "--bench", "no-such-netlist.bench"],
     ],
-    ids=["seed", "confidence", "partition-size", "max-sweeps", "selftest-patterns"],
+    ids=[
+        "seed",
+        "confidence",
+        "partition-size",
+        "max-sweeps",
+        "selftest-patterns",
+        "missing-bench-file",
+    ],
 )
 def test_out_of_range_values_exit_2_without_traceback(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -413,7 +413,6 @@ class TestWorkCounters:
 
     def test_stats_without_new_counters_still_load(self):
         stats = FaultSimStats(
-            backend="numpy",
             partition_size=None,
             n_batches=2,
             faults_simulated=10,
@@ -429,3 +428,120 @@ class TestWorkCounters:
         assert (old.fault_words, old.faults_pruned) == (0, 0)
         merged = stats.merged_with(stats)
         assert (merged.fault_words, merged.faults_pruned) == (14, 4)
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba", "mixed"])
+    def test_stats_with_backend_field_still_load(self, backend):
+        """Stored blobs from when a kernel backend was selectable keep
+        loading; the field is dropped."""
+        stats = FaultSimStats(
+            partition_size=4,
+            n_batches=1,
+            faults_simulated=5,
+            faults_dropped=5,
+            active_sizes=(5,),
+        )
+        payload = {**stats.to_dict(), "backend": backend}
+        assert FaultSimStats.from_dict(payload) == stats
+        assert "backend" not in stats.to_dict()
+
+
+# --------------------------------------------------------------------------- #
+# PPSFP partitioning: counters and invariance
+# --------------------------------------------------------------------------- #
+class TestFaultSimStats:
+    def _run(self, **kwargs):
+        circuit = build_circuit("s1")
+        rng = np.random.default_rng(17)
+        patterns = rng.random((700, circuit.n_inputs)) < 0.5
+        sim = ParallelFaultSimulator(circuit, **kwargs)
+        return sim.run(patterns, batch_size=128)
+
+    def test_counters_are_consistent(self):
+        result = self._run(partition_size=16)
+        stats = result.stats
+        assert stats.partition_size == 16
+        assert stats.n_batches == len(stats.active_sizes)
+        assert stats.faults_simulated == sum(stats.active_sizes)
+        # Dropping shrinks the active set monotonically across batches.
+        assert list(stats.active_sizes) == sorted(stats.active_sizes, reverse=True)
+        assert stats.faults_dropped == len(result.first_detection)
+        assert stats.faults_dropped > 0
+
+    def test_no_dropping_keeps_active_set_full(self):
+        circuit = build_circuit("s1")
+        rng = np.random.default_rng(17)
+        patterns = rng.random((700, circuit.n_inputs)) < 0.5
+        sim = ParallelFaultSimulator(circuit)
+        result = sim.run(patterns, batch_size=128, drop_detected=False)
+        stats = result.stats
+        n_faults = len(result.faults)
+        assert stats.faults_dropped == 0
+        assert set(stats.active_sizes) == {n_faults}
+        assert stats.faults_simulated == stats.n_batches * n_faults
+
+    def test_dropping_reduces_simulated_faults(self):
+        with_drop = self._run(partition_size=16).stats
+        without = FaultSimStats(
+            partition_size=16,
+            n_batches=with_drop.n_batches,
+            faults_simulated=with_drop.n_batches * max(with_drop.active_sizes),
+            faults_dropped=0,
+            active_sizes=(),
+        )
+        assert with_drop.faults_simulated < without.faults_simulated
+
+    def test_partitioning_never_changes_results(self):
+        baseline = self._run()
+        for partition_size in (1, 7, 64, 10_000):
+            result = self._run(partition_size=partition_size)
+            assert result == baseline
+            assert result.stats.partition_size == partition_size
+        assert baseline.stats.partition_size is None
+
+    def test_invalid_partition_size_rejected(self):
+        with pytest.raises(ValueError, match="partition_size"):
+            ParallelFaultSimulator(build_circuit("s1"), partition_size=0)
+
+    def test_stats_serialization_round_trip(self):
+        result = self._run(partition_size=8)
+        payload = result.to_dict()
+        from repro.faultsim import FaultSimResult
+
+        restored = FaultSimResult.from_dict(payload)
+        assert restored == result
+        assert restored.stats == result.stats
+        # Stats are excluded from result equality but faithfully serialized.
+        assert restored.stats.active_sizes == result.stats.active_sizes
+
+    def test_stats_merge(self):
+        a = self._run(partition_size=8).stats
+        b = self._run(partition_size=8).stats
+        merged = a.merged_with(b)
+        assert merged.faults_simulated == a.faults_simulated + b.faults_simulated
+        assert merged.n_batches == a.n_batches + b.n_batches
+        assert merged.partition_size == 8
+
+
+# --------------------------------------------------------------------------- #
+# Property: run_stream results are invariant under every execution knob
+# --------------------------------------------------------------------------- #
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    fault_group=st.one_of(st.none(), st.integers(1, 9)),
+    partition_size=st.one_of(st.none(), st.integers(1, 17)),
+    batch_size=st.sampled_from([64, 128, 256]),
+)
+def test_run_stream_invariant_under_execution_knobs(
+    seed, fault_group, partition_size, batch_size
+):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n_inputs=5, n_gates=12)
+    patterns = rng.random((300, circuit.n_inputs)) < 0.5
+    baseline = ParallelFaultSimulator(circuit).run(patterns, batch_size=128)
+    variant = ParallelFaultSimulator(
+        circuit, fault_group=fault_group, partition_size=partition_size
+    ).run(patterns, batch_size=batch_size)
+    assert variant == baseline
+    points = [1, 10, 100, 300]
+    assert variant.coverage_curve(points) == baseline.coverage_curve(points)

@@ -20,7 +20,14 @@ from repro.api import (
     scrub_volatile,
 )
 from repro.api.plan import ExecutionPlan, StagePlan
-from repro.api.spec import FaultSimConfig, OptimizeConfig, SelfTestConfig
+from repro.api.serialize import SchemaError
+from repro.api.spec import (
+    AnalysisConfig,
+    FaultSimConfig,
+    MultiWeightConfig,
+    OptimizeConfig,
+    SelfTestConfig,
+)
 from repro.store import check_store_key
 
 #: The committed ISCAS fixture; the file-spec golden hashes its *text* form,
@@ -62,7 +69,64 @@ GOLDEN_HASHES = {
 }
 
 
+#: Golden ``build_plan(spec).store_keys()`` for the golden specs plus one
+#: with ``self_test`` and ``multi_weight`` set.  The stage keys hash the
+#: stage configs' wire form (``analysis.to_dict()``, ``fault_sim.to_dict()``),
+#: so these pin every stored artifact's address, not only the report's.
+_SELF_TEST_MULTI_WEIGHT = dict(
+    circuit="s1",
+    self_test=SelfTestConfig(n_patterns=256),
+    multi_weight=MultiWeightConfig(k=2, budget=512),
+)
+
+GOLDEN_STORE_KEYS = {
+    "s1_default": {
+        "report": "pipeline_report/595716fb592f5d4a539ee6df2d2167f40eec0ddd472e17dfc2541e855b8a72b0",
+        "optimize.result": "stage_optimize/73d97efb41d710d5ebb040db83ff965113e792e0904a0d65c7890c2a64920825",
+        "fault_sim.conventional": "stage_fault_sim/91d87eea2be54f3ea4e4c2733c9348430c2eedac9f8a620d4b67a85d63a1922c",
+        "fault_sim.optimized": "stage_fault_sim/533d38a764e4b34dbddf5c275974a51777b938acf28f2792b354497dbe158af0",
+    },
+    "s1_tuned": {
+        "report": "pipeline_report/e8e88a34ff00af722586952384a39933ea75702428a7bbfaafb7f4662065eeeb",
+        "optimize.result": "stage_optimize/10ac1141feeed90b16e818b635d979bdce7cf7befbc7c307af989319f549d416",
+        "fault_sim.conventional": "stage_fault_sim/aea4067f0d7c5d5d07cad484325ffb5753fdb77ba8d910b7b4dc15d77ffe4edf",
+        "fault_sim.optimized": "stage_fault_sim/e42df9826966ab0bfd57f13f28d0280a1eed04f18a2204f8461a3dde97bafc38",
+    },
+    "c17_file_text": {
+        "report": "pipeline_report/176e1f912db387bd25a93c3b2c666adb8d41b3d3d2dff62f68095852165c8827",
+        "optimize.result": "stage_optimize/2fef8f790e1b880b13c649fda7f1eede43d49f11bb668f24bdc08ce7fd738870",
+        "fault_sim.conventional": "stage_fault_sim/fa354994b45d398683ec3d839b27d738f335b0685b9060a317074dd62739137b",
+        "fault_sim.optimized": "stage_fault_sim/45d5e8370a6099f27fb35407816dd2a830c3243ff4c01f18398fe260d4526ffa",
+    },
+    "generator": {
+        "report": "pipeline_report/c9b7149ec95ae00febbcc3ed85852400164e73b561ea2a7cc7e0889e4b8d3b26",
+        "optimize.result": "stage_optimize/8da266709a75c65e60e8b9fda9f75ab8e1d1e5cc9a3174b70a24d62f07d7a7b3",
+        "fault_sim.conventional": "stage_fault_sim/326e8c9f6467c65abe09dd7fd0812c7c66a149daeabdca52ae1778ab32df921c",
+        "fault_sim.optimized": "stage_fault_sim/b77dbc27135e3584a7e44489892cfd17033ae432e8b33c66b741ec1cea594caf",
+    },
+    "self_test_multi_weight": {
+        "report": "pipeline_report/2ef37615c513b079ba427bc1c59d2bfea4931db1373628e1e8edf318a240205c",
+        "optimize.result": "stage_optimize/73d97efb41d710d5ebb040db83ff965113e792e0904a0d65c7890c2a64920825",
+        "fault_sim.conventional": "stage_fault_sim/91d87eea2be54f3ea4e4c2733c9348430c2eedac9f8a620d4b67a85d63a1922c",
+        "fault_sim.optimized": "stage_fault_sim/533d38a764e4b34dbddf5c275974a51777b938acf28f2792b354497dbe158af0",
+        "multi_weight.weight_sets": "stage_multi_weight/dcbeb9429e5ccb5f76c41556f1e937c11f7c66547c181d2f18582eba9efbe2cd",
+        "multi_weight.result": "stage_multi_weight_report/dcbeb9429e5ccb5f76c41556f1e937c11f7c66547c181d2f18582eba9efbe2cd",
+    },
+}
+
+
+def _golden_spec_kwargs(name):
+    if name == "self_test_multi_weight":
+        return _SELF_TEST_MULTI_WEIGHT
+    return GOLDEN_HASHES[name][0]
+
+
 class TestSpecHashGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STORE_KEYS))
+    def test_golden_store_keys(self, name):
+        plan = build_plan(PipelineSpec(**_golden_spec_kwargs(name)))
+        assert plan.store_keys() == GOLDEN_STORE_KEYS[name]
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_HASHES))
     def test_golden_vector(self, name):
         kwargs, expected = GOLDEN_HASHES[name]
@@ -126,6 +190,64 @@ class TestVolatileScrubbing:
 
     def test_content_hash_ignores_key_order(self):
         assert content_hash({"a": 1, "b": 2}) == content_hash({"b": 2, "a": 1})
+
+
+def spec_naming_backend(config, backend, allow_fallback=False):
+    """A small s1 spec wire dict whose ``config`` stage names ``backend``."""
+    data = PipelineSpec(
+        circuit="s1",
+        optimize=OptimizeConfig(max_sweeps=1),
+        fault_sim=FaultSimConfig(n_patterns=64),
+    ).to_dict()
+    data[config] = {
+        **data[config],
+        "backend": backend,
+        "allow_fallback": allow_fallback,
+    }
+    return data
+
+
+class TestRemovedBackendWire:
+    """The kernel-backend choice is gone; its two wire fields stay constant."""
+
+    @pytest.mark.parametrize("config", [AnalysisConfig(), FaultSimConfig()])
+    def test_configs_write_the_wire_constants(self, config):
+        payload = config.to_dict()
+        assert payload["backend"] is None
+        assert payload["allow_fallback"] is False
+        assert not hasattr(config, "backend")
+        assert type(config).from_dict(payload) == config
+
+    def test_payload_without_wire_fields_loads(self):
+        payload = FaultSimConfig(n_patterns=100).to_dict()
+        for key in ("backend", "allow_fallback", "partition_size"):
+            del payload[key]
+        assert FaultSimConfig.from_dict(payload) == FaultSimConfig(n_patterns=100)
+
+    @pytest.mark.parametrize("config", ["analysis", "fault_sim"])
+    @pytest.mark.parametrize("backend", ["numba", "cuda", 3])
+    def test_other_backends_raise_schema_error(self, config, backend):
+        with pytest.raises(SchemaError, match=f"backend {backend!r} was removed"):
+            PipelineSpec.from_dict(spec_naming_backend(config, backend))
+
+    @pytest.mark.parametrize("config", ["analysis", "fault_sim"])
+    def test_non_bool_allow_fallback_raises_schema_error(self, config):
+        with pytest.raises(SchemaError, match="allow_fallback"):
+            PipelineSpec.from_dict(spec_naming_backend(config, None, "yes"))
+
+    def test_numpy_backend_with_fallback_loads_and_runs(self):
+        data = spec_naming_backend("analysis", "numpy", allow_fallback=True)
+        data["fault_sim"] = {
+            **data["fault_sim"],
+            "backend": "numpy",
+            "allow_fallback": True,
+        }
+        spec = PipelineSpec.from_dict(data)
+        plain = PipelineSpec.from_dict(spec_naming_backend("analysis", None))
+        assert spec == plain
+        report = execute_spec(spec)
+        assert report.canonical_dict() == execute_spec(plain).canonical_dict()
+        assert report.optimized_coverage is not None
 
 
 class TestBuildPlan:

@@ -334,6 +334,19 @@ class TestHttpServer:
 
         asyncio.run(self._with_server(scenario))
 
+    @pytest.mark.parametrize("config", ["analysis", "fault_sim"])
+    def test_spec_naming_numba_is_400(self, config):
+        async def scenario(port, service):
+            data = small_spec().to_dict()
+            data[config] = {**data[config], "backend": "numba"}
+            body = json.dumps(data).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 400
+            assert "backend 'numba' was removed" in payload["error"]
+            assert service.counters["submitted"] == 0
+
+        asyncio.run(self._with_server(scenario))
+
     def test_shutdown_endpoint_triggers_callback(self):
         async def scenario(port, service):
             stopped = asyncio.Event()

@@ -1,9 +1,8 @@
 """Tests for the multi-weight-set BIST subsystem (:mod:`repro.wrp`).
 
 Property tests (hypothesis) cover the clustering contract — determinism per
-seed, exact cover of the fault list, backend invariance — the budget
-apportionment, the joint schedule and STUMPS scan delivery; exact tests pin
-the k=1 degenerate case bit-identical to the single-set session and the
+seed and exact cover of the fault list — the budget apportionment, the joint
+schedule and STUMPS scan delivery; exact tests pin the k=1 degenerate case bit-identical to the single-set session and the
 artifact round trips.
 """
 
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .helpers import C17_BENCH
-from repro.analysis.compiled import BatchedCopEstimator
 from repro.api import (
     AnalysisConfig,
     MultiWeightConfig,
@@ -98,32 +96,6 @@ class TestClustering:
         heads = [int(cluster[0]) for cluster in first]
         assert heads == sorted(heads)
         assert 1 <= len(first) <= min(k, len(faults))
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_partition_is_backend_invariant(self, seed):
-        circuit = parse_bench(C17_BENCH, name="c17")
-        faults = collapsed_fault_list(circuit)
-        weights = np.full(circuit.n_inputs, 0.5)
-        reference = cluster_faults(
-            circuit,
-            faults,
-            weights,
-            3,
-            seed,
-            estimator=BatchedCopEstimator(backend="numpy"),
-        )
-        other = cluster_faults(
-            circuit,
-            faults,
-            weights,
-            3,
-            seed,
-            estimator=BatchedCopEstimator(backend="numba", allow_fallback=True),
-        )
-        assert len(reference) == len(other)
-        for a, b in zip(reference, other):
-            np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_arguments(self, c17, c17_faults):
         weights = np.full(c17.n_inputs, 0.5)
