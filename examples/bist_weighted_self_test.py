@@ -6,9 +6,9 @@ probabilities is self test — an on-chip LFSR generates the (weighted) patterns
 and a signature register compacts the responses; only the final signature is
 compared against the fault-free value.
 
-This example models that flow for the S1 comparator, entirely through the
-pipeline session's ``self_test`` stage (which runs on the compiled BIST
-substrate — block LFSR, vectorized weighting network and MISR):
+This example models that flow for the S1 comparator with direct library
+calls; the self test runs on the compiled BIST substrate (block LFSR,
+vectorized weighting network and MISR):
 
 1. optimize the input probabilities,
 2. quantize them to the grid realisable by a 5-bit LFSR weighting network,
@@ -17,6 +17,9 @@ substrate — block LFSR, vectorized weighting network and MISR):
    signature differs (fault detected) while a much longer unweighted session
    misses the fault entirely.
 
+The same flow is one declarative spec stage: ``SelfTestConfig`` with
+``inject_hardest=True`` and ``QuantizeConfig(lfsr_resolution=5)``.
+
 Run with ``python examples/bist_weighted_self_test.py``.
 """
 
@@ -24,45 +27,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Session, s1_comparator
+from repro import SelfTestSession, WeightOptimizer, collapsed_fault_list, s1_comparator
+from repro.analysis import BatchedCopEstimator
 from repro.core import quantize_to_lfsr_grid
 from repro.patterns import self_test_detects_fault
 
 
 def main(width: int = 10, n_patterns: int = 2_000) -> None:
-    # The pipeline session shares one compiled lowering between the analysis,
-    # the optimization and the self-test stage below.
-    pipeline = Session(drop_redundant=False)
-    key = pipeline.add(s1_comparator(width=width))
-    circuit = pipeline.circuit(key)
-    faults = pipeline.faults(key)
+    # Every engine below (COP analysis, optimizer, self test) shares one
+    # compiled lowering of the circuit.
+    circuit = s1_comparator(width=width)
+    faults = collapsed_fault_list(circuit)
     print(f"Circuit under test    : {circuit.summary()}")
 
     # Find the hardest fault under conventional random patterns.
-    probs = pipeline.detection_probabilities(key)
+    probs = BatchedCopEstimator().detection_probabilities(
+        circuit, faults, [0.5] * circuit.n_inputs
+    )
     hardest = faults[int(np.argmin(probs))]
     print(f"Hardest fault         : {hardest.describe(circuit)} "
           f"(detection probability {probs.min():.2e} under equiprobable patterns)")
 
     # Optimize and map the weights onto a hardware weighting network grid.
-    result = pipeline.optimize(key)
+    result = WeightOptimizer(circuit, faults=faults).optimize()
     lfsr_weights = quantize_to_lfsr_grid(result.weights, resolution=5)
     print(f"Optimized test length : ~{result.test_length:,} patterns")
     print("Realised LFSR weights :",
           np.array2string(np.asarray(lfsr_weights), precision=3, separator=", "))
 
-    # Golden signature of the weighted self-test session (cached inside the
-    # pipeline; the fault injections below reuse it).
-    session = pipeline.self_test_session(
-        key, n_patterns, weights=lfsr_weights, use_lfsr=True, seed=42
+    # Golden signature of the weighted self-test session (computed once; the
+    # fault injection below reuses it).
+    session = SelfTestSession(
+        circuit, n_patterns, weights=lfsr_weights, use_lfsr=True, seed=42
     )
     golden = session.golden_signature()
     print(f"Golden signature      : 0x{golden:08x} ({n_patterns:,} weighted patterns)")
 
     # The weighted session exposes the hardest fault ...
-    report = pipeline.self_test(
-        key, n_patterns, weights=lfsr_weights, use_lfsr=True, seed=42, fault=hardest
-    )
+    report = session.run(hardest)
     print(f"Weighted self test    : signature 0x{report.signature:08x} -> "
           f"{'FAULT DETECTED' if not report.passed else 'fault missed'}")
 

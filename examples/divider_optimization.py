@@ -21,27 +21,29 @@ import numpy as np
 
 from repro import (
     MonteCarloDetectionEstimator,
-    Session,
+    WeightOptimizer,
+    collapsed_fault_list,
     optimize_partitioned,
+    required_test_length,
     s2_divider,
 )
+from repro.analysis import BatchedCopEstimator, remove_redundant
 
 
 def main(width: int = 8) -> None:
-    # The pipeline session compiles the circuit's lowering once; the analytic
-    # estimate, the optimization and the Monte-Carlo fault simulation below
-    # all run on engines derived from that one artifact.
-    session = Session(confidence=0.999)
-    key = session.add(s2_divider(width=width))
-    circuit = session.circuit(key)
-    faults = session.faults(key)
+    # The circuit's lowering is compiled once; the analytic estimate, the
+    # optimization and the Monte-Carlo fault simulation below all run on
+    # engines derived from that one artifact.
+    circuit = s2_divider(width=width)
+    faults = remove_redundant(circuit, collapsed_fault_list(circuit))
     print(f"Circuit under test : {circuit.summary()}")
     print(f"Collapsed faults   : {len(faults)}")
 
     # --- Estimator comparison: analytic vs. sampled ------------------------
-    analytic = session.detection_probabilities(key)
+    equiprobable = [0.5] * circuit.n_inputs
+    analytic = BatchedCopEstimator().detection_probabilities(circuit, faults, equiprobable)
     sampled = MonteCarloDetectionEstimator(n_samples=2048, fixed_seed=True).detection_probabilities(
-        circuit, faults, [0.5] * circuit.n_inputs
+        circuit, faults, equiprobable
     )
     correlation = np.corrcoef(analytic, sampled)[0, 1]
     print(f"COP vs Monte-Carlo : correlation {correlation:.3f} over {len(faults)} faults")
@@ -49,8 +51,8 @@ def main(width: int = 8) -> None:
           f"{sampled[np.argmin(analytic)]:.2e} (sampled)")
 
     # --- Single optimized distribution --------------------------------------
-    conventional_length = session.required_length(key)
-    single = session.optimize(key)
+    conventional_length = required_test_length(analytic, 0.999).test_length
+    single = WeightOptimizer(circuit, faults=faults, confidence=0.999).optimize()
     print(f"Conventional test  : ~{conventional_length:,} patterns")
     print(f"Optimized test     : ~{single.test_length:,} patterns "
           f"({single.improvement_factor:,.0f}x shorter)")

@@ -29,14 +29,15 @@ import numpy as np
 
 from repro import (
     PipelineSpec,
-    Session,
+    WeightOptimizer,
+    collapsed_fault_list,
     execute_spec,
     parse_bench,
     resistant_circuit,
     write_bench,
 )
 from repro.api.spec import FaultSimConfig
-from repro.analysis import probability_bounds
+from repro.analysis import BatchedCopEstimator, probability_bounds, remove_redundant
 from repro.circuit import circuit_stats
 
 
@@ -61,19 +62,19 @@ def main() -> None:
           f"[{lower[widest]:.3f}, {upper[widest]:.3f}] "
           "(reconvergent fan-out makes the exact value expensive)")
 
-    # The session computes the collapsed, redundancy-filtered fault list and
-    # shares one compiled lowering between the analysis and the optimization.
-    session = Session(confidence=0.999)
-    key = session.add(circuit)
-    faults = session.faults(key)
-    probs = session.detection_probabilities(key)
+    # The collapsed, redundancy-filtered fault list; the analysis and the
+    # optimization share one compiled lowering of the circuit.
+    faults = remove_redundant(circuit, collapsed_fault_list(circuit))
+    probs = BatchedCopEstimator().detection_probabilities(
+        circuit, faults, [0.5] * circuit.n_inputs
+    )
     order = np.argsort(probs)
     print("Hardest faults under equiprobable patterns:")
     for index in order[:5]:
         print(f"  {faults[index].describe(circuit):40s} p = {probs[index]:.2e}")
 
     # --- 4. optimize and export weights --------------------------------------
-    result = session.optimize(key)
+    result = WeightOptimizer(circuit, faults=faults, confidence=0.999).optimize()
     weights_path = workdir / f"{original.name}.weights"
     with weights_path.open("w") as handle:
         for name, weight in sorted(result.weight_map.items()):

@@ -3,14 +3,14 @@
 
 This walks through the complete flow of the library on the paper's flagship
 example, a cascaded magnitude comparator (S1), using the pipeline façade
-(:class:`repro.Session`) that runs every stage over one shared compiled
-lowering of the circuit:
+(:class:`repro.Session`): register the circuit, then one ``run`` executes
+every stage over one shared compiled lowering of the circuit and returns a
+report that answers
 
-1. build the circuit and register it in a session,
-2. estimate how many *equiprobable* random patterns a self test would need,
-3. compute optimized input probabilities (the paper's contribution),
-4. estimate the new test length, and
-5. verify the improvement by fault simulation.
+1. how many *equiprobable* random patterns a self test would need,
+2. the optimized input probabilities (the paper's contribution),
+3. the new test length, and
+4. the improvement verified by fault simulation.
 
 Run with ``python examples/quickstart.py``.  A 12-bit comparator is used so the
 script finishes in a few seconds; pass a width as the first argument to scale
@@ -29,27 +29,24 @@ from repro import Session, s1_comparator
 def main(width: int = 12, n_patterns: int = 4_000) -> None:
     session = Session(confidence=0.999, drop_redundant=False)
     key = session.add(s1_comparator(width=width))
-    circuit = session.circuit(key)
-    print(f"Circuit under test : {circuit.summary()}")
+    print(f"Circuit under test : {session.circuit(key).summary()}")
     print(f"Collapsed faults   : {len(session.faults(key))}")
 
+    report = session.run(key, n_patterns=n_patterns)
+
     # --- Step 1: how bad is the conventional (equiprobable) random test? ----
-    conventional_probs = session.detection_probabilities(key)
-    conventional_length = session.required_length(key)
-    print(f"Conventional test  : ~{conventional_length:,} patterns needed "
-          f"(hardest fault p = {conventional_probs.min():.2e})")
+    print(f"Conventional test  : ~{report.conventional_length:,} patterns needed")
 
     # --- Step 2: optimize the input probabilities ---------------------------
-    result = session.optimize(key)
+    result = report.optimization
     print(f"Optimized test     : ~{result.test_length:,} patterns needed "
           f"({result.improvement_factor:,.0f}x shorter, {result.sweeps} sweeps, "
           f"{result.cpu_seconds:.1f} s)")
     print("Optimized weights  :",
-          np.array2string(result.quantized_weights, precision=2, separator=", "))
+          np.array2string(report.quantized_weights, precision=2, separator=", "))
 
     # --- Step 3: verify by fault simulation ---------------------------------
-    before = session.fault_simulate(key, n_patterns)
-    after = session.fault_simulate(key, n_patterns, weights=result.quantized_weights)
+    before, after = report.conventional_experiment, report.optimized_experiment
     print(f"Fault coverage with {n_patterns:,} patterns:")
     print(f"  conventional     : {before.fault_coverage_percent:5.1f} % "
           f"({len(before.result.undetected)} faults missed)")

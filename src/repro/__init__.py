@@ -23,9 +23,9 @@ The package is organised by subsystem:
   (typed stage configs, JSON round trips), :func:`execute_spec`, the
   parallel :func:`run_jobs` batch executor and the artifact loader behind
   the ``python -m repro`` CLI.
-* :mod:`repro.pipeline` — the :class:`Session` convenience layer: builds
-  specs from loose kwargs, delegates to the executor, caches one lowering
-  per circuit.
+* :mod:`repro.pipeline` — the :class:`Session` convenience layer: circuit
+  registration, spec translation from loose kwargs, and ``run`` =
+  :func:`execute_spec` against the session's store (the only cache).
 * :mod:`repro.experiments` — runners that regenerate every table and figure.
 
 Typical use::

@@ -22,8 +22,9 @@ The public seam of the reproduction, decoupling *description* from
 * :mod:`repro.api.serialize` — the shared wire format
   (:data:`SCHEMA_VERSION`, :class:`SchemaError`, exact numpy round trips).
 
-The stateful :class:`repro.Session` remains as the convenience layer: it
-builds specs from loose kwargs and delegates to this subsystem.
+The spec is the only input.  :class:`repro.Session` is a convenience layer
+that registers circuits, translates loose kwargs into a spec and runs it
+here against its store.
 """
 
 from .artifacts import load_artifact, report_batch_dict, row_from_dict, row_to_dict

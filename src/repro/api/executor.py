@@ -1,50 +1,65 @@
 """Execute one declarative pipeline spec and produce its result artifact.
 
 :func:`execute_spec` is the *execute* layer of the spec → plan → execute →
-persist stack, and the single execution path behind every public face of
-the pipeline:
+persist stack, and the only execution path behind every public face of the
+pipeline: the batch executor (:func:`repro.api.run_jobs`), the job service
+(:mod:`repro.service`) and the convenience layer
+(:meth:`repro.pipeline.Session.run`, which translates its state into a spec
+and passes its store).
 
-* the batch executor (:func:`repro.api.run_jobs`) ships
-  :class:`~repro.api.spec.PipelineSpec` dicts to worker processes, each of
-  which calls :func:`execute_spec` on a fresh session;
-* the convenience layer (:class:`repro.pipeline.Session`) builds the spec
-  from its kwargs and calls :func:`execute_spec` with *itself* as the
-  caching execution context, so repeated in-process runs reuse lowerings,
-  analyses, optimizations and coverage experiments;
-* the job service (:mod:`repro.service`) executes cold submissions here and
-  serves warm ones straight from the store.
+The spec is the whole input.  The executor builds the circuit, the fault
+list (collapsed, then redundancy-filtered per ``analysis.drop_redundant``),
+the estimator and the lowering from the spec alone, so an artifact persisted
+under one of the plan's store keys is always the artifact a fresh run of
+the same spec would compute.
 
 Execution follows the :class:`~repro.api.plan.ExecutionPlan` emitted by
 :func:`~repro.api.plan.build_plan`.  When a store is attached, the executor
 first consults the plan's **report key** — a hit short-circuits the whole
 run: zero stages execute, zero circuits are lowered, and the artifact is
 the previously persisted report, bit-identical under
-:meth:`~repro.pipeline.session.PipelineReport.canonical_dict`.  On a cold
-run the expensive stages (optimization, each coverage experiment) consult
-their own stage keys before computing and persist what they did compute,
-so partially-warm stores still save work.  Either way the result is
-deterministic in the spec alone: every randomized stage seeds from
-``spec.stage_seed(...)``, so a spec executed serially, in a pool worker, on
-another machine, or reassembled from store artifacts produces an identical
-canonical dict.
+:meth:`~repro.pipeline.session.PipelineReport.canonical_dict`.  On a miss it
+runs one table of :class:`Stage` rows through one loop: each row is loaded
+from its store key when it has one, else computed by a direct library call
+and persisted; that loop is the single place that counts stage hits and
+runs and reports progress.  Artifacts pass between stages in one dict.
+Every randomized stage seeds from ``spec.stage_seed(...)``, so a spec
+executed serially, in a pool worker, on another machine, or reassembled
+from store artifacts produces an identical canonical dict.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.optimizer import OptimizationResult
+from ..analysis.compiled import BatchedCopEstimator
+from ..analysis.detection import CopDetectionEstimator, DetectionProbabilityEstimator
+from ..analysis.redundancy import remove_redundant
+from ..circuit.netlist import Circuit
+from ..core.optimizer import OptimizationResult, WeightOptimizer
 from ..core.quantize import quantize_to_lfsr_grid
-from ..faultsim.coverage import CoverageExperiment
-from .plan import DEFAULT_N_PATTERNS, build_plan, resolve_n_patterns
-from .spec import PipelineSpec
+from ..core.testlength import required_test_length
+from ..faults.collapse import collapsed_fault_list
+from ..faults.model import Fault
+from ..faultsim.coverage import CoverageExperiment, random_pattern_coverage
+from ..lowered import compile_count, compile_lowered
+from ..patterns.bilbo import SelfTestSession
+from ..wrp import (
+    MultiWeightReport,
+    MultiWeightSet,
+    build_weight_sets,
+    run_multi_weight_session,
+)
+from .plan import DEFAULT_N_PATTERNS, ExecutionPlan, build_plan, resolve_n_patterns
+from .spec import PipelineSpec, QuantizeConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..pipeline.session import PipelineReport, Session
+    from ..pipeline.session import PipelineReport
     from ..store import ArtifactStore
 
 __all__ = [
@@ -82,28 +97,39 @@ def executor_stats() -> Dict[str, int]:
         return dict(_STATS)
 
 
-def _stage_done(on_stage: Optional[Callable[[str], None]], name: str) -> None:
-    _count("stage_runs")
-    if on_stage is not None:
-        on_stage(name)
+@dataclass(frozen=True)
+class Stage:
+    """One row of the executor's stage table.
+
+    Attributes:
+        name: the progress name passed to ``on_stage`` and counted in
+            ``stage_runs`` when the row is computed.  ``None`` marks a
+            helper row: it is resolved only when a later row needs it and
+            reports no progress of its own.
+        output: the artifact's name in the run's artifact dict.
+        store_key: the plan's store key the artifact is loaded from and
+            persisted under; ``None`` for rows cheap enough to recompute.
+        artifact_type: the class a stored artifact must decode to.
+        compute: builds the artifact; receives ``need(output)``, which
+            returns (resolving on first use) another row's artifact.
+    """
+
+    name: Optional[str]
+    output: str
+    store_key: Optional[str]
+    artifact_type: Optional[type]
+    compute: Callable[[Callable[[str], Any]], Any]
 
 
 def execute_spec(
     spec: PipelineSpec,
-    session: Optional["Session"] = None,
     store: Optional["ArtifactStore"] = None,
     on_stage: Optional[Callable[[str], None]] = None,
 ) -> "PipelineReport":
     """Run every stage a spec declares and return the result artifact.
 
     Args:
-        spec: the declarative job description.
-        session: optional caching execution context.  ``None`` builds a
-            fresh :class:`~repro.pipeline.Session` from the spec's configs
-            (the batch-worker path); passing an existing session reuses its
-            cached artifacts (the convenience-layer path — the session's
-            configs are expected to match the spec's, which
-            :meth:`Session.spec` guarantees).
+        spec: the declarative job description — the whole input.
         store: optional content-addressed artifact store (anything
             :func:`repro.store.open_store` accepts).  A report-level hit
             returns the persisted artifact without executing any stage;
@@ -112,7 +138,7 @@ def execute_spec(
         on_stage: optional progress callback, called with the stage name
             after each executed stage (the job service streams these).
     """
-    from ..pipeline.session import PipelineReport, Session
+    from ..pipeline.session import PipelineReport
     from ..store import open_store
 
     store = open_store(store)
@@ -124,192 +150,82 @@ def execute_spec(
             return cached
 
     _count("executions")
-    if session is None:
-        session = Session.from_spec(spec)
-    key = plan.label
     start = time.perf_counter()
-    if not session.has(key):
-        session.add(spec.build_circuit(), key=key)
-    session.lowered(key)
-    circuit = session.circuit(key)
-    faults = session.faults(key)
-
-    # Stage 1: analysis (always on).
-    conventional_length = session.required_length(
-        key, confidence=spec.analysis.confidence
+    circuit = spec.build_circuit()
+    faults = collapsed_fault_list(circuit)
+    if spec.analysis.drop_redundant:
+        faults = remove_redundant(circuit, faults)
+    before = compile_count()
+    compile_lowered(circuit)
+    lowerings = compile_count() - before
+    estimator: DetectionProbabilityEstimator = (
+        CopDetectionEstimator()
+        if spec.analysis.estimator == "scalar"
+        else BatchedCopEstimator()
     )
-    _stage_done(on_stage, "analysis")
 
-    # Stage 2: optimization (store-cached; deterministic, so the entry is
-    # shared across specs that differ only in seed/label/fault-sim budget).
-    optimization = None
-    optimize_hit = False
-    if spec.optimize is not None:
-        optimize_key = plan.stage("optimize").store_keys["result"]
-        if store is not None:
-            cached = store.load(optimize_key)
-            if isinstance(cached, OptimizationResult):
-                optimization = cached
-                optimize_hit = True
-                _count("stage_hits")
-        if optimization is None:
-            optimization = session.optimize(key, max_sweeps=spec.optimize.max_sweeps)
-            if store is not None:
-                store.put(optimize_key, optimization.to_dict())
-            _stage_done(on_stage, "optimize")
+    stages = {
+        stage.output: stage
+        for stage in _stage_table(spec, plan, circuit, faults, estimator)
+    }
+    artifacts: Dict[str, Any] = {}
 
-    # Stage 3: quantization (pure arithmetic on the optimization artifact).
-    quantized = None
-    if spec.quantize is not None:
-        if spec.quantize.lfsr_resolution is not None:
-            quantized = quantize_to_lfsr_grid(
-                optimization.weights, resolution=spec.quantize.lfsr_resolution
-            )
-        elif optimize_hit:
-            # The stored artifact embeds the grid of exactly this spec's
-            # quantize config (it participates in the optimize stage key).
-            quantized = optimization.quantized_weights
+    def need(output: str) -> Any:
+        """A row's artifact, resolved once: load, else compute and put."""
+        if output in artifacts:
+            return artifacts[output]
+        stage = stages[output]
+        keyed = store is not None and stage.store_key is not None
+        cached = store.load(stage.store_key) if keyed else None
+        if keyed and isinstance(cached, stage.artifact_type):
+            _count("stage_hits")
+            value = cached
         else:
-            quantized = session.quantized_weights(key, step=spec.quantize.step)
-        _stage_done(on_stage, "quantize")
+            value = stage.compute(need)
+            if keyed:
+                store.put(stage.store_key, value.to_dict())
+            if stage.name is not None:
+                _count("stage_runs")
+                if on_stage is not None:
+                    on_stage(stage.name)
+        artifacts[output] = value
+        return value
 
-    # Stage 4: fault-simulated validation (conventional, then optimized).
-    n_patterns = plan.n_patterns
-    conventional_experiment = None
-    optimized_experiment = None
-    if spec.fault_sim is not None:
-        config = spec.fault_sim
-        stage = plan.stage("fault_sim")
-        fault_sim_seed = stage.seed
-        conventional_experiment = _coverage_experiment(
-            store, stage.store_keys["conventional"]
-        )
-        if conventional_experiment is None:
-            conventional_experiment = session.fault_simulate(
-                key,
-                n_patterns,
-                seed=fault_sim_seed,
-                batch_size=config.batch_size,
-                fault_group=config.fault_group,
-                target_coverage=config.target_coverage,
-                partition_size=config.partition_size,
-            )
-            if store is not None:
-                store.put(
-                    stage.store_keys["conventional"], conventional_experiment.to_dict()
-                )
-            _stage_done(on_stage, "fault_sim")
-        if quantized is not None:
-            optimized_experiment = _coverage_experiment(
-                store, stage.store_keys["optimized"]
-            )
-            if optimized_experiment is None:
-                optimized_experiment = session.fault_simulate(
-                    key,
-                    n_patterns,
-                    weights=quantized,
-                    seed=fault_sim_seed,
-                    batch_size=config.batch_size,
-                    fault_group=config.fault_group,
-                    target_coverage=config.target_coverage,
-                    partition_size=config.partition_size,
-                )
-                if store is not None:
-                    store.put(
-                        stage.store_keys["optimized"], optimized_experiment.to_dict()
-                    )
-                _stage_done(on_stage, "fault_sim")
+    for stage in stages.values():
+        if stage.name is not None:
+            need(stage.output)
 
-    # Stage 5: self test (BILBO / signature analysis).
-    self_test_report = None
-    if spec.self_test is not None:
-        config = spec.self_test
-        fault = None
-        if config.inject_hardest and faults:
-            probabilities = session.detection_probabilities(key)
-            fault = faults[int(np.argmin(probabilities))]
-        self_test_report = session.self_test(
-            key,
-            config.n_patterns,
-            weights=quantized if config.weighted else None,
-            use_lfsr=config.use_lfsr,
-            misr_width=config.misr_width,
-            misr_taps=config.misr_taps,
-            seed=plan.stage("self_test").seed,
-            fault=fault,
-        )
-        _stage_done(on_stage, "self_test")
-
-    # Stage 6 (optional): multi-weight-set BIST (clustered weight sets,
-    # reseeded multi-polynomial LFSRs, scheduled playback).
-    multi_weight_report = None
-    if spec.multi_weight is not None:
-        from ..wrp import MultiWeightReport, MultiWeightSet
-
-        config = spec.multi_weight
-        stage = plan.stage("multi_weight")
-        if store is not None:
-            cached = store.load(stage.store_keys["result"])
-            if isinstance(cached, MultiWeightReport):
-                multi_weight_report = cached
-                _count("stage_hits")
-        if multi_weight_report is None:
-            weight_sets = None
-            if store is not None:
-                cached = store.load(stage.store_keys["weight_sets"])
-                if isinstance(cached, MultiWeightSet):
-                    weight_sets = cached
-                    _count("stage_hits")
-            if weight_sets is None:
-                weight_sets = session.build_weight_sets(
-                    key,
-                    k=config.k,
-                    budget=config.budget,
-                    cluster_seed=spec.stage_seed("cluster"),
-                    session_seed=stage.seed,
-                )
-                if store is not None:
-                    store.put(stage.store_keys["weight_sets"], weight_sets.to_dict())
-            multi_weight_report = session.multi_weight_self_test(
-                key,
-                weight_sets=weight_sets,
-                scan_chains=config.scan_chains,
-                target_coverage=config.target_coverage,
-            )
-            if store is not None:
-                store.put(stage.store_keys["result"], multi_weight_report.to_dict())
-            _stage_done(on_stage, "multi_weight")
-
+    optimization = artifacts.get("optimize")
+    conventional = artifacts.get("conventional")
+    optimized = artifacts.get("optimized")
     report = PipelineReport(
-        key=key,
+        key=plan.label,
         circuit_name=circuit.name,
         n_gates=circuit.n_gates,
         n_inputs=circuit.n_inputs,
         n_faults=len(faults),
         input_names=[circuit.net_name(net) for net in circuit.inputs],
         seed=spec.seed,
-        conventional_length=conventional_length,
+        conventional_length=required_test_length(
+            artifacts["analysis"], spec.analysis.confidence
+        ).test_length,
         optimized_length=None if optimization is None else optimization.test_length,
         weights=None if optimization is None else optimization.weights,
-        quantized_weights=quantized,
-        n_patterns=n_patterns,
+        quantized_weights=artifacts.get("quantize"),
+        n_patterns=plan.n_patterns,
         conventional_coverage=(
-            None
-            if conventional_experiment is None
-            else 100.0 * conventional_experiment.fault_coverage
+            None if conventional is None else 100.0 * conventional.fault_coverage
         ),
         optimized_coverage=(
-            None
-            if optimized_experiment is None
-            else 100.0 * optimized_experiment.fault_coverage
+            None if optimized is None else 100.0 * optimized.fault_coverage
         ),
         optimization=optimization,
-        conventional_experiment=conventional_experiment,
-        optimized_experiment=optimized_experiment,
-        self_test=self_test_report,
-        self_test_fault=fault if spec.self_test is not None else None,
-        multi_weight=multi_weight_report,
-        lowerings=session.lowerings(key),
+        conventional_experiment=conventional,
+        optimized_experiment=optimized,
+        self_test=artifacts.get("self_test"),
+        self_test_fault=artifacts.get("self_test_fault"),
+        multi_weight=artifacts.get("multi_weight"),
+        lowerings=lowerings,
         seconds=time.perf_counter() - start,
     )
     if store is not None:
@@ -317,14 +233,167 @@ def execute_spec(
     return report
 
 
-def _coverage_experiment(
-    store: Optional["ArtifactStore"], store_key: str
-) -> Optional[CoverageExperiment]:
-    """A stored coverage experiment, or ``None`` (counts a stage hit)."""
-    if store is None:
-        return None
-    cached = store.load(store_key)
-    if isinstance(cached, CoverageExperiment):
-        _count("stage_hits")
-        return cached
-    return None
+def _stage_table(
+    spec: PipelineSpec,
+    plan: ExecutionPlan,
+    circuit: Circuit,
+    faults: List[Fault],
+    estimator: DetectionProbabilityEstimator,
+) -> List[Stage]:
+    """The rows a spec declares, in execution order.
+
+    Each ``compute`` is a direct library call parameterized by the spec's
+    stage configs and the plan's derived seeds.
+    """
+    confidence = spec.analysis.confidence
+    rows = [
+        Stage(
+            "analysis",
+            "analysis",
+            None,
+            None,
+            lambda need: estimator.detection_probabilities(
+                circuit, faults, [0.5] * circuit.n_inputs
+            ),
+        )
+    ]
+
+    optimize = spec.optimize
+    if optimize is not None:
+        # Shared by the single-set optimum and every per-cluster optimizer.
+        optimizer = dict(
+            estimator=estimator,
+            confidence=confidence,
+            bounds=(float(optimize.bounds[0]), float(optimize.bounds[1])),
+            alpha=optimize.alpha,
+            max_sweeps=optimize.max_sweeps,
+        )
+        # The optimize artifact embeds the grid of the quantize config (or
+        # the default grid when the spec quantizes nothing).
+        step = (spec.quantize or QuantizeConfig()).step
+        rows.append(
+            Stage(
+                "optimize",
+                "optimize",
+                plan.stage("optimize").store_keys["result"],
+                OptimizationResult,
+                lambda need: WeightOptimizer(
+                    circuit, faults=faults, **optimizer
+                ).optimize(quantization_step=step),
+            )
+        )
+
+    quantize = spec.quantize
+    if quantize is not None:
+
+        def quantized(need: Callable[[str], Any]) -> np.ndarray:
+            if quantize.lfsr_resolution is not None:
+                return quantize_to_lfsr_grid(
+                    need("optimize").weights, resolution=quantize.lfsr_resolution
+                )
+            return need("optimize").quantized_weights
+
+        rows.append(Stage("quantize", "quantize", None, None, quantized))
+
+    fault_sim = spec.fault_sim
+    if fault_sim is not None:
+        fault_sim_plan = plan.stage("fault_sim")
+
+        def coverage(weights: Optional[str]) -> Callable[[Callable[[str], Any]], Any]:
+            return lambda need: random_pattern_coverage(
+                circuit,
+                plan.n_patterns,
+                weights=None if weights is None else need(weights),
+                faults=faults,
+                seed=fault_sim_plan.seed,
+                batch_size=fault_sim.batch_size,
+                fault_group=fault_sim.fault_group,
+                target_coverage=fault_sim.target_coverage,
+                partition_size=fault_sim.partition_size,
+            )
+
+        for output, weights in (("conventional", None), ("optimized", "quantize")):
+            if output in fault_sim_plan.store_keys:
+                rows.append(
+                    Stage(
+                        "fault_sim",
+                        output,
+                        fault_sim_plan.store_keys[output],
+                        CoverageExperiment,
+                        coverage(weights),
+                    )
+                )
+
+    self_test = spec.self_test
+    if self_test is not None:
+
+        def hardest_fault(need: Callable[[str], Any]) -> Optional[Fault]:
+            if not (self_test.inject_hardest and faults):
+                return None
+            return faults[int(np.argmin(need("analysis")))]
+
+        rows.append(Stage(None, "self_test_fault", None, None, hardest_fault))
+        rows.append(
+            Stage(
+                "self_test",
+                "self_test",
+                None,
+                None,
+                lambda need: SelfTestSession(
+                    circuit,
+                    self_test.n_patterns,
+                    weights=need("quantize") if self_test.weighted else None,
+                    use_lfsr=self_test.use_lfsr,
+                    misr_width=self_test.misr_width,
+                    misr_taps=self_test.misr_taps,
+                    seed=plan.stage("self_test").seed,
+                ).run(need("self_test_fault")),
+            )
+        )
+
+    multi_weight = spec.multi_weight
+    if multi_weight is not None:
+        multi_plan = plan.stage("multi_weight")
+        # A spec without a fault-sim stage still sizes the multi-weight
+        # coverage run's partitions, through its analysis config.
+        partition_size = (
+            fault_sim.partition_size
+            if fault_sim is not None
+            else spec.analysis.partition_size
+        )
+        rows.append(
+            Stage(
+                None,
+                "weight_sets",
+                multi_plan.store_keys["weight_sets"],
+                MultiWeightSet,
+                lambda need: build_weight_sets(
+                    circuit,
+                    faults=faults,
+                    k=multi_weight.k,
+                    quantization_step=step,
+                    cluster_seed=spec.stage_seed("cluster"),
+                    session_seed=multi_plan.seed,
+                    budget=multi_weight.budget,
+                    base_result=need("optimize"),
+                    **optimizer,
+                ),
+            )
+        )
+        rows.append(
+            Stage(
+                "multi_weight",
+                "multi_weight",
+                multi_plan.store_keys["result"],
+                MultiWeightReport,
+                lambda need: run_multi_weight_session(
+                    circuit,
+                    need("weight_sets"),
+                    faults=faults,
+                    target_coverage=multi_weight.target_coverage,
+                    scan_chains=multi_weight.scan_chains,
+                    partition_size=partition_size,
+                ),
+            )
+        )
+    return rows

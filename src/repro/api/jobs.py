@@ -92,7 +92,8 @@ def _run_job(index: int, spec_dict: Dict, store_ref: Optional[Any] = None) -> Di
 
     ``store_ref`` is a :meth:`~repro.store.ArtifactStore.worker_ref` dict in
     a pool worker, or the parent's live store object on the serial path —
-    :func:`repro.store.open_store` resolves either.
+    :func:`repro.store.open_store` resolves either.  The payload lists the
+    stage names the executor emitted, in order (empty for a store hit).
     """
     from ..lowered import compile_count
     from ..store import open_store
@@ -101,10 +102,12 @@ def _run_job(index: int, spec_dict: Dict, store_ref: Optional[Any] = None) -> Di
     store = open_store(store_ref)
     start = time.perf_counter()
     executions = execution_count()
-    report = execute_spec(spec, store=store)
+    stages: List[str] = []
+    report = execute_spec(spec, store=store, on_stage=stages.append)
     return {
         "index": index,
         "report": report.to_dict(),
+        "stages": stages,
         "worker_pid": os.getpid(),
         "worker_compiles": compile_count() - _WORKER_BASELINE,
         "seconds": time.perf_counter() - start,

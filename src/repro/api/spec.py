@@ -83,8 +83,8 @@ STAGE_NAMES = ("analysis", "optimize", "quantize", "fault_sim", "self_test")
 #: or inserting entries would silently change every previously derived seed.
 SEED_NAMESPACES = STAGE_NAMES + ("generate", "cluster", "multi_weight")
 
-#: Detection-probability estimators a spec may name (resolved by the
-#: executor; estimator *objects* remain a Session-level runtime override).
+#: Detection-probability estimators a spec (and a ``Session``) may name,
+#: resolved to estimator objects by the executor.
 ESTIMATOR_NAMES = ("batched", "scalar")
 
 

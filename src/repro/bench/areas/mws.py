@@ -15,8 +15,11 @@ self test.
 
 from __future__ import annotations
 
+from ...analysis.redundancy import remove_redundant
 from ...circuits import build_circuit
-from ...pipeline import Session
+from ...core.optimizer import WeightOptimizer
+from ...faults.collapse import collapsed_fault_list
+from ...wrp import build_weight_sets, run_multi_weight_session
 from ..artifacts import BenchResult
 from ..compare import RSS_POLICY, MetricPolicy
 from ..registry import BenchArea, register_area
@@ -48,32 +51,26 @@ def run_bench(quick: bool = False, repeats: int = 3) -> BenchResult:
         seed=SEED,
     )
 
-    def fresh_session() -> Session:
-        session = Session(seed=SEED)
-        session.add(circuit, key=CIRCUIT_KEY)
-        session.optimize(CIRCUIT_KEY)
-        return session
-
     # The single-set optimization is the shared baseline of both sides and
     # of Table 3 — set it up outside the timed region.
-    session = fresh_session()
+    faults = remove_redundant(circuit, collapsed_fault_list(circuit))
+    base = WeightOptimizer(circuit, faults=faults).optimize()
 
     build = runner.measure(
         "build",
-        lambda: session.build_weight_sets(
-            CIRCUIT_KEY,
+        lambda: build_weight_sets(
+            circuit,
+            faults=faults,
             k=k,
             cluster_seed=SEED,
             session_seed=SEED,
-            force=True,
+            base_result=base,
         ),
     )
     weight_sets = build.value
     playback = runner.measure(
         "playback",
-        lambda: session.multi_weight_self_test(
-            CIRCUIT_KEY, weight_sets=weight_sets
-        ),
+        lambda: run_multi_weight_session(circuit, weight_sets, faults=faults),
     )
     report = playback.value
 

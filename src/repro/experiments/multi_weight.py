@@ -20,8 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..analysis.redundancy import remove_redundant
 from ..circuits.registry import hard_suite
-from ..pipeline import Session
+from ..core.optimizer import WeightOptimizer
+from ..faults.collapse import collapsed_fault_list
+from ..wrp import build_weight_sets, run_multi_weight_session
 from .suite import CONFIDENCE, EXPERIMENT_SEED, OPTIMIZER_SWEEPS
 from .tables import format_count, format_percent, format_table
 
@@ -64,21 +67,25 @@ def run_multi_weight(
     suite.
     """
     rows: List[MultiWeightRow] = []
-    session = Session(
-        confidence=CONFIDENCE, max_sweeps=OPTIMIZER_SWEEPS, seed=EXPERIMENT_SEED
-    )
     for entry in hard_suite():
         if keys is not None and entry.key not in keys:
             continue
-        session.add(entry.instantiate(), key=entry.key)
-        base = session.optimize(entry.key)
-        weight_sets = session.build_weight_sets(
-            entry.key,
+        circuit = entry.instantiate()
+        faults = remove_redundant(circuit, collapsed_fault_list(circuit))
+        base = WeightOptimizer(
+            circuit, faults=faults, confidence=CONFIDENCE, max_sweeps=OPTIMIZER_SWEEPS
+        ).optimize()
+        weight_sets = build_weight_sets(
+            circuit,
+            faults=faults,
             k=k,
+            confidence=CONFIDENCE,
+            max_sweeps=OPTIMIZER_SWEEPS,
             cluster_seed=EXPERIMENT_SEED,
             session_seed=EXPERIMENT_SEED,
+            base_result=base,
         )
-        report = session.multi_weight_self_test(entry.key, weight_sets=weight_sets)
+        report = run_multi_weight_session(circuit, weight_sets, faults=faults)
         multi_length = report.multi_set_length
         rows.append(
             MultiWeightRow(

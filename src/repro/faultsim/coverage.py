@@ -3,7 +3,7 @@
 Small convenience layer over :class:`~repro.faultsim.parallel.ParallelFaultSimulator`
 used by the Table 2 / Table 4 benches (coverage at a fixed pattern count), by
 the Figure 2 bench (coverage as a function of the pattern count) and by the
-fault-simulation stage of :class:`repro.pipeline.Session`.  Every call reuses
+``fault_sim`` stage of :func:`repro.api.execute_spec`.  Every call reuses
 the circuit's cached lowering (:mod:`repro.lowered`) through the compiled
 engine — repeated coverage runs never re-lower the netlist.
 

@@ -16,10 +16,10 @@ two levels:
   artifacts (:data:`_MAX_ENTRIES`) additionally keeps hot lowerings alive
   across transient rebuilds without retaining every structure ever compiled.
 
-:func:`compile_count` counts actual lowerings performed, which is what the
-pipeline façade and the CI compile-reuse smoke check use to assert that a
-:class:`repro.pipeline.Session` lowers each circuit exactly once across all
-of its stages.
+:func:`compile_count` counts actual lowerings performed, which is what
+:func:`repro.api.execute_spec` (the report's ``lowerings`` field) and the CI
+compile-reuse smoke check use to assert that a pipeline run lowers its
+circuit exactly once across all of its stages.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Pipeline façade running analyze → optimize → quantize → fault-simulate.
+"""Pipeline façade: circuit registration, spec translation and a store.
 
-:class:`Session` ties the subsystems together for one or many circuits with
-the lowered-circuit IR (:mod:`repro.lowered`) compiled exactly once per
-circuit and reused across all stages; :class:`PipelineReport` is the per-
-circuit outcome.
+:class:`Session` registers circuits, translates its kwargs into a
+:class:`~repro.api.PipelineSpec` and runs it with
+:func:`~repro.api.execute_spec` against its store; :class:`PipelineReport`
+is the per-circuit outcome.
 """
 
 from .session import PipelineReport, Session

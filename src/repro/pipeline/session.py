@@ -1,38 +1,35 @@
-"""The pipeline façade: analyze → optimize → quantize → fault-simulate → self-test.
+"""The pipeline façade: circuit registration, spec translation and a store.
 
-The paper's workflow is a pipeline — testability analysis (COP), input
+The paper's workflow is one pipeline — testability analysis (COP), input
 probability optimization, quantization to a realisable weight grid,
 fault-simulated validation, and finally the weighted-random *self test* of
-section 5.2 (LFSR weighting network + MISR signature, the
-:meth:`Session.self_test` stage).
+section 5.2 (LFSR weighting network + MISR signature).  Its declarative
+description is :class:`repro.api.spec.PipelineSpec` and its only execution
+path is :func:`repro.api.executor.execute_spec`.
 
-Since the job-spec API (:mod:`repro.api`) the declarative description of
-that pipeline lives in :class:`repro.api.spec.PipelineSpec` and the
-execution in :func:`repro.api.executor.execute_spec`; :class:`Session` is
-the in-process **convenience layer**: it keeps the loose-kwargs constructor,
-builds the equivalent spec (:meth:`Session.spec`) and delegates
-:meth:`Session.run` to the executor, while caching the expensive
-intermediates across stages and runs:
+:class:`Session` is the in-process **convenience layer** over that path.
+It does three things:
 
-* the **lowered-circuit IR** (:mod:`repro.lowered`) is compiled exactly once
-  per circuit and consumed by every stage (the analysis engine, the
-  optimizer's estimator and the fault simulator all hang off the same
-  artifact); :meth:`Session.lowerings` / :attr:`Session.total_lowerings`
-  expose the compile counter so callers (and the CI smoke check) can assert
-  the reuse,
-* the **fault list** (collapsed, redundancy-filtered by default) is built
-  once per circuit,
-* the **baseline analysis** and the **optimization result** are cached, so
-  e.g. test-length, coverage and CPU-time reporting all use the same run —
-  exactly as one PROTEST run feeds all of the paper's optimized-test numbers.
+* **registration** — circuits under keys, with their fault lists
+  (collapsed, redundancy-filtered by default) and lowerings
+  (:meth:`Session.lowerings` / :attr:`Session.total_lowerings` expose the
+  compile counter so callers and the CI smoke check can assert reuse);
+* **spec translation** — the loose constructor kwargs become typed stage
+  configs (:meth:`Session.spec`);
+* **run** — :meth:`Session.run` is ``execute_spec(session.spec(key, ...),
+  store=session.store)``.  The store is the only cache.
+
+Single stages are direct library calls: :class:`~repro.core.WeightOptimizer`,
+:func:`~repro.faultsim.random_pattern_coverage`,
+:class:`~repro.patterns.SelfTestSession`, :func:`~repro.wrp.build_weight_sets`
+and :func:`~repro.wrp.run_multi_weight_session`.
 
 Seed semantics: the session's ``seed`` is a *root* seed.  Randomized stages
 derive per-stage, per-circuit working seeds from it via
 :func:`repro.api.spec.derive_seed` (``SeedSequence``-based), so the
 fault-simulation and self-test stages of one circuit — and the same stages
 of different circuits — never share a pattern stream, yet every run is
-reproducible from the one root value.  Pass an explicit ``seed`` to a stage
-method to bypass the derivation.
+reproducible from the one root value.
 
 Typical use::
 
@@ -48,16 +45,15 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.compiled import BatchedCopEstimator
-from ..analysis.detection import CopDetectionEstimator, DetectionProbabilityEstimator
 from ..analysis.redundancy import remove_redundant
-from ..api import serialize as _serialize
-from ..api.serialize import tagged_dict, untag
+from ..api.executor import execute_spec
+from ..api.serialize import scrub_volatile, tagged_dict, untag
 from ..api.spec import (
+    ESTIMATOR_NAMES,
     AnalysisConfig,
     FaultSimConfig,
     MultiWeightConfig,
@@ -65,33 +61,18 @@ from ..api.spec import (
     PipelineSpec,
     QuantizeConfig,
     SelfTestConfig,
-    derive_seed,
 )
 from ..circuit.netlist import Circuit
-from ..core.optimizer import OptimizationResult, WeightOptimizer
-from ..core.quantize import quantize_weights
-from ..core.testlength import required_test_length
+from ..core.optimizer import OptimizationResult
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
-from ..faultsim.coverage import CoverageExperiment, random_pattern_coverage
+from ..faultsim.coverage import CoverageExperiment
 from ..lowered import LoweredCircuit, compile_count, compile_lowered
-from ..patterns.bilbo import SelfTestReport, SelfTestSession
-from ..wrp import MultiWeightReport, MultiWeightSet, run_multi_weight_session
-from ..wrp import build_weight_sets as _build_weight_sets
+from ..patterns.bilbo import SelfTestReport
+from ..store import MemoryStore, open_store
+from ..wrp import MultiWeightReport
 
 __all__ = ["Session", "PipelineReport"]
-
-#: Cached BIST sessions kept per circuit (LRU).  Each session pins its
-#: pattern matrix and fault-free net values, so the cache is bounded — unlike
-#: coverage experiments, which only hold detection indices.
-_SELFTEST_CACHE_LIMIT = 8
-
-#: Artifact keys that describe the machine the report was produced on, not
-#: the mathematical result; :meth:`PipelineReport.canonical_dict` drops them
-#: so serial/parallel/cross-process runs of the same spec compare equal.
-#: (Shared with the content-addressed store via :mod:`repro.api.serialize`.)
-_VOLATILE_KEYS = _serialize.VOLATILE_KEYS
-_scrub_volatile = _serialize.scrub_volatile
 
 
 @dataclass
@@ -115,7 +96,7 @@ class PipelineReport:
         n_patterns: pattern budget of the fault-simulated validation.
         conventional_coverage / optimized_coverage: fault coverage (percent)
             of ``n_patterns`` conventional / optimized random patterns.
-        optimization: the underlying (cached) optimization result.
+        optimization: the underlying optimization result.
         conventional_experiment / optimized_experiment: the full coverage
             experiments (per-fault first-detection indices), from which
             coverage curves and undetected-fault counts derive.
@@ -339,7 +320,7 @@ class PipelineReport:
         process — must produce equal canonical dicts; the batch-executor
         tests assert exactly that.
         """
-        return _scrub_volatile(self.to_dict())
+        return scrub_volatile(self.to_dict())
 
 
 def _opt_int(value: Optional[int]) -> Optional[int]:
@@ -356,38 +337,35 @@ def _opt_dict(value) -> Optional[Dict[str, Any]]:
 
 @dataclass
 class _Entry:
-    """Per-circuit pipeline state tracked by a :class:`Session`."""
+    """Per-circuit registration state tracked by a :class:`Session`."""
 
-    key: str
     circuit: Circuit
     faults: List[Fault]
     lowered: Optional[LoweredCircuit] = None
     lowerings: int = 0
-    baseline_probs: Optional[np.ndarray] = None
-    optimization: Optional[OptimizationResult] = None
-    coverage_cache: Dict[Tuple, CoverageExperiment] = field(default_factory=dict)
-    selftest_cache: Dict[Tuple, SelfTestSession] = field(default_factory=dict)
-    multi_weight_cache: Dict[Tuple, MultiWeightSet] = field(default_factory=dict)
 
 
 class Session:
-    """Convenience wrapper over the job-spec pipeline, compiling once.
+    """Registration, spec translation and a store over :func:`execute_spec`.
 
-    The declarative face of the pipeline is :class:`repro.api.PipelineSpec`;
-    a session translates its loose constructor kwargs into the typed stage
-    configs, hands out the equivalent spec via :meth:`spec`, and delegates
-    :meth:`run` to :func:`repro.api.execute_spec` — while caching fault
-    lists, lowerings, baseline analyses, optimizations and coverage runs
-    across stages and repeated runs.
+    A session registers circuits under keys, translates its loose
+    constructor kwargs into the typed stage configs of a
+    :class:`repro.api.PipelineSpec` (:meth:`spec`), and runs that spec
+    through :func:`repro.api.execute_spec` against its store (:meth:`run`).
+    It holds no artifacts of its own: every state of a session can be
+    written as a spec, and the store — the user's, or a private
+    :class:`~repro.store.MemoryStore` — is the only cache, keyed by the
+    plan's store keys.  Single stages are library calls
+    (:class:`~repro.core.WeightOptimizer`,
+    :func:`~repro.faultsim.random_pattern_coverage`,
+    :class:`~repro.patterns.SelfTestSession`, ...).
 
     Args:
         confidence: required probability of detecting every modelled fault
             (shared by the test-length computations and the optimizer).
-        estimator: detection-probability estimator used by the analysis and
-            optimization stages; defaults to the batched compiled COP engine
-            (:class:`~repro.analysis.compiled.BatchedCopEstimator`).  Specs
-            name estimators (``"batched"``/``"scalar"``); other estimator
-            objects remain a session-only runtime override.
+        estimator: detection-probability estimator by spec name —
+            ``"batched"`` (the compiled COP engine, default) or
+            ``"scalar"`` (the reference implementation).
         max_sweeps: coordinate-descent sweep budget of the optimizer.
         alpha: optimizer convergence threshold (relative improvement).
         bounds: allowed interval for each input probability.
@@ -396,22 +374,20 @@ class Session:
             (:func:`repro.api.spec.derive_seed`).
         quantization_step: grid the optimized weights are snapped to.
         drop_redundant: remove faults proven/estimated undetectable from the
-            default fault list (the paper's coverage convention).  Explicit
-            ``faults`` passed to :meth:`add` are used as-is.
+            fault list (the paper's coverage convention).
         partition_size: PPSFP fault partition size for the fault-simulation
             stage (``None`` = one partition spanning all active faults).
         store: optional content-addressed artifact store — anything
             :func:`repro.store.open_store` accepts (an
             :class:`~repro.store.ArtifactStore`, a directory path, or a
-            ``worker_ref`` dict).  :meth:`run` consults it before executing
-            and persists its reports into it, so repeated runs of one spec
-            across sessions, processes or machines cost one store read.
+            ``worker_ref`` dict).  ``None`` keeps a private in-memory store,
+            so repeated runs of one spec cost one store read.
     """
 
     def __init__(
         self,
         confidence: float = 0.999,
-        estimator: Optional[DetectionProbabilityEstimator] = None,
+        estimator: str = "batched",
         max_sweeps: int = 8,
         alpha: float = 0.01,
         bounds: Tuple[float, float] = (0.05, 0.95),
@@ -423,10 +399,13 @@ class Session:
     ):
         if not 0.0 < confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
+        if estimator not in ESTIMATOR_NAMES:
+            raise ValueError(
+                f"unknown estimator {estimator!r}; a session names one of "
+                f"{ESTIMATOR_NAMES}"
+            )
         self.confidence = confidence
-        self.estimator: DetectionProbabilityEstimator = (
-            estimator if estimator is not None else BatchedCopEstimator()
-        )
+        self.estimator = estimator
         self.max_sweeps = max_sweeps
         self.alpha = alpha
         self.bounds = bounds
@@ -434,71 +413,17 @@ class Session:
         self.quantization_step = quantization_step
         self.drop_redundant = drop_redundant
         self.partition_size = partition_size
-        from ..store import open_store
-
-        self.store = open_store(store)
+        self.store = open_store(store) or MemoryStore()
         self._entries: Dict[str, _Entry] = {}
 
     # ------------------------------------------------------------------ #
     # Spec translation (the declarative face)
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_spec(cls, spec: PipelineSpec) -> "Session":
-        """A fresh session configured exactly like ``spec`` describes.
-
-        Stage configs the spec omits fall back to the stage defaults, so the
-        session can still serve ad-hoc calls for those stages.
-        """
-        optimize = spec.optimize if spec.optimize is not None else OptimizeConfig()
-        quantize = spec.quantize if spec.quantize is not None else QuantizeConfig()
-        estimator: DetectionProbabilityEstimator = (
-            CopDetectionEstimator()
-            if spec.analysis.estimator == "scalar"
-            else BatchedCopEstimator()
-        )
-        if spec.fault_sim is not None:
-            partition_size = spec.fault_sim.partition_size
-        else:
-            # No fault-sim stage declared: simulation legs run elsewhere
-            # (e.g. the multi-weight coverage run) still honor the
-            # analysis-stage partition size.
-            partition_size = spec.analysis.partition_size
-        return cls(
-            confidence=spec.analysis.confidence,
-            estimator=estimator,
-            max_sweeps=optimize.max_sweeps,
-            alpha=optimize.alpha,
-            bounds=tuple(optimize.bounds),
-            seed=spec.seed,
-            quantization_step=quantize.step,
-            drop_redundant=spec.analysis.drop_redundant,
-            partition_size=partition_size,
-        )
-
-    def _estimator_name(self, strict: bool = True) -> str:
-        """The spec name of the session estimator (specs are declarative).
-
-        ``strict=False`` substitutes ``"batched"`` for estimator objects a
-        spec cannot name — used by the in-process :meth:`run` path, where
-        the session's own estimator object is what actually executes.
-        """
-        if isinstance(self.estimator, BatchedCopEstimator):
-            return "batched"
-        if isinstance(self.estimator, CopDetectionEstimator):
-            return "scalar"
-        if not strict:
-            return "batched"
-        raise ValueError(
-            f"estimator {type(self.estimator).__name__} has no spec name; "
-            "a PipelineSpec can only reference the 'batched' or 'scalar' "
-            "COP estimators"
-        )
-
-    def analysis_config(self, strict: bool = True) -> AnalysisConfig:
+    def analysis_config(self) -> AnalysisConfig:
         return AnalysisConfig(
             confidence=self.confidence,
             drop_redundant=self.drop_redundant,
-            estimator=self._estimator_name(strict=strict),
+            estimator=self.estimator,
         )
 
     def optimize_config(self) -> OptimizeConfig:
@@ -518,9 +443,8 @@ class Session:
         circuit_ref: Optional[str] = None,
         self_test: Optional[SelfTestConfig] = None,
         multi_weight: Optional[MultiWeightConfig] = None,
-        strict: bool = True,
     ) -> PipelineSpec:
-        """The declarative :class:`PipelineSpec` equivalent of :meth:`run`.
+        """The declarative :class:`PipelineSpec` that :meth:`run` executes.
 
         Args:
             key: registered circuit key (becomes the spec label).
@@ -534,10 +458,6 @@ class Session:
                 structure — the caller asserts the equivalence).
             self_test: optional BIST stage config to append.
             multi_weight: optional multi-weight-set stage config to append.
-            strict: raise for estimator objects a spec cannot name;
-                ``strict=False`` records ``"batched"`` instead (what
-                :meth:`run` uses — in-process execution applies the
-                session's own estimator object regardless).
         """
         entry = self._entry(key)
         circuit: Union[str, Dict[str, Any]] = (
@@ -547,7 +467,7 @@ class Session:
             circuit=circuit,
             key=key,
             seed=self.seed,
-            analysis=self.analysis_config(strict=strict),
+            analysis=self.analysis_config(),
             optimize=self.optimize_config(),
             quantize=self.quantize_config(),
             fault_sim=FaultSimConfig(
@@ -561,21 +481,14 @@ class Session:
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def add(
-        self,
-        circuit: Circuit,
-        key: Optional[str] = None,
-        faults: Optional[Sequence[Fault]] = None,
-    ) -> str:
+    def add(self, circuit: Circuit, key: Optional[str] = None) -> str:
         """Register a circuit and return its session key.
 
         Re-adding the same instance — or any *structurally identical*
         circuit (equal :meth:`~repro.circuit.netlist.Circuit.structural_hash`,
         e.g. a fresh rebuild of the same netlist) — under an existing key is
-        a no-op that keeps the existing entry and its cached artifacts.  A
-        genuinely different structure under the same key is an error, and so
-        is re-registering with an explicit ``faults`` list that differs from
-        the entry's (a silent no-op would run the wrong fault set).
+        a no-op that keeps the existing entry.  A genuinely different
+        structure under the same key is an error.
         """
         key = key if key is not None else circuit.name
         existing = self._entries.get(key)
@@ -588,19 +501,11 @@ class Session:
                     f"session already holds a structurally different circuit "
                     f"under key {key!r}"
                 )
-            if faults is not None and list(faults) != existing.faults:
-                raise ValueError(
-                    f"circuit under key {key!r} is already registered with a "
-                    "different fault list"
-                )
             return key
-        if faults is not None:
-            fault_list = list(faults)
-        else:
-            fault_list = collapsed_fault_list(circuit)
-            if self.drop_redundant:
-                fault_list = remove_redundant(circuit, fault_list)
-        self._entries[key] = _Entry(key=key, circuit=circuit, faults=fault_list)
+        faults = collapsed_fault_list(circuit)
+        if self.drop_redundant:
+            faults = remove_redundant(circuit, faults)
+        self._entries[key] = _Entry(circuit=circuit, faults=faults)
         return key
 
     def has(self, key: str) -> bool:
@@ -622,11 +527,10 @@ class Session:
         return self._entry(key).circuit
 
     def faults(self, key: str) -> List[Fault]:
+        """The fault list :meth:`run` simulates (collapsed, and
+        redundancy-filtered when ``drop_redundant``)."""
         return self._entry(key).faults
 
-    # ------------------------------------------------------------------ #
-    # Stage 0: lowering (compiled once, shared by every later stage)
-    # ------------------------------------------------------------------ #
     def lowered(self, key: str) -> LoweredCircuit:
         """The circuit's lowered IR, compiling it on first use.
 
@@ -649,331 +553,11 @@ class Session:
     def total_lowerings(self) -> int:
         """Lowering compilations performed across all registered circuits.
 
-        After any number of stages/runs this is at most the number of
-        distinct circuit structures in the session — the compile-reuse
-        invariant the CI smoke check asserts.
+        After any number of runs this is at most the number of distinct
+        circuit structures in the session — the compile-reuse invariant the
+        CI smoke check asserts.
         """
         return sum(entry.lowerings for entry in self._entries.values())
-
-    # ------------------------------------------------------------------ #
-    # Stage 1: analysis
-    # ------------------------------------------------------------------ #
-    def detection_probabilities(
-        self, key: str, weights: Optional[Sequence[float]] = None
-    ) -> np.ndarray:
-        """Detection probability of every session fault under ``weights``.
-
-        ``weights=None`` means the conventional equiprobable test (all 0.5);
-        that baseline analysis is cached per circuit.
-        """
-        entry = self._entry(key)
-        self.lowered(key)
-        if weights is None:
-            if entry.baseline_probs is None:
-                entry.baseline_probs = self.estimator.detection_probabilities(
-                    entry.circuit, entry.faults, [0.5] * entry.circuit.n_inputs
-                )
-            return entry.baseline_probs
-        return self.estimator.detection_probabilities(
-            entry.circuit, entry.faults, list(weights)
-        )
-
-    def required_length(
-        self,
-        key: str,
-        weights: Optional[Sequence[float]] = None,
-        confidence: Optional[float] = None,
-    ) -> int:
-        """Required random-test length (NORMALIZE) under ``weights``."""
-        probs = self.detection_probabilities(key, weights)
-        target = self.confidence if confidence is None else confidence
-        return required_test_length(probs, target).test_length
-
-    # ------------------------------------------------------------------ #
-    # Stage 2: optimization
-    # ------------------------------------------------------------------ #
-    def optimize(
-        self, key: str, max_sweeps: Optional[int] = None
-    ) -> OptimizationResult:
-        """Optimized input probabilities for a registered circuit (cached).
-
-        The cached result is shared by every stage and report — exactly as
-        one PROTEST run feeds all of the paper's optimized-test numbers.
-
-        Args:
-            key: session key of the circuit.
-            max_sweeps: optional sweep-budget override for the first run.
-        """
-        entry = self._entry(key)
-        if entry.optimization is not None:
-            return entry.optimization
-        self.lowered(key)
-        optimizer = WeightOptimizer(
-            entry.circuit,
-            faults=entry.faults,
-            estimator=self.estimator,
-            confidence=self.confidence,
-            bounds=self.bounds,
-            alpha=self.alpha,
-            max_sweeps=max_sweeps if max_sweeps is not None else self.max_sweeps,
-        )
-        entry.optimization = optimizer.optimize(
-            quantization_step=self.quantization_step
-        )
-        return entry.optimization
-
-    # ------------------------------------------------------------------ #
-    # Stage 3: quantization
-    # ------------------------------------------------------------------ #
-    def quantized_weights(self, key: str, step: Optional[float] = None) -> np.ndarray:
-        """The optimized weights snapped to the realisable grid.
-
-        With the session's default step this is the (cached) optimization
-        result's grid; an explicit ``step`` re-quantizes the raw weights.
-        """
-        result = self.optimize(key)
-        if step is None or step == self.quantization_step:
-            return result.quantized_weights
-        return quantize_weights(result.weights, step=step, bounds=self.bounds)
-
-    # ------------------------------------------------------------------ #
-    # Stage 4: fault-simulated validation
-    # ------------------------------------------------------------------ #
-    def fault_simulate(
-        self,
-        key: str,
-        n_patterns: int,
-        weights: Optional[Sequence[float]] = None,
-        seed: Optional[int] = None,
-        batch_size: int = 2048,
-        fault_group: Optional[int] = None,
-        target_coverage: Optional[float] = None,
-        partition_size: Optional[int] = None,
-    ) -> CoverageExperiment:
-        """Fault-simulate ``n_patterns`` (weighted) random patterns (cached).
-
-        ``weights=None`` is the conventional equiprobable test.  ``seed=None``
-        uses the per-stage, per-circuit seed derived from the session's root
-        seed (``derive_seed(root, "fault_sim", key)``) — reproducible, and
-        uncorrelated with every other stage and circuit.  Results are cached
-        per ``(n_patterns, weights, seed, target_coverage)`` so a report
-        regenerated twice does not repeat the simulation; the underlying
-        compiled engine is shared with every other stage through the lowered
-        IR.  Patterns are streamed chunkwise (never materialized as one
-        matrix); ``target_coverage`` stops the stream early once that
-        coverage fraction is reached.  ``partition_size`` defaults to the
-        session-level setting; detection results are bit-identical across
-        partitionings (only the attached :class:`~repro.faultsim.FaultSimStats`
-        differ), but the cache still keys on it so the stats stay faithful.
-        """
-        entry = self._entry(key)
-        self.lowered(key)
-        seed = self.stage_seed("fault_sim", key) if seed is None else seed
-        if partition_size is None:
-            partition_size = self.partition_size
-        weight_key = None if weights is None else tuple(float(w) for w in weights)
-        cache_key = (
-            int(n_patterns),
-            weight_key,
-            int(seed),
-            int(batch_size),
-            fault_group,
-            target_coverage,
-            partition_size,
-        )
-        cached = entry.coverage_cache.get(cache_key)
-        if cached is None:
-            cached = random_pattern_coverage(
-                entry.circuit,
-                n_patterns,
-                weights=weights,
-                faults=entry.faults,
-                seed=seed,
-                batch_size=batch_size,
-                fault_group=fault_group,
-                target_coverage=target_coverage,
-                partition_size=partition_size,
-            )
-            entry.coverage_cache[cache_key] = cached
-        return cached
-
-    def stage_seed(self, stage: str, key: str) -> int:
-        """The derived working seed of one stage for one circuit."""
-        return derive_seed(self.seed, stage, key)
-
-    # ------------------------------------------------------------------ #
-    # Stage 5: self test (BILBO / signature analysis)
-    # ------------------------------------------------------------------ #
-    def self_test_session(
-        self,
-        key: str,
-        n_patterns: int,
-        weights: Optional[Sequence[float]] = None,
-        use_lfsr: bool = False,
-        misr_width: Optional[int] = None,
-        misr_taps: Optional[Sequence[int]] = None,
-        seed: Optional[int] = None,
-    ) -> SelfTestSession:
-        """The (cached) BIST session for a registered circuit.
-
-        The session runs on the compiled BIST substrate
-        (:mod:`repro.patterns.compiled`) and on the same lowered IR as every
-        other stage; its pattern matrix, fault-free responses and golden
-        signature are computed once and shared by every
-        :meth:`self_test` call with the same parameters.  ``seed=None`` uses
-        the derived ``derive_seed(root, "self_test", key)`` stage seed.
-        """
-        entry = self._entry(key)
-        self.lowered(key)
-        seed = self.stage_seed("self_test", key) if seed is None else seed
-        weight_key = None if weights is None else tuple(float(w) for w in weights)
-        taps_key = None if misr_taps is None else tuple(misr_taps)
-        cache_key = (
-            int(n_patterns),
-            weight_key,
-            bool(use_lfsr),
-            misr_width,
-            taps_key,
-            int(seed),
-        )
-        session = entry.selftest_cache.pop(cache_key, None)
-        if session is None:
-            session = SelfTestSession(
-                entry.circuit,
-                n_patterns,
-                weights=weights,
-                use_lfsr=use_lfsr,
-                misr_width=misr_width,
-                misr_taps=misr_taps,
-                seed=seed,
-            )
-        # (Re-)insert as most recently used; a session pins its pattern and
-        # fault-free value matrices, so the cache is LRU-bounded.
-        entry.selftest_cache[cache_key] = session
-        while len(entry.selftest_cache) > _SELFTEST_CACHE_LIMIT:
-            entry.selftest_cache.pop(next(iter(entry.selftest_cache)))
-        return session
-
-    def self_test(
-        self,
-        key: str,
-        n_patterns: int,
-        weights: Optional[Sequence[float]] = None,
-        use_lfsr: bool = False,
-        misr_width: Optional[int] = None,
-        misr_taps: Optional[Sequence[int]] = None,
-        seed: Optional[int] = None,
-        fault: Optional[Fault] = None,
-    ) -> SelfTestReport:
-        """Run a (weighted) self test, optionally with a fault injected.
-
-        ``weights`` would typically be :meth:`quantized_weights` mapped onto
-        the LFSR grid — the paper's section 5.2 flow.  Repeated calls with
-        different ``fault`` arguments reuse the cached session (patterns,
-        fault-free simulation and golden signature are computed once).
-        Circuits with more primary outputs than the largest tabulated MISR
-        width need an explicit ``misr_width`` plus ``misr_taps``.
-        """
-        session = self.self_test_session(
-            key,
-            n_patterns,
-            weights=weights,
-            use_lfsr=use_lfsr,
-            misr_width=misr_width,
-            misr_taps=misr_taps,
-            seed=seed,
-        )
-        return session.run(fault)
-
-    # ------------------------------------------------------------------ #
-    # Stage 6 (optional): multi-weight-set BIST
-    # ------------------------------------------------------------------ #
-    def build_weight_sets(
-        self,
-        key: str,
-        k: int = 4,
-        budget: Optional[int] = None,
-        cluster_seed: Optional[int] = None,
-        session_seed: Optional[int] = None,
-        force: bool = False,
-    ) -> MultiWeightSet:
-        """Cluster the fault list and optimize one weight set per cluster.
-
-        Delegates to :func:`repro.wrp.build_weight_sets` with the session's
-        estimator, optimizer parameters and the cached single-set optimum as
-        the baseline, so the expensive base optimization is never repeated.
-        ``cluster_seed``/``session_seed`` default to the derived
-        ``derive_seed(root, "cluster"/"multi_weight", key)`` stage seeds.
-        Results are cached per ``(k, budget, cluster_seed, session_seed)``.
-        """
-        entry = self._entry(key)
-        self.lowered(key)
-        if cluster_seed is None:
-            cluster_seed = self.stage_seed("cluster", key)
-        if session_seed is None:
-            session_seed = self.stage_seed("multi_weight", key)
-        cache_key = (int(k), budget, int(cluster_seed), int(session_seed))
-        cached = entry.multi_weight_cache.get(cache_key)
-        if cached is not None and not force:
-            return cached
-        weight_sets = _build_weight_sets(
-            entry.circuit,
-            faults=entry.faults,
-            k=k,
-            estimator=self.estimator,
-            confidence=self.confidence,
-            bounds=(float(self.bounds[0]), float(self.bounds[1])),
-            alpha=self.alpha,
-            max_sweeps=self.max_sweeps,
-            quantization_step=self.quantization_step,
-            cluster_seed=cluster_seed,
-            session_seed=session_seed,
-            budget=budget,
-            base_result=self.optimize(key),
-        )
-        entry.multi_weight_cache[cache_key] = weight_sets
-        return weight_sets
-
-    def multi_weight_self_test(
-        self,
-        key: str,
-        k: int = 4,
-        weight_sets: Optional[MultiWeightSet] = None,
-        budget: Optional[int] = None,
-        scan_chains: Optional[int] = None,
-        target_coverage: Optional[float] = None,
-        misr_width: Optional[int] = None,
-        misr_taps: Optional[Sequence[int]] = None,
-        cluster_seed: Optional[int] = None,
-        session_seed: Optional[int] = None,
-    ) -> MultiWeightReport:
-        """Run the multi-weight-set BIST stage for a registered circuit.
-
-        Builds (or reuses) the :class:`~repro.wrp.MultiWeightSet` schedule,
-        plays it through the compiled multi-set session and fault-simulates
-        the scheduled stream with the session's partition size — the
-        in-process face of the spec's ``multi_weight`` stage.
-        """
-        entry = self._entry(key)
-        self.lowered(key)
-        if weight_sets is None:
-            weight_sets = self.build_weight_sets(
-                key,
-                k=k,
-                budget=budget,
-                cluster_seed=cluster_seed,
-                session_seed=session_seed,
-            )
-        return run_multi_weight_session(
-            entry.circuit,
-            weight_sets,
-            faults=entry.faults,
-            target_coverage=target_coverage,
-            scan_chains=scan_chains,
-            partition_size=self.partition_size,
-            misr_width=misr_width,
-            misr_taps=misr_taps,
-        )
 
     # ------------------------------------------------------------------ #
     # The full pipeline
@@ -987,9 +571,8 @@ class Session:
     ) -> Union[PipelineReport, List[PipelineReport]]:
         """Run analyze → optimize → quantize → fault-simulate [→ self-test].
 
-        Builds the declarative :meth:`spec` for the circuit and delegates to
-        :func:`repro.api.executor.execute_spec` with this session as the
-        (caching) execution context — the convenience-layer contract.
+        Executes :meth:`spec` with :func:`repro.api.execute_spec` against the
+        session's store, so a repeated run is one store read.
 
         Args:
             key: a single registered circuit, or ``None`` to run the pipeline
@@ -997,9 +580,6 @@ class Session:
             n_patterns: pattern budget of the fault-simulated validation.
             self_test: optional BIST stage config to append to the run.
             multi_weight: optional multi-weight-set stage config to append.
-
-        The lowered IR is compiled at most once per circuit no matter how
-        many stages or repeated runs consume it.
         """
         if key is None:
             return [
@@ -1011,16 +591,10 @@ class Session:
                 )
                 for k in self.keys()
             ]
-        from ..api.executor import execute_spec
-
-        # strict=False: a custom estimator object (a session-only runtime
-        # override) cannot be named in the spec, but the in-process executor
-        # path uses the session's estimator regardless.
         spec = self.spec(
-            key,
-            n_patterns=n_patterns,
-            self_test=self_test,
-            multi_weight=multi_weight,
-            strict=False,
+            key, n_patterns=n_patterns, self_test=self_test, multi_weight=multi_weight
         )
-        return execute_spec(spec, session=self, store=self.store)
+        before = compile_count()
+        report = execute_spec(spec, store=self.store)
+        self._entry(key).lowerings += compile_count() - before
+        return report

@@ -20,7 +20,8 @@ progress; watchers long-poll (:meth:`JobService.wait_for`) or stream change
 events (:meth:`Job.wait_change`).  The pool is a thread pool by default
 (any store works); ``use_processes=True`` fans out over a process pool
 instead, which needs a store that can cross the process boundary (a disk
-store).  :meth:`JobService.shutdown` drains gracefully: no new submissions,
+store); its jobs publish their stages when the worker returns, not live.
+:meth:`JobService.shutdown` drains gracefully: no new submissions,
 a grace period for running jobs, then cancellation.
 """
 
@@ -285,6 +286,9 @@ class JobService:
                     self._executor(),
                     partial(_run_job, 0, spec.to_dict(), self._store_ref),
                 )
+                # Stages ran in another process: replay their names now.
+                for name in payload["stages"]:
+                    self._record_stage(job, name)
                 job.artifact = payload["report"]
                 job.cached = bool(payload["store_hit"])
             else:

@@ -14,9 +14,10 @@ and compiled pattern kernels:
   budgets and streamed early stop on a coverage target.
 
 Wired into the job-spec API as the ``multi_weight`` stage
-(:class:`repro.api.spec.MultiWeightConfig`), into ``Session`` as
-:meth:`repro.pipeline.session.Session.multi_weight_self_test`, and exposed by
-the CLI via ``--multi-weight`` / ``--scan-chains``.
+(:class:`repro.api.spec.MultiWeightConfig`), which the executor runs as
+:func:`build_weight_sets` around the optimize-stage artifact followed by
+:func:`run_multi_weight_session`, and exposed by the CLI via
+``--multi-weight`` / ``--scan-chains``.
 """
 
 from .clustering import cluster_faults, detection_profiles

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    AnalysisConfig,
     FaultSimConfig,
     OptimizeConfig,
     PipelineSpec,
+    QuantizeConfig,
     SelfTestConfig,
     derive_seed,
     execute_spec,
@@ -87,6 +89,105 @@ class TestExecuteSpec:
         via_session = session.run(key, n_patterns=192)
         via_spec = execute_spec(session.spec(key, n_patterns=192))
         assert via_session.canonical_dict() == via_spec.canonical_dict()
+
+    def test_stage_rows_are_the_library_calls(self):
+        """Each stage of a run equals the direct library call the spec's
+        configs and derived seeds describe."""
+        from repro.analysis import CopDetectionEstimator, remove_redundant
+        from repro.core import optimize_input_probabilities, required_test_length
+        from repro.faults import collapsed_fault_list
+        from repro.faultsim import random_pattern_coverage
+        from repro.patterns import SelfTestSession
+
+        circuit = alu_circuit(width=2)
+        spec = PipelineSpec(
+            circuit=circuit,
+            optimize=OptimizeConfig(max_sweeps=2),
+            fault_sim=FaultSimConfig(n_patterns=256),
+            self_test=SelfTestConfig(n_patterns=128),
+        )
+        report = execute_spec(spec)
+        faults = remove_redundant(circuit, collapsed_fault_list(circuit))
+        assert report.n_faults == len(faults)
+        probs = CopDetectionEstimator().detection_probabilities(
+            circuit, faults, [0.5] * circuit.n_inputs
+        )
+        assert report.conventional_length == required_test_length(probs).test_length
+        direct = optimize_input_probabilities(circuit, faults=faults, max_sweeps=2)
+        assert report.optimization.history == direct.history
+        np.testing.assert_array_equal(report.optimization.weights, direct.weights)
+        np.testing.assert_array_equal(report.quantized_weights, direct.quantized_weights)
+        seed = spec.stage_seed("fault_sim")
+        for experiment, weights in (
+            (report.conventional_experiment, None),
+            (report.optimized_experiment, direct.quantized_weights),
+        ):
+            expected = random_pattern_coverage(
+                circuit, 256, weights=weights, faults=faults, seed=seed
+            )
+            assert experiment.result.first_detection == expected.result.first_detection
+        assert report.self_test == SelfTestSession(
+            circuit,
+            128,
+            weights=direct.quantized_weights,
+            use_lfsr=True,
+            seed=spec.stage_seed("self_test"),
+        ).run()
+
+    def test_scalar_and_batched_estimators_agree(self):
+        def run(estimator):
+            return execute_spec(
+                PipelineSpec(
+                    circuit="c432",
+                    analysis=AnalysisConfig(estimator=estimator),
+                    optimize=OptimizeConfig(max_sweeps=1),
+                    fault_sim=None,
+                )
+            )
+
+        scalar, batched = run("scalar"), run("batched")
+        assert scalar.conventional_length == batched.conventional_length
+        assert scalar.optimized_length == batched.optimized_length
+        np.testing.assert_array_equal(scalar.weights, batched.weights)
+
+    def test_lfsr_resolution_quantizes_onto_the_lfsr_grid(self):
+        from repro.core import quantize_to_lfsr_grid
+
+        report = execute_spec(
+            PipelineSpec(
+                circuit=alu_circuit(width=2),
+                optimize=OptimizeConfig(max_sweeps=2),
+                quantize=QuantizeConfig(lfsr_resolution=5),
+                fault_sim=None,
+            )
+        )
+        np.testing.assert_array_equal(
+            report.quantized_weights,
+            quantize_to_lfsr_grid(report.optimization.weights, resolution=5),
+        )
+
+    def test_drop_redundant_selects_the_fault_list(self):
+        from repro.analysis import remove_redundant
+        from repro.circuits import s2_divider
+        from repro.faults import collapsed_fault_list
+
+        circuit = s2_divider(width=3)
+
+        def n_faults(drop_redundant):
+            return execute_spec(
+                PipelineSpec(
+                    circuit=circuit,
+                    analysis=AnalysisConfig(drop_redundant=drop_redundant),
+                    optimize=None,
+                    quantize=None,
+                    fault_sim=None,
+                )
+            ).n_faults
+
+        collapsed = collapsed_fault_list(circuit)
+        assert n_faults(False) == len(collapsed)
+        assert n_faults(True) == len(remove_redundant(circuit, collapsed))
+        assert n_faults(True) < n_faults(False)
 
     def test_self_test_stage_weighted_lfsr(self):
         spec = PipelineSpec(
@@ -202,16 +303,6 @@ class TestSeedPlumbing:
         ]
         seeds = [spec.stage_seed("fault_sim") for spec in specs]
         assert len(set(seeds)) == len(seeds)
-
-    def test_session_uses_derived_seed_by_default(self):
-        session = Session(max_sweeps=2, seed=1987)
-        key = session.add(alu_circuit(width=2))
-        derived = session.stage_seed("fault_sim", key)
-        default_run = session.fault_simulate(key, 128)
-        explicit_run = session.fault_simulate(key, 128, seed=derived)
-        assert default_run is explicit_run  # same cache entry: same seed
-        other = session.fault_simulate(key, 128, seed=derived + 1)
-        assert other is not default_run
 
     def test_root_seed_changes_all_stage_streams(self):
         a = execute_spec(

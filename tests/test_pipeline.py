@@ -1,25 +1,29 @@
 """Tests for the pipeline façade (:class:`repro.pipeline.Session`).
 
-The two central claims: the session produces the same numbers as driving the
-subsystems directly, and the lowered-circuit IR is compiled exactly once per
-circuit across all pipeline stages (analyze → optimize → quantize →
-fault-simulate), including repeated runs and isomorphic circuit rebuilds.
+A session registers circuits, translates its kwargs into a spec and runs
+that spec through :func:`repro.api.execute_spec` against its store.  The
+central claims: every session state is a spec (so the store it writes is
+exactly what the spec computes), and the lowered-circuit IR is compiled
+exactly once per circuit across all pipeline stages, including repeated
+runs and isomorphic circuit rebuilds.
 """
 
-import numpy as np
 import pytest
 
-from repro import PipelineReport, Session
-from repro.analysis import (
-    BatchedCopEstimator,
-    CopDetectionEstimator,
-    remove_redundant,
-)
+from repro import PipelineReport, SelfTestSession, Session
+from repro.analysis import remove_redundant
+from repro.api import PipelineSpec, build_plan, execute_spec, executor_stats
+from repro.api.spec import MultiWeightConfig, SelfTestConfig
 from repro.circuits import alu_circuit, s1_comparator
-from repro.core import optimize_input_probabilities
 from repro.faults import collapsed_fault_list
-from repro.faultsim import random_pattern_coverage
 from repro.lowered import compile_count
+
+
+def _canonical(store, key):
+    """A stored artifact without its volatile fields (timings, counts)."""
+    from repro.api import scrub_volatile
+
+    return scrub_volatile(store.get(key))
 
 
 def _small_session(**kwargs):
@@ -60,16 +64,6 @@ class TestRegistration:
         with pytest.raises(ValueError, match="structurally different"):
             session.add(alu_circuit(width=2), key="c")
 
-    def test_re_adding_with_different_fault_list_rejected(self):
-        session = _small_session()
-        circuit = s1_comparator(width=4)
-        session.add(circuit, key="c")
-        subset = session.faults("c")[:3]
-        with pytest.raises(ValueError, match="different fault list"):
-            session.add(s1_comparator(width=4), key="c", faults=subset)
-        # An identical explicit list stays a no-op.
-        assert session.add(circuit, key="c", faults=session.faults("c")) == "c"
-
     def test_unknown_key_rejected(self):
         session = _small_session()
         with pytest.raises(KeyError):
@@ -82,32 +76,22 @@ class TestRegistration:
         expected = remove_redundant(circuit, collapsed_fault_list(circuit))
         assert session.faults(key) == expected
 
-    def test_explicit_fault_list_used_as_is(self):
-        circuit = s1_comparator(width=4)
-        faults = collapsed_fault_list(circuit)[:5]
-        session = _small_session()
-        key = session.add(circuit, faults=faults)
-        assert session.faults(key) == faults
-
-
 class TestCompileReuse:
     def test_one_lowering_across_all_stages(self):
-        circuit = alu_circuit(width=2)
         session = _small_session()
-        key = session.add(circuit)
+        key = session.add(alu_circuit(width=2))
         before = compile_count()
-        session.detection_probabilities(key)          # analyze
-        # First stage lowers (or hits the content cache if an isomorphic
-        # instance was compiled earlier in the test run) ...
+        report = session.run(
+            key,
+            n_patterns=128,
+            self_test=SelfTestConfig(n_patterns=64, inject_hardest=True),
+            multi_weight=MultiWeightConfig(k=2),
+        )
+        # Every stage consumed one lowering (none when the content-addressed
+        # cache already held the structure from an earlier isomorphic build).
         delta = compile_count() - before
         assert delta <= 1
-        session.required_length(key)                  # analyze (cached)
-        session.optimize(key)                         # optimize
-        session.quantized_weights(key)                # quantize
-        session.fault_simulate(key, 128)              # validate
-        session.fault_simulate(key, 128, weights=session.quantized_weights(key))
-        # ... and every later stage reuses it: no further lowering.
-        assert compile_count() == before + delta
+        assert report.lowerings == delta
         assert session.lowerings(key) == delta
         assert session.total_lowerings == delta
 
@@ -140,128 +124,7 @@ class TestCompileReuse:
         assert second.lowerings("alu") == 0  # cache hit, not a compile
 
 
-class TestStageEquivalence:
-    def test_analysis_matches_direct_estimators(self):
-        circuit = s1_comparator(width=4)
-        session = _small_session()
-        key = session.add(circuit)
-        faults = session.faults(key)
-        probs = session.detection_probabilities(key)
-        scalar = CopDetectionEstimator().detection_probabilities(
-            circuit, faults, [0.5] * circuit.n_inputs
-        )
-        np.testing.assert_array_equal(probs, scalar)
-        assert session.detection_probabilities(key) is probs  # baseline cached
-
-    def test_optimize_matches_direct_call(self):
-        circuit = alu_circuit(width=2)
-        faults = remove_redundant(circuit, collapsed_fault_list(circuit))
-        session = _small_session()
-        key = session.add(circuit)
-        via_session = session.optimize(key)
-        direct = optimize_input_probabilities(
-            circuit, faults=faults, confidence=0.999, max_sweeps=2
-        )
-        assert via_session.history == direct.history
-        np.testing.assert_array_equal(via_session.weights, direct.weights)
-
-    def test_fault_simulate_matches_direct_call(self):
-        circuit = s1_comparator(width=4)
-        session = _small_session()
-        key = session.add(circuit)
-        via_session = session.fault_simulate(key, 256, seed=11)
-        direct = random_pattern_coverage(
-            circuit, 256, faults=session.faults(key), seed=11
-        )
-        assert via_session.result.first_detection == direct.result.first_detection
-        # Identical workloads are served from the coverage cache.
-        assert session.fault_simulate(key, 256, seed=11) is via_session
-
-    def test_quantized_weights_with_custom_step(self):
-        session = _small_session()
-        key = session.add(alu_circuit(width=2))
-        default_grid = session.quantized_weights(key)
-        np.testing.assert_array_equal(
-            default_grid, session.optimize(key).quantized_weights
-        )
-        coarse = session.quantized_weights(key, step=0.25)
-        low, high = session.bounds
-        on_grid = np.isclose(coarse, np.round(coarse / 0.25) * 0.25)
-        at_bound = np.isclose(coarse, low) | np.isclose(coarse, high)
-        assert np.all(on_grid | at_bound)
-        assert np.all((coarse >= low) & (coarse <= high))
-
-    def test_optimize_result_is_cached(self):
-        session = _small_session()
-        key = session.add(alu_circuit(width=2))
-        first = session.optimize(key)
-        assert session.optimize(key) is first
-
-    def test_batched_and_scalar_estimator_sessions_agree(self):
-        batched = _small_session(estimator=BatchedCopEstimator())
-        scalar = _small_session(estimator=CopDetectionEstimator())
-        circuit = alu_circuit(width=2)
-        kb = batched.add(circuit, key="c")
-        ks = scalar.add(alu_circuit(width=2), key="c")
-        np.testing.assert_array_equal(
-            batched.detection_probabilities(kb), scalar.detection_probabilities(ks)
-        )
-        assert batched.required_length(kb) == scalar.required_length(ks)
-
-
 class TestSelfTestStage:
-    def test_matches_direct_session(self):
-        from repro import SelfTestSession
-
-        circuit = s1_comparator(width=4)
-        session = _small_session()
-        key = session.add(circuit)
-        fault = session.faults(key)[0]
-        via_pipeline = session.self_test(key, 128, seed=7, fault=fault)
-        direct = SelfTestSession(circuit, 128, seed=7).run(fault)
-        assert via_pipeline == direct
-        assert session.self_test(key, 128, seed=7).passed
-
-    def test_session_cached_across_faults(self):
-        session = _small_session()
-        key = session.add(s1_comparator(width=4))
-        bist = session.self_test_session(key, 64, seed=3)
-        assert session.self_test_session(key, 64, seed=3) is bist
-        # Different parameters get a fresh session.
-        assert session.self_test_session(key, 64, seed=4) is not bist
-        assert session.self_test_session(key, 64, seed=3, use_lfsr=True) is not bist
-
-    def test_session_cache_is_lru_bounded(self):
-        from repro.pipeline.session import _SELFTEST_CACHE_LIMIT
-
-        session = _small_session()
-        key = session.add(s1_comparator(width=4))
-        first = session.self_test_session(key, 32, seed=0)
-        for seed in range(1, _SELFTEST_CACHE_LIMIT + 1):
-            session.self_test_session(key, 32, seed=seed)
-        cache = session._entry(key).selftest_cache
-        assert len(cache) == _SELFTEST_CACHE_LIMIT
-        # The oldest entry (seed=0) was evicted; a repeat builds a new one.
-        assert session.self_test_session(key, 32, seed=0) is not first
-        # A cache hit refreshes recency instead of duplicating the entry.
-        hit = session.self_test_session(key, 32, seed=5)
-        assert session.self_test_session(key, 32, seed=5) is hit
-        assert len(session._entry(key).selftest_cache) == _SELFTEST_CACHE_LIMIT
-
-    def test_self_test_stage_reuses_the_lowering(self):
-        from repro.lowered import compile_count
-
-        circuit = alu_circuit(width=2)
-        session = _small_session()
-        key = session.add(circuit)
-        session.detection_probabilities(key)
-        before = compile_count()
-        fault = session.faults(key)[0]
-        session.self_test(key, 64)
-        session.self_test(key, 64, fault=fault)
-        session.self_test(key, 64, use_lfsr=True, weights=[0.75] * circuit.n_inputs)
-        assert compile_count() == before
-
     def test_misr_taps_escape_hatch_for_wide_circuits(self):
         """A circuit with more outputs than the largest tabulated MISR width
         must be testable through the pipeline stage by passing an explicit
@@ -273,41 +136,36 @@ class TestSelfTestStage:
         for k in range(65):
             builder.output(builder.not_(a, name=f"n{k}"), f"o{k}")
         circuit = builder.build()
-        session = _small_session()
-        key = session.add(circuit, faults=[])
+
+        def spec(**misr):
+            return PipelineSpec(
+                circuit=circuit,
+                optimize=None,
+                quantize=None,
+                fault_sim=None,
+                self_test=SelfTestConfig(n_patterns=8, weighted=False, **misr),
+            )
+
         with pytest.raises(ValueError, match="misr_width"):
-            session.self_test(key, 8)
-        report = session.self_test(key, 8, misr_width=65, misr_taps=(65, 47))
-        assert report.passed
+            execute_spec(spec())
+        report = execute_spec(spec(misr_width=65, misr_taps=(65, 47)))
+        assert report.self_test.passed
 
     def test_weighted_self_test_detects_fault_missed_by_plain(self):
-        """Section 5.2 end to end through the pipeline: the quantized
-        optimized weights expose a random-pattern-resistant fault that the
-        equiprobable session of the same length misses."""
+        """Section 5.2 end to end: weights biased toward A == B expose a
+        random-pattern-resistant fault that the equiprobable session of the
+        same length misses."""
         from repro import Fault
 
         circuit = s1_comparator(width=12)
-        session = _small_session(drop_redundant=False)
-        key = session.add(circuit)
-        eq_net = circuit.net_index("a_eq_b")
-        fault = Fault(eq_net, False)  # needs A == B to be excited
+        fault = Fault(circuit.net_index("a_eq_b"), False)  # needs A == B
         n_patterns = 200
-        plain = session.self_test(key, n_patterns, seed=3, fault=fault)
-        weighted = session.self_test(
-            key, n_patterns, weights=[0.9] * circuit.n_inputs, seed=3, fault=fault
-        )
+        plain = SelfTestSession(circuit, n_patterns, seed=3).run(fault)
+        weighted = SelfTestSession(
+            circuit, n_patterns, weights=[0.9] * circuit.n_inputs, seed=3
+        ).run(fault)
         assert plain.passed  # fault missed: signature equals golden
         assert not weighted.passed  # fault detected
-
-    def test_fault_simulate_target_coverage_cached_separately(self):
-        session = _small_session()
-        key = session.add(s1_comparator(width=4))
-        full = session.fault_simulate(key, 512, seed=11)
-        early = session.fault_simulate(key, 512, seed=11, target_coverage=0.5)
-        assert early is not full
-        assert early.fault_coverage >= 0.5
-        assert early.n_patterns <= full.n_patterns
-        assert session.fault_simulate(key, 512, seed=11, target_coverage=0.5) is early
 
 
 class TestSpecDelegation:
@@ -340,27 +198,19 @@ class TestSpecDelegation:
             session.circuit("c432").structural_hash()
         )
 
-    def test_unrepresentable_estimator_rejected_in_spec(self):
+    def test_estimator_objects_rejected(self):
+        """A session names its estimator the way a spec does; an object a
+        spec cannot name is refused up front instead of executing outside
+        every spec."""
         from repro.analysis import MonteCarloDetectionEstimator
 
-        session = _small_session(estimator=MonteCarloDetectionEstimator(n_samples=8))
+        with pytest.raises(ValueError, match="estimator"):
+            Session(estimator=MonteCarloDetectionEstimator(n_samples=8))
+        with pytest.raises(ValueError, match="estimator"):
+            Session(estimator="montecarlo")
+        session = _small_session(estimator="scalar")
         session.add(alu_circuit(width=2), key="c")
-        with pytest.raises(ValueError, match="spec name"):
-            session.spec("c")
-
-    def test_run_still_works_with_custom_estimator(self):
-        """A session-only estimator override cannot be named in a spec, but
-        run() (the in-process path) must keep using it."""
-        from repro.analysis import MonteCarloDetectionEstimator
-
-        session = _small_session(
-            estimator=MonteCarloDetectionEstimator(n_samples=64, fixed_seed=True)
-        )
-        key = session.add(alu_circuit(width=2))
-        report = session.run(key, n_patterns=64)
-        assert report.optimization is session.optimize(key)
-        # The lenient spec names the nearest declarative estimator.
-        assert session.spec(key, strict=False).analysis.estimator == "batched"
+        assert session.spec("c").analysis.estimator == "scalar"
 
     def test_derived_stage_seeds_are_per_stage_and_per_circuit(self):
         from repro.api import derive_seed
@@ -368,18 +218,51 @@ class TestSpecDelegation:
         session = _small_session(seed=1987)
         k1 = session.add(alu_circuit(width=2), key="one")
         k2 = session.add(s1_comparator(width=4), key="two")
-        assert session.stage_seed("fault_sim", k1) == derive_seed(1987, "fault_sim", k1)
-        assert session.stage_seed("fault_sim", k1) != session.stage_seed("fault_sim", k2)
-        assert session.stage_seed("fault_sim", k1) != session.stage_seed("self_test", k1)
+        one, two = session.spec(k1), session.spec(k2)
+        assert one.stage_seed("fault_sim") == derive_seed(1987, "fault_sim", k1)
+        assert one.stage_seed("fault_sim") != two.stage_seed("fault_sim")
+        assert one.stage_seed("fault_sim") != one.stage_seed("self_test")
 
-    def test_self_test_default_seed_is_derived(self):
+    def test_run_is_execute_spec_on_the_session_store(self):
         session = _small_session()
-        key = session.add(s1_comparator(width=4))
-        default = session.self_test_session(key, 64)
-        explicit = session.self_test_session(
-            key, 64, seed=session.stage_seed("self_test", key)
+        key = session.add(alu_circuit(width=2))
+        report = session.run(key, n_patterns=128)
+        spec = session.spec(key, n_patterns=128)
+        assert report.canonical_dict() == execute_spec(spec).canonical_dict()
+        stored = session.store.load(build_plan(spec).report_key)
+        assert stored.canonical_dict() == report.canonical_dict()
+        # A repeated run is a store read: no stage executes.
+        before = executor_stats()
+        again = session.run(key, n_patterns=128)
+        assert executor_stats() == before
+        assert again.canonical_dict() == report.canonical_dict()
+
+    def test_session_store_holds_only_what_the_spec_computes(self, tmp_path):
+        """Every artifact a session writes is the one a fresh execution of
+        its spec writes, under the same keys — also after the session's
+        configuration changes between runs — so session state a spec does
+        not describe cannot poison the store."""
+        from repro.circuits import build_circuit
+        from repro.store import DiskStore, MemoryStore
+
+        session = Session(max_sweeps=2, store=DiskStore(tmp_path / "store"))
+        key = session.add(build_circuit("c432"), key="c432")
+        stages = dict(
+            n_patterns=256,
+            self_test=SelfTestConfig(n_patterns=256, inject_hardest=True),
+            multi_weight=MultiWeightConfig(k=2),
         )
-        assert default is explicit  # same cache entry: same derived seed
+        fresh = MemoryStore()
+        for max_sweeps in (2, 3):
+            session.max_sweeps = max_sweeps
+            session.run(key, **stages)
+            execute_spec(session.spec(key, **stages), store=fresh)
+
+        assert sorted(session.store.keys()) == sorted(fresh.keys())
+        for stored_key in fresh.keys():
+            assert _canonical(session.store, stored_key) == _canonical(
+                fresh, stored_key
+            ), stored_key
 
     def test_run_report_round_trips_through_json(self):
         import json
@@ -406,6 +289,6 @@ class TestPipelineReport:
         assert report.optimized_coverage >= report.conventional_coverage
         assert report.quantized_weights.shape == (session.circuit(key).n_inputs,)
         assert report.lowerings <= 1
-        assert report.optimization is session.optimize(key)
+        assert report.optimized_length == report.optimization.test_length
         summary = report.summary()
         assert session.circuit(key).name in summary

@@ -18,7 +18,7 @@ from repro.api.spec import FaultSimConfig, OptimizeConfig
 from repro.pipeline import PipelineReport
 import repro.service.http as http_module
 from repro.service import JobServer, JobService, ServiceClosed
-from repro.store import MemoryStore, StoreError
+from repro.store import DiskStore, MemoryStore, StoreError
 
 
 def small_spec(seed: int = 1987) -> PipelineSpec:
@@ -31,9 +31,16 @@ def small_spec(seed: int = 1987) -> PipelineSpec:
 
 
 class TestJobService:
-    def test_cold_then_hit(self):
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_cold_then_hit(self, use_processes, tmp_path):
         async def scenario():
-            service = JobService()
+            # A MemoryStore cannot cross processes; the pool needs a disk store.
+            store = DiskStore(tmp_path / "store") if use_processes else None
+            service = JobService(
+                store=store,
+                parallelism=2 if use_processes else 1,
+                use_processes=use_processes,
+            )
             spec_dict = small_spec().to_dict()
             job, disposition = service.submit(spec_dict)
             assert disposition == "queued"
@@ -41,7 +48,8 @@ class TestJobService:
             await job.wait_done()
             assert job.status == "done"
             assert not job.cached
-            assert job.stages_run > 0
+            assert job.stages_run == 5
+            assert job.stage == "fault_sim"
             assert job.artifact["kind"] == "pipeline_report"
 
             # Same hash again: a store hit, zero stages, identical artifact.

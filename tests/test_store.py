@@ -377,6 +377,37 @@ class TestExecutorStoreIntegration:
         assert store.stats()["corrupt"] > 0
 
 
+class TestStageReuse:
+    def test_stored_optimize_artifact_feeds_the_weight_sets(self, monkeypatch):
+        """An optimize hit is the single-set base of the multi-weight
+        stage: the seed-2 run optimizes only the k clusters, not the base
+        again."""
+        from repro.api.spec import MultiWeightConfig
+        from repro.core import WeightOptimizer
+
+        def spec(seed):
+            return PipelineSpec(
+                circuit="c880",
+                seed=seed,
+                optimize=OptimizeConfig(max_sweeps=2),
+                fault_sim=FaultSimConfig(n_patterns=256),
+                multi_weight=MultiWeightConfig(k=2),
+            )
+
+        store = MemoryStore()
+        execute_spec(spec(1), store=store)
+        calls = []
+        optimize = WeightOptimizer.optimize
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(self.faults))
+            return optimize(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeightOptimizer, "optimize", counting)
+        report = execute_spec(spec(2), store=store)
+        assert len(calls) == report.multi_weight.weight_sets.k == 2
+
+
 class TestSessionStore:
     def test_session_run_uses_store(self, tmp_path):
         from repro.circuits import build_circuit
@@ -389,7 +420,7 @@ class TestSessionStore:
         report = session.run("s1", n_patterns=64)
         stored = session.store.load(
             "pipeline_report/"
-            + session.spec("s1", n_patterns=64, strict=False).spec_hash()
+            + session.spec("s1", n_patterns=64).spec_hash()
         )
         assert stored is not None
         assert stored.canonical_dict() == report.canonical_dict()

@@ -17,6 +17,7 @@ from .helpers import C17_BENCH
 from repro.api import (
     AnalysisConfig,
     MultiWeightConfig,
+    OptimizeConfig,
     PipelineSpec,
     build_plan,
     load_artifact,
@@ -25,7 +26,7 @@ from repro.circuit.bench import parse_bench
 from repro.faults import collapsed_fault_list
 from repro.patterns import LfsrWeightedPatternGenerator
 from repro.patterns.bilbo import SelfTestSession
-from repro.pipeline import Session
+from repro.core import WeightOptimizer
 from repro.wrp import (
     MultiSetSelfTestSession,
     MultiWeightSet,
@@ -51,9 +52,7 @@ def c17_faults(c17):
 @pytest.fixture(scope="module")
 def c17_base(c17, c17_faults):
     """The single-set optimum the clusters are taken around."""
-    session = Session(seed=1987)
-    session.add(c17, key="c17", faults=list(c17_faults))
-    return session.optimize("c17")
+    return WeightOptimizer(c17, faults=c17_faults).optimize()
 
 
 @pytest.fixture(scope="module")
@@ -282,12 +281,29 @@ class TestArtifacts:
         assert bare.stage("multi_weight") is None
         assert "multi_weight" not in PipelineSpec(circuit="c432").to_dict()
 
-    def test_analysis_partition_size_reaches_session(self):
+    def test_analysis_partition_size_reaches_multi_weight_coverage(self, c17):
+        """A spec without a fault-sim stage still sizes the partitions of
+        its multi-weight coverage run, through its analysis config."""
+        from repro.api import execute_spec
+
+        def run(partition_size):
+            return execute_spec(
+                PipelineSpec(
+                    circuit=c17,
+                    analysis=AnalysisConfig(partition_size=partition_size),
+                    optimize=OptimizeConfig(max_sweeps=2),
+                    fault_sim=None,
+                    multi_weight=MultiWeightConfig(k=2),
+                )
+            ).multi_weight.coverage.result
+
+        partitioned, whole = run(4), run(None)
+        assert partitioned.stats.partition_size == 4
+        assert whole.stats.partition_size is None
+        assert partitioned.first_detection == whole.first_detection
         spec = PipelineSpec(
             circuit="c432",
             analysis=AnalysisConfig(partition_size=64),
             fault_sim=None,
         )
-        session = Session.from_spec(spec)
-        assert session.partition_size == 64
         assert PipelineSpec.from_dict(spec.to_dict()) == spec
