@@ -393,6 +393,9 @@ def _stage_table(
                     target_coverage=multi_weight.target_coverage,
                     scan_chains=multi_weight.scan_chains,
                     partition_size=partition_size,
+                    # The spec's one signature register.
+                    misr_width=None if self_test is None else self_test.misr_width,
+                    misr_taps=None if self_test is None else self_test.misr_taps,
                 ),
             )
         )

@@ -246,7 +246,8 @@ def build_plan(spec: PipelineSpec) -> ExecutionPlan:
         # quantize configs), the multi-weight config and the two derived
         # seeds (clustering, per-set LFSR reseeds).  The report additionally
         # reflects the session's coverage run, whose knobs all live in the
-        # same config — so both keys share one dependency dict.
+        # same config — so both keys share one dependency dict.  The spec's
+        # one signature register joins them only when it is overridden.
         session_seed = spec.stage_seed("multi_weight")
         multi_deps = {
             "stage": "multi_weight",
@@ -257,6 +258,15 @@ def build_plan(spec: PipelineSpec) -> ExecutionPlan:
             "cluster_seed": spec.stage_seed("cluster"),
             "session_seed": session_seed,
         }
+        self_test = spec.self_test
+        if self_test is not None and (
+            self_test.misr_width is not None or self_test.misr_taps is not None
+        ):
+            taps = self_test.misr_taps
+            multi_deps["misr"] = {
+                "width": self_test.misr_width,
+                "taps": None if taps is None else list(taps),
+            }
         stages.append(
             StagePlan(
                 name="multi_weight",

@@ -380,10 +380,11 @@ class MultiWeightConfig(_ConfigBase):
     """Optional stage 6 — multi-weight-set BIST (:mod:`repro.wrp`).
 
     Clusters the fault list by detection-profile similarity around the
-    single-set optimum, optimizes one weight set per cluster, and runs a
-    :class:`~repro.wrp.MultiSetSelfTestSession` that plays the sets in
-    sequence through reseeded multi-polynomial LFSRs.  Requires the quantize
-    stage (the sets specialize the quantized single-set optimum).
+    single-set optimum, optimizes one weight set per cluster, and plays the
+    sets in sequence through reseeded multi-polynomial LFSRs
+    (:func:`repro.wrp.run_multi_weight_session`), into the spec's one MISR:
+    ``self_test.misr_width`` / ``misr_taps`` apply here too.  Requires the
+    quantize stage (the sets specialize the quantized single-set optimum).
 
     Attributes:
         k: requested number of weight sets (fault clusters); ``1`` degenerates

@@ -5,7 +5,7 @@ The scalar classes (:class:`LFSR`, :class:`MISR`,
 implementations; the vectorized block substrate in
 :mod:`repro.patterns.compiled` (:class:`CompiledLFSR`, :class:`CompiledMISR`,
 :class:`CompiledLfsrWeightedPatternGenerator`) is bit-identical to them and
-is what :class:`SelfTestSession` runs on.
+is what :class:`SelfTestSession`, the one self-test engine, runs on.
 """
 
 from .lfsr import LFSR, PRIMITIVE_TAPS, max_sequence_length
@@ -16,7 +16,7 @@ from .compiled import (
     CompiledMISR,
     pack_response_words,
 )
-from .bilbo import SelfTestReport, SelfTestSession, self_test_detects_fault
+from .bilbo import SelfTestReport, SelfTestSession
 from .weighted import (
     LfsrWeightedPatternGenerator,
     WeightedPatternGenerator,
@@ -38,7 +38,6 @@ __all__ = [
     "pack_response_words",
     "SelfTestReport",
     "SelfTestSession",
-    "self_test_detects_fault",
     "WeightedPatternGenerator",
     "LfsrWeightedPatternGenerator",
     "equiprobable_weights",

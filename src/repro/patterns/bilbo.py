@@ -6,42 +6,40 @@ presented in [Wu86] and [Wu87]."  A BILBO (built-in logic block observer) is a
 register that can act as a pattern generator (LFSR / weighted generator) on the
 circuit inputs and as a signature analyser (MISR) on the circuit outputs.
 
-:class:`SelfTestSession` models a complete self-test run: generate ``N``
-(optionally weighted) random patterns, apply them to the circuit, compact the
-responses into a signature and compare against the fault-free golden
-signature.  The session runs on the compiled substrate: patterns come from
-the block LFSR / weighting network
-(:class:`repro.patterns.compiled.CompiledLfsrWeightedPatternGenerator`) when
-``use_lfsr=True`` (hardware-realistic) or from the software PRNG generator
-otherwise, responses from the shared word-domain engine
-(:mod:`repro.simulation.compiled`) — including *faulty* responses, which are
-produced by one fault-parallel injection pass instead of a per-pattern
-interpreted loop — and signatures from the vectorized
-:class:`repro.patterns.compiled.CompiledMISR`.  The pattern matrix, the
+:class:`SelfTestSession` is the one self-test engine.  It plays an ordered
+list of pattern sources back to back — the constructor builds the paper's
+single source (the block LFSR weighting network with ``use_lfsr=True``, else
+the software PRNG), :meth:`SelfTestSession.from_sources` a ``k``-set schedule
+— and compacts every response into one signature, compared against the
+fault-free golden signature.  Responses, faulty ones included, come from the
+shared word-domain engine (:mod:`repro.simulation.compiled`), signatures from
+the vectorized :class:`repro.patterns.compiled.CompiledMISR` (the scalar
+:class:`repro.patterns.misr.MISR` above 64 bits).  The pattern matrix, the
 fault-free net values and the golden signature are computed once per session
-and reused by every :meth:`SelfTestSession.run` call.
-
-:func:`self_test_detects_fault` re-runs the session with a fault injected,
-which is how the BIST examples demonstrate end-to-end detection.
+and reused by every :meth:`~SelfTestSession.run` and by the streamed fault
+simulation of :meth:`~SelfTestSession.coverage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..faultsim.parallel import ParallelFaultSimulator
+from ..faultsim.parallel import FaultSimResult, ParallelFaultSimulator
 from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.logicsim import pack_patterns, unpack_values
 from .compiled import CompiledLfsrWeightedPatternGenerator, CompiledMISR
 from .misr import MISR, default_misr_width
 from .weighted import WeightedPatternGenerator
 
-__all__ = ["SelfTestSession", "SelfTestReport", "self_test_detects_fault"]
+__all__ = ["SelfTestSession", "SelfTestReport"]
+
+#: Rows per chunk of the streamed coverage run (``generate_stream``'s default).
+_COVERAGE_CHUNK = 4096
 
 
 @dataclass
@@ -119,19 +117,39 @@ class SelfTestSession:
         misr_taps: Optional[Sequence[int]] = None,
         seed: int = 1987,
     ):
-        self.circuit = circuit
-        self.n_patterns = n_patterns
-        self.weights = (
-            list(weights) if weights is not None else [0.5] * circuit.n_inputs
-        )
-        if len(self.weights) != circuit.n_inputs:
+        weights = list(weights) if weights is not None else [0.5] * circuit.n_inputs
+        if len(weights) != circuit.n_inputs:
             raise ValueError("one weight per primary input is required")
         if use_lfsr:
-            self._generator = CompiledLfsrWeightedPatternGenerator(
-                self.weights, seed=seed
-            )
+            generator = CompiledLfsrWeightedPatternGenerator(weights, seed=seed)
         else:
-            self._generator = WeightedPatternGenerator(self.weights, seed=seed)
+            generator = WeightedPatternGenerator(weights, seed=seed)
+        self._setup(circuit, [(generator, n_patterns)], misr_width, misr_taps)
+
+    @classmethod
+    def from_sources(
+        cls,
+        circuit: Circuit,
+        sources: Sequence[Tuple[object, int]],
+        misr_width: Optional[int] = None,
+        misr_taps: Optional[Sequence[int]] = None,
+    ) -> "SelfTestSession":
+        """A session playing ``sources`` — ``(generator, n_patterns)`` pairs —
+        in order through one signature register.
+
+        Each generator is any pattern source with ``generate(n)`` (software
+        PRNG, LFSR weighting network, STUMPS scan delivery).  The register
+        state runs on across source boundaries, so the signature is what the
+        hardware holds after the last source.
+        """
+        session = cls.__new__(cls)
+        session._setup(circuit, sources, misr_width, misr_taps)
+        return session
+
+    def _setup(self, circuit: Circuit, sources, misr_width, misr_taps) -> None:
+        self.circuit = circuit
+        self.sources: List[Tuple[object, int]] = [(g, int(n)) for g, n in sources]
+        self.n_patterns = sum(n for _, n in self.sources)
         if misr_width is None:
             misr_width = default_misr_width(circuit.n_outputs)
         self.misr_width = misr_width
@@ -149,9 +167,12 @@ class SelfTestSession:
         return MISR(self.misr_width, taps=self.misr_taps)
 
     def patterns(self) -> np.ndarray:
-        """The (cached) pattern matrix applied by this session."""
+        """The (cached) pattern matrix applied by this session: every
+        source's patterns, in play order."""
         if self._patterns is None:
-            self._patterns = self._generator.generate(self.n_patterns)
+            self._patterns = np.concatenate(
+                [generator.generate(n) for generator, n in self.sources]
+            )
         return self._patterns
 
     def _good_net_values(self) -> np.ndarray:
@@ -162,15 +183,20 @@ class SelfTestSession:
             )
         return self._good_values
 
-    def _fault_free_responses(self) -> np.ndarray:
-        """Fault-free output responses ``(n_patterns, n_outputs)``."""
+    def _responses(self, fault: Optional[Fault]) -> np.ndarray:
+        """Output responses ``(n_patterns, n_outputs)``, optionally with
+        ``fault`` injected (one compiled pass)."""
         good = self._good_net_values()
-        return unpack_values(good[self._engine.outputs], self.n_patterns)
+        if fault is None:
+            return unpack_values(good[self._engine.outputs], self.n_patterns)
+        n_words = good.shape[1]
+        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
+        return unpack_values(out_words, self.n_patterns)
 
     def golden_signature(self) -> int:
         """Signature of the fault-free circuit (computed once, then cached)."""
         if self._golden is None:
-            self._golden = self._fresh_misr().compact(self._fault_free_responses())
+            self._golden = int(self._fresh_misr().compact(self._responses(None)))
         return self._golden
 
     def run(self, fault: Optional[Fault] = None) -> SelfTestReport:
@@ -184,8 +210,7 @@ class SelfTestSession:
         if fault is None:
             signature = golden
         else:
-            responses = self._faulty_responses(fault)
-            signature = self._fresh_misr().compact(responses)
+            signature = int(self._fresh_misr().compact(self._responses(fault)))
         return SelfTestReport(
             circuit_name=self.circuit.name,
             n_patterns=self.n_patterns,
@@ -193,30 +218,37 @@ class SelfTestSession:
             golden_signature=golden,
         )
 
-    def _faulty_responses(self, fault: Fault) -> np.ndarray:
-        """Output responses with ``fault`` injected (one compiled pass)."""
-        good = self._good_net_values()
-        n_words = good.shape[1]
-        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
-        return unpack_values(out_words, self.n_patterns)
+    def coverage(
+        self,
+        faults: Optional[Sequence[Fault]] = None,
+        target_coverage: Optional[float] = None,
+        partition_size: Optional[int] = None,
+    ) -> Tuple[FaultSimResult, Tuple[int, ...]]:
+        """Fault-simulate the session's patterns with streamed early stop.
 
+        The cached patterns stream through one fault-parallel simulation in
+        chunks of at most 4096 rows that restart at every source boundary;
+        detected faults drop across boundaries, and the stream stops —
+        possibly mid-source — once ``target_coverage`` is reached.
 
-def self_test_detects_fault(
-    circuit: Circuit,
-    fault: Fault,
-    n_patterns: int,
-    weights: Optional[Sequence[float]] = None,
-    seed: int = 1987,
-) -> bool:
-    """True if an ``n_patterns`` self-test session exposes ``fault``.
+        Returns:
+            the :class:`FaultSimResult` over the played stream and the
+            patterns applied per source.
+        """
+        simulator = ParallelFaultSimulator(
+            self.circuit, faults=faults, partition_size=partition_size
+        )
+        patterns = self.patterns()
+        applied = [0] * len(self.sources)
 
-    Uses the bit-parallel fault simulator (signature aliasing ignored), which
-    is the standard approximation when evaluating BIST quality: a fault whose
-    response differs from the fault-free response in at least one pattern is
-    counted as detected.
-    """
-    generator = WeightedPatternGenerator(
-        weights if weights is not None else [0.5] * circuit.n_inputs, seed=seed
-    )
-    result = ParallelFaultSimulator(circuit, [fault]).run(generator.generate(n_patterns))
-    return fault in result.first_detection
+        def chunks():
+            end = 0
+            for index, (_, n_patterns) in enumerate(self.sources):
+                start, end = end, end + n_patterns
+                for row in range(start, end, _COVERAGE_CHUNK):
+                    chunk = patterns[row : min(row + _COVERAGE_CHUNK, end)]
+                    applied[index] += len(chunk)
+                    yield chunk
+
+        result = simulator.run_stream(chunks(), target_coverage=target_coverage)
+        return result, tuple(applied)

@@ -59,7 +59,8 @@ def default_misr_width(n_outputs: int) -> int:
         f"circuit has {n_outputs} primary outputs but the largest tabulated "
         f"MISR width is {MAX_TABULATED_WIDTH}; pass an explicit misr_width "
         "(with the taps of a primitive polynomial of that width) to compact "
-        "wider responses"
+        "wider responses — in a pipeline spec, self_test.misr_width and "
+        "self_test.misr_taps, which set the register of every stage"
     )
 
 

@@ -9,9 +9,9 @@ and compiled pattern kernels:
   JSON-round-trippable :class:`MultiWeightSet` artifact, with per-set
   (polynomial, seed, budget) reseeded multi-polynomial LFSRs;
 * :mod:`~repro.wrp.scan` — STUMPS-style scan delivery (the >64-input case);
-* :mod:`~repro.wrp.session` — :class:`MultiSetSelfTestSession` sequencing
-  the sets through the compiled LFSR/weighting/MISR kernels with per-set
-  budgets and streamed early stop on a coverage target.
+* :mod:`~repro.wrp.session` — :func:`run_multi_weight_session`, playing the
+  sets in sequence on :meth:`repro.patterns.SelfTestSession.from_sources`
+  with per-set budgets and streamed early stop on a coverage target.
 
 Wired into the job-spec API as the ``multi_weight`` stage
 (:class:`repro.api.spec.MultiWeightConfig`), which the executor runs as
@@ -33,7 +33,6 @@ from .scan import StumpsPatternGenerator
 from .session import (
     MultiSetCoverage,
     MultiSetSelfTestReport,
-    MultiSetSelfTestSession,
     MultiWeightReport,
     run_multi_weight_session,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "StumpsPatternGenerator",
     "MultiSetCoverage",
     "MultiSetSelfTestReport",
-    "MultiSetSelfTestSession",
     "MultiWeightReport",
     "run_multi_weight_session",
 ]

@@ -12,9 +12,9 @@ other artifact of the job-spec API.
 Reseeded multi-polynomial LFSRs: set ``i`` draws its patterns from a
 primitive polynomial of width ``SET_POLYNOMIAL_WIDTHS[i % 5]`` with its own
 derived seed.  Set 0 keeps the width-32 default polynomial and the session
-seed, so a ``k = 1`` multi-weight session degenerates *bit-identically* to
-the single-set :class:`repro.patterns.bilbo.SelfTestSession` — the anchor the
-equivalence tests pin.
+seed, so a ``k = 1`` schedule plays *bit-identically* to the single-set
+:class:`repro.patterns.bilbo.SelfTestSession` — the anchor the equivalence
+tests pin.
 """
 
 from __future__ import annotations

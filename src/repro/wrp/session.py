@@ -1,50 +1,36 @@
-"""Multi-weight-set self-test session: sequenced playback and scheduling.
+"""Multi-weight-set self-test playback and its report artifacts.
 
-:class:`MultiSetSelfTestSession` is the architecture-level counterpart of the
-single-set :class:`repro.patterns.bilbo.SelfTestSession`: it plays a
-:class:`~repro.wrp.multiset.MultiWeightSet`'s weight sets *in sequence*
-through the compiled LFSR/weighting/MISR kernels.  Each set owns its pattern
-budget, its LFSR polynomial and its reseed; one signature register compacts
-the responses of the whole schedule, so the final signature is exactly what
-the hardware would hold after the last set — and for ``k = 1`` with the
-default set-0 polynomial it is bit-identical to the single-set session.
-
-Two playback modes:
-
-* **parallel load** (default) — every input gets its weighted bit directly
-  from the weighting network, as in the paper's BILBO module;
-* **STUMPS scan delivery** (``scan_chains=n``) — bits are shifted serially
-  through ``n`` scan chains (:class:`repro.wrp.scan.StumpsPatternGenerator`),
-  the delivery that scales past the 64-bit register-width limit.
-
-:meth:`MultiSetSelfTestSession.coverage` is the *scheduler*: it streams every
-set's patterns through one fault-parallel simulator with fault dropping
-across set boundaries, records how many patterns each set actually applied,
-and stops early — mid-set and across sets — once a target coverage is
-reached.  The merged result is one :class:`repro.faultsim.parallel.FaultSimResult`
-over the concatenated pattern stream.
+:func:`run_multi_weight_session` plays a
+:class:`~repro.wrp.multiset.MultiWeightSet`'s weight sets *in sequence* on
+the one self-test engine,
+:meth:`repro.patterns.bilbo.SelfTestSession.from_sources`.  Each set owns its
+pattern budget, LFSR polynomial and reseed; one signature register compacts
+the whole schedule, so the signature is what the hardware holds after the
+last set — and for ``k = 1`` it is bit-identical to the single-set session.
+Sets load in parallel from the weighting network (the paper's BILBO module)
+or, with ``scan_chains=n``, shift through ``n`` STUMPS scan chains
+(:class:`repro.wrp.scan.StumpsPatternGenerator`), the delivery that scales
+past the 64-bit register-width limit.  The coverage run drops detected
+faults across set boundaries and stops early — mid-set and across sets —
+once a target coverage is reached.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..faultsim.parallel import FaultSimResult, ParallelFaultSimulator
-from ..patterns.compiled import CompiledLfsrWeightedPatternGenerator, CompiledMISR
-from ..patterns.misr import MISR, default_misr_width
-from ..simulation.compiled import CompiledCircuit, compile_circuit
-from ..simulation.logicsim import pack_patterns, unpack_values
-from .multiset import MultiWeightSet, WeightSetEntry
+from ..faultsim.parallel import FaultSimResult
+from ..patterns.bilbo import SelfTestSession
+from ..patterns.compiled import CompiledLfsrWeightedPatternGenerator
+from .multiset import MultiWeightSet
 from .scan import StumpsPatternGenerator
 
 __all__ = [
-    "MultiSetSelfTestSession",
     "MultiSetSelfTestReport",
     "MultiSetCoverage",
     "MultiWeightReport",
@@ -168,191 +154,6 @@ class MultiSetCoverage:
         )
 
 
-class MultiSetSelfTestSession:
-    """Play a multi-weight-set schedule through the compiled BIST substrate.
-
-    Args:
-        circuit: circuit under test.
-        weight_sets: a :class:`MultiWeightSet` artifact or a bare sequence of
-            :class:`WeightSetEntry`.
-        scan_chains: ``None`` for parallel load; an integer switches every
-            set's pattern source to STUMPS scan delivery through that many
-            chains.
-        misr_width / misr_taps: signature-register override, as in the
-            single-set session.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        weight_sets: Union[MultiWeightSet, Sequence[WeightSetEntry]],
-        scan_chains: Optional[int] = None,
-        misr_width: Optional[int] = None,
-        misr_taps: Optional[Sequence[int]] = None,
-    ):
-        self.circuit = circuit
-        if isinstance(weight_sets, MultiWeightSet):
-            if weight_sets.n_inputs != circuit.n_inputs:
-                raise ValueError(
-                    f"weight sets were built for {weight_sets.n_inputs} inputs, "
-                    f"circuit has {circuit.n_inputs}"
-                )
-            entries = list(weight_sets.sets)
-        else:
-            entries = list(weight_sets)
-        if not entries:
-            raise ValueError("at least one weight set is required")
-        for entry in entries:
-            if len(entry.quantized_weights) != circuit.n_inputs:
-                raise ValueError(
-                    f"weight set {entry.index} has {len(entry.quantized_weights)} "
-                    f"weights; circuit has {circuit.n_inputs} inputs"
-                )
-        if scan_chains is not None and scan_chains < 1:
-            raise ValueError(f"scan_chains must be positive, got {scan_chains!r}")
-        self.entries = entries
-        self.scan_chains = scan_chains
-        if misr_width is None:
-            misr_width = default_misr_width(circuit.n_outputs)
-        self.misr_width = misr_width
-        self.misr_taps = tuple(misr_taps) if misr_taps is not None else None
-        self._engine: CompiledCircuit = compile_circuit(circuit)
-        self._patterns: Optional[List[np.ndarray]] = None
-        self._good_values: Optional[List[np.ndarray]] = None
-        self._golden: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_sets(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_patterns(self) -> int:
-        """Total scheduled patterns across all sets."""
-        return int(sum(entry.n_patterns for entry in self.entries))
-
-    def _make_generator(self, entry: WeightSetEntry):
-        if self.scan_chains is not None:
-            return StumpsPatternGenerator(
-                entry.quantized_weights,
-                n_chains=self.scan_chains,
-                lfsr_width=entry.lfsr_width,
-                lfsr_taps=entry.lfsr_taps,
-                seed=entry.lfsr_seed,
-            )
-        return CompiledLfsrWeightedPatternGenerator(
-            entry.quantized_weights,
-            lfsr_width=entry.lfsr_width,
-            lfsr_taps=entry.lfsr_taps,
-            seed=entry.lfsr_seed,
-        )
-
-    def _fresh_misr(self) -> Union[CompiledMISR, MISR]:
-        if self.misr_width <= 64:
-            return CompiledMISR(self.misr_width, taps=self.misr_taps)
-        return MISR(self.misr_width, taps=self.misr_taps)
-
-    def patterns(self) -> List[np.ndarray]:
-        """The (cached) per-set pattern matrices of the schedule."""
-        if self._patterns is None:
-            self._patterns = [
-                self._make_generator(entry).generate(entry.n_patterns)
-                for entry in self.entries
-            ]
-        return self._patterns
-
-    def _good_net_values(self) -> List[np.ndarray]:
-        if self._good_values is None:
-            self._good_values = [
-                self._engine.simulate_words(pack_patterns(matrix))
-                for matrix in self.patterns()
-            ]
-        return self._good_values
-
-    def _responses(self, set_index: int, fault: Optional[Fault]) -> np.ndarray:
-        good = self._good_net_values()[set_index]
-        n_patterns = self.entries[set_index].n_patterns
-        if fault is None:
-            return unpack_values(good[self._engine.outputs], n_patterns)
-        n_words = good.shape[1]
-        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
-        return unpack_values(out_words, n_patterns)
-
-    def _signature(self, fault: Optional[Fault]) -> int:
-        # One register spans the whole schedule: compact continues the state
-        # across sets, so the result equals compacting the concatenation.
-        misr = self._fresh_misr()
-        signature = 0
-        for set_index in range(self.n_sets):
-            signature = misr.compact(self._responses(set_index, fault))
-        return int(signature)
-
-    def golden_signature(self) -> int:
-        """Signature of the fault-free circuit over the whole schedule."""
-        if self._golden is None:
-            self._golden = self._signature(None)
-        return self._golden
-
-    def run(self, fault: Optional[Fault] = None) -> MultiSetSelfTestReport:
-        """Execute the schedule, optionally with a fault injected."""
-        golden = self.golden_signature()
-        signature = golden if fault is None else self._signature(fault)
-        return MultiSetSelfTestReport(
-            circuit_name=self.circuit.name,
-            n_sets=self.n_sets,
-            per_set_patterns=tuple(int(e.n_patterns) for e in self.entries),
-            n_patterns=self.n_patterns,
-            signature=signature,
-            golden_signature=golden,
-            scan_chains=self.scan_chains,
-        )
-
-    # ------------------------------------------------------------------ #
-    def coverage(
-        self,
-        faults: Optional[Sequence[Fault]] = None,
-        target_coverage: Optional[float] = None,
-        partition_size: Optional[int] = None,
-        fault_group: Optional[int] = None,
-        batch_size: int = 2048,
-        chunk: int = 4096,
-    ) -> MultiSetCoverage:
-        """Fault-simulate the schedule with streamed early stop.
-
-        The sets' pattern streams are chained into one fault-parallel
-        simulation: detected faults are dropped across set boundaries (a
-        later set never re-simulates what an earlier set already caught) and
-        the stream stops — possibly mid-set — once ``target_coverage`` is
-        reached.  Per-set applied-pattern counts are recorded in
-        :attr:`MultiSetCoverage.applied`.
-        """
-        simulator = ParallelFaultSimulator(
-            self.circuit,
-            faults=faults,
-            fault_group=fault_group,
-            partition_size=partition_size,
-        )
-        applied = [0] * self.n_sets
-
-        def chained_chunks():
-            for set_index, entry in enumerate(self.entries):
-                generator = self._make_generator(entry)
-                for matrix in generator.generate_stream(entry.n_patterns, chunk):
-                    applied[set_index] += matrix.shape[0]
-                    yield matrix
-
-        result = simulator.run_stream(
-            chained_chunks(),
-            batch_size=batch_size,
-            target_coverage=target_coverage,
-        )
-        return MultiSetCoverage(
-            result=result,
-            applied=tuple(applied),
-            target_coverage=target_coverage,
-        )
-
-
 @dataclass
 class MultiWeightReport:
     """Everything the multi-weight stage produced for one circuit.
@@ -361,7 +162,7 @@ class MultiWeightReport:
         circuit_name: circuit under test.
         weight_sets: the optimized :class:`MultiWeightSet` schedule.
         coverage: the scheduled fault-simulation outcome.
-        self_test: the compiled MISR playback of the schedule.
+        self_test: the signature-register playback of the schedule.
         scan_chains: STUMPS chain count (``None`` = parallel load).
         cpu_seconds: wall-clock cost (volatile; scrubbed from hashes).
     """
@@ -438,6 +239,47 @@ class MultiWeightReport:
         )
 
 
+def _pattern_sources(
+    circuit: Circuit,
+    weight_sets: MultiWeightSet,
+    scan_chains: Optional[int],
+) -> List[Tuple[object, int]]:
+    """Each set's ``(generator, n_patterns)`` source, in play order: its
+    reseeded LFSR weighting network, or STUMPS delivery via ``scan_chains``."""
+    if weight_sets.n_inputs != circuit.n_inputs:
+        raise ValueError(
+            f"weight sets were built for {weight_sets.n_inputs} inputs, "
+            f"circuit has {circuit.n_inputs}"
+        )
+    if not weight_sets.sets:
+        raise ValueError("at least one weight set is required")
+    for entry in weight_sets.sets:
+        if len(entry.quantized_weights) != circuit.n_inputs:
+            raise ValueError(
+                f"weight set {entry.index} has {len(entry.quantized_weights)} "
+                f"weights; circuit has {circuit.n_inputs} inputs"
+            )
+    if scan_chains is not None and scan_chains < 1:
+        raise ValueError(f"scan_chains must be positive, got {scan_chains!r}")
+    make = (
+        CompiledLfsrWeightedPatternGenerator
+        if scan_chains is None
+        else partial(StumpsPatternGenerator, n_chains=scan_chains)
+    )
+    return [
+        (
+            make(
+                entry.quantized_weights,
+                lfsr_width=entry.lfsr_width,
+                lfsr_taps=entry.lfsr_taps,
+                seed=entry.lfsr_seed,
+            ),
+            int(entry.n_patterns),
+        )
+        for entry in weight_sets.sets
+    ]
+
+
 def run_multi_weight_session(
     circuit: Circuit,
     weight_sets: MultiWeightSet,
@@ -448,16 +290,18 @@ def run_multi_weight_session(
     misr_width: Optional[int] = None,
     misr_taps: Optional[Sequence[int]] = None,
 ) -> MultiWeightReport:
-    """Convenience: schedule + playback + coverage as one report artifact."""
+    """Play a multi-weight schedule on one
+    :meth:`~repro.patterns.bilbo.SelfTestSession.from_sources` session:
+    streamed coverage, then the signature (``misr_width`` / ``misr_taps``
+    override the register, as in the single-set session)."""
     start = time.perf_counter()
-    session = MultiSetSelfTestSession(
+    session = SelfTestSession.from_sources(
         circuit,
-        weight_sets,
-        scan_chains=scan_chains,
+        _pattern_sources(circuit, weight_sets, scan_chains),
         misr_width=misr_width,
         misr_taps=misr_taps,
     )
-    coverage = session.coverage(
+    result, applied = session.coverage(
         faults=faults,
         target_coverage=target_coverage,
         partition_size=partition_size,
@@ -466,8 +310,18 @@ def run_multi_weight_session(
     return MultiWeightReport(
         circuit_name=circuit.name,
         weight_sets=weight_sets,
-        coverage=coverage,
-        self_test=self_test,
+        coverage=MultiSetCoverage(
+            result=result, applied=applied, target_coverage=target_coverage
+        ),
+        self_test=MultiSetSelfTestReport(
+            circuit_name=circuit.name,
+            n_sets=weight_sets.k,
+            per_set_patterns=tuple(n for _, n in session.sources),
+            n_patterns=self_test.n_patterns,
+            signature=self_test.signature,
+            golden_signature=self_test.golden_signature,
+            scan_chains=scan_chains,
+        ),
         scan_chains=scan_chains,
         cpu_seconds=time.perf_counter() - start,
     )

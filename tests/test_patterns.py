@@ -16,9 +16,9 @@ from repro.patterns import (
     equiprobable_weights,
     golden_signature,
     max_sequence_length,
-    self_test_detects_fault,
     validate_weights,
 )
+from repro.faultsim import random_pattern_coverage
 
 from .helpers import half_adder_circuit
 
@@ -182,5 +182,11 @@ class TestSelfTest:
         fault = Fault(eq_net, False)  # a_eq_b stuck-at-0: needs A == B
         n_patterns = 200
         weights = [0.9] * circuit.n_inputs
-        assert not self_test_detects_fault(circuit, fault, n_patterns, weights=None, seed=3)
-        assert self_test_detects_fault(circuit, fault, n_patterns, weights=weights, seed=3)
+
+        def detects(weights):
+            return fault in random_pattern_coverage(
+                circuit, n_patterns, weights, faults=[fault], seed=3
+            ).result.first_detection
+
+        assert not detects(None)
+        assert detects(weights)

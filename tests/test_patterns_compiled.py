@@ -292,7 +292,7 @@ class TestSelfTestSessionCompiled:
         session = SelfTestSession(circuit, n_patterns=80, seed=5)
         patterns = session.patterns()
         for fault in collapsed_fault_list(circuit)[::9]:
-            compiled = session._faulty_responses(fault)
+            compiled = session._responses(fault)
             reference = np.zeros((patterns.shape[0], circuit.n_outputs), dtype=bool)
             for row, pattern in enumerate(patterns):
                 values = simulate_with_fault(
@@ -344,7 +344,9 @@ class TestSelfTestSessionCompiled:
             circuit, 64, weights=[0.75, 0.25], use_lfsr=True, seed=3
         )
         scalar = LfsrWeightedPatternGenerator([0.75, 0.25], seed=3)
-        assert isinstance(session._generator, CompiledLfsrWeightedPatternGenerator)
+        (generator, n_patterns), = session.sources
+        assert n_patterns == 64
+        assert isinstance(generator, CompiledLfsrWeightedPatternGenerator)
         assert np.array_equal(session.patterns(), scalar.generate(64))
         assert session.run().passed
 

@@ -151,6 +151,43 @@ class TestSelfTestStage:
         report = execute_spec(spec(misr_width=65, misr_taps=(65, 47)))
         assert report.self_test.passed
 
+    def test_multi_weight_stage_uses_the_self_test_misr_override(self):
+        """A spec has one signature register: the self-test stage's MISR
+        override also compacts the multi-weight schedule (and joins its store
+        keys), so a wide circuit runs both stages."""
+        from repro.circuit import CircuitBuilder
+        from repro.wrp import run_multi_weight_session
+
+        builder = CircuitBuilder("wide4")
+        a, b, c, d = (builder.input(name) for name in "abcd")
+        for k in range(65):
+            gate = (builder.and_, builder.or_, builder.xor)[k % 3]
+            builder.output(gate((a, b, c, d)[k % 4], (a, b, c, d)[(k + 1) % 4]), f"o{k}")
+        circuit = builder.build()
+
+        def spec(**misr):
+            return PipelineSpec(
+                circuit=circuit,
+                fault_sim=None,
+                self_test=SelfTestConfig(n_patterns=64, **misr),
+                multi_weight=MultiWeightConfig(k=2),
+            )
+
+        with pytest.raises(ValueError, match=r"self_test\.misr_width"):
+            execute_spec(spec())
+        wide = spec(misr_width=65, misr_taps=(65, 47))
+        report = execute_spec(wide)
+        assert report.self_test.passed
+        assert report.multi_weight.self_test.passed
+        direct = run_multi_weight_session(
+            circuit, report.multi_weight.weight_sets, misr_width=65, misr_taps=(65, 47)
+        )
+        assert report.multi_weight.self_test == direct.self_test
+        plain_keys = build_plan(spec()).stage("multi_weight").store_keys
+        wide_keys = build_plan(wide).stage("multi_weight").store_keys
+        assert set(plain_keys) == set(wide_keys)
+        assert all(plain_keys[name] != wide_keys[name] for name in plain_keys)
+
     def test_weighted_self_test_detects_fault_missed_by_plain(self):
         """Section 5.2 end to end: weights biased toward A == B expose a
         random-pattern-resistant fault that the equiprobable session of the

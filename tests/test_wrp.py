@@ -24,11 +24,13 @@ from repro.api import (
 )
 from repro.circuit.bench import parse_bench
 from repro.faults import collapsed_fault_list
-from repro.patterns import LfsrWeightedPatternGenerator
+from repro.patterns import (
+    CompiledLfsrWeightedPatternGenerator,
+    LfsrWeightedPatternGenerator,
+)
 from repro.patterns.bilbo import SelfTestSession
 from repro.core import WeightOptimizer
 from repro.wrp import (
-    MultiSetSelfTestSession,
     MultiWeightSet,
     StumpsPatternGenerator,
     allocate_budget,
@@ -165,7 +167,13 @@ class TestDegenerateEquivalence:
         entry = weight_sets.sets[0]
         assert entry.test_length == int(c17_base.test_length)
 
-        multi = MultiSetSelfTestSession(c17, weight_sets)
+        source = CompiledLfsrWeightedPatternGenerator(
+            entry.quantized_weights,
+            lfsr_width=entry.lfsr_width,
+            lfsr_taps=entry.lfsr_taps,
+            seed=entry.lfsr_seed,
+        )
+        multi = SelfTestSession.from_sources(c17, [(source, entry.n_patterns)])
         single = SelfTestSession(
             c17,
             entry.n_patterns,
@@ -173,7 +181,8 @@ class TestDegenerateEquivalence:
             use_lfsr=True,
             seed=1987,
         )
-        np.testing.assert_array_equal(multi.patterns()[0], single.patterns())
+        assert multi.n_patterns == single.n_patterns
+        np.testing.assert_array_equal(multi.patterns(), single.patterns())
         assert multi.golden_signature() == single.golden_signature()
         report = multi.run(fault=c17_faults[0])
         reference = single.run(fault=c17_faults[0])
@@ -223,12 +232,28 @@ class TestStumps:
         )
 
     def test_session_supports_scan_delivery(self, c17, c17_faults, c17_sets):
-        scan = MultiSetSelfTestSession(c17, c17_sets, scan_chains=2)
-        report = scan.run()
-        assert report.passed
-        assert report.scan_chains == 2
-        coverage = scan.coverage(faults=c17_faults)
-        assert 0.0 < coverage.coverage <= 1.0
+        report = run_multi_weight_session(
+            c17, c17_sets, faults=c17_faults, scan_chains=2
+        )
+        assert report.self_test.passed
+        assert report.self_test.scan_chains == report.scan_chains == 2
+        assert 0.0 < report.coverage.coverage <= 1.0
+
+    def test_playback_rejects_malformed_schedules(self, c17, c17_sets):
+        from dataclasses import replace
+
+        from .helpers import half_adder_circuit
+
+        with pytest.raises(ValueError, match="built for 5 inputs, circuit has 2"):
+            run_multi_weight_session(half_adder_circuit(), c17_sets)
+        with pytest.raises(ValueError, match="at least one weight set"):
+            run_multi_weight_session(c17, replace(c17_sets, sets=[]))
+        entry = c17_sets.sets[0]
+        short = replace(entry, quantized_weights=entry.quantized_weights[:2])
+        with pytest.raises(ValueError, match="weight set 0 has 2 weights"):
+            run_multi_weight_session(c17, replace(c17_sets, sets=[short]))
+        with pytest.raises(ValueError, match="scan_chains must be positive"):
+            run_multi_weight_session(c17, c17_sets, scan_chains=0)
 
 
 # --------------------------------------------------------------------------- #
