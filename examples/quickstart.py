@@ -2,10 +2,10 @@
 """Quickstart: optimize the input probabilities of a random-pattern-resistant circuit.
 
 This walks through the complete flow of the library on the paper's flagship
-example, a cascaded magnitude comparator (S1), using the pipeline façade
-(:class:`repro.Session`): register the circuit, then one ``run`` executes
-every stage over one shared compiled lowering of the circuit and returns a
-report that answers
+example, a cascaded magnitude comparator (S1): one declarative
+:class:`repro.PipelineSpec` names the circuit and the stage settings, and
+:func:`repro.execute_spec` runs every stage over one shared compiled
+lowering of the circuit and returns a report that answers
 
 1. how many *equiprobable* random patterns a self test would need,
 2. the optimized input probabilities (the paper's contribution),
@@ -23,16 +23,20 @@ import sys
 
 import numpy as np
 
-from repro import Session, s1_comparator
+from repro import AnalysisConfig, FaultSimConfig, PipelineSpec, execute_spec, s1_comparator
 
 
 def main(width: int = 12, n_patterns: int = 4_000) -> None:
-    session = Session(confidence=0.999, drop_redundant=False)
-    key = session.add(s1_comparator(width=width))
-    print(f"Circuit under test : {session.circuit(key).summary()}")
-    print(f"Collapsed faults   : {len(session.faults(key))}")
-
-    report = session.run(key, n_patterns=n_patterns)
+    circuit = s1_comparator(width=width)
+    print(f"Circuit under test : {circuit.summary()}")
+    spec = PipelineSpec(
+        circuit=circuit,
+        key=circuit.name,
+        analysis=AnalysisConfig(confidence=0.999, drop_redundant=False),
+        fault_sim=FaultSimConfig(n_patterns=n_patterns),
+    )
+    report = execute_spec(spec)
+    print(f"Collapsed faults   : {report.n_faults}")
 
     # --- Step 1: how bad is the conventional (equiprobable) random test? ----
     print(f"Conventional test  : ~{report.conventional_length:,} patterns needed")
@@ -54,7 +58,7 @@ def main(width: int = 12, n_patterns: int = 4_000) -> None:
           f"({len(after.result.undetected)} faults missed)")
 
     # Every stage above consumed one shared lowered-circuit artifact.
-    print(f"Circuit lowerings  : {session.total_lowerings} (compiled once, reused)")
+    print(f"Circuit lowerings  : {report.lowerings} (compiled once, reused)")
 
 
 if __name__ == "__main__":

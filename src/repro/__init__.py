@@ -23,16 +23,16 @@ The package is organised by subsystem:
   (typed stage configs, JSON round trips), :func:`execute_spec`, the
   parallel :func:`run_jobs` batch executor and the artifact loader behind
   the ``python -m repro`` CLI.
-* :mod:`repro.pipeline` — the :class:`Session` convenience layer: circuit
-  registration, spec translation from loose kwargs, and ``run`` =
-  :func:`execute_spec` against the session's store (the only cache).
+* :mod:`repro.pipeline` — :class:`PipelineReport`, the result artifact of
+  one :func:`execute_spec` run.
 * :mod:`repro.experiments` — runners that regenerate every table and figure.
 
-Typical use::
+Typical use — a registry key or an in-memory circuit, one front door::
 
-    from repro import PipelineSpec, execute_spec
+    from repro import PipelineSpec, execute_spec, s1_comparator
 
     report = execute_spec(PipelineSpec(circuit="s1"))
+    report = execute_spec(PipelineSpec(circuit=s1_comparator(width=12)))
     print(report.summary())
 """
 
@@ -98,7 +98,7 @@ from .api import (
     load_artifact,
     run_jobs,
 )
-from .pipeline import PipelineReport, Session
+from .pipeline import PipelineReport
 
 __version__ = "1.1.0"
 
@@ -164,6 +164,5 @@ __all__ = [
     "run_jobs",
     "iter_jobs",
     "load_artifact",
-    "Session",
     "PipelineReport",
 ]

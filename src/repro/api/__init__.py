@@ -22,9 +22,10 @@ The public seam of the reproduction, decoupling *description* from
 * :mod:`repro.api.serialize` — the shared wire format
   (:data:`SCHEMA_VERSION`, :class:`SchemaError`, exact numpy round trips).
 
-The spec is the only input.  :class:`repro.Session` is a convenience layer
-that registers circuits, translates loose kwargs into a spec and runs it
-here against its store.
+The spec is the only input, and ``execute_spec(PipelineSpec(...),
+store=...)`` is the only way to run a pipeline in process; a spec takes a
+registry key, a source dict or an in-memory
+:class:`~repro.circuit.netlist.Circuit`.
 """
 
 from .artifacts import load_artifact, report_batch_dict, row_from_dict, row_to_dict

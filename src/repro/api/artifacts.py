@@ -108,9 +108,23 @@ def load_artifact(data: Mapping[str, Any]) -> Any:
     """Rebuild any job-spec artifact dict into its typed object.
 
     Dispatches on the ``kind`` tag; raises
-    :class:`~repro.api.serialize.SchemaError` for unknown kinds or
-    unsupported ``schema_version`` values.
+    :class:`~repro.api.serialize.SchemaError` for unknown kinds, unsupported
+    ``schema_version`` values and any payload its decoder cannot read — a
+    decoder's ``ValueError``, ``TypeError``, ``KeyError`` or ``IndexError``
+    on a wrongly typed field is re-raised as a ``SchemaError``, so a store
+    treats the blob as a miss instead of failing every read of it.
     """
+    try:
+        return _decode(data)
+    except SchemaError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        kind = data.get("kind") if isinstance(data, Mapping) else None
+        raise SchemaError(f"invalid {kind} payload: {exc}") from exc
+
+
+def _decode(data: Mapping[str, Any]) -> Any:
+    """The :func:`load_artifact` dispatcher, without its error translation."""
     if not isinstance(data, Mapping):
         raise SchemaError(f"artifact dict expected, got {type(data).__name__}")
     kind = data.get("kind")

@@ -2,16 +2,15 @@
 
 :func:`execute_spec` is the *execute* layer of the spec → plan → execute →
 persist stack, and the only execution path behind every public face of the
-pipeline: the batch executor (:func:`repro.api.run_jobs`), the job service
-(:mod:`repro.service`) and the convenience layer
-(:meth:`repro.pipeline.Session.run`, which translates its state into a spec
-and passes its store).
+pipeline: in-process calls (``execute_spec(PipelineSpec(...), store=...)``),
+the batch executor (:func:`repro.api.run_jobs`), the CLI and the job service
+(:mod:`repro.service`).
 
 The spec is the whole input.  The executor builds the circuit, the fault
 list (collapsed, then redundancy-filtered per ``analysis.drop_redundant``),
-the estimator and the lowering from the spec alone, so an artifact persisted
-under one of the plan's store keys is always the artifact a fresh run of
-the same spec would compute.
+the batched COP estimator and the lowering from the spec alone, so an
+artifact persisted under one of the plan's store keys is always the
+artifact a fresh run of the same spec would compute.
 
 Execution follows the :class:`~repro.api.plan.ExecutionPlan` emitted by
 :func:`~repro.api.plan.build_plan`.  When a store is attached, the executor
@@ -38,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..analysis.compiled import BatchedCopEstimator
-from ..analysis.detection import CopDetectionEstimator, DetectionProbabilityEstimator
+from ..analysis.detection import DetectionProbabilityEstimator
 from ..analysis.redundancy import remove_redundant
 from ..circuit.netlist import Circuit
 from ..core.optimizer import OptimizationResult, WeightOptimizer
@@ -158,15 +157,9 @@ def execute_spec(
     before = compile_count()
     compile_lowered(circuit)
     lowerings = compile_count() - before
-    estimator: DetectionProbabilityEstimator = (
-        CopDetectionEstimator()
-        if spec.analysis.estimator == "scalar"
-        else BatchedCopEstimator()
-    )
-
     stages = {
         stage.output: stage
-        for stage in _stage_table(spec, plan, circuit, faults, estimator)
+        for stage in _stage_table(spec, plan, circuit, faults, BatchedCopEstimator())
     }
     artifacts: Dict[str, Any] = {}
 

@@ -29,7 +29,7 @@ Every store key is ``<namespace>/<sha256 hex>`` where the digest is
 * ``stage_optimize/<digest>`` — the optimization artifact.  Depends on the
   circuit ref, the analysis config, the optimize config **and the quantize
   config** (an :class:`~repro.core.optimize.OptimizationResult` embeds
-  ``quantized_weights`` computed at the session's quantization step), but
+  ``quantized_weights`` computed at the spec's quantization step), but
   *not* on the root seed, the label or the fault-sim budget — optimization
   is deterministic, so two specs differing only in seed share this entry.
 * ``stage_fault_sim/<digest>`` — one key per coverage experiment
@@ -242,9 +242,9 @@ def build_plan(spec: PipelineSpec) -> ExecutionPlan:
     if spec.multi_weight is not None:
         # The weight-set artifact depends on everything that shapes the
         # clusters and the per-cluster optima: the circuit, the analysis
-        # config (estimator/confidence), the weight provenance (optimize +
-        # quantize configs), the multi-weight config and the two derived
-        # seeds (clustering, per-set LFSR reseeds).  The report additionally
+        # config (confidence, fault filtering), the weight provenance
+        # (optimize + quantize configs), the multi-weight config and the two
+        # derived seeds (clustering, per-set LFSR reseeds).  The report additionally
         # reflects the session's coverage run, whose knobs all live in the
         # same config — so both keys share one dependency dict.  The spec's
         # one signature register joins them only when it is overridden.

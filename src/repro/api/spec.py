@@ -33,15 +33,16 @@ Consequences:
 
 Wire constants
 --------------
-Every spec runs on one kernel path, the numpy engines of
-:mod:`repro.simulation.compiled` and :mod:`repro.analysis.compiled`.  The
-analysis and fault-sim configs once named a kernel backend; their wire
-dicts still carry ``"backend": null`` and ``"allow_fallback": false`` as
-fixed constants (:data:`BACKEND_WIRE`), so spec hashes and stage store keys
-are unchanged.  Reading accepts ``backend`` of ``null`` or ``"numpy"`` and
-any boolean ``allow_fallback``, and drops both.  Any other backend,
-``"numba"`` included, raises :class:`~repro.api.serialize.SchemaError`
-(``backend 'numba' was removed; every spec runs on the numpy kernels``).
+Every spec runs on one kernel path (the numpy engines of
+:mod:`repro.simulation.compiled` and :mod:`repro.analysis.compiled`) and one
+COP engine (:class:`~repro.analysis.compiled.BatchedCopEstimator`).  The
+configs once named a kernel backend and a scalar or batched estimator; their
+wire dicts still carry ``"backend": null``, ``"allow_fallback": false`` and
+(analysis only) ``"estimator": "batched"`` as fixed constants
+(:data:`WIRE_CONSTANTS`), so spec hashes and stage store keys are unchanged.
+Reading drops them; it also accepts ``"backend": "numpy"`` and any boolean
+``allow_fallback``, and any other value, such as ``"backend": "numba"`` or
+``"estimator": "scalar"``, raises :class:`~repro.api.serialize.SchemaError`.
 """
 
 from __future__ import annotations
@@ -83,31 +84,40 @@ STAGE_NAMES = ("analysis", "optimize", "quantize", "fault_sim", "self_test")
 #: or inserting entries would silently change every previously derived seed.
 SEED_NAMESPACES = STAGE_NAMES + ("generate", "cluster", "multi_weight")
 
-#: Detection-probability estimators a spec (and a ``Session``) may name,
-#: resolved to estimator objects by the executor.
-ESTIMATOR_NAMES = ("batched", "scalar")
+#: Wire constants of removed spec choices: field name -> (the value every
+#: config writes, the values a read accepts, the error for any other value).
+#: The configs that carry them (:attr:`_ConfigBase._wire`) still emit them,
+#: so the spec hash and every stage store key stay byte-identical.
+WIRE_CONSTANTS: Dict[str, Tuple[Any, Tuple[Any, ...], str]] = {
+    "backend": (
+        None,
+        (None, "numpy"),
+        "backend {!r} was removed; every spec runs on the numpy kernels",
+    ),
+    "allow_fallback": (False, (False, True), "allow_fallback must be a bool, got {!r}"),
+    "estimator": (
+        "batched",
+        ("batched",),
+        "estimator {!r} was removed; the estimator switch is gone and every "
+        "spec runs the batched COP engine",
+    ),
+}
 
 
-#: Wire constants of the removed kernel-backend choice.  The analysis and
-#: fault-sim configs still emit them, so the spec hash and every stage store
-#: key of a spec that named no backend stay byte-identical.
-BACKEND_WIRE = {"backend": None, "allow_fallback": False}
+def _drop_wire(payload: Dict[str, Any], names: Tuple[str, ...]) -> None:
+    """Validate and drop the :data:`WIRE_CONSTANTS` fields of a read payload.
 
-
-def _drop_backend_wire(payload: Dict[str, Any]) -> None:
-    """Validate and drop the :data:`BACKEND_WIRE` fields of a read payload.
-
-    ``backend`` may be ``null`` or ``"numpy"`` (the engine that runs) and
-    ``allow_fallback`` any boolean; any other backend is a typed error.
+    A field may be absent or ``null``, or hold one of its accepted values
+    (compared with their types, so ``1`` is not ``True``); anything else is
+    a typed error.
     """
-    backend = payload.pop("backend", None)
-    if backend not in (None, "numpy"):
-        raise SchemaError(
-            f"backend {backend!r} was removed; every spec runs on the numpy kernels"
-        )
-    allow_fallback = payload.pop("allow_fallback", None)
-    if allow_fallback is not None and not isinstance(allow_fallback, bool):
-        raise SchemaError(f"allow_fallback must be a bool, got {allow_fallback!r}")
+    for name in names:
+        value = payload.pop(name, None)
+        _, accepted, message = WIRE_CONSTANTS[name]
+        if value is not None and not any(
+            type(value) is type(ok) and value == ok for ok in accepted
+        ):
+            raise SchemaError(message.format(value))
 
 
 # --------------------------------------------------------------------------- #
@@ -154,12 +164,12 @@ class _ConfigBase:
     """to_dict/from_dict + validation shared by the frozen stage configs."""
 
     _kind: str = ""
-    #: Whether the wire form carries the :data:`BACKEND_WIRE` constants.
-    _backend_wire: bool = False
+    #: The :data:`WIRE_CONSTANTS` fields the wire form carries.
+    _wire: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable dict with ``kind`` and ``schema_version``."""
-        payload = dict(BACKEND_WIRE) if self._backend_wire else {}
+        payload = {name: WIRE_CONSTANTS[name][0] for name in self._wire}
         for spec_field in fields(self):  # type: ignore[arg-type]
             value = getattr(self, spec_field.name)
             if isinstance(value, tuple):
@@ -171,10 +181,8 @@ class _ConfigBase:
     def from_dict(cls, data: Mapping[str, Any]) -> "_ConfigBase":
         """Rebuild a config, rejecting unknown versions and fields."""
         names = [spec_field.name for spec_field in fields(cls)]  # type: ignore[arg-type]
-        wire = list(BACKEND_WIRE) if cls._backend_wire else []
-        payload = untag(data, cls._kind, required=(), optional=names + wire)
-        if cls._backend_wire:
-            _drop_backend_wire(payload)
+        payload = untag(data, cls._kind, required=(), optional=names + list(cls._wire))
+        _drop_wire(payload, cls._wire)
         kwargs = {}
         for spec_field in fields(cls):  # type: ignore[arg-type]
             if data.get(spec_field.name) is None and spec_field.name not in data:
@@ -209,14 +217,16 @@ def _check_fraction(name: str, value: float, open_interval: bool = True) -> None
 class AnalysisConfig(_ConfigBase):
     """Stage 1 — testability analysis (COP detection probabilities).
 
+    Every spec estimates detection probabilities with the batched COP
+    engine (:class:`~repro.analysis.compiled.BatchedCopEstimator`); the
+    scalar :class:`~repro.analysis.detection.CopDetectionEstimator` is its
+    differential reference, called directly by tests and benchmarks.
+
     Attributes:
         confidence: required probability of detecting every modelled fault;
             shared by the test-length computation and the optimizer.
         drop_redundant: exclude faults proven/estimated undetectable from the
             fault list (the paper's coverage convention).
-        estimator: detection-probability estimator by name — ``"batched"``
-            (the compiled COP engine, default) or ``"scalar"`` (the
-            bit-identical reference implementation).
         partition_size: PPSFP fault partition size for fault-simulating legs
             of specs that declare no fault-sim stage of their own (e.g. the
             multi-weight coverage run of a ``selftest`` job).  ``None`` (one
@@ -225,11 +235,10 @@ class AnalysisConfig(_ConfigBase):
     """
 
     _kind = "analysis_config"
-    _backend_wire = True
+    _wire = ("backend", "allow_fallback", "estimator")
 
     confidence: float = 0.999
     drop_redundant: bool = True
-    estimator: str = "batched"
     partition_size: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -242,10 +251,6 @@ class AnalysisConfig(_ConfigBase):
         _check_fraction("confidence", self.confidence)
         if self.partition_size is not None:
             _check_positive_int("partition_size", self.partition_size)
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ValueError(
-                f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ class FaultSimConfig(_ConfigBase):
     """
 
     _kind = "fault_sim_config"
-    _backend_wire = True
+    _wire = ("backend", "allow_fallback")
 
     n_patterns: Optional[int] = None
     batch_size: int = 2048
@@ -469,6 +474,8 @@ class PipelineSpec:
         from ..circuits.sources import normalize_circuit_ref
 
         object.__setattr__(self, "circuit", normalize_circuit_ref(self.circuit))
+        if self.key is not None and not isinstance(self.key, str):
+            raise ValueError(f"key must be a str or None, got {self.key!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         for name, config_type in _SPEC_STAGE_TYPES.items():

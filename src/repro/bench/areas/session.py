@@ -1,14 +1,16 @@
 """Bench area ``session`` — pipeline compile-reuse contract + API round trips.
 
 Runs the full paper pipeline (analyze → optimize → quantize → fault-simulate)
-for several registry circuits through :class:`repro.pipeline.Session` and
+for several registry circuits as in-process specs
+(``execute_spec(PipelineSpec(circuit=<Circuit>, key=...), store=...)``) and
 verifies the compile-reuse contract of the lowered-circuit IR:
 
 * each circuit is lowered **exactly once** across all pipeline stages,
-* a repeated run performs **zero** additional lowerings,
+* a repeated run through the same store performs **zero** additional
+  lowerings,
 * a fresh, structurally identical rebuild also performs zero lowerings
   (the content-addressed cache keyed by ``Circuit.structural_hash``), and
-* every ``PipelineReport`` and ``Session.spec`` survives its JSON round
+* every ``PipelineReport`` and ``PipelineSpec`` survives its JSON round
   trip exactly (the artifact seam the CLI and batch executor rely on).
 
 The lowering counts and round-trip failures are exact gated counters; the
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 import json
 
-from ...api import PipelineSpec
+from ...api import FaultSimConfig, OptimizeConfig, PipelineSpec, execute_spec
 from ...circuits import build_circuit
-from ...lowered import compile_count
-from ...pipeline import PipelineReport, Session
+from ...lowered import compile_count, compile_lowered
+from ...pipeline import PipelineReport
+from ...store import MemoryStore
 from ..artifacts import BenchResult
 from ..compare import RSS_POLICY, MetricPolicy
 from ..registry import BenchArea, register_area
@@ -36,8 +39,18 @@ _QUICK = dict(n_patterns=512, max_sweeps=2)
 _FULL = dict(n_patterns=4_000, max_sweeps=8)
 
 
+def area_spec(key: str, n_patterns: int, max_sweeps: int) -> PipelineSpec:
+    """The spec the area runs for one registry circuit, embedded inline."""
+    return PipelineSpec(
+        circuit=build_circuit(key),
+        key=key,
+        optimize=OptimizeConfig(max_sweeps=max_sweeps),
+        fault_sim=FaultSimConfig(n_patterns=n_patterns),
+    )
+
+
 def run_bench(quick: bool = False, keys=DEFAULT_KEYS) -> BenchResult:
-    """Run the pipeline twice (plus a rebuilt session) and audit lowerings."""
+    """Run the pipeline twice (plus a rebuilt lowering) and audit lowerings."""
     budget = _QUICK if quick else _FULL
     n_patterns, max_sweeps = budget["n_patterns"], budget["max_sweeps"]
     keys = list(keys)
@@ -47,13 +60,11 @@ def run_bench(quick: bool = False, keys=DEFAULT_KEYS) -> BenchResult:
         circuits=",".join(keys), n_patterns=n_patterns, max_sweeps=max_sweeps
     )
 
-    session = Session(confidence=0.999, max_sweeps=max_sweeps)
-    for key in keys:
-        session.add(build_circuit(key), key=key)
-
+    specs = [area_spec(key, n_patterns, max_sweeps) for key in keys]
+    store = MemoryStore()
     before = compile_count()
     with runner.timed("first_run"):
-        reports = session.run(n_patterns=n_patterns)
+        reports = [execute_spec(spec, store=store) for spec in specs]
     runner.counter("first_run_lowerings", compile_count() - before)
 
     # Job-spec API round trips: report → JSON → report and spec → JSON →
@@ -63,25 +74,22 @@ def run_bench(quick: bool = False, keys=DEFAULT_KEYS) -> BenchResult:
         wire = json.loads(json.dumps(report.to_dict()))
         if PipelineReport.from_dict(wire).canonical_dict() != report.canonical_dict():
             roundtrip_failures += 1
-    for key in keys:
-        spec = session.spec(key, n_patterns=n_patterns)
+    for spec in specs:
         if PipelineSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) != spec:
             roundtrip_failures += 1
     runner.counter("roundtrip_failures", roundtrip_failures)
 
     before_second = compile_count()
     with runner.timed("second_run"):
-        session.run(n_patterns=n_patterns)
+        for spec in specs:
+            execute_spec(spec, store=store)
     runner.counter("second_run_lowerings", compile_count() - before_second)
 
-    # Fresh session over fresh (isomorphic) circuit instances: the content-
-    # addressed cache must serve every lowering.
-    rebuilt = Session(confidence=0.999, max_sweeps=max_sweeps)
-    for key in keys:
-        rebuilt.add(build_circuit(key), key=key)
+    # Fresh (isomorphic) circuit instances: the content-addressed cache must
+    # serve every lowering.
     before_rebuilt = compile_count()
     for key in keys:
-        rebuilt.lowered(key)
+        compile_lowered(build_circuit(key))
     runner.counter("rebuilt_session_lowerings", compile_count() - before_rebuilt)
 
     excess = 0
@@ -125,7 +133,7 @@ def _run_checked(quick: bool = False) -> BenchResult:
 AREA = register_area(
     BenchArea(
         name="session",
-        title="pipeline Session: compile reuse + artifact round trips",
+        title="in-process pipeline specs: compile reuse + artifact round trips",
         run=_run_checked,
         policies={
             "c432_optimized_coverage": MetricPolicy(direction="higher", abs_tol=1e-9),

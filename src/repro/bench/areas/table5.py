@@ -1,14 +1,15 @@
 """Bench area ``table5`` — weight-optimization CPU time, scalar vs. batched COP.
 
 Runs the paper's Table 5 workload (the ANALYSIS/PREPARE/OPTIMIZE procedure on
-the starred circuits) as two pipeline specs per circuit, one with the scalar
-reference estimator and one with the batched COP engine
-(:mod:`repro.analysis.compiled`).  The two engines are the same mathematical
-specification compiled two ways, so the test-length histories must be
-bit-identical; the speedup of the batched engine is the gated metric; the
-optimized test lengths and the sweep counts are exact counters.  An
-optimization that takes more than :data:`MAX_OPTIMIZE_SECONDS` fails the
-run.
+the starred circuits) as two direct :class:`~repro.core.WeightOptimizer`
+runs per circuit (:func:`repro.experiments.run_table5_speedup`), one with the
+scalar reference estimator and one with the batched COP engine
+(:mod:`repro.analysis.compiled`) every spec runs.  The two engines are the
+same mathematical specification compiled two ways, so the test-length
+histories must be bit-identical; the speedup of the batched engine is the
+gated metric; the optimized test lengths and the sweep counts are exact
+counters.  An optimization that takes more than
+:data:`MAX_OPTIMIZE_SECONDS` fails the run.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ One declarative sweep produces every result: :func:`suite_specs` builds one
 them, and :func:`table1_rows` ... :func:`appendix_listings` fold the reports
 into the row dataclasses that the ``format_*`` functions render.  Two
 experiments go beyond the sweep: :func:`run_table5_speedup` times the scalar
-against the batched COP estimator on the same specs, and
+reference against the batched COP estimator with two direct optimizer runs
+on the same circuit and fault list, and
 :func:`run_multi_weight` compares multi-weight-set schedules against the
 single-set optimum.
 """

@@ -1,11 +1,10 @@
-"""Pipeline façade: circuit registration, spec translation and a store.
+"""The pipeline's result artifact.
 
-:class:`Session` registers circuits, translates its kwargs into a
-:class:`~repro.api.PipelineSpec` and runs it with
-:func:`~repro.api.execute_spec` against its store; :class:`PipelineReport`
-is the per-circuit outcome.
+:class:`PipelineReport` is the per-circuit outcome of
+:func:`~repro.api.execute_spec`, the only way a
+:class:`~repro.api.PipelineSpec` runs.
 """
 
-from .session import PipelineReport, Session
+from .session import PipelineReport
 
-__all__ = ["Session", "PipelineReport"]
+__all__ = ["PipelineReport"]

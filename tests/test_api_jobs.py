@@ -28,7 +28,7 @@ from repro.api import (
     run_jobs,
 )
 from repro.circuits import alu_circuit, circuit_keys
-from repro.pipeline import PipelineReport, Session
+from repro.pipeline import PipelineReport
 
 
 def canonical(reports):
@@ -82,14 +82,6 @@ class TestExecuteSpec:
         inline = PipelineSpec(circuit=alu_circuit(width=2).to_dict())
         assert resolve_n_patterns(inline) == 4_000
 
-    def test_matches_session_convenience_layer(self):
-        """Session.run (the wrapper) and execute_spec (the executor) agree."""
-        session = Session(max_sweeps=2)
-        key = session.add(alu_circuit(width=2))
-        via_session = session.run(key, n_patterns=192)
-        via_spec = execute_spec(session.spec(key, n_patterns=192))
-        assert via_session.canonical_dict() == via_spec.canonical_dict()
-
     def test_stage_rows_are_the_library_calls(self):
         """Each stage of a run equals the direct library call the spec's
         configs and derived seeds describe."""
@@ -133,22 +125,6 @@ class TestExecuteSpec:
             use_lfsr=True,
             seed=spec.stage_seed("self_test"),
         ).run()
-
-    def test_scalar_and_batched_estimators_agree(self):
-        def run(estimator):
-            return execute_spec(
-                PipelineSpec(
-                    circuit="c432",
-                    analysis=AnalysisConfig(estimator=estimator),
-                    optimize=OptimizeConfig(max_sweeps=1),
-                    fault_sim=None,
-                )
-            )
-
-        scalar, batched = run("scalar"), run("batched")
-        assert scalar.conventional_length == batched.conventional_length
-        assert scalar.optimized_length == batched.optimized_length
-        np.testing.assert_array_equal(scalar.weights, batched.weights)
 
     def test_lfsr_resolution_quantizes_onto_the_lfsr_grid(self):
         from repro.core import quantize_to_lfsr_grid

@@ -46,7 +46,7 @@ def json_roundtrip(data):
 
 ALL_CONFIGS = [
     AnalysisConfig(),
-    AnalysisConfig(confidence=0.9, drop_redundant=False, estimator="scalar"),
+    AnalysisConfig(confidence=0.9, drop_redundant=False),
     OptimizeConfig(),
     OptimizeConfig(max_sweeps=3, alpha=0.1, bounds=(0.1, 0.9)),
     QuantizeConfig(),
@@ -94,8 +94,6 @@ class TestConfigRoundTrips:
     def test_invalid_values_rejected_at_construction(self):
         with pytest.raises(ValueError):
             AnalysisConfig(confidence=1.5)
-        with pytest.raises(ValueError):
-            AnalysisConfig(estimator="magic")
         with pytest.raises(ValueError):
             OptimizeConfig(max_sweeps=0)
         with pytest.raises(ValueError):
@@ -157,6 +155,29 @@ class TestSpecRoundTrips:
             PipelineSpec.from_dict({**data, "schema_version": 0})
         with pytest.raises(SchemaError):
             PipelineSpec.from_dict({**data, "surprise": True})
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(ValueError, match="key must be a str"):
+            PipelineSpec(circuit="s1", key=5)
+        data = PipelineSpec(circuit="s1").to_dict()
+        with pytest.raises(SchemaError, match="key must be a str or None, got 5"):
+            PipelineSpec.from_dict({**data, "key": 5})
+
+    def test_scalar_estimator_raises_schema_error(self):
+        """The estimator switch is gone: every spec runs the batched COP
+        engine, and a payload naming the scalar one is a typed error."""
+        data = PipelineSpec(circuit="s1").to_dict()
+        data["analysis"] = {**data["analysis"], "estimator": "scalar"}
+        with pytest.raises(SchemaError, match="estimator 'scalar' was removed"):
+            PipelineSpec.from_dict(data)
+
+    def test_batched_estimator_payload_round_trips(self):
+        config = AnalysisConfig(confidence=0.99)
+        payload = json_roundtrip(config.to_dict())
+        assert payload["estimator"] == "batched"
+        assert not hasattr(config, "estimator")
+        assert AnalysisConfig.from_dict(payload) == config
+        assert AnalysisConfig.from_dict(payload).to_dict() == payload
 
     def test_minimal_spec_dict_gets_constructor_stage_defaults(self):
         """A hand-written minimal spec runs the same pipeline as

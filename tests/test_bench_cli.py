@@ -254,6 +254,16 @@ class TestCommittedTrajectories:
             < point.counters["faults_simulated_nodrop"]
         )
 
+    @pytest.mark.parametrize("key", ["c432", "c499"])
+    def test_session_area_runs_the_pinned_specs(self, key):
+        """The ``session`` area's quick specs are the ones whose hashes and
+        store keys ``tests/test_spec_pins.py`` pins."""
+        from repro.bench.areas.session import _QUICK, DEFAULT_KEYS, area_spec
+        from tests.test_spec_pins import session_area_spec
+
+        assert key in DEFAULT_KEYS
+        assert area_spec(key, **_QUICK) == session_area_spec(key)
+
     def test_every_gated_area_has_a_committed_trajectory(self):
         for name in gated_area_names():
             assert (REPO_ROOT / f"BENCH_{name}.json").exists()

@@ -119,6 +119,30 @@ class TestRunCommand:
         assert "backend 'numba' was removed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.update(key=5), "key must be a str or None, got 5"),
+            (
+                lambda data: data["analysis"].update(estimator="scalar"),
+                "estimator 'scalar' was removed",
+            ),
+        ],
+        ids=["int_key", "scalar_estimator"],
+    )
+    def test_malformed_spec_exits_2_without_traceback(self, edit, message, tmp_path, capsys):
+        data = PipelineSpec(circuit="s1").to_dict()
+        edit(data)
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}:")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_no_input_is_an_error(self, capsys):
         assert main(["run"]) == 2
         assert "no circuits" in capsys.readouterr().err

@@ -27,3 +27,21 @@ def test_example_runs(script, kwargs, expected, capsys):
     namespace = runpy.run_path(str(EXAMPLES / script), run_name="example")
     namespace["main"](**kwargs)
     assert expected in capsys.readouterr().out
+
+
+def test_quickstart_runs_the_pinned_spec(capsys):
+    """The quickstart runs the one spec whose identity
+    ``tests/test_spec_pins.py`` pins, so stored artifacts keep their keys."""
+    from tests.test_spec_pins import quickstart_spec
+
+    main = runpy.run_path(str(EXAMPLES / "quickstart.py"), run_name="example")["main"]
+    execute = main.__globals__["execute_spec"]
+    specs = []
+
+    def recording(spec, *args, **kwargs):
+        specs.append(spec)
+        return execute(spec, *args, **kwargs)
+
+    main.__globals__["execute_spec"] = recording
+    main()
+    assert specs == [quickstart_spec()]

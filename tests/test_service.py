@@ -107,6 +107,18 @@ class TestJobService:
 
         asyncio.run(scenario())
 
+    def test_non_string_key_raises_schema_error(self):
+        async def scenario():
+            service = JobService()
+            data = small_spec().to_dict()
+            data["key"] = 5
+            with pytest.raises(SchemaError, match="key must be a str"):
+                service.submit(data)
+            assert service.counters["submitted"] == 0
+            await service.shutdown(grace=1.0)
+
+        asyncio.run(scenario())
+
     def test_failed_execution_is_reported(self):
         async def scenario():
             service = JobService()
@@ -351,6 +363,18 @@ class TestHttpServer:
             status, payload = await _request(port, "POST", "/jobs?wait=60", body)
             assert status == 400
             assert "backend 'numba' was removed" in payload["error"]
+            assert service.counters["submitted"] == 0
+
+        asyncio.run(self._with_server(scenario))
+
+    def test_spec_naming_scalar_estimator_is_400(self):
+        async def scenario(port, service):
+            data = small_spec().to_dict()
+            data["analysis"] = {**data["analysis"], "estimator": "scalar"}
+            body = json.dumps(data).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 400
+            assert "estimator 'scalar' was removed" in payload["error"]
             assert service.counters["submitted"] == 0
 
         asyncio.run(self._with_server(scenario))

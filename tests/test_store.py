@@ -17,7 +17,6 @@ from repro.api import PipelineSpec, execute_spec
 from repro.api.serialize import canonical_json
 from repro.api.spec import FaultSimConfig, OptimizeConfig
 from repro.store import (
-    ArtifactStore,
     DiskStore,
     MemoryStore,
     StoreError,
@@ -377,6 +376,26 @@ class TestExecutorStoreIntegration:
         assert store.stats()["corrupt"] > 0
 
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_gates", "abc"), ("input_names", 5), ("self_test_fault", "x")]
+    )
+    def test_wrongly_typed_report_is_a_miss_and_rewritten(self, field, value):
+        """A stored report whose decoder raises a plain ValueError/TypeError
+        is schema-rejected (a miss), recomputed and overwritten — it must
+        not wedge its spec."""
+        store = MemoryStore()
+        spec = PipelineSpec(**self.SPEC)
+        cold = execute_spec(spec, store=store)
+        key = f"pipeline_report/{spec.spec_hash()}"
+        store.put(key, {**store.get(key), field: value})
+
+        assert store.load(key) is None
+        assert store.stats()["schema_rejected"] == 1
+        rerun = execute_spec(spec, store=store)
+        assert rerun.canonical_dict() == cold.canonical_dict()
+        assert store.load(key).canonical_dict() == cold.canonical_dict()
+
+
 class TestStageReuse:
     def test_stored_optimize_artifact_feeds_the_weight_sets(self, monkeypatch):
         """An optimize hit is the single-set base of the multi-weight
@@ -408,20 +427,12 @@ class TestStageReuse:
         assert len(calls) == report.multi_weight.weight_sets.k == 2
 
 
-class TestSessionStore:
-    def test_session_run_uses_store(self, tmp_path):
-        from repro.circuits import build_circuit
-        from repro.pipeline import Session
-
+class TestStorePath:
+    def test_execute_spec_opens_a_store_path(self, tmp_path):
         root = tmp_path / "store"
-        session = Session(store=root)
-        assert isinstance(session.store, ArtifactStore)
-        session.add(build_circuit("s1"), key="s1")
-        report = session.run("s1", n_patterns=64)
-        stored = session.store.load(
-            "pipeline_report/"
-            + session.spec("s1", n_patterns=64).spec_hash()
-        )
+        spec = PipelineSpec(circuit="s1", fault_sim=FaultSimConfig(n_patterns=64))
+        report = execute_spec(spec, store=root)
+        stored = DiskStore(root).load(f"pipeline_report/{spec.spec_hash()}")
         assert stored is not None
         assert stored.canonical_dict() == report.canonical_dict()
 
