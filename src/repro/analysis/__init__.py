@@ -14,6 +14,8 @@ Two implementations of the COP analysis pipeline live here:
   with per-row input pinning for the optimizer's PREPARE cofactors.
   :class:`BatchedCopEstimator` wraps it behind the estimator protocols and is
   the default estimator of :class:`repro.core.optimizer.WeightOptimizer`.
+  Its level loops run in C (:mod:`repro.analysis.native`) whenever a C
+  compiler is available, and on its numpy kernels otherwise.
 
 The two paths are bit-identical (the differential tests assert equality, not
 closeness), so the scalar path serves as the executable specification of the

@@ -35,6 +35,14 @@ from them, evaluating a whole batch of ``B`` weight vectors per pass:
 * **Detection probabilities** — one vectorized gather per fault list:
   ``p_f = activation x observability`` for all ``(row, fault)`` pairs at once.
 
+The forward and backward passes have two tiers.  When the native library of
+:mod:`repro.analysis.native` loads (a C compiler is on ``PATH``), both level
+loops run in C, row by row over the same IR arrays; otherwise the numpy
+kernels above run.  The numpy kernels stay the named reference
+(:meth:`CompiledCop.signal_probabilities_batch_numpy`,
+:meth:`CompiledCop.observabilities_batch_numpy`), and the C loops repeat
+their floating-point operation order, so both tiers are bit-identical.
+
 :class:`BatchedCopEstimator` wraps the engine behind the
 :class:`~repro.analysis.detection.DetectionProbabilityEstimator` protocol (and
 its batched extension), so it is a drop-in replacement for the scalar
@@ -45,6 +53,7 @@ estimator is pluggable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +69,7 @@ from ..lowered import (
     compile_lowered,
     ragged_positions,
 )
+from . import native
 from .signal_prob import input_probability_vector, validate_input_override
 
 __all__ = [
@@ -153,18 +163,68 @@ class CompiledCop:
         self.const1_nets = lowered.const1_nets
         self.n_pins = lowered.n_pins
 
-        self.forward_kernels = [
-            self._build_forward_kernel(group) for group in lowered.groups
-        ]
-        self.backward_levels = [
-            self._build_backward_level(pin_level) for pin_level in lowered.pin_levels
-        ]
-
         self._fault_plans: Dict[Tuple[Fault, ...], Tuple[np.ndarray, ...]] = {}
+        self._native = native.library()
+        if self._native is not None:
+            self._bind_native()
+
+    @property
+    def tier(self) -> str:
+        """``"native"`` when the C level loops run, else ``"numpy"``."""
+        return "numpy" if self._native is None else "native"
 
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
+    def _bind_native(self) -> None:
+        """Pointer arguments of the C level loops, taken from the lowered IR.
+
+        Every array is converted to the element type the C signature reads
+        and kept on the engine, so the pointers stay valid.
+        """
+        lowered = self.lowered
+        empty = [np.zeros(0, dtype=np.int32)]
+        forward_order = np.concatenate([group.gate_ids for group in lowered.groups] or empty)
+        backward_order = np.concatenate([lv.gate_ids for lv in lowered.pin_levels] or empty)
+        fields = (
+            ("forward_order", forward_order, np.int32),
+            ("backward_order", backward_order, np.int32),
+            ("gate_output", lowered.gate_output, np.int32),
+            ("gate_op", lowered.gate_op, np.int8),
+            ("gate_invert", lowered.gate_invert, np.uint8),
+            ("fanin_start", lowered.gate_fanin_start, np.int64),
+            ("fanin_len", lowered.gate_fanin_len, np.int64),
+            ("fanin_flat", lowered.gate_fanin_flat, np.int32),
+            ("pin_base", lowered.pin_base, np.int64),
+        )
+        self._native_arrays = {
+            name: np.ascontiguousarray(array, dtype=dtype) for name, array, dtype in fields
+        }
+
+        def pointers(*names: str) -> Tuple[int, ...]:
+            return tuple(self._native_arrays[name].ctypes.data for name in names)
+
+        self._forward_args = (forward_order.size,) + pointers(
+            "forward_order", "gate_output", "gate_op", "gate_invert",
+            "fanin_start", "fanin_len", "fanin_flat",
+        )
+        self._backward_args = (backward_order.size,) + pointers(
+            "backward_order", "gate_output", "gate_op",
+            "fanin_start", "fanin_len", "fanin_flat", "pin_base",
+        )
+
+    @cached_property
+    def forward_kernels(self) -> List[_ForwardKernel]:
+        """Per-(level, op) kernels of the numpy forward pass."""
+        return [self._build_forward_kernel(group) for group in self.lowered.groups]
+
+    @cached_property
+    def backward_levels(self) -> List[_BackwardLevel]:
+        """Per-level plans of the numpy backward pass."""
+        return [
+            self._build_backward_level(pin_level) for pin_level in self.lowered.pin_levels
+        ]
+
     def _build_forward_kernel(self, group: LevelGroup) -> _ForwardKernel:
         slot_gates: List[np.ndarray] = []
         slot_nets: List[np.ndarray] = []
@@ -260,7 +320,8 @@ class CompiledCop:
             raise ValueError(
                 f"expected a (B, {self.n_inputs}) weight matrix, got {matrix.shape}"
             )
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
+        # Written so that NaN fails too: it compares false with everything.
+        if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
             raise ValueError("input probabilities must lie in [0, 1]")
         return matrix
 
@@ -282,6 +343,21 @@ class CompiledCop:
             for net, value in mapping.items():
                 probs[row, net] = validate_input_override(self.circuit, net, value)
 
+    def _initial_probs(
+        self,
+        weights: np.ndarray | Sequence[Sequence[float]],
+        overrides: Optional[Sequence[Optional[Mapping[int, float]]]],
+    ) -> np.ndarray:
+        """``(B, n_nets)`` probabilities with inputs, constants and overrides set."""
+        matrix = self._weights_matrix(weights)
+        probs = np.zeros((matrix.shape[0], self.n_nets), dtype=float)
+        if self.inputs.size:
+            probs[:, self.inputs] = matrix
+        if self.const1_nets.size:
+            probs[:, self.const1_nets] = 1.0
+        self._apply_overrides(probs, overrides)
+        return probs
+
     def signal_probabilities_batch(
         self,
         weights: np.ndarray | Sequence[Sequence[float]],
@@ -300,15 +376,22 @@ class CompiledCop:
             ``(B, n_nets)`` float64 array, bit-identical per row to the scalar
             :func:`~repro.analysis.signal_prob.signal_probabilities`.
         """
-        matrix = self._weights_matrix(weights)
-        n_rows = matrix.shape[0]
-        probs = np.zeros((n_rows, self.n_nets), dtype=float)
-        if self.inputs.size:
-            probs[:, self.inputs] = matrix
-        if self.const1_nets.size:
-            probs[:, self.const1_nets] = 1.0
-        self._apply_overrides(probs, overrides)
+        if self._native is None:
+            return self.signal_probabilities_batch_numpy(weights, overrides)
+        probs = self._initial_probs(weights, overrides)
+        self._native.cop_forward(
+            probs.shape[0], self.n_nets, probs.ctypes.data, *self._forward_args
+        )
+        return probs
 
+    def signal_probabilities_batch_numpy(
+        self,
+        weights: np.ndarray | Sequence[Sequence[float]],
+        overrides: Optional[Sequence[Optional[Mapping[int, float]]]] = None,
+    ) -> np.ndarray:
+        """The numpy forward pass: reference of :meth:`signal_probabilities_batch`."""
+        probs = self._initial_probs(weights, overrides)
+        n_rows = probs.shape[0]
         for kern in self.forward_kernels:
             n_gates = kern.outputs.size
             if kern.op == OP_XOR:
@@ -335,23 +418,55 @@ class CompiledCop:
     # ------------------------------------------------------------------ #
     # Backward pass
     # ------------------------------------------------------------------ #
+    def _probs_matrix(self, probs: np.ndarray) -> np.ndarray:
+        """``probs`` as a C-contiguous float64 ``(B, n_nets)`` matrix."""
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.shape[1] != self.n_nets:
+            raise ValueError(f"expected a (B, {self.n_nets}) matrix, got {probs.shape}")
+        return probs
+
+    def _initial_miss(self, n_rows: int) -> np.ndarray:
+        """Per-net product of ``1 - obs`` over fan-out pins: 0 on outputs."""
+        miss = np.ones((n_rows, self.n_nets), dtype=float)
+        if self.output_nets.size:
+            miss[:, self.output_nets] = 0.0
+        return miss
+
     def observabilities_batch(self, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Net and pin observabilities for a batch of signal probabilities.
 
         Args:
-            probs: ``(B, n_nets)`` output of :meth:`signal_probabilities_batch`.
+            probs: ``(B, n_nets)`` output of :meth:`signal_probabilities_batch`;
+                any other layout or float dtype is first copied to a
+                contiguous float64 matrix.
 
         Returns:
             ``(net_obs, pin_obs)`` with shapes ``(B, n_nets)`` and
             ``(B, n_pins)``; bit-identical per row to the scalar
             :func:`~repro.analysis.observability.observabilities`.
         """
-        if probs.ndim != 2 or probs.shape[1] != self.n_nets:
-            raise ValueError(f"expected a (B, {self.n_nets}) matrix, got {probs.shape}")
+        if self._native is None:
+            return self.observabilities_batch_numpy(probs)
+        probs = self._probs_matrix(probs)
         n_rows = probs.shape[0]
-        miss = np.ones((n_rows, self.n_nets), dtype=float)
-        if self.output_nets.size:
-            miss[:, self.output_nets] = 0.0
+        miss = self._initial_miss(n_rows)
+        pin_obs = np.empty((n_rows, self.n_pins), dtype=float)
+        self._native.cop_backward(
+            n_rows,
+            self.n_nets,
+            self.n_pins,
+            probs.ctypes.data,
+            miss.ctypes.data,
+            pin_obs.ctypes.data,
+            *self._backward_args,
+        )
+        return np.subtract(1.0, miss, out=miss), pin_obs
+
+    def observabilities_batch_numpy(self, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The numpy backward pass: reference of :meth:`observabilities_batch`."""
+        probs = self._probs_matrix(probs)
+        n_rows = probs.shape[0]
+        miss = self._initial_miss(n_rows)
         pin_obs = np.zeros((n_rows, self.n_pins), dtype=float)
 
         for group in self.backward_levels:

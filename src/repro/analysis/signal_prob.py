@@ -70,7 +70,8 @@ def input_probability_vector(
         vector = np.asarray(list(probabilities), dtype=float)
         if vector.shape != (n,):
             raise ValueError(f"expected {n} probabilities, got {vector.shape}")
-    if np.any(vector < 0.0) or np.any(vector > 1.0):
+    # Written so that NaN fails too: it compares false with everything.
+    if not np.all((vector >= 0.0) & (vector <= 1.0)):
         raise ValueError("input probabilities must lie in [0, 1]")
     return vector
 

@@ -8,11 +8,14 @@ the four starred ones) once, serially, and folds the reports into Tables
 the table it comes from (``table1_s1_length``, ``figure2_crossover_gap``,
 ...).  Table 5's CPU time is the gated ``table5`` area.
 
-The area is informational (``gated=False``): no committed trajectory and no
-CI gate.  The paper-shape checks on the same rows are tier-1 tests
-(``tests/test_experiments.py``).  The paper's pattern budgets are fixed by
-the specs, so ``--quick`` only tags the result's mode; the workload is
-identical.
+The area is gated with a committed trajectory (``BENCH_tables.json``): its
+19 counters (Table 1 lengths, Table 2/4 undetected-fault counts, Table 3
+optimized lengths, appendix input counts) are exact, so any change to the
+reproduced science shows up as one step in the trajectory.  The coverage
+percentages and ratios are tracked but not gated.  The paper-shape checks on
+the same rows are tier-1 tests (``tests/test_experiments.py``).  The
+paper's pattern budgets are fixed by the specs, so ``--quick`` only tags the
+result's mode; the workload is identical.
 """
 
 from __future__ import annotations
@@ -76,5 +79,7 @@ AREA = register_area(
         name="tables",
         title="Paper Tables 1-4, Figure 2 and appendix from one spec sweep",
         run=run_bench,
+        # Counters fall back to EXACT_COUNTER_POLICY: any drift fails.
+        gated=True,
     )
 )

@@ -10,10 +10,22 @@ histories must be bit-identical; the speedup of the batched engine is the
 gated metric; the optimized test lengths and the sweep counts are exact
 counters.  An optimization that takes more than
 :data:`MAX_OPTIMIZE_SECONDS` fails the run.
+
+A second leg times one full COP analysis (:meth:`CompiledCop.analyze`) of
+s2's PREPARE cofactor batch through the native C tier
+(:mod:`repro.analysis.native`) and through the numpy reference kernels,
+checks that both give the same bytes, and gates their ratio as
+``s2_cop_native_speedup``.  Without a C compiler the leg cannot run and the
+gated metric is missing, which fails ``--check``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ...analysis import compile_cop, native
+from ...analysis.detection import cofactor_batch
+from ...circuits import build_circuit
 from ...experiments import run_table5_speedup
 from ..artifacts import BenchResult
 from ..compare import RSS_POLICY, MetricPolicy
@@ -26,6 +38,30 @@ LARGEST_CIRCUIT_KEY = "s2"
 #: Laptop-scale budget for one batched optimization (the paper needed
 #: 300-2000 s on a ~2.5 MIPS machine).
 MAX_OPTIMIZE_SECONDS = 300.0
+
+
+def _cop_tier_leg(runner: BenchRunner) -> None:
+    """Native vs. numpy COP analysis of s2's cofactor batch (same bytes)."""
+    circuit = build_circuit(LARGEST_CIRCUIT_KEY)
+    engine = compile_cop(circuit)
+    weights, overrides = cofactor_batch(circuit, np.full(circuit.n_inputs, 0.5))
+
+    def numpy_tier():
+        probs = engine.signal_probabilities_batch_numpy(weights, overrides)
+        return (probs, *engine.observabilities_batch_numpy(probs))
+
+    def native_tier():
+        result = engine.analyze(weights, overrides)
+        return result.probs, result.net_obs, result.pin_obs
+
+    reference = runner.measure(f"{LARGEST_CIRCUIT_KEY}_cop_numpy", numpy_tier, repeats=5, warmup=1)
+    fast = runner.measure(f"{LARGEST_CIRCUIT_KEY}_cop_native", native_tier, repeats=5, warmup=1)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(fast.value, reference.value)):
+        raise AssertionError("the native COP tier drifted from the numpy reference")
+    runner.metric(
+        f"{LARGEST_CIRCUIT_KEY}_cop_native_speedup",
+        reference.best_seconds / fast.best_seconds,
+    )
 
 
 def run_bench(quick: bool = False) -> BenchResult:
@@ -63,6 +99,8 @@ def run_bench(quick: bool = False) -> BenchResult:
         n_inputs=largest.n_inputs,
     )
     runner.metric("speedup", largest.speedup)
+    if native.library() is not None:
+        _cop_tier_leg(runner)
     return runner.result()
 
 
@@ -79,6 +117,12 @@ AREA = register_area(
             "s2_speedup": MetricPolicy(direction="higher", gate=False),
             "c2670_speedup": MetricPolicy(direction="higher", gate=False),
             "c7552_speedup": MetricPolicy(direction="higher", gate=False),
+            # Native C vs. numpy level loops on s2's cofactor batch: ~30x on
+            # a 2-core x86-64 host; the floor catches a native tier that
+            # stopped paying off.
+            "s2_cop_native_speedup": MetricPolicy(
+                direction="higher", rel_tol=0.5, floor=5.0
+            ),
             "peak_rss_bytes": RSS_POLICY,
         },
         gated=True,

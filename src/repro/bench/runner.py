@@ -163,6 +163,8 @@ class BenchRunner:
             )
         import numpy
 
+        from ..analysis import native
+
         return BenchResult(
             area=self.area,
             quick=self.quick,
@@ -176,5 +178,6 @@ class BenchRunner:
                 "python": platform.python_version(),
                 "platform": platform.platform(),
                 "numpy": numpy.__version__,
+                "cop_tier": native.tier(),
             },
         )

@@ -94,6 +94,20 @@ class TestDifferentialSignalProbabilities:
         with pytest.raises(ValueError):
             engine.signal_probabilities_batch(np.full((1, circuit.n_inputs), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        """NaN compares false with both bounds; it must not reach the kernels
+        (one NaN weight on c432 used to give 39 NaN net probabilities)."""
+        circuit = registry_circuits()[2]
+        engine = compile_cop(circuit)
+        weights = np.full((2, circuit.n_inputs), 0.5)
+        weights[1, 3] = bad
+        for analyse in (engine.signal_probabilities_batch, engine.signal_probabilities_batch_numpy):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                analyse(weights)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            signal_probabilities(circuit, weights[1])
+
 
 class TestDifferentialObservabilities:
     @settings(max_examples=15, deadline=None)

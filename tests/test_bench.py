@@ -333,6 +333,7 @@ class TestBenchRunner:
         assert result.metrics["speedup"] == pytest.approx(4.0)
         assert result.counters == {"test_length": 662}
         assert result.meta["recorded_at"].endswith("Z")
+        assert result.meta["cop_tier"] in ("native", "numpy")
         # The result is a valid artifact end to end.
         assert load_artifact(json_roundtrip(result.to_dict())) == result
 

@@ -220,10 +220,10 @@ class TestBenchCliSurface:
 
 
 class TestCommittedTrajectories:
-    """The five committed BENCH_*.json files are valid, loadable artifacts."""
+    """The committed BENCH_*.json files are valid, loadable artifacts."""
 
     @pytest.mark.parametrize(
-        "area_name", ["substrate", "table5", "session", "bist", "synth"]
+        "area_name", ["substrate", "table5", "session", "bist", "synth", "tables"]
     )
     def test_committed_trajectory_is_valid(self, area_name):
         path = REPO_ROOT / f"BENCH_{area_name}.json"
