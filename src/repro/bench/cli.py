@@ -8,8 +8,8 @@ Subforms::
     python -m repro bench report [--root PATH] [--points N]
 
 Without areas, the *gated* areas run (the ones with a committed
-``BENCH_<area>.json`` trajectory at the repo root: substrate, table5,
-session, bist).  Every run is compared against the last committed point of
+``BENCH_<area>.json`` trajectory at the repo root; ``bench list`` tags
+them ``[gated]``).  Every run is compared against the last committed point of
 the same mode (quick vs. full) and the per-metric delta table is printed.
 
 * ``--check``  — exit non-zero on any gated regression (or on a missing
