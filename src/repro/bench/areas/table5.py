@@ -117,7 +117,7 @@ AREA = register_area(
             "s2_speedup": MetricPolicy(direction="higher", gate=False),
             "c2670_speedup": MetricPolicy(direction="higher", gate=False),
             "c7552_speedup": MetricPolicy(direction="higher", gate=False),
-            # Native C vs. numpy level loops on s2's cofactor batch: ~30x on
+            # Native C vs. numpy level loops on s2's cofactor batch: 18-27x on
             # a 2-core x86-64 host; the floor catches a native tier that
             # stopped paying off.
             "s2_cop_native_speedup": MetricPolicy(
