@@ -165,7 +165,9 @@ def fresh_library(monkeypatch):
 
 
 def _native_warnings(caplog):
-    return [r for r in caplog.records if r.name == native.__name__ and r.levelno == logging.WARNING]
+    return [
+        r for r in caplog.records if r.name == native.__name__ and r.levelno == logging.WARNING
+    ]
 
 
 class TestFallback:
