@@ -8,12 +8,14 @@ The public seam of the reproduction, decoupling *description* from
   :class:`FaultSimConfig`, :class:`SelfTestConfig`) composed into a
   :class:`PipelineSpec` (circuit reference + root seed with deterministic
   per-stage seed derivation), all with validated JSON round trips;
-* :mod:`repro.api.plan` — :func:`build_plan` resolves a spec into a pure
-  :class:`ExecutionPlan`: circuit ref, per-stage seeds and the
-  content-addressed store keys the execute layer caches by;
-* :mod:`repro.api.executor` — :func:`execute_spec` runs one spec (consulting
-  an optional :mod:`repro.store` artifact store first) and produces a
-  :class:`~repro.pipeline.session.PipelineReport` artifact;
+* :mod:`repro.api.plan` — the pipeline's dependency graph, written once:
+  :func:`~repro.api.plan.pipeline_rows` turns a spec into rows (circuit,
+  faults, lowering, then one per stage artifact, each with its seed, store
+  key and compute call), and :func:`build_plan` projects them into a pure
+  :class:`ExecutionPlan` of per-stage seeds and store keys;
+* :mod:`repro.api.executor` — :func:`execute_spec` resolves those rows
+  (consulting an optional :mod:`repro.store` artifact store first) and
+  produces a :class:`~repro.pipeline.session.PipelineReport` artifact;
 * :mod:`repro.api.jobs` — :func:`run_jobs` / :func:`iter_jobs` fan a spec
   batch out over a process pool (per-worker compile caches, streamed
   results, bit-identical to the serial path);

@@ -1,28 +1,30 @@
-"""The planning layer: resolve a spec into an executable, cacheable plan.
+"""The planning layer: the pipeline's dependency graph, written once.
 
 The execution stack is **spec → plan → execute → persist**.  This module is
-the second layer: :func:`build_plan` takes a declarative
-:class:`~repro.api.spec.PipelineSpec` and — *without running anything* —
-resolves every decision the executor would otherwise make on the fly:
-
-* the normalized circuit reference and artifact label;
-* the fault-simulation pattern budget (:func:`resolve_n_patterns`);
-* the derived per-stage seeds (:meth:`PipelineSpec.stage_seed`);
-* the content-addressed **store keys** — one per cacheable unit of work —
-  that the execute layer consults in :mod:`repro.store` before computing
-  and writes back after.
+the second layer.  :func:`pipeline_rows` turns a declarative
+:class:`~repro.api.spec.PipelineSpec` into the ordered list of
+:class:`Row` objects, one per artifact: the helper rows ``circuit``,
+``faults`` (collapsed, then redundancy-filtered) and ``lowering``, then one
+row per stage artifact.  Each row names its dependencies, its derived seed,
+its store key and the library call that computes it from upstream rows
+(``compute(need)``).  :func:`build_plan` projects that list into an
+:class:`ExecutionPlan` (stages, seeds, store keys), and
+:func:`~repro.api.executor.execute_spec` resolves the same rows.
 
 Planning is pure: no circuit is built, no kernel is lowered, no RNG is
-drawn.  ``build_plan(spec)`` is a deterministic function of the spec's
-canonical content, so the same spec planned in the CLI process, a pool
-worker, or the job service yields byte-identical store keys — which is what
-makes cross-process cache hits sound.
+drawn; the compute closures reach the circuit only through
+``need("circuit")`` at execution time.  ``build_plan(spec)`` is a
+deterministic function of the spec's canonical content, so the same spec
+planned in the CLI process, a pool worker, or the job service yields
+byte-identical store keys — which is what makes cross-process cache hits
+sound.
 
 Key derivation
 --------------
-Every store key is ``<namespace>/<sha256 hex>`` where the digest is
-:func:`~repro.api.serialize.content_hash` over a dict naming the stage and
-*everything its artifact depends on*:
+A keyed row's store key is ``<namespace>/<sha256 hex>``, the digest
+:func:`~repro.api.serialize.content_hash` of its dependency dict: the
+stage name, the spec fields the artifact depends on, and the dependency
+dicts of the upstream keyed rows it consumes (nested, as ``"weights"``).
 
 * ``pipeline_report/<spec_hash>`` — the whole-pipeline artifact; keyed by
   the spec itself.
@@ -38,22 +40,46 @@ Every store key is ``<namespace>/<sha256 hex>`` where the digest is
   and the *derived* stage seed (which already encodes root seed + label);
   the weighted variant additionally depends on the weight provenance
   (optimize + quantize configs).
+* ``stage_multi_weight/<digest>`` and ``stage_multi_weight_report/<digest>``
+  — the weight sets and the multi-weight report, both over one dependency
+  dict: circuit, analysis config, weight provenance, multi-weight config
+  and the two derived seeds, plus the signature register and the coverage
+  run's fault-sim partition size when the spec sets them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from ..analysis.compiled import BatchedCopEstimator
+from ..analysis.redundancy import remove_redundant
+from ..core.optimizer import OptimizationResult, WeightOptimizer
+from ..core.quantize import quantize_to_lfsr_grid
+from ..faults.collapse import collapsed_fault_list
+from ..faults.model import Fault
+from ..faultsim.coverage import CoverageExperiment, random_pattern_coverage
+from ..lowered import compile_count, compile_lowered
+from ..patterns.bilbo import SelfTestSession
+from ..wrp import (
+    MultiWeightReport,
+    MultiWeightSet,
+    build_weight_sets,
+    run_multi_weight_session,
+)
 from .serialize import content_hash
-from .spec import STAGE_NAMES, PipelineSpec
+from .spec import STAGE_NAMES, PipelineSpec, QuantizeConfig
 
 __all__ = [
     "DEFAULT_N_PATTERNS",
     "PLAN_STAGE_NAMES",
     "ExecutionPlan",
+    "Row",
     "StagePlan",
     "build_plan",
+    "pipeline_rows",
     "report_store_key",
     "resolve_n_patterns",
 ]
@@ -91,9 +117,50 @@ def report_store_key(spec_hash: str) -> str:
     return f"pipeline_report/{spec_hash}"
 
 
-def _stage_key(namespace: str, deps: Mapping[str, Any]) -> str:
-    """A content-addressed store key from a stage's dependency dict."""
-    return f"{namespace}/{content_hash(dict(deps))}"
+Need = Callable[[str], Any]
+
+
+@dataclass(frozen=True)
+class Row:
+    """One node of the pipeline's dependency graph.
+
+    Attributes:
+        output: the artifact's name; ``need(output)`` resolves it.
+        compute: builds the artifact by a direct library call; receives
+            ``need``, which returns (resolving on first use) another row's
+            artifact.
+        name: the progress name passed to ``on_stage`` and counted in
+            ``stage_runs`` when the row is computed.  ``None`` marks a
+            helper row: it is resolved only when a later row needs it and
+            reports no progress of its own.
+        stage / variant: the plan stage the row belongs to (by default its
+            progress name), and its store key's name within that stage.
+        namespace: the store namespace; ``None`` for rows cheap enough to
+            recompute, which have no store key.
+        deps: what a keyed artifact depends on — the stage, spec fields and
+            upstream rows' dependency dicts.
+        seed: the derived working seed of a randomized row.
+        artifact_type: the class a stored artifact must decode to.
+        store_key: ``<namespace>/<content_hash(deps)>``, or ``None``.
+    """
+
+    output: str
+    compute: Callable[[Need], Any] = field(repr=False)
+    name: Optional[str] = None
+    stage: Optional[str] = None
+    variant: Optional[str] = None
+    namespace: Optional[str] = None
+    deps: Optional[Mapping[str, Any]] = None
+    seed: Optional[int] = None
+    artifact_type: Optional[type] = None
+    store_key: Optional[str] = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.stage is None:
+            object.__setattr__(self, "stage", self.name)
+        if self.namespace is not None:
+            key = f"{self.namespace}/{content_hash(dict(self.deps))}"
+            object.__setattr__(self, "store_key", key)
 
 
 @dataclass(frozen=True)
@@ -101,47 +168,43 @@ class StagePlan:
     """One pipeline stage, fully resolved.
 
     Attributes:
-        name: the stage (one of :data:`~repro.api.spec.STAGE_NAMES`).
-        config: the stage config's wire dict (``analysis_config``, ...).
+        name: the stage (one of :data:`PLAN_STAGE_NAMES`).
         seed: the derived working seed, for the randomized stages
-            (``fault_sim``, ``self_test``); ``None`` for the deterministic
-            ones.
+            (``fault_sim``, ``self_test``, ``multi_weight``); ``None`` for
+            the deterministic ones.
         store_keys: the stage's content-addressed cache keys, by variant —
             ``{"result": ...}`` for optimize, ``{"conventional": ...,
-            "optimized": ...}`` for fault sim, empty for stages that are
+            "optimized": ...}`` for fault sim, ``{"weight_sets": ...,
+            "result": ...}`` for multi-weight, empty for stages that are
             not stage-cached (cheap arithmetic, or covered only by the
             report-level key).
     """
 
     name: str
-    config: Mapping[str, Any]
     seed: Optional[int] = None
     store_keys: Mapping[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Everything the execute layer needs, resolved ahead of execution.
+    """A spec's row list and its projection, resolved ahead of execution.
 
     Attributes:
-        spec: the planned spec (normalized, immutable).
-        spec_hash: its content hash — the dedup identity.
-        label: the artifact label (``spec.label``).
-        circuit: the normalized circuit reference (registry key or dict).
+        spec_hash: the spec's content hash — the dedup identity.
         n_patterns: resolved fault-sim pattern budget (``None`` when the
             fault-sim stage is skipped).
         stages: one :class:`StagePlan` per *declared* stage, in execution
             order.
         report_key: store key of the whole-pipeline report artifact.
+        rows: the :func:`pipeline_rows` the plan projects, which the
+            executor resolves.
     """
 
-    spec: PipelineSpec
     spec_hash: str
-    label: str
-    circuit: Any
     n_patterns: Optional[int]
     stages: Tuple[StagePlan, ...]
     report_key: str
+    rows: Tuple[Row, ...] = field(repr=False, compare=False)
 
     def stage(self, name: str) -> Optional[StagePlan]:
         """The plan of one stage, or ``None`` when the spec skips it."""
@@ -158,7 +221,7 @@ class ExecutionPlan:
         """Every store key the plan may touch, flattened for introspection.
 
         Maps ``"report"`` and ``"<stage>.<variant>"`` to their keys — the
-        shape served by the job service's ``/statsz`` and handy in tests.
+        shape tests compare a store's keys against.
         """
         keys = {"report": self.report_key}
         for stage in self.stages:
@@ -169,122 +232,257 @@ class ExecutionPlan:
 
 def build_plan(spec: PipelineSpec) -> ExecutionPlan:
     """Resolve a spec into an :class:`ExecutionPlan` (pure; runs nothing)."""
+    rows = pipeline_rows(spec)
+    seeds: Dict[str, int] = {}
+    keys: Dict[str, Dict[str, str]] = {}
+    for row in rows:
+        if row.stage is None:
+            continue
+        stage_keys = keys.setdefault(row.stage, {})
+        if row.store_key is not None:
+            stage_keys[row.variant] = row.store_key
+        if row.seed is not None:
+            seeds[row.stage] = row.seed
     spec_hash = spec.spec_hash()
-    circuit_ref = spec.circuit
-    n_patterns = None if spec.fault_sim is None else resolve_n_patterns(spec)
+    return ExecutionPlan(
+        spec_hash=spec_hash,
+        n_patterns=next(
+            (row.deps["n_patterns"] for row in rows if row.stage == "fault_sim"), None
+        ),
+        stages=tuple(
+            StagePlan(name, seeds.get(name), stage_keys)
+            for name, stage_keys in keys.items()
+        ),
+        report_key=report_store_key(spec_hash),
+        rows=rows,
+    )
 
-    stages = [StagePlan(name="analysis", config=spec.analysis.to_dict())]
 
+def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
+    """The rows a spec declares, in execution order (pure; runs nothing).
+
+    Each ``compute`` is a direct library call parameterized by the spec's
+    stage configs and derived seeds.
+    """
+    estimator = BatchedCopEstimator()
+    analysis = spec.analysis
+    # The spec fields every keyed artifact depends on.
+    base = {"circuit": spec.circuit, "analysis": analysis.to_dict()}
+
+    def fault_list(need: Need) -> List[Fault]:
+        faults = collapsed_fault_list(need("circuit"))
+        if analysis.drop_redundant:
+            faults = remove_redundant(need("circuit"), faults)
+        return faults
+
+    def lowerings(need: Need) -> int:
+        before = compile_count()
+        compile_lowered(need("circuit"))
+        return compile_count() - before
+
+    def baseline(need: Need) -> np.ndarray:
+        circuit, faults = need("circuit"), need("faults")
+        # Lower before the first kernel runs, so the report's count holds
+        # the lowering this run paid for.
+        need("lowering")
+        return estimator.detection_probabilities(
+            circuit, faults, [0.5] * circuit.n_inputs
+        )
+
+    rows: List[Row] = [
+        Row("circuit", lambda need: spec.build_circuit()),
+        Row("faults", fault_list),
+        Row("lowering", lowerings),
+        Row("analysis", baseline, name="analysis"),
+    ]
+
+    optimize, quantize = spec.optimize, spec.quantize
     optimize_deps: Optional[Dict[str, Any]] = None
-    if spec.optimize is not None:
-        # Optimization is deterministic (coordinate descent, no RNG), so the
-        # key deliberately omits seed and label: every spec that agrees on
-        # circuit + analysis + optimize + quantize configs shares one entry.
-        # The quantize config participates because the cached
-        # OptimizationResult embeds quantized_weights at that step.
+    if optimize is not None:
+        # Shared by the single-set optimum and every per-cluster optimizer.
+        optimizer = dict(
+            estimator=estimator,
+            confidence=analysis.confidence,
+            bounds=(float(optimize.bounds[0]), float(optimize.bounds[1])),
+            alpha=optimize.alpha,
+            max_sweeps=optimize.max_sweeps,
+        )
+        # The optimize artifact embeds the grid of the quantize config (or
+        # the default grid when the spec quantizes nothing), so that config
+        # is a dependency; seed and label are not (no RNG is drawn).
+        step = (quantize or QuantizeConfig()).step
         optimize_deps = {
             "stage": "optimize",
-            "circuit": circuit_ref,
-            "analysis": spec.analysis.to_dict(),
-            "optimize": spec.optimize.to_dict(),
-            "quantize": None if spec.quantize is None else spec.quantize.to_dict(),
+            **base,
+            "optimize": optimize.to_dict(),
+            "quantize": None if quantize is None else quantize.to_dict(),
         }
-        stages.append(
-            StagePlan(
+        rows.append(
+            Row(
+                "optimize",
+                lambda need: WeightOptimizer(
+                    need("circuit"), faults=need("faults"), **optimizer
+                ).optimize(quantization_step=step),
                 name="optimize",
-                config=spec.optimize.to_dict(),
-                store_keys={"result": _stage_key("stage_optimize", optimize_deps)},
+                variant="result",
+                namespace="stage_optimize",
+                deps=optimize_deps,
+                artifact_type=OptimizationResult,
             )
         )
 
-    if spec.quantize is not None:
-        # Pure arithmetic on the optimize artifact — nothing worth a store
-        # round trip of its own.
-        stages.append(StagePlan(name="quantize", config=spec.quantize.to_dict()))
+    if quantize is not None:
 
-    if spec.fault_sim is not None:
+        def quantized(need: Need) -> np.ndarray:
+            if quantize.lfsr_resolution is not None:
+                return quantize_to_lfsr_grid(
+                    need("optimize").weights, resolution=quantize.lfsr_resolution
+                )
+            return need("optimize").quantized_weights
+
+        rows.append(Row("quantize", quantized, name="quantize"))
+
+    fault_sim = spec.fault_sim
+    if fault_sim is not None:
         seed = spec.stage_seed("fault_sim")
-        base_deps: Dict[str, Any] = {
+        n_patterns = resolve_n_patterns(spec)
+        sim_deps = {
             "stage": "fault_sim",
-            "circuit": circuit_ref,
-            "analysis": spec.analysis.to_dict(),
-            "fault_sim": spec.fault_sim.to_dict(),
+            **base,
+            "fault_sim": fault_sim.to_dict(),
             "n_patterns": n_patterns,
             "seed": seed,
         }
-        store_keys = {
-            "conventional": _stage_key(
-                "stage_fault_sim", {**base_deps, "weights": None}
-            )
-        }
-        if spec.quantize is not None:
-            store_keys["optimized"] = _stage_key(
-                "stage_fault_sim", {**base_deps, "weights": optimize_deps}
-            )
-        stages.append(
-            StagePlan(
-                name="fault_sim",
-                config=spec.fault_sim.to_dict(),
+
+        def coverage(weights: Optional[str]) -> Callable[[Need], Any]:
+            return lambda need: random_pattern_coverage(
+                need("circuit"),
+                n_patterns,
+                weights=None if weights is None else need(weights),
+                faults=need("faults"),
                 seed=seed,
-                store_keys=store_keys,
+                batch_size=fault_sim.batch_size,
+                fault_group=fault_sim.fault_group,
+                target_coverage=fault_sim.target_coverage,
+                partition_size=fault_sim.partition_size,
             )
-        )
 
-    if spec.self_test is not None:
-        stages.append(
-            StagePlan(
+        legs = [("conventional", None, None)]
+        if quantize is not None:
+            legs.append(("optimized", "quantize", optimize_deps))
+        for output, weights, weights_deps in legs:
+            rows.append(
+                Row(
+                    output,
+                    coverage(weights),
+                    name="fault_sim",
+                    variant=output,
+                    namespace="stage_fault_sim",
+                    deps={**sim_deps, "weights": weights_deps},
+                    seed=seed,
+                    artifact_type=CoverageExperiment,
+                )
+            )
+
+    self_test = spec.self_test
+    if self_test is not None:
+        self_test_seed = spec.stage_seed("self_test")
+
+        def hardest_fault(need: Need) -> Optional[Fault]:
+            faults = need("faults")
+            if not (self_test.inject_hardest and faults):
+                return None
+            return faults[int(np.argmin(need("analysis")))]
+
+        rows.append(Row("self_test_fault", hardest_fault))
+        rows.append(
+            Row(
+                "self_test",
+                lambda need: SelfTestSession(
+                    need("circuit"),
+                    self_test.n_patterns,
+                    weights=need("quantize") if self_test.weighted else None,
+                    use_lfsr=self_test.use_lfsr,
+                    misr_width=self_test.misr_width,
+                    misr_taps=self_test.misr_taps,
+                    seed=self_test_seed,
+                ).run(need("self_test_fault")),
                 name="self_test",
-                config=spec.self_test.to_dict(),
-                seed=spec.stage_seed("self_test"),
+                seed=self_test_seed,
             )
         )
 
-    if spec.multi_weight is not None:
-        # The weight-set artifact depends on everything that shapes the
-        # clusters and the per-cluster optima: the circuit, the analysis
-        # config (confidence, fault filtering), the weight provenance
-        # (optimize + quantize configs), the multi-weight config and the two
-        # derived seeds (clustering, per-set LFSR reseeds).  The report additionally
-        # reflects the session's coverage run, whose knobs all live in the
-        # same config — so both keys share one dependency dict.  The spec's
-        # one signature register joins them only when it is overridden.
+    multi_weight = spec.multi_weight
+    if multi_weight is not None:
+        cluster_seed = spec.stage_seed("cluster")
         session_seed = spec.stage_seed("multi_weight")
+        # One signature register per spec: the self-test MISR override.
+        misr_width = None if self_test is None else self_test.misr_width
+        misr_taps = None if self_test is None else self_test.misr_taps
+        # The session's coverage run is partitioned like the fault-sim
+        # stage, or by the analysis config when the spec has none.
+        partition_size = (
+            analysis.partition_size if fault_sim is None else fault_sim.partition_size
+        )
+        # Both artifacts share one dependency dict: everything that shapes
+        # the clusters and per-cluster optima, plus the session's coverage
+        # run.  The register and the partition size join it only when set
+        # (the analysis config, already a dependency, carries its own).
         multi_deps = {
             "stage": "multi_weight",
-            "circuit": circuit_ref,
-            "analysis": spec.analysis.to_dict(),
+            **base,
             "weights": optimize_deps,
-            "multi_weight": spec.multi_weight.to_dict(),
-            "cluster_seed": spec.stage_seed("cluster"),
+            "multi_weight": multi_weight.to_dict(),
+            "cluster_seed": cluster_seed,
             "session_seed": session_seed,
         }
-        self_test = spec.self_test
-        if self_test is not None and (
-            self_test.misr_width is not None or self_test.misr_taps is not None
-        ):
-            taps = self_test.misr_taps
+        if misr_width is not None or misr_taps is not None:
             multi_deps["misr"] = {
-                "width": self_test.misr_width,
-                "taps": None if taps is None else list(taps),
+                "width": misr_width,
+                "taps": None if misr_taps is None else list(misr_taps),
             }
-        stages.append(
-            StagePlan(
-                name="multi_weight",
-                config=spec.multi_weight.to_dict(),
-                seed=session_seed,
-                store_keys={
-                    "weight_sets": _stage_key("stage_multi_weight", multi_deps),
-                    "result": _stage_key("stage_multi_weight_report", multi_deps),
-                },
+        if fault_sim is not None and partition_size is not None:
+            multi_deps["partition_size"] = partition_size
+        rows.append(
+            Row(
+                "weight_sets",
+                lambda need: build_weight_sets(
+                    need("circuit"),
+                    faults=need("faults"),
+                    k=multi_weight.k,
+                    quantization_step=step,
+                    cluster_seed=cluster_seed,
+                    session_seed=session_seed,
+                    budget=multi_weight.budget,
+                    base_result=need("optimize"),
+                    **optimizer,
+                ),
+                stage="multi_weight",
+                variant="weight_sets",
+                namespace="stage_multi_weight",
+                deps=multi_deps,
+                artifact_type=MultiWeightSet,
             )
         )
-
-    return ExecutionPlan(
-        spec=spec,
-        spec_hash=spec_hash,
-        label=spec.label,
-        circuit=circuit_ref,
-        n_patterns=n_patterns,
-        stages=tuple(stages),
-        report_key=report_store_key(spec_hash),
-    )
+        rows.append(
+            Row(
+                "multi_weight",
+                lambda need: run_multi_weight_session(
+                    need("circuit"),
+                    need("weight_sets"),
+                    faults=need("faults"),
+                    target_coverage=multi_weight.target_coverage,
+                    scan_chains=multi_weight.scan_chains,
+                    partition_size=partition_size,
+                    misr_width=misr_width,
+                    misr_taps=misr_taps,
+                ),
+                name="multi_weight",
+                variant="result",
+                namespace="stage_multi_weight_report",
+                deps=multi_deps,
+                seed=session_seed,
+                artifact_type=MultiWeightReport,
+            )
+        )
+    return tuple(rows)

@@ -9,7 +9,8 @@ Subforms::
 
 Without areas, the *gated* areas run (the ones with a committed
 ``BENCH_<area>.json`` trajectory at the repo root; ``bench list`` tags
-them ``[gated]``).  Every run is compared against the last committed point of
+them ``[gated]``), each in a freshly started interpreter, so its peak RSS
+is its own.  Every run is compared against the last committed point of
 the same mode (quick vs. full) and the per-metric delta table is printed.
 
 * ``--check``  — exit non-zero on any gated regression (or on a missing
@@ -32,7 +33,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -78,8 +81,12 @@ def _run_one(
     json_dir: Optional[Path],
 ) -> Comparison:
     area = get_area(area_name)
-    print(f"== {area_name}: {area.title}")
-    result = area.run(quick)
+    print(f"== {area_name}: {area.title}", flush=True)
+    # A freshly started interpreter per area (spawn, not fork), so peak RSS
+    # and process-wide caches belong to this area alone.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        result = pool.submit(area.run, quick).result()
     _print_result(result)
 
     trajectory = _load_or_empty(area_name, root)

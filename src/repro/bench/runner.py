@@ -24,9 +24,19 @@ __all__ = ["Measurement", "BenchRunner", "best_of", "peak_rss_bytes"]
 def peak_rss_bytes() -> Optional[int]:
     """Peak resident-set size of this process in bytes (None if unavailable).
 
-    Uses ``resource.getrusage`` — ``ru_maxrss`` is reported in KiB on Linux
-    and in bytes on macOS; both are normalized to bytes.
+    On Linux this is ``VmHWM`` from ``/proc/self/status``, the high-water
+    mark of the address space since the process was started (exec'd).
+    Elsewhere it is ``resource.getrusage``'s ``ru_maxrss`` (KiB on Linux,
+    bytes on macOS, normalized to bytes); Linux carries that one across
+    exec, so a freshly started child would read its parent's pages too.
     """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platform

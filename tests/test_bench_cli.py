@@ -16,9 +16,11 @@ gate's behaviour is exercised without paying for a real optimization run:
   (PNG when matplotlib is installed, dependency-free SVG otherwise).
 """
 
+import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import load_artifact
@@ -37,14 +39,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Mutable knobs the synthetic area reads on every run — tests twist these
 #: to simulate perf regressions and behavioural drift between invocations.
+#: Each area runs in a fresh interpreter, so the knobs travel as an argument
+#: of the pickled ``run`` callable.
 KNOBS = {"speedup": 10.0, "test_length": 662}
 
 
-def _run_synthetic(quick: bool = False):
+def _run_synthetic(knobs, quick: bool = False):
     runner = BenchRunner("synthetic", quick=quick)
     runner.workload(circuit="demo")
-    runner.metric("speedup", KNOBS["speedup"])
-    runner.counter("test_length", KNOBS["test_length"])
+    runner.metric("speedup", knobs["speedup"])
+    runner.counter("test_length", knobs["test_length"])
     runner.timing("demo_seconds", 0.001)
     return runner.result()
 
@@ -55,7 +59,7 @@ def synthetic_area():
     area = BenchArea(
         name="synthetic",
         title="synthetic area for CLI tests",
-        run=_run_synthetic,
+        run=functools.partial(_run_synthetic, KNOBS),
         policies={"speedup": MetricPolicy(direction="higher", rel_tol=0.2, floor=2.0)},
         gated=True,
     )
@@ -217,6 +221,17 @@ class TestBenchCliSurface:
 
         assert repro_main(["bench", "list"]) == 0
         assert "substrate" in capsys.readouterr().out
+
+
+class TestAreaIsolation:
+    def test_area_peak_rss_excludes_the_calling_process(self, tmp_path):
+        """Each area runs in a freshly started interpreter: resident pages
+        the caller holds never reach the area's recorded peak RSS."""
+        ballast = np.ones(256 * 2**20, dtype=np.uint8)  # every page touched
+        argv = ["bist", "--quick", "--json-dir", str(tmp_path), "--root", str(REPO_ROOT)]
+        assert bench_main(argv) == 0
+        trajectory = load_artifact(json.loads((tmp_path / "BENCH_bist.json").read_text()))
+        assert trajectory.points[-1].peak_rss_bytes < ballast.nbytes
 
 
 class TestCommittedTrajectories:

@@ -7,6 +7,7 @@ deliberate, schema-versioned decision, not drift.  The volatile-field tests
 prove that timings, compile counts and stats never reach a content hash.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,9 +27,10 @@ from repro.api.spec import (
     FaultSimConfig,
     MultiWeightConfig,
     OptimizeConfig,
+    QuantizeConfig,
     SelfTestConfig,
 )
-from repro.store import check_store_key
+from repro.store import MemoryStore, check_store_key
 
 #: The committed ISCAS fixture; the file-spec golden hashes its *text* form,
 #: so the vector breaks if either canonicalization or the fixture drifts.
@@ -257,15 +259,38 @@ class TestBuildPlan:
         fault_sim=FaultSimConfig(n_patterns=128),
     )
 
-    def test_plan_is_pure_and_deterministic(self):
+    def test_plan_is_pure_and_deterministic(self, monkeypatch):
+        from repro.circuits.sources import CircuitSource
+        from repro.faults import collapse
         from repro.lowered import compile_count
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(CircuitSource, "build", counted("build", CircuitSource.build))
+        collapse_fn = collapse.collapsed_fault_list
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and vars(module).get("collapsed_fault_list") is collapse_fn:
+                monkeypatch.setattr(
+                    module, "collapsed_fault_list", counted("collapse", collapse_fn)
+                )
 
         lowerings = compile_count()
         plan_a = build_plan(PipelineSpec(**self.SPEC))
         plan_b = build_plan(PipelineSpec(**self.SPEC))
         assert compile_count() == lowerings  # planned without lowering
+        assert calls == []  # ... without building the circuit or its faults
         assert plan_a.store_keys() == plan_b.store_keys()
         assert isinstance(plan_a, ExecutionPlan)
+        # The counters are live: executing the spec builds both.
+        execute_spec(PipelineSpec(**self.SPEC))
+        assert set(calls) == {"build", "collapse"}
 
     def test_stage_order_and_accessors(self):
         spec = PipelineSpec(
@@ -347,3 +372,68 @@ class TestBuildPlan:
         other = build_plan(PipelineSpec(**{**self.SPEC, "circuit": "s2"}))
         assert base.stage("optimize").store_keys != other.stage("optimize").store_keys
         assert base.report_key != other.report_key
+
+
+#: A small spec declaring every stage, and single-field perturbations of it.
+_EVERY_STAGE = dict(
+    circuit="s1",
+    optimize=OptimizeConfig(max_sweeps=2),
+    fault_sim=FaultSimConfig(n_patterns=128),
+    self_test=SelfTestConfig(n_patterns=64, inject_hardest=True),
+    multi_weight=MultiWeightConfig(k=2, budget=512),
+)
+
+_PERTURBATIONS = {
+    "base": {},
+    "seed": dict(seed=2),
+    "n_patterns": dict(fault_sim=FaultSimConfig(n_patterns=256)),
+    "analysis.partition_size": dict(analysis=AnalysisConfig(partition_size=7)),
+    "fault_sim.partition_size": dict(
+        fault_sim=FaultSimConfig(n_patterns=128, partition_size=7)
+    ),
+    "fault_sim.target_coverage": dict(
+        fault_sim=FaultSimConfig(n_patterns=128, target_coverage=0.9)
+    ),
+    "lfsr_resolution": dict(quantize=QuantizeConfig(lfsr_resolution=4)),
+    "step": dict(quantize=QuantizeConfig(step=0.1)),
+    "misr_width": dict(
+        self_test=SelfTestConfig(n_patterns=64, inject_hardest=True, misr_width=20)
+    ),
+    "k": dict(multi_weight=MultiWeightConfig(k=3, budget=512)),
+    "budget": dict(multi_weight=MultiWeightConfig(k=2, budget=1024)),
+    "multi_weight.target_coverage": dict(
+        multi_weight=MultiWeightConfig(k=2, budget=512, target_coverage=0.9)
+    ),
+    "scan_chains": dict(multi_weight=MultiWeightConfig(k=2, budget=512, scan_chains=2)),
+}
+
+
+class TestStoreKeysSoundAndComplete:
+    """Every store key names exactly one artifact, and the plan names every
+    key a run writes."""
+
+    @pytest.fixture(scope="class")
+    def cold_runs(self):
+        runs = {}
+        for name, overrides in _PERTURBATIONS.items():
+            spec = PipelineSpec(**{**_EVERY_STAGE, **overrides})
+            store = MemoryStore()
+            execute_spec(spec, store=store)
+            runs[name] = (spec, store)
+        return runs
+
+    def test_a_shared_key_holds_one_payload(self, cold_runs):
+        first = {}
+        for name, (_, store) in cold_runs.items():
+            for key in store.keys():
+                if key.startswith("pipeline_report/"):
+                    continue
+                payload = scrub_volatile(store.get(key))
+                owner, expected = first.setdefault(key, (name, payload))
+                assert payload == expected, f"{key}: {owner} and {name} differ"
+        # The perturbations do share stage artifacts (optimize at least).
+        assert len(first) < sum(len(store.keys()) - 1 for _, store in cold_runs.values())
+
+    def test_a_cold_run_writes_exactly_the_planned_keys(self, cold_runs):
+        for name, (spec, store) in cold_runs.items():
+            assert set(store.keys()) == set(build_plan(spec).store_keys().values()), name
