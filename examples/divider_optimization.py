@@ -10,7 +10,8 @@ library features beyond the quickstart:
 * comparing the analytic (COP) estimator with a Monte-Carlo estimate obtained
   by fault simulation, and
 * the section 5.3 extension — partitioning the fault set and computing one
-  weight set per partition — including when it pays off.
+  weight set per partition (:func:`repro.wrp.build_weight_sets`) — including
+  when it pays off.
 
 Run with ``python examples/divider_optimization.py``.
 """
@@ -23,11 +24,11 @@ from repro import (
     MonteCarloDetectionEstimator,
     WeightOptimizer,
     collapsed_fault_list,
-    optimize_partitioned,
     required_test_length,
     s2_divider,
 )
 from repro.analysis import BatchedCopEstimator, remove_redundant
+from repro.wrp import build_weight_sets
 
 
 def main(width: int = 8) -> None:
@@ -62,15 +63,15 @@ def main(width: int = 8) -> None:
           np.array2string(single.quantized_weights[width:], precision=2, separator=", "))
 
     # --- Section 5.3 extension: partitioned weight sets ----------------------
-    partitioned = optimize_partitioned(
-        circuit, faults=faults, confidence=0.999, max_sessions=2
+    weight_sets = build_weight_sets(
+        circuit, faults=faults, k=2, confidence=0.999, base_result=single
     )
-    print(f"Partitioned test   : {partitioned.n_sessions} weight sets, "
-          f"total ~{partitioned.total_test_length:,} patterns "
-          f"(single distribution needs ~{partitioned.single_session_length:,})")
-    for index, session in enumerate(partitioned.sessions, start=1):
-        print(f"  session {index}: {len(session.target_faults)} target faults, "
-              f"~{session.test_length:,} patterns")
+    print(f"Partitioned test   : {weight_sets.k} weight sets, "
+          f"total ~{weight_sets.multi_set_length:,} patterns "
+          f"(single distribution needs ~{weight_sets.single_set_length:,})")
+    for entry in weight_sets.sets:
+        print(f"  set {entry.index + 1}: {len(entry.fault_indices)} target faults, "
+              f"~{entry.test_length:,} patterns")
 
 
 if __name__ == "__main__":

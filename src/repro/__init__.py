@@ -9,7 +9,7 @@ The package is organised by subsystem:
 * :mod:`repro.circuits` — benchmark circuit generators (S1 comparator, divider,
   ISCAS-like workloads), the circuit source abstraction (builtin | file |
   inline | generator refs) and the seeded synthetic netlist generator.
-* :mod:`repro.simulation` — bit-parallel and reference true-value simulation.
+* :mod:`repro.simulation` — bit-parallel true-value simulation.
 * :mod:`repro.faults` / :mod:`repro.faultsim` — stuck-at fault model, fault
   collapsing and fault simulation.
 * :mod:`repro.analysis` — signal probabilities, observabilities and detection
@@ -67,7 +67,6 @@ from .core import (
     OptimizationResult,
     WeightOptimizer,
     optimize_input_probabilities,
-    optimize_partitioned,
     quantize_weights,
     required_test_length,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "OptimizationResult",
     "WeightOptimizer",
     "optimize_input_probabilities",
-    "optimize_partitioned",
     "quantize_weights",
     "required_test_length",
     "LFSR",

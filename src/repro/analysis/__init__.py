@@ -24,6 +24,12 @@ compiled engine.  Estimators remain pluggable through
 conform to :class:`BatchDetectionProbabilityEstimator` and are detected by
 :func:`batch_detection_probabilities`, which drives any scalar estimator row
 by row as a fallback.
+
+Exact values come from :mod:`repro.analysis.exact`, which enumerates an
+exhaustive pattern matrix (at most 22 inputs) through the word-parallel
+simulation references; the tests use it as the oracle for the estimators.
+The product path (the ``faults`` and ``analysis`` rows of a spec) calls only
+the batched engine.
 """
 
 from .signal_prob import input_probability_vector, signal_probabilities, signal_probability

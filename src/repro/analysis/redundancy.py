@@ -28,7 +28,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from .detection import CopDetectionEstimator
+from .compiled import BatchedCopEstimator
 from .exact import MAX_EXACT_INPUTS, exact_detection_probability
 
 __all__ = ["estimated_redundant_faults", "proven_redundant", "remove_redundant"]
@@ -43,12 +43,12 @@ def estimated_redundant_faults(
 
     The input probabilities are forced to an interior value (default 0.5) so a
     zero can only come from the structure of the circuit, not from an input
-    pinned to 0 or 1.
+    pinned to 0 or 1.  The batched COP engine evaluates it; its values are
+    bit-identical to the scalar :class:`~repro.analysis.detection.CopDetectionEstimator`.
     """
     if not 0.0 < interior_probability < 1.0:
         raise ValueError("interior_probability must lie strictly between 0 and 1")
-    estimator = CopDetectionEstimator()
-    probs = estimator.detection_probabilities(
+    probs = BatchedCopEstimator().detection_probabilities(
         circuit, list(faults), np.full(circuit.n_inputs, interior_probability)
     )
     return [fault for fault, p in zip(faults, probs) if p == 0.0]

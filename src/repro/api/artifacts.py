@@ -35,7 +35,6 @@ __all__ = [
 def _row_types() -> Dict[str, type]:
     from ..experiments.appendix import AppendixListing
     from ..experiments.figure2 import Figure2Data
-    from ..experiments.multi_weight import MultiWeightRow
     from ..experiments.table1 import Table1Row
     from ..experiments.table2 import Table2Row
     from ..experiments.table3 import Table3Row
@@ -51,7 +50,6 @@ def _row_types() -> Dict[str, type]:
         "table5_speedup_row": Table5SpeedupRow,
         "figure2_data": Figure2Data,
         "appendix_listing": AppendixListing,
-        "multi_weight_row": MultiWeightRow,
     }
 
 

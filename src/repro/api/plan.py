@@ -40,11 +40,13 @@ dicts of the upstream keyed rows it consumes (nested, as ``"weights"``).
   and the *derived* stage seed (which already encodes root seed + label);
   the weighted variant additionally depends on the weight provenance
   (optimize + quantize configs).
-* ``stage_multi_weight/<digest>`` and ``stage_multi_weight_report/<digest>``
-  — the weight sets and the multi-weight report, both over one dependency
-  dict: circuit, analysis config, weight provenance, multi-weight config
-  and the two derived seeds, plus the signature register and the coverage
-  run's fault-sim partition size when the spec sets them.
+* ``stage_multi_weight/<digest>`` — the weight sets.  Depends on the
+  circuit, analysis config, weight provenance, multi-weight config and the
+  two derived seeds.
+* ``stage_multi_weight_report/<digest>`` — the multi-weight report.  Its
+  dependency dict is the weight sets' dict plus the signature register and
+  the coverage run's fault-sim partition size, each only when the spec sets
+  it.
 """
 
 from __future__ import annotations
@@ -272,6 +274,9 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
     def fault_list(need: Need) -> List[Fault]:
         faults = collapsed_fault_list(need("circuit"))
         if analysis.drop_redundant:
+            # The redundancy check runs the batched COP kernel: lower first,
+            # so the report's count holds the lowering this run paid for.
+            need("lowering")
             faults = remove_redundant(need("circuit"), faults)
         return faults
 
@@ -424,11 +429,11 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
         partition_size = (
             analysis.partition_size if fault_sim is None else fault_sim.partition_size
         )
-        # Both artifacts share one dependency dict: everything that shapes
-        # the clusters and per-cluster optima, plus the session's coverage
-        # run.  The register and the partition size join it only when set
-        # (the analysis config, already a dependency, carries its own).
-        multi_deps = {
+        # The weight sets depend on everything that shapes the clusters and
+        # per-cluster optima.  The report adds the session's register and
+        # coverage run, each only when set (the analysis config, already a
+        # dependency, carries its own partition size).
+        weight_deps = {
             "stage": "multi_weight",
             **base,
             "weights": optimize_deps,
@@ -436,6 +441,7 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
             "cluster_seed": cluster_seed,
             "session_seed": session_seed,
         }
+        multi_deps = dict(weight_deps)
         if misr_width is not None or misr_taps is not None:
             multi_deps["misr"] = {
                 "width": misr_width,
@@ -460,7 +466,7 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
                 stage="multi_weight",
                 variant="weight_sets",
                 namespace="stage_multi_weight",
-                deps=multi_deps,
+                deps=weight_deps,
                 artifact_type=MultiWeightSet,
             )
         )

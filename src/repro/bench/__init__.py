@@ -9,7 +9,7 @@ Layers (leaf to top):
 * :mod:`repro.bench.compare` — :class:`MetricPolicy` tolerances and the
   regression classification against the last committed point;
 * :mod:`repro.bench.registry` / :mod:`repro.bench.areas` — the benchmark
-  areas (``substrate``, ``table5``, ``session``, ``bist`` are gated in CI);
+  areas, every one gated in CI against its committed trajectory;
 * :mod:`repro.bench.cli` — ``python -m repro bench``.
 """
 
@@ -21,7 +21,7 @@ from .artifacts import (
     trajectory_path,
 )
 from .compare import Comparison, MetricDelta, MetricPolicy, compare_results, format_comparison
-from .registry import BenchArea, area_names, gated_area_names, get_area, register_area
+from .registry import BenchArea, area_names, get_area, register_area
 from .runner import BenchRunner, Measurement, best_of, peak_rss_bytes
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "register_area",
     "get_area",
     "area_names",
-    "gated_area_names",
     "BenchRunner",
     "Measurement",
     "best_of",

@@ -1,7 +1,6 @@
 """Benchmark-area implementations; importing this package registers them all."""
 
 from . import (
-    ablations,
     bist,
     experiments,
     mws,
@@ -13,7 +12,6 @@ from . import (
 )
 
 __all__ = [
-    "ablations",
     "bist",
     "experiments",
     "mws",

@@ -123,6 +123,5 @@ AREA = register_area(
             "speedup": MetricPolicy(direction="higher", rel_tol=0.4, floor=10.0),
             "peak_rss_bytes": RSS_POLICY,
         },
-        gated=True,
     )
 )

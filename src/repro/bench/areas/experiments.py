@@ -80,6 +80,5 @@ AREA = register_area(
         title="Paper Tables 1-4, Figure 2 and appendix from one spec sweep",
         run=run_bench,
         # Counters fall back to EXACT_COUNTER_POLICY: any drift fails.
-        gated=True,
     )
 )

@@ -155,6 +155,5 @@ AREA = register_area(
         title="artifact store + job service: zero-recompute resubmission",
         run=_run_checked,
         policies={"peak_rss_bytes": RSS_POLICY},
-        gated=True,
     )
 )

@@ -140,6 +140,5 @@ AREA = register_area(
             "c499_optimized_coverage": MetricPolicy(direction="higher", abs_tol=1e-9),
             "peak_rss_bytes": RSS_POLICY,
         },
-        gated=True,
     )
 )

@@ -193,6 +193,5 @@ AREA = register_area(
             "fault_coverage": MetricPolicy(direction="higher", abs_tol=1e-9),
             "peak_rss_bytes": RSS_POLICY,
         },
-        gated=True,
     )
 )

@@ -125,6 +125,5 @@ AREA = register_area(
             ),
             "peak_rss_bytes": RSS_POLICY,
         },
-        gated=True,
     )
 )

@@ -7,14 +7,14 @@ Subforms::
     python -m repro bench list
     python -m repro bench report [--root PATH] [--points N]
 
-Without areas, the *gated* areas run (the ones with a committed
-``BENCH_<area>.json`` trajectory at the repo root; ``bench list`` tags
-them ``[gated]``), each in a freshly started interpreter, so its peak RSS
-is its own.  Every run is compared against the last committed point of
-the same mode (quick vs. full) and the per-metric delta table is printed.
+Without areas, every registered area runs (each has a committed
+``BENCH_<area>.json`` trajectory at the repo root; ``bench list`` names
+them), each in a freshly started interpreter, so its peak RSS is its own.
+Every run is compared against the last committed point of the same mode
+(quick vs. full) and the per-metric delta table is printed.
 
 * ``--check``  — exit non-zero on any gated regression (or on a missing
-  baseline for a gated area).  This is the CI gate.
+  baseline for an area).  This is the CI gate.
 * ``--update`` — append the new point to ``BENCH_<area>.json`` (the PR
   author's workflow: run with ``--update``, commit the file).
 * ``--json-dir`` — additionally write the candidate trajectory files to a
@@ -26,7 +26,6 @@ Examples::
 
     python -m repro bench --quick --check            # what CI runs
     python -m repro bench substrate bist --update    # refresh two baselines
-    python -m repro bench ablation_quantization      # informational area
     python -m repro bench report
 """
 
@@ -47,7 +46,7 @@ from .artifacts import (
     trajectory_path,
 )
 from .compare import Comparison, compare_results, format_comparison
-from .registry import area_names, gated_area_names, get_area
+from .registry import area_names, get_area
 
 __all__ = ["main", "default_root"]
 
@@ -118,16 +117,15 @@ def _print_result(result: BenchResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    names = args.areas or gated_area_names()
+    names = args.areas or area_names()
     root = Path(args.root) if args.root else default_root()
     json_dir = Path(args.json_dir) if args.json_dir else None
     failures: List[str] = []
     for name in names:
         comparison = _run_one(name, args.quick, root, args.update, json_dir)
-        area = get_area(name)
         for delta in comparison.failures():
             failures.append(f"{name}: {delta.name} {delta.status} ({delta.note or 'gated'})")
-        if args.check and area.gated and comparison.baseline_missing and not args.update:
+        if args.check and comparison.baseline_missing and not args.update:
             failures.append(
                 f"{name}: no committed baseline point for this mode in "
                 f"{trajectory_path(name, root)} — run with --update and commit it"
@@ -140,11 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    gated = set(gated_area_names())
     for name in area_names():
-        area = get_area(name)
-        tag = "gated" if name in gated else "info "
-        print(f"{name:<24} [{tag}] {area.title}")
+        print(f"{name:<24} {get_area(name).title}")
     return 0
 
 
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "areas",
         nargs="*",
-        help="benchmark areas to run (default: the gated areas; "
+        help="benchmark areas to run (default: every area; "
         "see 'python -m repro bench list')",
     )
     parser.add_argument(

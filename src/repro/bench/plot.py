@@ -2,10 +2,8 @@
 
 One image per area: small multiples, one panel per metric, with the quick-
 and full-mode series drawn separately (their workloads differ, so mixing
-them in one line would fabricate jumps).  With :mod:`matplotlib` installed
-(the ``[plot]`` extra) the output is a PNG; without it a dependency-free
-hand-written SVG is produced — CI artifact uploads work either way, and the
-renderer never becomes a hard dependency of the bench gate itself.
+them in one line would fabricate jumps).  The output is a dependency-free
+hand-written SVG, so rendering never adds a dependency to the bench gate.
 """
 
 from __future__ import annotations
@@ -15,20 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .artifacts import BenchTrajectory
 
-__all__ = ["HAVE_MATPLOTLIB", "render_trajectory", "render_all"]
+__all__ = ["render_trajectory", "render_all"]
 
-try:  # pragma: no cover - exercised only with the [plot] extra installed
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    HAVE_MATPLOTLIB = True
-except ImportError:
-    plt = None
-    HAVE_MATPLOTLIB = False
-
-#: (label, color) per mode, shared by both renderers.
+#: (label, color) per mode.
 _MODES: Tuple[Tuple[str, str], ...] = (("full", "#1f77b4"), ("quick", "#ff7f0e"))
 
 
@@ -121,45 +108,14 @@ def _render_svg(trajectory: BenchTrajectory, series, path: Path) -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
-def _render_png(trajectory: BenchTrajectory, series, path: Path) -> None:  # pragma: no cover
-    names = list(series)
-    fig, axes = plt.subplots(
-        len(names), 1, figsize=(8, 1.6 * len(names) + 1), sharex=True, squeeze=False
-    )
-    for ax, name in zip(axes[:, 0], names):
-        for mode, color in _MODES:
-            points = series[name].get(mode)
-            if points:
-                ax.plot(
-                    [i for i, _ in points],
-                    [v for _, v in points],
-                    marker="o",
-                    markersize=3,
-                    color=color,
-                    label=mode,
-                )
-        ax.set_ylabel(name, fontsize=7)
-        ax.tick_params(labelsize=7)
-    axes[0, 0].legend(fontsize=7)
-    axes[-1, 0].set_xlabel("committed point")
-    fig.suptitle(f"{trajectory.area} — committed perf trajectory")
-    fig.tight_layout()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-
-
 def render_trajectory(trajectory: BenchTrajectory, out_dir: Path) -> Optional[Path]:
     """Render one area trajectory into ``out_dir``; None when it has no points."""
     series = _series(trajectory)
     if not series:
         return None
     out_dir.mkdir(parents=True, exist_ok=True)
-    if HAVE_MATPLOTLIB:  # pragma: no cover - exercised with the [plot] extra
-        path = out_dir / f"bench_{trajectory.area}.png"
-        _render_png(trajectory, series, path)
-    else:
-        path = out_dir / f"bench_{trajectory.area}.svg"
-        _render_svg(trajectory, series, path)
+    path = out_dir / f"bench_{trajectory.area}.svg"
+    _render_svg(trajectory, series, path)
     return path
 
 

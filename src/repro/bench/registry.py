@@ -1,11 +1,10 @@
 """Benchmark-area registry.
 
 A :class:`BenchArea` packages one measurable area of the system: a ``run``
-callable producing a :class:`~repro.bench.artifacts.BenchResult`, the
+callable producing a :class:`~repro.bench.artifacts.BenchResult` and the
 per-metric :class:`~repro.bench.compare.MetricPolicy` map its regression
-gate uses, and whether the area is *gated* — i.e. carries a committed
-``BENCH_<area>.json`` trajectory at the repo root and runs by default in
-``python -m repro bench`` / CI.
+gate uses.  Every area carries a committed ``BENCH_<area>.json`` trajectory
+at the repo root and runs by default in ``python -m repro bench`` / CI.
 
 Area modules live in :mod:`repro.bench.areas` and register themselves on
 import; :func:`get_area` / :func:`area_names` load them lazily so importing
@@ -20,7 +19,7 @@ from typing import Callable, Dict, List, Mapping
 from .artifacts import BenchResult
 from .compare import MetricPolicy
 
-__all__ = ["BenchArea", "register_area", "get_area", "area_names", "gated_area_names"]
+__all__ = ["BenchArea", "register_area", "get_area", "area_names"]
 
 _REGISTRY: Dict[str, "BenchArea"] = {}
 
@@ -33,7 +32,6 @@ class BenchArea:
     title: str
     run: Callable[[bool], BenchResult]  #: ``run(quick)`` -> result
     policies: Mapping[str, MetricPolicy] = field(default_factory=dict)
-    gated: bool = False  #: committed trajectory + default CI gate
 
 
 def register_area(area: BenchArea) -> BenchArea:
@@ -60,12 +58,6 @@ def get_area(name: str) -> BenchArea:
 
 
 def area_names() -> List[str]:
-    """All registered area names, gated areas first."""
+    """All registered area names, sorted."""
     _load_areas()
-    return sorted(_REGISTRY, key=lambda name: (not _REGISTRY[name].gated, name))
-
-
-def gated_area_names() -> List[str]:
-    """Names of the areas with committed trajectories (the CI default set)."""
-    _load_areas()
-    return sorted(name for name, area in _REGISTRY.items() if area.gated)
+    return sorted(_REGISTRY)

@@ -7,7 +7,6 @@
 * :mod:`repro.core.minimize` — per-coordinate Newton minimization (formula (15)).
 * :mod:`repro.core.optimizer` — the full OPTIMIZE coordinate-descent procedure.
 * :mod:`repro.core.quantize` — snapping weights to realisable grids.
-* :mod:`repro.core.partition` — the section 5.3 multi-distribution extension.
 """
 
 from .objective import (
@@ -27,7 +26,6 @@ from .minimize import (
 )
 from .optimizer import OptimizationResult, WeightOptimizer, optimize_input_probabilities
 from .quantize import quantization_error, quantize_to_lfsr_grid, quantize_weights
-from .partition import PartitionedResult, WeightSession, optimize_partitioned
 
 __all__ = [
     "test_confidence",
@@ -51,7 +49,4 @@ __all__ = [
     "quantize_weights",
     "quantize_to_lfsr_grid",
     "quantization_error",
-    "PartitionedResult",
-    "WeightSession",
-    "optimize_partitioned",
 ]

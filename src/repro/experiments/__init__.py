@@ -3,12 +3,11 @@
 One declarative sweep produces every result: :func:`suite_specs` builds one
 :class:`~repro.api.PipelineSpec` per benchmark circuit, the job executor runs
 them, and :func:`table1_rows` ... :func:`appendix_listings` fold the reports
-into the row dataclasses that the ``format_*`` functions render.  Two
-experiments go beyond the sweep: :func:`run_table5_speedup` times the scalar
+into the row dataclasses that the ``format_*`` functions render.  One
+experiment goes beyond the sweep: :func:`run_table5_speedup` times the scalar
 reference against the batched COP estimator with two direct optimizer runs
-on the same circuit and fault list, and
-:func:`run_multi_weight` compares multi-weight-set schedules against the
-single-set optimum.
+on the same circuit and fault list.  Multi-weight-set schedules run through
+the same spec path (``PipelineSpec.multi_weight``).
 """
 
 from .suite import CONFIDENCE
@@ -25,11 +24,6 @@ from .table5 import (
     run_table5_speedup,
 )
 from .figure2 import Figure2Data, format_figure2
-from .multi_weight import (
-    MultiWeightRow,
-    format_multi_weight,
-    run_multi_weight,
-)
 from .appendix import AppendixListing, format_appendix
 from .batch import (
     appendix_listings,
@@ -64,9 +58,6 @@ __all__ = [
     "format_table5_speedup",
     "Figure2Data",
     "format_figure2",
-    "MultiWeightRow",
-    "run_multi_weight",
-    "format_multi_weight",
     "AppendixListing",
     "format_appendix",
     "suite_specs",

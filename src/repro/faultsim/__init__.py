@@ -1,9 +1,8 @@
-"""Fault simulation: compiled fault-parallel simulator, per-fault interpreted
-baseline and scalar serial reference."""
+"""Fault simulation: compiled fault-parallel simulator and the per-fault
+interpreted baseline it is differentially tested against."""
 
 from .parallel import FaultSimResult, FaultSimStats, ParallelFaultSimulator
 from .legacy import LegacyParallelFaultSimulator
-from .serial import detecting_pattern_count, fault_detected_by, simulate_with_fault
 from .coverage import CoverageExperiment, coverage_curve, random_pattern_coverage
 
 __all__ = [
@@ -11,9 +10,6 @@ __all__ = [
     "FaultSimStats",
     "ParallelFaultSimulator",
     "LegacyParallelFaultSimulator",
-    "fault_detected_by",
-    "simulate_with_fault",
-    "detecting_pattern_count",
     "CoverageExperiment",
     "random_pattern_coverage",
     "coverage_curve",

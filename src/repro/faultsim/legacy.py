@@ -5,12 +5,14 @@ implementation: for every live fault the transitive fan-out cone is
 re-simulated with a Python loop over the cone gates and a dict of diverged
 nets.  It computes exactly the same detections as the compiled fault-parallel
 engine in :class:`repro.faultsim.parallel.ParallelFaultSimulator` and is kept
-for two purposes:
+for three purposes:
 
 * the ``substrate`` bench area (:mod:`repro.bench.areas.substrate`)
-  measures the compiled engine's speedup against it, and
-* the equivalence tests use it as an independent implementation to
-  differential-test the compiled engine beyond the scalar reference.
+  measures the compiled engine's speedup against it,
+* the equivalence tests use it as the compiled engine's independent
+  fault-detection reference, and
+* :mod:`repro.analysis.exact` enumerates detection probabilities with its
+  per-pattern :meth:`~LegacyParallelFaultSimulator.detection_words`.
 
 It should not be used on hot paths.
 """
@@ -64,7 +66,7 @@ class LegacyParallelFaultSimulator:
     # ------------------------------------------------------------------ #
     # Detection of one fault against one batch
     # ------------------------------------------------------------------ #
-    def _detection_words(
+    def detection_words(
         self, fault: Fault, good: np.ndarray, n_words: int
     ) -> np.ndarray:
         """Bit mask of patterns (within the batch) detecting ``fault``."""
@@ -129,7 +131,7 @@ class LegacyParallelFaultSimulator:
             mask = _valid_mask(batch_len, n_words)
             still_live: List[Fault] = []
             for fault in live:
-                detection = self._detection_words(fault, good, n_words) & mask
+                detection = self.detection_words(fault, good, n_words) & mask
                 if detection.any():
                     if fault not in first_detection:
                         first_detection[fault] = start + _first_set_bit(detection)
@@ -154,6 +156,6 @@ class LegacyParallelFaultSimulator:
             good = self._logic.simulate_words(pack_patterns(batch))
             mask = _valid_mask(batch_len, n_words)
             for fi, fault in enumerate(self.faults):
-                detection = self._detection_words(fault, good, n_words) & mask
+                detection = self.detection_words(fault, good, n_words) & mask
                 counts[fi] += int(np.unpackbits(detection.view(np.uint8)).sum())
         return counts

@@ -1,8 +1,8 @@
-"""True-value simulation: compiled bit-parallel engine and scalar reference."""
+"""True-value simulation: the compiled bit-parallel engine behind
+:class:`LogicSimulator`."""
 
 from .compiled import CompiledCircuit, compile_circuit
 from .logicsim import WORD_BITS, LogicSimulator, pack_patterns, unpack_values
-from .eventsim import evaluate, evaluate_named, exhaustive_truth_table
 
 __all__ = [
     "WORD_BITS",
@@ -11,7 +11,4 @@ __all__ = [
     "LogicSimulator",
     "pack_patterns",
     "unpack_values",
-    "evaluate",
-    "evaluate_named",
-    "exhaustive_truth_table",
 ]

@@ -30,8 +30,9 @@ as a handful of vectorized kernels per logic level instead of a Python loop
   column budget).
 
 The engine is exact: for every net and pattern it computes precisely the same
-values as the scalar reference simulator (:mod:`repro.simulation.eventsim`),
-which the test suite asserts on reference circuits and randomized netlists.
+values as a gate-by-gate ``eval_words`` pass in netlist order, and the same
+detection words as :mod:`repro.faultsim.legacy`, which the test suite asserts
+on reference circuits and randomized netlists.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from repro.analysis import (
     signal_probabilities,
 )
 from repro.circuit import CircuitBuilder, parse_bench
+from repro.circuits import s1_comparator
+from repro.circuits.registry import build_circuit, circuit_keys
 from repro.faults import Fault, collapsed_fault_list, full_fault_list, input_fault_list
 
 from .helpers import C17_BENCH, and_or_tree_circuit, half_adder_circuit, redundant_circuit
@@ -159,6 +161,21 @@ class TestSamplingEstimators:
         with pytest.raises(ValueError):
             MonteCarloDetectionEstimator(n_samples=0)
 
+    @pytest.mark.parametrize("name", ["cop", "stafan"])
+    def test_estimator_ranks_faults_like_montecarlo(self, name):
+        circuit = s1_comparator(width=8)
+        faults = collapsed_fault_list(circuit)
+        weights = [0.5] * circuit.n_inputs
+        estimator = (
+            CopDetectionEstimator() if name == "cop" else StafanDetectionEstimator(n_samples=4096)
+        )
+        reference = MonteCarloDetectionEstimator(
+            n_samples=4096, fixed_seed=True
+        ).detection_probabilities(circuit, faults, weights)
+        estimate = estimator.detection_probabilities(circuit, faults, weights)
+        ranks = [np.argsort(np.argsort(values)) for values in (estimate, reference)]
+        assert np.corrcoef(*ranks)[0, 1] > 0.8
+
     def test_stafan_close_to_cop_on_tree(self):
         circuit = and_or_tree_circuit()
         faults = full_fault_list(circuit, include_branches=False)
@@ -216,6 +233,16 @@ class TestRedundancy:
     def test_interior_probability_validation(self):
         with pytest.raises(ValueError):
             estimated_redundant_faults(half_adder_circuit(), [], interior_probability=1.0)
+
+    @pytest.mark.parametrize("key", circuit_keys())
+    def test_batched_zero_set_matches_scalar_reference(self, key):
+        circuit = build_circuit(key)
+        faults = collapsed_fault_list(circuit)
+        scalar = CopDetectionEstimator().detection_probabilities(
+            circuit, faults, [0.5] * circuit.n_inputs
+        )
+        expected = [fault for fault, p in zip(faults, scalar) if p == 0.0]
+        assert estimated_redundant_faults(circuit, faults) == expected
 
     def test_proven_redundant_refuses_large_circuits(self):
         from repro.circuits import s1_comparator

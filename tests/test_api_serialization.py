@@ -399,6 +399,29 @@ class TestExperimentRows:
         with pytest.raises(TypeError):
             row_to_dict(object())
 
+    def test_removed_multi_weight_row_is_a_schema_error(self):
+        """Rows of the deleted multi-weight experiment, as older runs stored
+        them, load as a typed error, alone or inside ``experiment_rows``."""
+        stored = {
+            "kind": "multi_weight_row",
+            "schema_version": 1,
+            "key": "s1",
+            "paper_name": "S1",
+            "k": 4,
+            "n_sets": 4,
+            "single_set_length": 48697,
+            "multi_set_length": 36757,
+            "reduction_factor": 1.32,
+            "set_lengths": [1, 2, 3, 4],
+            "coverage": 1.0,
+            "n_patterns": 36757,
+        }
+        with pytest.raises(SchemaError, match="multi_weight_row"):
+            load_artifact(stored)
+        rows = {"kind": "experiment_rows", "schema_version": 1, "rows": [stored]}
+        with pytest.raises(SchemaError, match="multi_weight_row"):
+            load_artifact(rows)
+
 
 class TestLoadArtifactDispatch:
     def test_unknown_kind_rejected(self):

@@ -7,13 +7,12 @@ gate's behaviour is exercised without paying for a real optimization run:
   ``--check`` passes (exit 0);
 * a synthetically slowed speedup / drifted counter makes ``--check`` exit
   non-zero — the acceptance criterion of the CI gate;
-* a gated area without a committed baseline fails ``--check`` (so CI cannot
+* an area without a committed baseline fails ``--check`` (so CI cannot
   silently pass before the first point is committed);
 * the five committed ``BENCH_*.json`` files at the repo root stay loadable
   through :func:`repro.api.load_artifact` and carry both a quick-mode and a
   full-mode baseline;
-* ``report --plot-dir`` renders every committed trajectory as an image
-  (PNG when matplotlib is installed, dependency-free SVG otherwise).
+* ``report --plot-dir`` renders every committed trajectory as an SVG image.
 """
 
 import functools
@@ -29,7 +28,7 @@ from repro.bench import (
     BenchRunner,
     BenchTrajectory,
     MetricPolicy,
-    gated_area_names,
+    area_names,
     get_area,
 )
 from repro.bench.cli import main as bench_main
@@ -55,13 +54,12 @@ def _run_synthetic(knobs, quick: bool = False):
 
 @pytest.fixture
 def synthetic_area():
-    """Register a controllable gated area; unregister on teardown."""
+    """Register a controllable area; unregister on teardown."""
     area = BenchArea(
         name="synthetic",
         title="synthetic area for CLI tests",
         run=functools.partial(_run_synthetic, KNOBS),
         policies={"speedup": MetricPolicy(direction="higher", rel_tol=0.2, floor=2.0)},
-        gated=True,
     )
     _REGISTRY[area.name] = area
     KNOBS.update(speedup=10.0, test_length=662)
@@ -178,13 +176,12 @@ class TestBenchCliPlots:
         images = sorted(plots.iterdir())
         assert len(images) == 1
         image = images[0]
-        assert image.name.startswith("bench_synthetic.")
-        if image.suffix == ".svg":
-            import xml.dom.minidom
+        assert image.name == "bench_synthetic.svg"
+        import xml.dom.minidom
 
-            xml.dom.minidom.parse(str(image))  # well-formed
-            content = image.read_text()
-            assert "speedup" in content and "test_length" in content
+        xml.dom.minidom.parse(str(image))  # well-formed
+        content = image.read_text()
+        assert "speedup" in content and "test_length" in content
 
     def test_render_skips_empty_trajectory(self, tmp_path):
         from repro.bench.plot import render_trajectory
@@ -209,12 +206,12 @@ class TestBenchCliSurface:
         assert bench_main(["no_such_area"]) == 2
         assert "unknown benchmark area" in capsys.readouterr().err
 
-    def test_list_shows_all_areas_with_gate_tags(self, capsys):
+    def test_list_shows_every_area_with_its_title(self, capsys):
         assert bench_main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("substrate", "table5", "session", "bist"):
-            assert f"{name} " in out or f"{name}\n" in out
-        assert "[gated]" in out and "[info ]" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == area_names()
+        for line in lines:
+            assert get_area(line.split()[0]).title in line
 
     def test_repro_cli_dispatches_bench(self, capsys):
         from repro.api.cli import main as repro_main
@@ -279,7 +276,6 @@ class TestCommittedTrajectories:
         assert key in DEFAULT_KEYS
         assert area_spec(key, **_QUICK) == session_area_spec(key)
 
-    def test_every_gated_area_has_a_committed_trajectory(self):
-        for name in gated_area_names():
-            assert (REPO_ROOT / f"BENCH_{name}.json").exists()
-            assert get_area(name).gated
+    def test_every_registered_area_has_a_committed_trajectory(self):
+        for name in area_names():
+            assert (REPO_ROOT / f"BENCH_{name}.json").exists(), name

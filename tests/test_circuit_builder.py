@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuit import CircuitBuilder, CircuitError, GateType
-from repro.simulation import evaluate_named
+
+from .helpers import named_outputs
 
 
 class TestSignals:
@@ -68,9 +69,9 @@ class TestGateHelpers:
         d1 = builder.input("d1")
         builder.output(builder.mux(sel, d0, d1), "y")
         circuit = builder.build()
-        assert evaluate_named(circuit, {"sel": False, "d0": True, "d1": False})["y"] is True
-        assert evaluate_named(circuit, {"sel": True, "d0": True, "d1": False})["y"] is False
-        assert evaluate_named(circuit, {"sel": True, "d0": False, "d1": True})["y"] is True
+        assert named_outputs(circuit, {"sel": False, "d0": True, "d1": False})["y"] is True
+        assert named_outputs(circuit, {"sel": True, "d0": True, "d1": False})["y"] is False
+        assert named_outputs(circuit, {"sel": True, "d0": False, "d1": True})["y"] is True
 
     def test_constants(self):
         builder = CircuitBuilder("const")
@@ -78,7 +79,7 @@ class TestGateHelpers:
         builder.output(builder.and_(a, builder.const1()), "keep")
         builder.output(builder.or_(a, builder.const0()), "keep2")
         circuit = builder.build()
-        result = evaluate_named(circuit, {"a": True})
+        result = named_outputs(circuit, {"a": True})
         assert result["keep"] is True and result["keep2"] is True
 
     def test_auto_names_are_unique(self):

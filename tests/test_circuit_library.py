@@ -16,7 +16,7 @@ from repro.circuit.library import (
     ripple_borrow_subtractor,
     ripple_carry_adder,
 )
-from repro.simulation import evaluate
+from repro.simulation import LogicSimulator
 
 from .helpers import bits_to_int, int_to_bits
 
@@ -25,8 +25,7 @@ def _evaluate_outputs(builder, output_signals, input_values):
     for index, signal in enumerate(output_signals):
         builder.output(signal, f"__out{index}")
     circuit = builder.build()
-    values = evaluate(circuit, input_values)
-    return [values[net] for net in circuit.outputs]
+    return [bool(v) for v in LogicSimulator(circuit).simulate_pattern(input_values)]
 
 
 WIDTH = 5

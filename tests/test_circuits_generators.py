@@ -23,9 +23,9 @@ from repro.circuits import (
     s2_divider,
 )
 from repro.circuits.ecc import hamming_parameters
-from repro.simulation import LogicSimulator, evaluate_named
+from repro.simulation import LogicSimulator
 
-from .helpers import bits_to_int
+from .helpers import bits_to_int, named_outputs
 
 
 def _named_inputs(prefix, value, width):
@@ -40,7 +40,7 @@ class TestComparator:
     def test_matches_integer_comparison(self, a, b):
         circuit = comparator_circuit(width=self.WIDTH)
         assignment = {**_named_inputs("a", a, self.WIDTH), **_named_inputs("b", b, self.WIDTH)}
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         assert out["a_gt_b"] == (a > b)
         assert out["a_eq_b"] == (a == b)
         assert out["a_lt_b"] == (a < b)
@@ -60,7 +60,7 @@ class TestComparator:
 
     def test_width_not_multiple_of_slice(self):
         circuit = comparator_circuit(width=7, slice_width=4)
-        out = evaluate_named(
+        out = named_outputs(
             circuit, {**_named_inputs("a", 100, 7), **_named_inputs("b", 99, 7)}
         )
         assert out["a_gt_b"] is True
@@ -84,7 +84,7 @@ class TestDivider:
             **_named_inputs("n", dividend, self.WIDTH),
             **_named_inputs("d", divisor, self.WIDTH),
         }
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         quotient = bits_to_int([out[f"q{i}"] for i in range(self.WIDTH)])
         remainder = bits_to_int([out[f"r{i}"] for i in range(self.WIDTH)])
         assert quotient == dividend // divisor
@@ -93,7 +93,7 @@ class TestDivider:
 
     def test_division_by_zero_flagged(self):
         circuit = divider_circuit(width=4)
-        out = evaluate_named(circuit, {**_named_inputs("n", 9, 4), **_named_inputs("d", 0, 4)})
+        out = named_outputs(circuit, {**_named_inputs("n", 9, 4), **_named_inputs("d", 0, 4)})
         assert out["div_by_zero"] is True
 
     def test_s2_default_width(self):
@@ -111,7 +111,7 @@ class TestAdders:
     def test_ripple_adder(self, a, b, carry):
         circuit = ripple_adder_circuit(width=8)
         assignment = {**_named_inputs("a", a, 8), **_named_inputs("b", b, 8), "cin": carry}
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         total = a + b + int(carry)
         assert bits_to_int([out[f"s{i}"] for i in range(8)]) == total % 256
         assert out["cout"] == bool(total >> 8)
@@ -121,7 +121,7 @@ class TestAdders:
     def test_carry_select_adder_agrees_with_ripple(self, a, b, carry):
         csa = carry_select_adder_circuit(width=8, block=3)
         assignment = {**_named_inputs("a", a, 8), **_named_inputs("b", b, 8), "cin": carry}
-        out = evaluate_named(csa, assignment)
+        out = named_outputs(csa, assignment)
         total = a + b + int(carry)
         assert bits_to_int([out[f"s{i}"] for i in range(8)]) == total % 256
         assert out["cout"] == bool(total >> 8)
@@ -134,7 +134,7 @@ class TestMultiplier:
     @settings(max_examples=40)
     def test_matches_integer_multiplication(self, a, b):
         circuit = array_multiplier_circuit(width=self.WIDTH)
-        out = evaluate_named(
+        out = named_outputs(
             circuit, {**_named_inputs("a", a, self.WIDTH), **_named_inputs("b", b, self.WIDTH)}
         )
         product = bits_to_int([out[f"p{i}"] for i in range(2 * self.WIDTH)])
@@ -164,7 +164,7 @@ class TestAlu:
             "sel1": bool(op & 2),
             "cin": carry,
         }
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         mask = (1 << self.WIDTH) - 1
         expected = {
             0: a & b,
@@ -201,7 +201,7 @@ class TestEcc:
         # Hamming code equals the expected check bits.
         base = {**_named_inputs("d", data, width), **_named_inputs("c", 0, check_width)}
         # The syndrome with zero check bits equals the correct check word.
-        syndrome_probe = evaluate_named(circuit, base)
+        syndrome_probe = named_outputs(circuit, base)
         del syndrome_probe  # outputs do not expose the syndrome directly
         check = _reference_hamming_check_bits(data, width, check_width)
         assignment = {**_named_inputs("d", data, width), **_named_inputs("c", check, check_width)}
@@ -215,7 +215,7 @@ class TestEcc:
                 key = f"c{error_position - width}"
             assignment[key] = not assignment[key]
 
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         corrected = bits_to_int([out[f"o{i}"] for i in range(width)])
         assert corrected == data
         if 0 <= error_position < total_positions:
@@ -261,11 +261,11 @@ class TestResistant:
             **_named_inputs("blk0_b", 0b101010, 6),
             **{f"blk0_ctl{i}": (i % 2 == 0) for i in range(control_width)},
         }
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         assert out["blk0_o0"] is True  # gated equality fires
         # Break the opcode: detector must go silent.
         assignment[f"blk0_ctl0"] = False
-        out = evaluate_named(circuit, assignment)
+        out = named_outputs(circuit, assignment)
         assert out["blk0_o0"] is False
 
     def test_invalid_parameters_rejected(self):

@@ -3,8 +3,8 @@
 The compiled engine (:mod:`repro.simulation.compiled`) must be *exact*: for
 every net, pattern and fault it has to agree with
 
-* the scalar reference simulator (:mod:`repro.simulation.eventsim`) and the
-  scalar fault injector (:func:`repro.faultsim.serial.simulate_with_fault`),
+* an independent gate-by-gate ``eval_words`` pass in netlist order, with and
+  without one injected fault (:func:`tests.helpers.reference_words`),
 * the per-fault interpreted baseline
   (:class:`repro.faultsim.legacy.LegacyParallelFaultSimulator`), which is an
   independent implementation of the same detection semantics.
@@ -23,12 +23,11 @@ from repro.circuit import parse_bench
 from repro.circuits import carry_select_adder_circuit, ripple_adder_circuit
 from repro.faults import collapsed_fault_list, full_fault_list
 from repro.faultsim import LegacyParallelFaultSimulator, ParallelFaultSimulator
-from repro.faultsim.serial import detecting_pattern_count, fault_detected_by
 from repro.patterns import WeightedPatternGenerator
-from repro.simulation import LogicSimulator, compile_circuit, evaluate, pack_patterns
+from repro.simulation import LogicSimulator, compile_circuit, pack_patterns, unpack_values
 from repro.simulation.compiled import first_detection_indices, popcount_words
 
-from .helpers import C17_BENCH, all_patterns, random_circuit
+from .helpers import C17_BENCH, all_patterns, random_circuit, reference_words
 
 
 def reference_circuits():
@@ -44,61 +43,60 @@ def random_patterns(circuit, n_patterns, seed=5):
     return rng.random((n_patterns, circuit.n_inputs)) < 0.5
 
 
+def reference_outputs(circuit, patterns, fault=None):
+    """``(n_patterns, n_outputs)`` output values by the reference pass."""
+    values = reference_words(circuit, pack_patterns(patterns), fault)
+    return unpack_values(values[list(circuit.outputs)], patterns.shape[0])
+
+
+def reference_detections(circuit, fault, patterns):
+    """Per pattern: does ``fault`` change some primary output?"""
+    good = reference_outputs(circuit, patterns)
+    return (reference_outputs(circuit, patterns, fault) != good).any(axis=1)
+
+
 class TestCompiledLogicSimulation:
     @pytest.mark.parametrize("circuit", reference_circuits(), ids=lambda c: c.name)
-    def test_matches_scalar_reference(self, circuit):
+    def test_matches_reference(self, circuit):
         patterns = random_patterns(circuit, 130)
         outputs = LogicSimulator(circuit).simulate_patterns(patterns)
-        for p, pattern in enumerate(patterns):
-            values = evaluate(circuit, list(pattern))
-            expected = [values[out] for out in circuit.outputs]
-            assert list(outputs[p]) == expected
+        assert np.array_equal(outputs, reference_outputs(circuit, patterns))
 
-    def test_matches_scalar_reference_on_random_netlists(self):
+    def test_matches_reference_on_random_netlists(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
             circuit = random_circuit(rng, n_inputs=5, n_gates=14)
             patterns = all_patterns(circuit.n_inputs)
             outputs = LogicSimulator(circuit).simulate_patterns(patterns)
-            for p, pattern in enumerate(patterns):
-                values = evaluate(circuit, list(pattern))
-                assert list(outputs[p]) == [values[out] for out in circuit.outputs]
+            assert np.array_equal(outputs, reference_outputs(circuit, patterns))
 
     def test_every_net_matches_not_only_outputs(self):
         circuit = parse_bench(C17_BENCH, name="c17")
         patterns = all_patterns(circuit.n_inputs)
-        words = compile_circuit(circuit).simulate_words(pack_patterns(patterns))
-        for p, pattern in enumerate(patterns):
-            values = evaluate(circuit, list(pattern))
-            for net in range(circuit.n_nets):
-                bit = bool((int(words[net, p // 64]) >> (p % 64)) & 1)
-                assert bit == values[net], (p, net)
+        words = pack_patterns(patterns)
+        actual = compile_circuit(circuit).simulate_words(words)
+        assert np.array_equal(actual, reference_words(circuit, words))
 
 
 class TestCompiledFaultDetection:
     @pytest.mark.parametrize("circuit", reference_circuits(), ids=lambda c: c.name)
-    def test_first_detection_matches_scalar_reference(self, circuit):
+    def test_first_detection_matches_reference(self, circuit):
         faults = collapsed_fault_list(circuit)
         patterns = random_patterns(circuit, 96, seed=7)
         result = ParallelFaultSimulator(circuit, faults).run(patterns)
         for fault in faults:
-            expected = None
-            for p, pattern in enumerate(patterns):
-                if fault_detected_by(circuit, fault, list(pattern)):
-                    expected = p
-                    break
+            detected = np.flatnonzero(reference_detections(circuit, fault, patterns))
+            expected = int(detected[0]) if detected.size else None
             assert result.first_detection.get(fault) == expected, fault
 
     @pytest.mark.parametrize("circuit", reference_circuits(), ids=lambda c: c.name)
-    def test_detection_counts_match_scalar_reference(self, circuit):
+    def test_detection_counts_match_reference(self, circuit):
         # Branch faults included: full (uncollapsed) list exercises pin injection.
         faults = full_fault_list(circuit)[::3]
         patterns = random_patterns(circuit, 64, seed=11)
         counts = ParallelFaultSimulator(circuit, faults).detection_counts(patterns)
         for fi, fault in enumerate(faults):
-            expected = detecting_pattern_count(
-                circuit, fault, list(patterns), use_compiled=False
-            )
+            expected = int(reference_detections(circuit, fault, patterns).sum())
             assert counts[fi] == expected, fault
 
     def test_matches_legacy_engine_with_weighted_patterns(self):

@@ -7,10 +7,11 @@ from repro.analysis import (
     BatchedCopEstimator,
     CopDetectionEstimator,
     MonteCarloDetectionEstimator,
+    StafanDetectionEstimator,
 )
 from repro.circuit import CircuitBuilder
 from repro.circuit.library import and_tree
-from repro.circuits import comparator_circuit, resistant_circuit
+from repro.circuits import c7552_like, comparator_circuit, resistant_circuit, s1_comparator
 from repro.core import (
     WeightOptimizer,
     optimize_input_probabilities,
@@ -169,6 +170,35 @@ class TestOptimizerMechanics:
     def test_min_hard_fraction_validation(self):
         with pytest.raises(ValueError):
             WeightOptimizer(half_adder_circuit(), min_hard_fraction=2.0)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            CopDetectionEstimator(),
+            BatchedCopEstimator(),
+            StafanDetectionEstimator(n_samples=1024),
+            MonteCarloDetectionEstimator(n_samples=512, fixed_seed=True),
+        ],
+        ids=["cop_scalar", "cop_batched", "stafan", "montecarlo"],
+    )
+    def test_every_estimator_beats_the_conventional_test(self, estimator):
+        circuit = s1_comparator(width=10)
+        result = WeightOptimizer(
+            circuit, faults=collapsed_fault_list(circuit), estimator=estimator, max_sweeps=4
+        ).optimize()
+        assert result.test_length < result.initial_test_length
+
+    @pytest.mark.parametrize("min_fraction", [0.0, 0.1, 0.25, 0.5])
+    def test_no_hard_fault_floor_lengthens_the_test(self, min_fraction):
+        circuit = c7552_like(width=12, n_blocks=1)
+        result = WeightOptimizer(
+            circuit,
+            faults=collapsed_fault_list(circuit),
+            max_sweeps=6,
+            min_hard_fraction=min_fraction,
+            min_hard_faults=1,
+        ).optimize()
+        assert result.test_length <= result.initial_test_length
 
     def test_works_with_sampling_estimator(self):
         circuit = wide_and_circuit(5)

@@ -1,4 +1,4 @@
-"""Tests for weight quantization and the fault-partitioning extension."""
+"""Tests for weight quantization and the multi-distribution extension."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder
 from repro.circuit.library import and_tree
+from repro.analysis import CopDetectionEstimator
+from repro.circuits import s1_comparator
 from repro.core import (
     optimize_input_probabilities,
-    optimize_partitioned,
     quantization_error,
     quantize_to_lfsr_grid,
     quantize_weights,
+    required_test_length,
 )
 from repro.faults import collapsed_fault_list
+from repro.wrp import build_weight_sets
 
 
 class TestQuantizeWeights:
@@ -79,54 +82,93 @@ class TestLfsrGrid:
             quantization_error([0.5], [0.5, 0.6])
 
 
-def conflicting_detectors_circuit(width=10):
+class TestQuantizedOptimum:
+    """The paper's 0.05 grid keeps the optimization on S1, and even the coarse
+    1/8 LFSR grid beats the conventional test."""
+
+    @pytest.fixture(scope="class")
+    def lengths(self):
+        circuit = s1_comparator(width=12)
+        faults = collapsed_fault_list(circuit)
+        result = optimize_input_probabilities(circuit, faults=faults, max_sweeps=8)
+        grids = {
+            "continuous": result.weights,
+            "grid_0p05": quantize_weights(result.weights, step=0.05),
+            "lfsr_1_8": quantize_to_lfsr_grid(result.weights, resolution=3),
+            "conventional": [0.5] * circuit.n_inputs,
+        }
+        estimator = CopDetectionEstimator()
+        return {
+            label: required_test_length(
+                estimator.detection_probabilities(circuit, faults, weights)
+            ).test_length
+            for label, weights in grids.items()
+        }
+
+    @pytest.mark.parametrize(
+        "grid, reference, factor",
+        [
+            ("grid_0p05", "conventional", 0.1),
+            ("grid_0p05", "continuous", 20.0),
+            ("lfsr_1_8", "conventional", 1.0),
+        ],
+    )
+    def test_grid_keeps_the_optimization(self, lengths, grid, reference, factor):
+        assert lengths[grid] < factor * lengths[reference], lengths
+
+
+def conflicting_detectors_circuit(width=10, either=False):
     """Two wide detectors demanding opposite values on the same bus — the
-    section 5.3 pathological case."""
+    section 5.3 pathological case (optionally with their XOR as a third
+    output)."""
     builder = CircuitBuilder(f"conflict{width}")
     bus = builder.input_bus("x", width)
-    builder.output(and_tree(builder, bus), "all_ones")
-    builder.output(and_tree(builder, [builder.not_(b) for b in bus]), "all_zeros")
+    all_ones = and_tree(builder, bus)
+    all_zeros = and_tree(builder, [builder.not_(b) for b in bus])
+    builder.output(all_ones, "all_ones")
+    builder.output(all_zeros, "all_zeros")
+    if either:
+        builder.output(builder.xor(all_ones, all_zeros), "either")
     return builder.build()
 
 
 class TestPartitioning:
-    def test_partitioned_beats_single_distribution_on_conflict(self):
-        circuit = conflicting_detectors_circuit(10)
+    """:func:`repro.wrp.build_weight_sets` is the section 5.3 method."""
+
+    @pytest.mark.parametrize(
+        "width, either, max_sweeps", [(10, False, 5), (12, True, 6)]
+    )
+    def test_partitioned_beats_single_distribution_on_conflict(
+        self, width, either, max_sweeps
+    ):
+        circuit = conflicting_detectors_circuit(width, either)
         faults = collapsed_fault_list(circuit)
-        single = optimize_input_probabilities(circuit, faults=faults, max_sweeps=5)
-        partitioned = optimize_partitioned(
-            circuit, faults=faults, max_sessions=2, max_sweeps=5
-        )
-        assert partitioned.n_sessions == 2
-        assert partitioned.total_test_length < single.test_length
-        assert partitioned.improvement_over_single > 1.0
+        single = optimize_input_probabilities(circuit, faults=faults, max_sweeps=max_sweeps)
+        sets = build_weight_sets(circuit, faults=faults, k=2, max_sweeps=max_sweeps)
+        assert sets.k == 2
+        assert sets.single_set_length == single.test_length
+        assert sets.multi_set_length < single.test_length
 
     def test_sessions_cover_all_faults(self):
         circuit = conflicting_detectors_circuit(8)
         faults = collapsed_fault_list(circuit)
-        partitioned = optimize_partitioned(
-            circuit, faults=faults, max_sessions=3, max_sweeps=3
-        )
-        covered = set()
-        for session in partitioned.sessions:
-            covered.update(session.target_faults)
-        assert covered == set(faults)
+        sets = build_weight_sets(circuit, faults=faults, k=3, max_sweeps=3)
+        covered = [i for entry in sets.sets for i in entry.fault_indices]
+        covered += list(sets.redundant_indices)
+        assert sorted(covered) == list(range(len(faults)))
 
     def test_single_session_when_one_distribution_suffices(self):
         """A circuit without conflicting hard faults does not benefit from
-        partitioning; the harness may still split it, but the total length must
-        not explode relative to the single-distribution test."""
+        more sets; they may still split it, but the schedule must not
+        explode relative to the single-distribution test."""
         builder = CircuitBuilder("friendly")
         bus = builder.input_bus("x", 6)
         builder.output(and_tree(builder, bus), "y")
-        circuit = builder.build()
-        partitioned = optimize_partitioned(circuit, max_sessions=2, max_sweeps=3)
-        assert partitioned.n_sessions >= 1
-        assert partitioned.total_test_length <= 3 * partitioned.single_session_length
+        sets = build_weight_sets(builder.build(), k=2, max_sweeps=3)
+        assert sets.multi_set_length <= 3 * sets.single_set_length
 
     def test_session_lengths_positive(self):
-        circuit = conflicting_detectors_circuit(8)
-        partitioned = optimize_partitioned(circuit, max_sessions=2, max_sweeps=3)
-        for session in partitioned.sessions:
-            assert session.test_length >= 1
-            assert len(session.target_faults) > 0
+        sets = build_weight_sets(conflicting_detectors_circuit(8), k=2, max_sweeps=3)
+        for entry in sets.sets:
+            assert entry.test_length >= 1
+            assert len(entry.fault_indices) > 0

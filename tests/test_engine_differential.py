@@ -6,7 +6,8 @@ On every registry circuit and on seeded synthetic netlists its word-domain
 logic values, fault-detection words and float64 COP probabilities must equal
 an independent implementation *exactly*:
 
-* logic values: a gate-by-gate ``eval_words`` pass in netlist order;
+* logic values: a gate-by-gate ``eval_words`` pass in netlist order
+  (:func:`tests.helpers.reference_words`);
 * detection words: the per-fault cone walk of
   :class:`~repro.faultsim.legacy.LegacyParallelFaultSimulator`;
 * COP: the scalar :func:`~repro.analysis.signal_prob.signal_probabilities`,
@@ -27,13 +28,14 @@ from repro.analysis import (
     observabilities,
     signal_probabilities,
 )
-from repro.circuit.gates import eval_words
 from repro.circuits.generator import GeneratorSpec, generate_circuit
 from repro.circuits.registry import build_circuit, circuit_keys
 from repro.faults import collapsed_fault_list, full_fault_list
 from repro.faultsim.legacy import LegacyParallelFaultSimulator
 from repro.simulation import pack_patterns
 from repro.simulation.compiled import compile_circuit
+
+from .helpers import reference_words
 
 #: Seeded synthetic netlists: mixed fan-in, depth and size.
 SYNTH_SPECS = (
@@ -80,17 +82,6 @@ def _budget(circuit):
     return 130, 120
 
 
-def _reference_values(circuit, words):
-    """Every net's words from one ``eval_words`` call per gate, netlist order."""
-    n_words = words.shape[1]
-    values = np.zeros((circuit.n_nets, n_words), dtype=np.uint64)
-    values[list(circuit.inputs)] = words
-    for gate in circuit.gates:
-        operands = [values[src] for src in gate.inputs]
-        values[gate.output] = eval_words(gate.gate_type, operands, n_words)
-    return values
-
-
 @pytest.mark.parametrize("label", DIFFERENTIAL_LABELS)
 class TestDifferential:
     def test_logic_simulation_matches_reference(self, label):
@@ -98,7 +89,7 @@ class TestDifferential:
         n_patterns, _ = _budget(circuit)
         words = _packed_patterns(circuit, n_patterns)
         actual = compile_circuit(circuit).simulate_words(words)
-        assert np.array_equal(actual, _reference_values(circuit, words))
+        assert np.array_equal(actual, reference_words(circuit, words))
 
     def test_fault_detection_matches_legacy(self, label):
         circuit = _circuit(label)
@@ -115,7 +106,7 @@ class TestDifferential:
         ):
             actual = engine.fault_batch_detection(faults, good, n_words)
             expected = np.array(
-                [legacy._detection_words(fault, good, n_words) for fault in faults]
+                [legacy.detection_words(fault, good, n_words) for fault in faults]
             )
             assert np.array_equal(actual, expected)
             assert actual.any()

@@ -5,7 +5,8 @@
 batch every fault whose effect provably dies at its site.  Both are pure work
 reductions, so the first-detection maps must stay exactly those of the
 independent per-fault baseline (:class:`LegacyParallelFaultSimulator`) and of
-the scalar reference (:func:`fault_detected_by`), and a pruned fault must
+the gate-by-gate reference pass (:func:`tests.helpers.reference_words`), and
+a pruned fault must
 always have an all-zero row in the dense kernel's detection matrix.
 """
 
@@ -24,11 +25,10 @@ from repro.faultsim import (
     ParallelFaultSimulator,
 )
 from repro.faultsim.parallel import _valid_mask
-from repro.faultsim.serial import fault_detected_by
 from repro.patterns import WeightedPatternGenerator
-from repro.simulation import pack_patterns
+from repro.simulation import pack_patterns, unpack_values
 
-from .helpers import random_circuit
+from .helpers import random_circuit, reference_words
 
 REGISTRY = [entry.key for entry in paper_suite()]
 BATCH_SIZES = (64, 256, 2048)
@@ -44,14 +44,17 @@ def _weighted_patterns(circuit, n_patterns, seed):
     return WeightedPatternGenerator(weights, seed=seed).generate(n_patterns)
 
 
-def _scalar_first_detection(circuit, faults, patterns):
-    """First detecting pattern per fault, by scalar simulation."""
+def _reference_first_detection(circuit, faults, patterns):
+    """First detecting pattern per fault, by the gate-by-gate reference pass."""
+    words = pack_patterns(patterns)
+    outputs = list(circuit.outputs)
+    good = reference_words(circuit, words)[outputs]
     firsts = {}
     for fault in faults:
-        for p, pattern in enumerate(patterns):
-            if fault_detected_by(circuit, fault, list(pattern)):
-                firsts[fault] = p
-                break
+        diff = np.bitwise_or.reduce(reference_words(circuit, words, fault)[outputs] ^ good)
+        detected = np.flatnonzero(unpack_values(diff, len(patterns)))
+        if detected.size:
+            firsts[fault] = int(detected[0])
     return firsts
 
 
@@ -98,11 +101,11 @@ def test_registry_matches_legacy_at_every_batch_size(key):
 
 
 @pytest.mark.parametrize("key", REGISTRY)
-def test_registry_matches_scalar_reference(key):
+def test_registry_matches_reference(key):
     circuit = build_circuit(key)
     faults = _strided(collapsed_fault_list(circuit), 6)
     patterns = _weighted_patterns(circuit, 70, seed=4)  # partial last word
-    expected = _scalar_first_detection(circuit, faults, patterns)
+    expected = _reference_first_detection(circuit, faults, patterns)
     for batch_size in BATCH_SIZES:
         result = ParallelFaultSimulator(circuit, faults).run(
             patterns, batch_size=batch_size
@@ -131,7 +134,7 @@ def test_generated_netlists_match_references(
     faults = full_fault_list(circuit)
     patterns = rng.random((n_patterns, circuit.n_inputs)) < rng.uniform(0.1, 0.9)
     expected = LegacyParallelFaultSimulator(circuit, faults).run(patterns)
-    assert expected.first_detection == _scalar_first_detection(
+    assert expected.first_detection == _reference_first_detection(
         circuit, faults, patterns
     )
     sim = ParallelFaultSimulator(circuit, faults, partition_size=partition_size)
@@ -348,7 +351,7 @@ class TestSitePrefilter:
             _assert_exact_prefilter(circuit, faults, patterns)
         patterns = rng.random((130, 3)) < 0.5
         result = ParallelFaultSimulator(circuit, faults).run(patterns, batch_size=64)
-        expected = _scalar_first_detection(circuit, faults, patterns)
+        expected = _reference_first_detection(circuit, faults, patterns)
         assert result.first_detection == expected
 
     @pytest.mark.parametrize("key", REGISTRY)

@@ -1,4 +1,4 @@
-"""Tests for fault simulation: parallel vs. serial reference, dropping, coverage."""
+"""Tests for fault simulation: compiled vs. legacy reference, dropping, coverage."""
 
 import numpy as np
 import pytest
@@ -10,83 +10,72 @@ from repro.circuits import comparator_circuit
 from repro.faults import Fault, collapsed_fault_list, full_fault_list
 from repro.faultsim import (
     CoverageExperiment,
+    LegacyParallelFaultSimulator,
     ParallelFaultSimulator,
     coverage_curve,
-    detecting_pattern_count,
-    fault_detected_by,
     random_pattern_coverage,
-    simulate_with_fault,
 )
 
 from .helpers import C17_BENCH, all_patterns, half_adder_circuit, random_circuit
 
 
-class TestSerialReference:
+def legacy_counts(circuit, faults, patterns):
+    """Detecting-pattern count per fault by the per-fault legacy reference."""
+    return LegacyParallelFaultSimulator(circuit, faults).detection_counts(
+        np.asarray(patterns, dtype=bool)
+    )
+
+
+class TestLegacyReference:
     def test_stem_fault_changes_output(self):
         circuit = half_adder_circuit()
         carry = circuit.net_index("carry")
         fault = Fault(carry, False)  # carry stuck-at-0
-        assert fault_detected_by(circuit, fault, [True, True])
-        assert not fault_detected_by(circuit, fault, [True, False])
+        assert list(legacy_counts(circuit, [fault], [[True, True]])) == [1]
+        assert list(legacy_counts(circuit, [fault], [[True, False]])) == [0]
 
     def test_input_stuck_at(self):
         circuit = half_adder_circuit()
         a = circuit.inputs[0]
         fault = Fault(a, True)  # a stuck-at-1
-        assert fault_detected_by(circuit, fault, [False, True])
-        assert not fault_detected_by(circuit, fault, [True, True])
+        assert list(legacy_counts(circuit, [fault], [[False, True]])) == [1]
+        assert list(legacy_counts(circuit, [fault], [[True, True]])) == [0]
 
     def test_branch_fault_differs_from_stem(self):
         circuit = half_adder_circuit()
         a = circuit.inputs[0]
-        xor_gate = next(
-            gi for gi, g in enumerate(circuit.gates) if g.gate_type.name == "XOR"
+        and_gate = next(
+            gi for gi, g in enumerate(circuit.gates) if g.gate_type.name == "AND"
         )
-        branch = Fault(a, True, gate=xor_gate)
-        values = simulate_with_fault(circuit, branch, [False, False])
-        # Only the XOR sees a=1: sum flips, carry stays 0.
-        assert values[circuit.net_index("sum")] is True
-        assert values[circuit.net_index("carry")] is False
+        faults = [Fault(a, True), Fault(a, True, gate=and_gate)]
+        # The stem flips sum on both a=0 patterns; the AND branch only
+        # reaches carry, and only when b=1.
+        assert list(legacy_counts(circuit, faults, all_patterns(2))) == [2, 1]
 
     def test_detecting_pattern_count(self):
         circuit = half_adder_circuit()
         carry = circuit.net_index("carry")
-        count = detecting_pattern_count(circuit, Fault(carry, True), all_patterns(2))
-        assert count == 3  # carry s-a-1 detected by every pattern except (1,1)
-
-    def test_wrong_input_length(self):
-        circuit = half_adder_circuit()
-        with pytest.raises(ValueError):
-            simulate_with_fault(circuit, Fault(0, True), [True])
+        count = legacy_counts(circuit, [Fault(carry, True)], all_patterns(2))
+        assert list(count) == [3]  # carry s-a-1 detected by every pattern except (1,1)
 
 
 class TestParallelSimulator:
-    def test_matches_serial_on_c17_exhaustively(self):
+    def test_matches_legacy_on_c17_exhaustively(self):
         circuit = parse_bench(C17_BENCH, name="c17")
         faults = full_fault_list(circuit)
         patterns = all_patterns(circuit.n_inputs)
-        simulator = ParallelFaultSimulator(circuit, faults)
-        counts = simulator.detection_counts(patterns)
-        for fault, count in zip(faults, counts):
-            # use_compiled=False: keep this a true differential test against
-            # the scalar reference, not the compiled engine against itself.
-            expected = detecting_pattern_count(
-                circuit, fault, patterns, use_compiled=False
-            )
-            assert count == expected, fault.describe(circuit)
+        counts = ParallelFaultSimulator(circuit, faults).detection_counts(patterns)
+        assert np.array_equal(counts, legacy_counts(circuit, faults, patterns))
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
-    def test_matches_serial_on_random_circuits(self, seed):
+    def test_matches_legacy_on_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
         circuit = random_circuit(rng, n_inputs=4, n_gates=10)
         faults = collapsed_fault_list(circuit)[:20]
         patterns = all_patterns(circuit.n_inputs)
         counts = ParallelFaultSimulator(circuit, faults).detection_counts(patterns)
-        for fault, count in zip(faults, counts):
-            assert count == detecting_pattern_count(
-                circuit, fault, patterns, use_compiled=False
-            )
+        assert np.array_equal(counts, legacy_counts(circuit, faults, patterns))
 
     def test_first_detection_index_is_earliest(self):
         circuit = half_adder_circuit()

@@ -29,9 +29,9 @@ from repro.patterns import (
     golden_signature,
     pack_response_words,
 )
-from repro.simulation import LogicSimulator
+from repro.simulation import LogicSimulator, pack_patterns, unpack_values
 
-from .helpers import half_adder_circuit
+from .helpers import half_adder_circuit, reference_words
 
 #: Circuits are instantiated once per module; the registry builds are pure.
 _SUITE = {entry.key: entry.instantiate() for entry in paper_suite()}
@@ -285,37 +285,16 @@ class TestGoldenSignatures:
 
 
 class TestSelfTestSessionCompiled:
-    def test_faulty_responses_match_serial_reference(self):
-        from repro.faultsim.serial import simulate_with_fault
-
+    def test_faulty_responses_match_reference(self):
         circuit = comparator_circuit(width=4)
         session = SelfTestSession(circuit, n_patterns=80, seed=5)
         patterns = session.patterns()
+        outputs = list(circuit.outputs)
         for fault in collapsed_fault_list(circuit)[::9]:
             compiled = session._responses(fault)
-            reference = np.zeros((patterns.shape[0], circuit.n_outputs), dtype=bool)
-            for row, pattern in enumerate(patterns):
-                values = simulate_with_fault(
-                    circuit, fault, [bool(v) for v in pattern]
-                )
-                reference[row] = [values[out] for out in circuit.outputs]
+            values = reference_words(circuit, pack_patterns(patterns), fault)
+            reference = unpack_values(values[outputs], patterns.shape[0])
             assert np.array_equal(compiled, reference), fault.describe(circuit)
-
-    def test_run_never_calls_per_pattern_fault_simulation(self, monkeypatch):
-        import repro.faultsim.serial as serial
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError(
-                "SelfTestSession must not fall back to per-pattern "
-                "simulate_with_fault"
-            )
-
-        monkeypatch.setattr(serial, "simulate_with_fault", forbidden)
-        circuit = comparator_circuit(width=4)
-        session = SelfTestSession(circuit, n_patterns=64, seed=5)
-        fault = collapsed_fault_list(circuit)[0]
-        report = session.run(fault=fault)
-        assert report.golden_signature == session.golden_signature()
 
     def test_repeated_runs_reuse_fault_free_simulation(self, monkeypatch):
         from repro.simulation.compiled import CompiledCircuit

@@ -107,8 +107,9 @@ class TestSelfTestStage:
 
     def test_multi_weight_stage_uses_the_self_test_misr_override(self):
         """A spec has one signature register: the self-test stage's MISR
-        override also compacts the multi-weight schedule (and joins its store
-        keys), so a wide circuit runs both stages."""
+        override also compacts the multi-weight schedule (and joins its
+        report's store key, not the weight sets'), so a wide circuit runs
+        both stages."""
         from repro.circuit import CircuitBuilder
         from repro.wrp import run_multi_weight_session
 
@@ -140,7 +141,8 @@ class TestSelfTestStage:
         plain_keys = build_plan(spec()).stage("multi_weight").store_keys
         wide_keys = build_plan(wide).stage("multi_weight").store_keys
         assert set(plain_keys) == set(wide_keys)
-        assert all(plain_keys[name] != wide_keys[name] for name in plain_keys)
+        assert plain_keys["result"] != wide_keys["result"]
+        assert plain_keys["weight_sets"] == wide_keys["weight_sets"]
 
     def test_multi_weight_key_covers_the_fault_sim_partition_size(self):
         """The multi-weight coverage run is partitioned like the fault-sim

@@ -437,3 +437,30 @@ class TestStoreKeysSoundAndComplete:
     def test_a_cold_run_writes_exactly_the_planned_keys(self, cold_runs):
         for name, (spec, store) in cold_runs.items():
             assert set(store.keys()) == set(build_plan(spec).store_keys().values()), name
+
+    @pytest.mark.parametrize("variant", ["misr_width", "fault_sim.partition_size"])
+    def test_weight_sets_ignore_what_only_the_session_reads(self, variant, monkeypatch):
+        """The MISR override and the coverage run's partition size reach the
+        multi-weight report, not the weight sets: a variant spec reuses the
+        stored sets and still reports what a fresh run reports."""
+        import repro.api.plan as plan_module
+
+        store = MemoryStore()
+        base = PipelineSpec(**_EVERY_STAGE)
+        execute_spec(base, store=store)
+        spec = PipelineSpec(**{**_EVERY_STAGE, **_PERTURBATIONS[variant]})
+        keys = build_plan(spec).store_keys()
+        assert keys["multi_weight.weight_sets"] in store.keys()
+        assert keys["multi_weight.result"] not in store.keys()
+
+        calls = []
+        original = plan_module.build_weight_sets
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "build_weight_sets", counted)
+        warm = execute_spec(spec, store=store)
+        assert calls == []
+        assert warm.canonical_dict() == execute_spec(spec).canonical_dict()

@@ -1,4 +1,4 @@
-"""Tests for true-value simulation: packing, bit-parallel vs. scalar reference."""
+"""Tests for true-value simulation: packing, bit-parallel vs. the reference pass."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import parse_bench
-from repro.simulation import (
-    LogicSimulator,
-    evaluate,
-    evaluate_named,
-    exhaustive_truth_table,
-    pack_patterns,
-    unpack_values,
-)
+from repro.simulation import LogicSimulator, pack_patterns, unpack_values
 
-from .helpers import C17_BENCH, all_patterns, half_adder_circuit, mux_circuit, random_circuit
+from .helpers import C17_BENCH, all_patterns, half_adder_circuit, random_circuit, reference_words
+
+
+def reference_outputs(circuit, patterns):
+    values = reference_words(circuit, pack_patterns(patterns))
+    return unpack_values(values[list(circuit.outputs)], patterns.shape[0])
 
 
 class TestPacking:
@@ -55,26 +53,22 @@ class TestLogicSimulator:
             assert s == (a ^ b)
             assert c == (a and b)
 
-    def test_matches_scalar_reference_on_c17(self):
+    def test_matches_reference_on_c17(self):
         circuit = parse_bench(C17_BENCH, name="c17")
         simulator = LogicSimulator(circuit)
         patterns = all_patterns(circuit.n_inputs)
         outputs = simulator.simulate_patterns(patterns)
-        reference = [out for _, out in exhaustive_truth_table(circuit)]
-        assert np.array_equal(outputs, np.asarray(reference))
+        assert np.array_equal(outputs, reference_outputs(circuit, patterns))
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
-    def test_matches_scalar_reference_on_random_circuits(self, seed):
+    def test_matches_reference_on_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
         circuit = random_circuit(rng, n_inputs=5, n_gates=14)
         simulator = LogicSimulator(circuit)
         patterns = all_patterns(circuit.n_inputs)
         outputs = simulator.simulate_patterns(patterns)
-        for pattern, row in zip(patterns, outputs):
-            values = evaluate(circuit, pattern)
-            expected = [values[out] for out in circuit.outputs]
-            assert list(row) == expected
+        assert np.array_equal(outputs, reference_outputs(circuit, patterns))
 
     def test_wrong_input_row_count_rejected(self):
         circuit = half_adder_circuit()
@@ -98,38 +92,3 @@ class TestLogicSimulator:
         assert ones[sum_net] == 2
         assert ones[carry_net] == 1
 
-
-class TestScalarReference:
-    def test_forced_nets_override_gate_value(self):
-        circuit = half_adder_circuit()
-        carry = circuit.net_index("carry")
-        values = evaluate(circuit, [True, True], forced_nets={carry: False})
-        assert values[carry] is False
-
-    def test_forced_primary_input(self):
-        circuit = half_adder_circuit()
-        a = circuit.inputs[0]
-        values = evaluate(circuit, [False, True], forced_nets={a: True})
-        assert values[circuit.net_index("sum")] is False
-
-    def test_wrong_input_length(self):
-        with pytest.raises(ValueError):
-            evaluate(half_adder_circuit(), [True])
-
-    def test_evaluate_named_missing_input(self):
-        with pytest.raises(KeyError):
-            evaluate_named(half_adder_circuit(), {"a": True})
-
-    def test_evaluate_named_output_names(self):
-        result = evaluate_named(half_adder_circuit(), {"a": True, "b": False})
-        assert result == {"sum": True, "carry": False}
-
-    def test_exhaustive_truth_table_size(self):
-        rows = list(exhaustive_truth_table(mux_circuit()))
-        assert len(rows) == 8
-
-    def test_exhaustive_refuses_large_circuits(self):
-        from repro.circuits import s1_comparator
-
-        with pytest.raises(ValueError):
-            list(exhaustive_truth_table(s1_comparator(width=24)))
