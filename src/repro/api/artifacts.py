@@ -158,7 +158,6 @@ def _decode(data: Mapping[str, Any]) -> Any:
     if kind in (
         "weight_set_entry",
         "multi_weight_set",
-        "multi_set_self_test_report",
         "multi_set_coverage",
         "multi_weight_report",
     ):
@@ -167,7 +166,6 @@ def _decode(data: Mapping[str, Any]) -> Any:
         wrp_types = {
             "weight_set_entry": wrp.WeightSetEntry,
             "multi_weight_set": wrp.MultiWeightSet,
-            "multi_set_self_test_report": wrp.MultiSetSelfTestReport,
             "multi_set_coverage": wrp.MultiSetCoverage,
             "multi_weight_report": wrp.MultiWeightReport,
         }

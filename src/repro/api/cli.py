@@ -70,6 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .artifacts import experiment_rows_dict, report_batch_dict
 from .jobs import iter_jobs
+from .serialize import SchemaError
 from .spec import (
     AnalysisConfig,
     FaultSimConfig,
@@ -111,8 +112,6 @@ def _load_spec_file(path: str) -> PipelineSpec:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _spec_error(path, exc)
-    from .serialize import SchemaError
-
     try:
         return PipelineSpec.from_dict(data)
     except SchemaError as exc:
@@ -650,6 +649,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SchemaError as exc:
+        # A spec that validates but cannot run as asked (a self-test schedule
+        # over MAX_SCHEDULE_PATTERNS) is a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # The batch executor and the service shut their pools down on the
         # way out; report the conventional 128+SIGINT status.

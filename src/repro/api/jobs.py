@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .executor import execute_spec, execution_count
+from .serialize import SchemaError
 from .spec import PipelineSpec
 
 __all__ = ["JobResult", "run_jobs", "iter_jobs"]
@@ -189,7 +190,9 @@ def iter_jobs(
                 try:
                     payload = future.result()
                 except Exception as exc:
-                    raise RuntimeError(
+                    # A spec error stays typed, as on the serial path.
+                    wrapper = SchemaError if isinstance(exc, SchemaError) else RuntimeError
+                    raise wrapper(
                         f"pipeline job {specs[index].label!r} "
                         f"(batch index {index}) failed: {exc}"
                     ) from exc

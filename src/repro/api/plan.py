@@ -40,13 +40,16 @@ dicts of the upstream keyed rows it consumes (nested, as ``"weights"``).
   and the *derived* stage seed (which already encodes root seed + label);
   the weighted variant additionally depends on the weight provenance
   (optimize + quantize configs).
-* ``stage_multi_weight/<digest>`` — the weight sets.  Depends on the
-  circuit, analysis config, weight provenance, multi-weight config and the
+* ``stage_multi_weight/<digest>`` — the weight sets.  Depends on what
+  :func:`~repro.wrp.build_weight_sets` reads: the circuit, analysis config,
+  weight provenance, ``multi_weight.k`` and ``multi_weight.budget``, and the
   two derived seeds.
 * ``stage_multi_weight_report/<digest>`` — the multi-weight report.  Its
-  dependency dict is the weight sets' dict plus the signature register and
-  the coverage run's fault-sim partition size, each only when the spec sets
-  it.
+  dependency dict is the weight sets' dict plus what only the playback
+  reads: ``multi_weight.target_coverage`` and ``scan_chains``, and the
+  signature register and the coverage run's fault-sim partition size, each
+  of these two only when the spec sets it.  A spec that changes only
+  playback fields reuses the stored sets.
 """
 
 from __future__ import annotations
@@ -430,18 +433,23 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
             analysis.partition_size if fault_sim is None else fault_sim.partition_size
         )
         # The weight sets depend on everything that shapes the clusters and
-        # per-cluster optima.  The report adds the session's register and
-        # coverage run, each only when set (the analysis config, already a
-        # dependency, carries its own partition size).
+        # per-cluster optima.  The report adds what only the playback reads:
+        # its stop target and delivery, and the session's register and
+        # coverage run, each of these two only when set (the analysis config,
+        # already a dependency, carries its own partition size).
         weight_deps = {
             "stage": "multi_weight",
             **base,
             "weights": optimize_deps,
-            "multi_weight": multi_weight.to_dict(),
+            "multi_weight": {"k": multi_weight.k, "budget": multi_weight.budget},
             "cluster_seed": cluster_seed,
             "session_seed": session_seed,
         }
-        multi_deps = dict(weight_deps)
+        multi_deps = {
+            **weight_deps,
+            "target_coverage": multi_weight.target_coverage,
+            "scan_chains": multi_weight.scan_chains,
+        }
         if misr_width is not None or misr_taps is not None:
             multi_deps["misr"] = {
                 "width": misr_width,

@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..circuit.netlist import Circuit
+from ..patterns.bilbo import MAX_SCHEDULE_PATTERNS
 from .serialize import SchemaError, tagged_dict, untag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -200,6 +201,15 @@ class _ConfigBase:
 def _check_positive_int(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def _check_schedule_length(name: str, value: int) -> None:
+    _check_positive_int(name, value)
+    if value > MAX_SCHEDULE_PATTERNS:
+        raise ValueError(
+            f"{name} must be at most MAX_SCHEDULE_PATTERNS = "
+            f"{MAX_SCHEDULE_PATTERNS:,}, got {value:,}"
+        )
 
 
 def _check_fraction(name: str, value: float, open_interval: bool = True) -> None:
@@ -350,7 +360,8 @@ class SelfTestConfig(_ConfigBase):
     """Stage 5 — BILBO-style self test (LFSR weighting network + MISR).
 
     Attributes:
-        n_patterns: self-test length N.
+        n_patterns: self-test length N, at most
+            :data:`~repro.patterns.bilbo.MAX_SCHEDULE_PATTERNS`.
         use_lfsr: draw patterns from the hardware-realistic LFSR weighting
             network instead of the software PRNG.
         weighted: apply the quantized optimized weights (requires the
@@ -373,7 +384,7 @@ class SelfTestConfig(_ConfigBase):
     inject_hardest: bool = False
 
     def __post_init__(self) -> None:
-        _check_positive_int("n_patterns", self.n_patterns)
+        _check_schedule_length("n_patterns", self.n_patterns)
         if self.misr_taps is not None:
             object.__setattr__(self, "misr_taps", tuple(int(t) for t in self.misr_taps))
         if self.misr_width is not None:
@@ -395,8 +406,10 @@ class MultiWeightConfig(_ConfigBase):
         k: requested number of weight sets (fault clusters); ``1`` degenerates
             bit-identically to the single-set self test.
         budget: optional total pattern budget apportioned across the sets
-            (:func:`repro.wrp.allocate_budget`); ``None`` budgets each set
-            its jointly normalized share.
+            (:func:`repro.wrp.allocate_budget`), at most
+            :data:`~repro.patterns.bilbo.MAX_SCHEDULE_PATTERNS`; ``None``
+            budgets each set its jointly normalized share, and a schedule
+            that then exceeds the cap fails at playback.
         scan_chains: if set, deliver patterns STUMPS-style through this many
             parallel scan chains (:class:`repro.wrp.StumpsPatternGenerator`)
             instead of a direct parallel load — the >64-input architecture.
@@ -414,7 +427,7 @@ class MultiWeightConfig(_ConfigBase):
     def __post_init__(self) -> None:
         _check_positive_int("k", self.k)
         if self.budget is not None:
-            _check_positive_int("budget", self.budget)
+            _check_schedule_length("budget", self.budget)
         if self.scan_chains is not None:
             _check_positive_int("scan_chains", self.scan_chains)
         if self.target_coverage is not None:

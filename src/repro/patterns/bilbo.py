@@ -14,16 +14,21 @@ the software PRNG), :meth:`SelfTestSession.from_sources` a ``k``-set schedule
 fault-free golden signature.  Responses, faulty ones included, come from the
 shared word-domain engine (:mod:`repro.simulation.compiled`), signatures from
 the vectorized :class:`repro.patterns.compiled.CompiledMISR` (the scalar
-:class:`repro.patterns.misr.MISR` above 64 bits).  The pattern matrix, the
-fault-free net values and the golden signature are computed once per session
-and reused by every :meth:`~SelfTestSession.run` and by the streamed fault
-simulation of :meth:`~SelfTestSession.coverage`.
+:class:`repro.patterns.misr.MISR` above 64 bits).
+
+Every pass is a stream, as in the hardware: each source yields chunks of at
+most 4096 rows, and each chunk goes through fault-free simulation, optional
+fault injection, the signature register and the streamed fault simulation of
+:meth:`~SelfTestSession.coverage`, and is then dropped.  A session keeps
+nothing whose size grows with the schedule except the golden signature, and
+a schedule longer than :data:`MAX_SCHEDULE_PATTERNS` is refused before any
+pattern is generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,10 +41,15 @@ from .compiled import CompiledLfsrWeightedPatternGenerator, CompiledMISR
 from .misr import MISR, default_misr_width
 from .weighted import WeightedPatternGenerator
 
-__all__ = ["SelfTestSession", "SelfTestReport"]
+__all__ = ["MAX_SCHEDULE_PATTERNS", "SelfTestSession", "SelfTestReport"]
 
-#: Rows per chunk of the streamed coverage run (``generate_stream``'s default).
-_COVERAGE_CHUNK = 4096
+#: Rows per chunk of every streamed pass (``generate_stream``'s default).
+_CHUNK = 4096
+
+#: The longest schedule a session plays.  At about 3 s per million
+#: patterns on s1 this bounds one playback's time; a pass holds one chunk,
+#: so memory is bounded by :data:`_CHUNK` whatever the length.
+MAX_SCHEDULE_PATTERNS = 1 << 20
 
 
 @dataclass
@@ -95,7 +105,7 @@ class SelfTestSession:
         circuit: circuit under test.
         weights: per-input probabilities; ``None`` means conventional
             equiprobable patterns.
-        n_patterns: test length N.
+        n_patterns: test length N, at most :data:`MAX_SCHEDULE_PATTERNS`.
         use_lfsr: if True, patterns come from an LFSR-based weighting network
             (hardware realistic); otherwise from a software PRNG.
         misr_width: signature register width (defaults to a tabulated width
@@ -137,10 +147,11 @@ class SelfTestSession:
         """A session playing ``sources`` — ``(generator, n_patterns)`` pairs —
         in order through one signature register.
 
-        Each generator is any pattern source with ``generate(n)`` (software
-        PRNG, LFSR weighting network, STUMPS scan delivery).  The register
-        state runs on across source boundaries, so the signature is what the
-        hardware holds after the last source.
+        Each generator is any pattern source with ``reset()`` and
+        ``generate_stream(n, chunk)`` (software PRNG, LFSR weighting network,
+        STUMPS scan delivery).  The register state runs on across source
+        boundaries, so the signature is what the hardware holds after the
+        last source.
         """
         session = cls.__new__(cls)
         session._setup(circuit, sources, misr_width, misr_taps)
@@ -150,13 +161,19 @@ class SelfTestSession:
         self.circuit = circuit
         self.sources: List[Tuple[object, int]] = [(g, int(n)) for g, n in sources]
         self.n_patterns = sum(n for _, n in self.sources)
+        if self.n_patterns > MAX_SCHEDULE_PATTERNS:
+            from ..api.serialize import SchemaError
+
+            raise SchemaError(
+                f"self-test schedule of {self.n_patterns:,} patterns exceeds "
+                f"MAX_SCHEDULE_PATTERNS = {MAX_SCHEDULE_PATTERNS:,}; set "
+                "multi_weight.budget to bound a multi-weight schedule"
+            )
         if misr_width is None:
             misr_width = default_misr_width(circuit.n_outputs)
         self.misr_width = misr_width
         self.misr_taps = tuple(misr_taps) if misr_taps is not None else None
         self._engine: CompiledCircuit = compile_circuit(circuit)
-        self._patterns: Optional[np.ndarray] = None
-        self._good_values: Optional[np.ndarray] = None
         self._golden: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -166,56 +183,67 @@ class SelfTestSession:
             return CompiledMISR(self.misr_width, taps=self.misr_taps)
         return MISR(self.misr_width, taps=self.misr_taps)
 
-    def patterns(self) -> np.ndarray:
-        """The (cached) pattern matrix applied by this session: every
-        source's patterns, in play order."""
-        if self._patterns is None:
-            self._patterns = np.concatenate(
-                [generator.generate(n) for generator, n in self.sources]
-            )
-        return self._patterns
+    def pattern_chunks(self) -> Iterator[np.ndarray]:
+        """The schedule's patterns in play order, as matrices of at most
+        4096 rows that restart at every source boundary.
 
-    def _good_net_values(self) -> np.ndarray:
-        """Fault-free word-domain values of every net (cached)."""
-        if self._good_values is None:
-            self._good_values = self._engine.simulate_words(
-                pack_patterns(self.patterns())
-            )
-        return self._good_values
+        Every call restarts each source from its seed, so every pass plays
+        the same stream.
+        """
+        for generator, n_patterns in self.sources:
+            generator.reset()
+            yield from generator.generate_stream(n_patterns, _CHUNK)
 
-    def _responses(self, fault: Optional[Fault]) -> np.ndarray:
-        """Output responses ``(n_patterns, n_outputs)``, optionally with
-        ``fault`` injected (one compiled pass)."""
-        good = self._good_net_values()
-        if fault is None:
-            return unpack_values(good[self._engine.outputs], self.n_patterns)
-        n_words = good.shape[1]
-        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
-        return unpack_values(out_words, self.n_patterns)
+    def _play(
+        self,
+        fault: Optional[Fault] = None,
+        faulty: Optional[Union[CompiledMISR, MISR]] = None,
+    ) -> Iterator[np.ndarray]:
+        """The one chunk loop behind every pass.
+
+        Each chunk is simulated fault-free; its responses go into the golden
+        register while the golden signature is unknown and, with ``fault``
+        injected, into ``faulty``; then the chunk is yielded and dropped.
+        Exhausting the loop caches the golden signature.
+        """
+        golden = self._fresh_misr() if self._golden is None else None
+        for chunk in self.pattern_chunks():
+            if golden is not None or faulty is not None:
+                good = self._engine.simulate_words(pack_patterns(chunk))
+                if golden is not None:
+                    golden.compact(unpack_values(good[self._engine.outputs], len(chunk)))
+                if faulty is not None:
+                    words = self._engine.fault_output_words([fault], good, good.shape[1])
+                    faulty.compact(unpack_values(words[:, 0, :], len(chunk)))
+            yield chunk
+        if golden is not None:
+            self._golden = int(golden.signature)
 
     def golden_signature(self) -> int:
         """Signature of the fault-free circuit (computed once, then cached)."""
         if self._golden is None:
-            self._golden = int(self._fresh_misr().compact(self._responses(None)))
+            for _ in self._play():
+                pass
         return self._golden
 
     def run(self, fault: Optional[Fault] = None) -> SelfTestReport:
         """Execute the self test, optionally with a fault injected.
 
-        Repeated calls reuse the cached pattern matrix, fault-free net values
-        and golden signature — only the faulty response pass depends on the
-        injected fault.
+        One pass compacts the faulty responses, and the fault-free ones too
+        until the golden signature is cached.
         """
-        golden = self.golden_signature()
         if fault is None:
-            signature = golden
+            signature = self.golden_signature()
         else:
-            signature = int(self._fresh_misr().compact(self._responses(fault)))
+            register = self._fresh_misr()
+            for _ in self._play(fault, register):
+                pass
+            signature = int(register.signature)
         return SelfTestReport(
             circuit_name=self.circuit.name,
             n_patterns=self.n_patterns,
             signature=signature,
-            golden_signature=golden,
+            golden_signature=self.golden_signature(),
         )
 
     def coverage(
@@ -226,10 +254,12 @@ class SelfTestSession:
     ) -> Tuple[FaultSimResult, Tuple[int, ...]]:
         """Fault-simulate the session's patterns with streamed early stop.
 
-        The cached patterns stream through one fault-parallel simulation in
-        chunks of at most 4096 rows that restart at every source boundary;
-        detected faults drop across boundaries, and the stream stops —
-        possibly mid-source — once ``target_coverage`` is reached.
+        The chunks of :meth:`pattern_chunks` go to the golden register and
+        then through one fault-parallel simulation; detected faults drop
+        across source boundaries, and the simulation stops — possibly
+        mid-source — once ``target_coverage`` is reached.  The rest of the
+        schedule then only goes into the golden register, so the same pass
+        also yields the golden signature.
 
         Returns:
             the :class:`FaultSimResult` over the played stream and the
@@ -238,17 +268,16 @@ class SelfTestSession:
         simulator = ParallelFaultSimulator(
             self.circuit, faults=faults, partition_size=partition_size
         )
-        patterns = self.patterns()
-        applied = [0] * len(self.sources)
-
-        def chunks():
-            end = 0
-            for index, (_, n_patterns) in enumerate(self.sources):
-                start, end = end, end + n_patterns
-                for row in range(start, end, _COVERAGE_CHUNK):
-                    chunk = patterns[row : min(row + _COVERAGE_CHUNK, end)]
-                    applied[index] += len(chunk)
-                    yield chunk
-
-        result = simulator.run_stream(chunks(), target_coverage=target_coverage)
+        stream = self._play()
+        result = simulator.run_stream(stream, target_coverage=target_coverage)
+        if self._golden is None:
+            for _ in stream:
+                pass
+        # The simulator consumes whole chunks and chunks restart at source
+        # boundaries, so its pattern count splits over the sources in order.
+        remaining = result.n_patterns
+        applied = []
+        for _, n_patterns in self.sources:
+            applied.append(min(n_patterns, remaining))
+            remaining -= applied[-1]
         return result, tuple(applied)

@@ -11,7 +11,9 @@ and compiled pattern kernels:
 * :mod:`~repro.wrp.scan` — STUMPS-style scan delivery (the >64-input case);
 * :mod:`~repro.wrp.session` — :func:`run_multi_weight_session`, playing the
   sets in sequence on :meth:`repro.patterns.SelfTestSession.from_sources`
-  with per-set budgets and streamed early stop on a coverage target.
+  with per-set budgets, streamed in bounded chunks, with early stop on a
+  coverage target; its signature is an ordinary
+  :class:`repro.patterns.SelfTestReport`.
 
 Wired into the job-spec API as the ``multi_weight`` stage
 (:class:`repro.api.spec.MultiWeightConfig`), which the executor runs as
@@ -32,7 +34,6 @@ from .multiset import (
 from .scan import StumpsPatternGenerator
 from .session import (
     MultiSetCoverage,
-    MultiSetSelfTestReport,
     MultiWeightReport,
     run_multi_weight_session,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "joint_schedule",
     "StumpsPatternGenerator",
     "MultiSetCoverage",
-    "MultiSetSelfTestReport",
     "MultiWeightReport",
     "run_multi_weight_session",
 ]

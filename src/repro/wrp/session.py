@@ -12,7 +12,10 @@ or, with ``scan_chains=n``, shift through ``n`` STUMPS scan chains
 (:class:`repro.wrp.scan.StumpsPatternGenerator`), the delivery that scales
 past the 64-bit register-width limit.  The coverage run drops detected
 faults across set boundaries and stops early — mid-set and across sets —
-once a target coverage is reached.
+once a target coverage is reached.  Playback is streamed: the session holds
+one chunk of at most 4096 patterns at a time, and the report's ``self_test``
+is the ordinary :class:`~repro.patterns.bilbo.SelfTestReport` of the whole
+schedule.
 """
 
 from __future__ import annotations
@@ -25,78 +28,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..faultsim.parallel import FaultSimResult
-from ..patterns.bilbo import SelfTestSession
+from ..patterns.bilbo import SelfTestReport, SelfTestSession
 from ..patterns.compiled import CompiledLfsrWeightedPatternGenerator
 from .multiset import MultiWeightSet
 from .scan import StumpsPatternGenerator
 
 __all__ = [
-    "MultiSetSelfTestReport",
     "MultiSetCoverage",
     "MultiWeightReport",
     "run_multi_weight_session",
 ]
-
-
-@dataclass
-class MultiSetSelfTestReport:
-    """Outcome of one multi-set self-test playback."""
-
-    circuit_name: str
-    n_sets: int
-    per_set_patterns: Tuple[int, ...]
-    n_patterns: int
-    signature: int
-    golden_signature: int
-    scan_chains: Optional[int] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.signature == self.golden_signature
-
-    def to_dict(self) -> Dict:
-        from ..api.serialize import tagged_dict
-
-        return tagged_dict(
-            "multi_set_self_test_report",
-            {
-                "circuit_name": self.circuit_name,
-                "n_sets": int(self.n_sets),
-                "per_set_patterns": [int(n) for n in self.per_set_patterns],
-                "n_patterns": int(self.n_patterns),
-                "signature": int(self.signature),
-                "golden_signature": int(self.golden_signature),
-                "scan_chains": None if self.scan_chains is None else int(self.scan_chains),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MultiSetSelfTestReport":
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "multi_set_self_test_report",
-            required=(
-                "circuit_name",
-                "n_sets",
-                "per_set_patterns",
-                "n_patterns",
-                "signature",
-                "golden_signature",
-                "scan_chains",
-            ),
-        )
-        scan_chains = payload["scan_chains"]
-        return cls(
-            circuit_name=str(payload["circuit_name"]),
-            n_sets=int(payload["n_sets"]),
-            per_set_patterns=tuple(int(n) for n in payload["per_set_patterns"]),
-            n_patterns=int(payload["n_patterns"]),
-            signature=int(payload["signature"]),
-            golden_signature=int(payload["golden_signature"]),
-            scan_chains=None if scan_chains is None else int(scan_chains),
-        )
 
 
 @dataclass
@@ -162,7 +103,8 @@ class MultiWeightReport:
         circuit_name: circuit under test.
         weight_sets: the optimized :class:`MultiWeightSet` schedule.
         coverage: the scheduled fault-simulation outcome.
-        self_test: the signature-register playback of the schedule.
+        self_test: the signature-register playback of the whole schedule
+            (per-set lengths are the weight sets' ``n_patterns``).
         scan_chains: STUMPS chain count (``None`` = parallel load).
         cpu_seconds: wall-clock cost (volatile; scrubbed from hashes).
     """
@@ -170,7 +112,7 @@ class MultiWeightReport:
     circuit_name: str
     weight_sets: MultiWeightSet
     coverage: MultiSetCoverage
-    self_test: MultiSetSelfTestReport
+    self_test: SelfTestReport
     scan_chains: Optional[int] = None
     cpu_seconds: float = 0.0
 
@@ -233,7 +175,7 @@ class MultiWeightReport:
             circuit_name=str(payload["circuit_name"]),
             weight_sets=MultiWeightSet.from_dict(payload["weight_sets"]),
             coverage=MultiSetCoverage.from_dict(payload["coverage"]),
-            self_test=MultiSetSelfTestReport.from_dict(payload["self_test"]),
+            self_test=SelfTestReport.from_dict(payload["self_test"]),
             scan_chains=None if scan_chains is None else int(scan_chains),
             cpu_seconds=0.0 if cpu_seconds is None else float(cpu_seconds),
         )
@@ -291,9 +233,16 @@ def run_multi_weight_session(
     misr_taps: Optional[Sequence[int]] = None,
 ) -> MultiWeightReport:
     """Play a multi-weight schedule on one
-    :meth:`~repro.patterns.bilbo.SelfTestSession.from_sources` session:
-    streamed coverage, then the signature (``misr_width`` / ``misr_taps``
-    override the register, as in the single-set session)."""
+    :meth:`~repro.patterns.bilbo.SelfTestSession.from_sources` session.
+
+    One streamed pass generates each pattern once and feeds it to the
+    signature register (``misr_width`` / ``misr_taps`` override it, as in the
+    single-set session) and to the coverage run; once ``target_coverage``
+    stops the coverage run, the rest of the schedule only goes into the
+    register.  A schedule longer than
+    :data:`~repro.patterns.bilbo.MAX_SCHEDULE_PATTERNS` raises
+    :class:`~repro.api.serialize.SchemaError` before any pattern is played.
+    """
     start = time.perf_counter()
     session = SelfTestSession.from_sources(
         circuit,
@@ -306,22 +255,14 @@ def run_multi_weight_session(
         target_coverage=target_coverage,
         partition_size=partition_size,
     )
-    self_test = session.run()
     return MultiWeightReport(
         circuit_name=circuit.name,
         weight_sets=weight_sets,
         coverage=MultiSetCoverage(
             result=result, applied=applied, target_coverage=target_coverage
         ),
-        self_test=MultiSetSelfTestReport(
-            circuit_name=circuit.name,
-            n_sets=weight_sets.k,
-            per_set_patterns=tuple(n for _, n in session.sources),
-            n_patterns=self_test.n_patterns,
-            signature=self_test.signature,
-            golden_signature=self_test.golden_signature,
-            scan_chains=scan_chains,
-        ),
+        # The coverage pass already compacted the whole schedule.
+        self_test=session.run(),
         scan_chains=scan_chains,
         cpu_seconds=time.perf_counter() - start,
     )

@@ -6,6 +6,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.api import FaultSimConfig, MultiWeightConfig, OptimizeConfig, PipelineSpec
 from repro.circuit import Circuit, CircuitBuilder, GateType
 from repro.circuit.builder import CircuitBuilder as _Builder
 from repro.circuit.gates import eval_words
@@ -97,6 +98,24 @@ def random_circuit(
     for k, signal in enumerate(signals[-3:]):
         builder.output(signal, f"o{k}")
     return builder.build()
+
+
+def over_cap_multi_weight_spec():
+    """An s1 spec whose unbudgeted two-set schedule (21,569,662 + 7,835
+    patterns, from a two-sweep single-set optimum) exceeds
+    ``MAX_SCHEDULE_PATTERNS``; the rows before playback take well under a
+    second."""
+    return PipelineSpec(
+        circuit="s1",
+        optimize=OptimizeConfig(max_sweeps=2),
+        fault_sim=FaultSimConfig(n_patterns=128),
+        multi_weight=MultiWeightConfig(k=2),
+    )
+
+
+def played_patterns(session) -> np.ndarray:
+    """Every pattern a self-test session plays, its chunks concatenated."""
+    return np.concatenate(list(session.pattern_chunks()))
 
 
 def all_patterns(n_inputs: int) -> np.ndarray:

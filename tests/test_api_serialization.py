@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.api import (
     AnalysisConfig,
     FaultSimConfig,
+    MultiWeightConfig,
     OptimizeConfig,
     PipelineSpec,
     QuantizeConfig,
@@ -104,6 +105,13 @@ class TestConfigRoundTrips:
             FaultSimConfig(n_patterns=-1)
         with pytest.raises(ValueError):
             SelfTestConfig(n_patterns=0)
+        # Schedule lengths are capped at MAX_SCHEDULE_PATTERNS = 2**20.
+        SelfTestConfig(n_patterns=1 << 20)
+        MultiWeightConfig(budget=1 << 20)
+        with pytest.raises(ValueError, match="MAX_SCHEDULE_PATTERNS"):
+            SelfTestConfig(n_patterns=(1 << 20) + 1)
+        with pytest.raises(ValueError, match="MAX_SCHEDULE_PATTERNS"):
+            MultiWeightConfig(budget=(1 << 20) + 1)
 
 
 class TestSpecRoundTrips:

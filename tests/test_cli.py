@@ -15,6 +15,8 @@ from repro.api.cli import main
 from repro.circuits import alu_circuit
 from repro.pipeline import PipelineReport
 
+from .helpers import over_cap_multi_weight_spec
+
 
 def read_json(path):
     return json.loads(path.read_text())
@@ -313,6 +315,7 @@ class TestTablesCommand:
         ["run", "s1", "--partition-size", "0"],
         ["tables", "--max-sweeps", "0"],
         ["selftest", "s1", "--patterns", "0"],
+        ["selftest", "s1", "--patterns", str((1 << 20) + 1)],
         ["run", "--bench", "no-such-netlist.bench"],
     ],
     ids=[
@@ -321,6 +324,7 @@ class TestTablesCommand:
         "partition-size",
         "max-sweeps",
         "selftest-patterns",
+        "selftest-patterns-over-cap",
         "missing-bench-file",
     ],
 )
@@ -330,6 +334,20 @@ def test_out_of_range_values_exit_2_without_traceback(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_over_cap_schedule_exits_2_without_traceback(parallelism, tmp_path, capsys):
+    """A spec that validates but whose multi-weight schedule exceeds
+    MAX_SCHEDULE_PATTERNS stops with a usage error before playback, in
+    process and from a pool worker."""
+    path = tmp_path / "over_cap.json"
+    path.write_text(json.dumps(over_cap_multi_weight_spec().to_dict()))
+    assert main(["run", "--spec", str(path), "--parallelism", parallelism]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "MAX_SCHEDULE_PATTERNS" in err and "multi_weight.budget" in err
     assert "Traceback" not in err
 
 

@@ -31,7 +31,7 @@ from repro.patterns import (
 )
 from repro.simulation import LogicSimulator, pack_patterns, unpack_values
 
-from .helpers import half_adder_circuit, reference_words
+from .helpers import half_adder_circuit, played_patterns, reference_words
 
 #: Circuits are instantiated once per module; the registry builds are pure.
 _SUITE = {entry.key: entry.instantiate() for entry in paper_suite()}
@@ -285,18 +285,20 @@ class TestGoldenSignatures:
 
 
 class TestSelfTestSessionCompiled:
-    def test_faulty_responses_match_reference(self):
+    def test_faulty_signatures_match_reference(self):
+        # Longer than one 4096-row chunk: the faulty register runs on across
+        # the chunk boundary of the streamed pass.
         circuit = comparator_circuit(width=4)
-        session = SelfTestSession(circuit, n_patterns=80, seed=5)
-        patterns = session.patterns()
+        session = SelfTestSession(circuit, n_patterns=5000, seed=5)
+        patterns = played_patterns(session)
         outputs = list(circuit.outputs)
         for fault in collapsed_fault_list(circuit)[::9]:
-            compiled = session._responses(fault)
             values = reference_words(circuit, pack_patterns(patterns), fault)
             reference = unpack_values(values[outputs], patterns.shape[0])
-            assert np.array_equal(compiled, reference), fault.describe(circuit)
+            expected = MISR(session.misr_width).compact(reference)
+            assert session.run(fault).signature == expected, fault.describe(circuit)
 
-    def test_repeated_runs_reuse_fault_free_simulation(self, monkeypatch):
+    def test_each_faulty_run_is_one_pass(self, monkeypatch):
         from repro.simulation.compiled import CompiledCircuit
 
         calls = {"count": 0}
@@ -314,8 +316,9 @@ class TestSelfTestSessionCompiled:
         session.run(fault=faults[1])
         session.run()
         assert session.golden_signature() == session.run().golden_signature
-        # One fault-free simulation serves every run of the session.
-        assert calls["count"] == 1
+        # The first faulty pass also yields the golden signature, the second
+        # replays the stream once more, and fault-free runs replay nothing.
+        assert calls["count"] == 2
 
     def test_lfsr_session_uses_compiled_generator(self):
         circuit = half_adder_circuit()
@@ -326,7 +329,7 @@ class TestSelfTestSessionCompiled:
         (generator, n_patterns), = session.sources
         assert n_patterns == 64
         assert isinstance(generator, CompiledLfsrWeightedPatternGenerator)
-        assert np.array_equal(session.patterns(), scalar.generate(64))
+        assert np.array_equal(played_patterns(session), scalar.generate(64))
         assert session.run().passed
 
     def test_injected_fault_detected_on_divider_class_circuit(self):

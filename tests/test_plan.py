@@ -111,8 +111,8 @@ GOLDEN_STORE_KEYS = {
         "optimize.result": "stage_optimize/73d97efb41d710d5ebb040db83ff965113e792e0904a0d65c7890c2a64920825",
         "fault_sim.conventional": "stage_fault_sim/91d87eea2be54f3ea4e4c2733c9348430c2eedac9f8a620d4b67a85d63a1922c",
         "fault_sim.optimized": "stage_fault_sim/533d38a764e4b34dbddf5c275974a51777b938acf28f2792b354497dbe158af0",
-        "multi_weight.weight_sets": "stage_multi_weight/dcbeb9429e5ccb5f76c41556f1e937c11f7c66547c181d2f18582eba9efbe2cd",
-        "multi_weight.result": "stage_multi_weight_report/dcbeb9429e5ccb5f76c41556f1e937c11f7c66547c181d2f18582eba9efbe2cd",
+        "multi_weight.weight_sets": "stage_multi_weight/5a302f924f71a9148b862b5c9610027a2fd58472a4388f199716eeddec08a1ef",
+        "multi_weight.result": "stage_multi_weight_report/e44df2c6c5981e4cac68e32287d64eefa75a661f5a948b6b2a4128c8f4e41b97",
     },
 }
 
@@ -438,11 +438,20 @@ class TestStoreKeysSoundAndComplete:
         for name, (spec, store) in cold_runs.items():
             assert set(store.keys()) == set(build_plan(spec).store_keys().values()), name
 
-    @pytest.mark.parametrize("variant", ["misr_width", "fault_sim.partition_size"])
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            "misr_width",
+            "fault_sim.partition_size",
+            "multi_weight.target_coverage",
+            "scan_chains",
+        ],
+    )
     def test_weight_sets_ignore_what_only_the_session_reads(self, variant, monkeypatch):
-        """The MISR override and the coverage run's partition size reach the
-        multi-weight report, not the weight sets: a variant spec reuses the
-        stored sets and still reports what a fresh run reports."""
+        """The MISR override, the coverage run's partition size and stop
+        target and the scan delivery reach the multi-weight report, not the
+        weight sets: a variant spec reuses the stored sets and still reports
+        what a fresh run reports."""
         import repro.api.plan as plan_module
 
         store = MemoryStore()

@@ -15,17 +15,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.api import execute_spec
+from repro.api.serialize import SchemaError
 from repro.circuit import CircuitBuilder
+from repro.circuit.bench import parse_bench
 from repro.circuits import build_circuit
 from repro.faults import collapsed_fault_list
 from repro.patterns import PRIMITIVE_TAPS
-from repro.patterns.bilbo import SelfTestSession
+from repro.patterns.bilbo import MAX_SCHEDULE_PATTERNS, SelfTestSession
 from repro.wrp import MultiWeightSet, WeightSetEntry, run_multi_weight_session
 from repro.wrp.multiset import SET_POLYNOMIAL_WIDTHS, set_seed
+
+from .helpers import C17_BENCH, over_cap_multi_weight_spec, played_patterns
 
 
 def _sha(data) -> str:
@@ -115,7 +121,7 @@ class TestSingleSet:
         )
         assert session.misr_width == 48
         assert session.n_patterns == 5000
-        assert _sha(np.packbits(session.patterns()).tobytes()) == patterns_sha
+        assert _sha(np.packbits(played_patterns(session)).tobytes()) == patterns_sha
         assert session.golden_signature() == golden
         report = session.run(c499_faults[0])
         assert report.golden_signature == golden
@@ -184,14 +190,15 @@ class TestTwoSetSchedule:
             if name == "c499"
             else np.full(circuit.n_inputs, 31 / 32)
         )
+        weight_sets = _two_sets(circuit, first)
         report = run_multi_weight_session(
             circuit,
-            _two_sets(circuit, first),
+            weight_sets,
             faults=collapsed_fault_list(circuit),
             **options,
         )
         assert report.self_test.n_patterns == 9500
-        assert report.self_test.per_set_patterns == (4500, 5000)
+        assert tuple(entry.n_patterns for entry in weight_sets.sets) == (4500, 5000)
         assert report.self_test.passed
         assert report.self_test.signature == signature
         assert report.coverage.applied == applied
@@ -252,3 +259,48 @@ class TestScalarMisr:
         assert _dict_sha(report.coverage.to_dict()) == (
             "08583cde9478a82a3c75348bac75dbbe1e92bc4d22f61ddc0b36639801411338"
         )
+
+
+class TestBoundedPlayback:
+    """Playback holds one chunk at a time, and an over-long schedule is a
+    typed error before any pattern is generated."""
+
+    def test_playback_memory_does_not_grow_with_the_schedule(self):
+        c17 = parse_bench(C17_BENCH, name="c17")
+        faults = collapsed_fault_list(c17)
+        session = SelfTestSession(c17, 1 << 18, use_lfsr=True, seed=3)
+        tracemalloc.start()
+        try:
+            report = session.run(faults[0])
+            result, applied = session.coverage(faults)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.golden_signature == session.golden_signature()
+        assert applied == (1 << 18,) and result.n_patterns == 1 << 18
+        # The whole pattern matrix alone would take 1.25 MiB of bools and
+        # 50 MiB as the weighting network's int64 digit block.
+        assert peak < 8 * 2**20
+
+    def test_over_cap_session_generates_no_pattern(self):
+        class Untouchable:
+            def reset(self):
+                raise AssertionError("reset before the cap check")
+
+            def generate_stream(self, n_patterns, chunk):
+                raise AssertionError("generated before the cap check")
+
+        c17 = parse_bench(C17_BENCH, name="c17")
+        sources = [(Untouchable(), MAX_SCHEDULE_PATTERNS), (Untouchable(), 1)]
+        with pytest.raises(SchemaError, match="multi_weight.budget"):
+            SelfTestSession.from_sources(c17, sources)
+        # At the cap exactly, the session is built (and plays lazily).
+        SelfTestSession.from_sources(c17, sources[:1])
+
+    def test_over_cap_spec_is_a_schema_error(self):
+        with pytest.raises(SchemaError) as excinfo:
+            execute_spec(over_cap_multi_weight_spec())
+        message = str(excinfo.value)
+        assert "21,577,497" in message
+        assert f"{MAX_SCHEDULE_PATTERNS:,}" in message
+        assert "multi_weight.budget" in message

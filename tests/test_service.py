@@ -14,11 +14,13 @@ import pytest
 
 from repro.api import PipelineSpec
 from repro.api.serialize import SchemaError
-from repro.api.spec import FaultSimConfig, OptimizeConfig
+from repro.api.spec import FaultSimConfig, MultiWeightConfig, OptimizeConfig, SelfTestConfig
 from repro.pipeline import PipelineReport
 import repro.service.http as http_module
 from repro.service import JobServer, JobService, ServiceClosed
 from repro.store import DiskStore, MemoryStore, StoreError
+
+from .helpers import over_cap_multi_weight_spec
 
 
 def small_spec(seed: int = 1987) -> PipelineSpec:
@@ -267,6 +269,36 @@ class TestHttpServer:
             assert status == 200
             assert payload["counters"]["submitted"] == 0
             assert payload["store"]["backend"] == "memory"
+
+        asyncio.run(self._with_server(scenario))
+
+    def test_over_cap_schedule_fails_the_job_not_the_service(self):
+        async def scenario(port, service):
+            body = json.dumps(over_cap_multi_weight_spec().to_dict()).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 200
+            assert payload["job"]["status"] == "failed"
+            assert "MAX_SCHEDULE_PATTERNS" in payload["job"]["error"]
+            status, stats = await _request(port, "GET", "/statsz")
+            assert status == 200 and stats["counters"]["failed"] == 1
+
+            # Over-cap configs never become jobs.
+            over_cap = (1 << 20) + 1
+            for stage, config in (
+                ("self_test", {**SelfTestConfig().to_dict(), "n_patterns": over_cap}),
+                ("multi_weight", {**MultiWeightConfig().to_dict(), "budget": over_cap}),
+            ):
+                data = {**small_spec().to_dict(), stage: config}
+                status, payload = await _request(
+                    port, "POST", "/jobs", json.dumps(data).encode()
+                )
+                assert status == 400, stage
+                assert "MAX_SCHEDULE_PATTERNS" in payload["error"], stage
+            assert service.counters["submitted"] == 1
+            # The service keeps answering.
+            body = json.dumps(small_spec(seed=5).to_dict()).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 200 and payload["job"]["status"] == "done"
 
         asyncio.run(self._with_server(scenario))
 

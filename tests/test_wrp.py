@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from .helpers import C17_BENCH
+from .helpers import C17_BENCH, played_patterns
 from repro.api import (
     AnalysisConfig,
     MultiWeightConfig,
@@ -22,6 +22,7 @@ from repro.api import (
     build_plan,
     load_artifact,
 )
+from repro.api.serialize import SchemaError
 from repro.circuit.bench import parse_bench
 from repro.faults import collapsed_fault_list
 from repro.patterns import (
@@ -182,7 +183,7 @@ class TestDegenerateEquivalence:
             seed=1987,
         )
         assert multi.n_patterns == single.n_patterns
-        np.testing.assert_array_equal(multi.patterns(), single.patterns())
+        np.testing.assert_array_equal(played_patterns(multi), played_patterns(single))
         assert multi.golden_signature() == single.golden_signature()
         report = multi.run(fault=c17_faults[0])
         reference = single.run(fault=c17_faults[0])
@@ -236,7 +237,7 @@ class TestStumps:
             c17, c17_sets, faults=c17_faults, scan_chains=2
         )
         assert report.self_test.passed
-        assert report.self_test.scan_chains == report.scan_chains == 2
+        assert report.scan_chains == 2
         assert 0.0 < report.coverage.coverage <= 1.0
 
     def test_playback_rejects_malformed_schedules(self, c17, c17_sets):
@@ -274,6 +275,25 @@ class TestArtifacts:
         assert clone.to_dict() == report.to_dict()
         assert clone.single_set_length == report.single_set_length
         assert clone.self_test.passed
+
+    def test_removed_multi_set_self_test_report_is_a_schema_error(
+        self, c17, c17_faults, c17_sets
+    ):
+        """The deleted multi-set signature report, as older runs stored it,
+        loads as a typed error, alone or inside a multi-weight report."""
+        report = run_multi_weight_session(c17, c17_sets, faults=c17_faults)
+        stored = {
+            **report.self_test.to_dict(),
+            "kind": "multi_set_self_test_report",
+            "n_sets": c17_sets.k,
+            "per_set_patterns": [entry.n_patterns for entry in c17_sets.sets],
+            "scan_chains": None,
+        }
+        with pytest.raises(SchemaError, match="multi_set_self_test_report"):
+            load_artifact(stored)
+        outer = {**report.to_dict(), "self_test": stored}
+        with pytest.raises(SchemaError, match="multi_set_self_test_report"):
+            load_artifact(outer)
 
     def test_budget_is_apportioned(self, c17, c17_faults, c17_base):
         weight_sets = build_weight_sets(
