@@ -14,8 +14,8 @@ The package is organised by subsystem:
   collapsing and fault simulation.
 * :mod:`repro.analysis` — signal probabilities, observabilities and detection
   probability estimation (PROTEST's role).
-* :mod:`repro.core` — the paper's contribution: the objective function, the
-  test-length computation and the per-input probability optimization.
+* :mod:`repro.core` — the paper's contribution: the test-length computation
+  (SORT/NORMALIZE) and the per-input probability optimization.
 * :mod:`repro.lowered` — the shared lowered-circuit IR every compiled engine
   consumes, with content-addressed cached compilation.
 * :mod:`repro.patterns` — LFSR/MISR/BILBO and weighted pattern generation.
@@ -50,7 +50,6 @@ from .circuits import (
     hard_suite,
     paper_suite,
     resistant_circuit,
-    ripple_adder_circuit,
     s1_comparator,
     s2_divider,
 )
@@ -66,7 +65,6 @@ from .analysis import (
 from .core import (
     OptimizationResult,
     WeightOptimizer,
-    optimize_input_probabilities,
     quantize_weights,
     required_test_length,
 )
@@ -80,7 +78,6 @@ from .patterns import (
     LfsrWeightedPatternGenerator,
     SelfTestSession,
     WeightedPatternGenerator,
-    golden_signature,
 )
 from .api import (
     AnalysisConfig,
@@ -116,7 +113,6 @@ __all__ = [
     "array_multiplier_circuit",
     "ecc_decoder_circuit",
     "resistant_circuit",
-    "ripple_adder_circuit",
     "build_circuit",
     "paper_suite",
     "hard_suite",
@@ -135,7 +131,6 @@ __all__ = [
     "StafanDetectionEstimator",
     "OptimizationResult",
     "WeightOptimizer",
-    "optimize_input_probabilities",
     "quantize_weights",
     "required_test_length",
     "LFSR",
@@ -146,7 +141,6 @@ __all__ = [
     "WeightedPatternGenerator",
     "LfsrWeightedPatternGenerator",
     "SelfTestSession",
-    "golden_signature",
     "LoweredCircuit",
     "compile_lowered",
     "AnalysisConfig",

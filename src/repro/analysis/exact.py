@@ -7,10 +7,11 @@ estimator — exact values can be computed by enumerating the input space of the
 relevant support and weighting every minterm with its probability under ``X``.
 
 The enumeration is an exhaustive pattern matrix, 64 minterms per word,
-simulated chunk by chunk with the word-parallel references: good values by
-:class:`~repro.simulation.logicsim.LogicSimulator`, per-pattern detection
-words by :class:`~repro.faultsim.legacy.LegacyParallelFaultSimulator`.  Memory
-stays bounded by the chunk size even at :data:`MAX_EXACT_INPUTS` inputs.
+simulated chunk by chunk with the slow references of :mod:`repro.faultsim.legacy`,
+which share no code with the compiled engine: good values by its gate-by-gate
+:func:`~repro.faultsim.legacy.reference_words`, per-pattern detection words by
+:class:`~repro.faultsim.legacy.LegacyParallelFaultSimulator`.  Memory stays
+bounded by the chunk size even at :data:`MAX_EXACT_INPUTS` inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..faultsim.legacy import LegacyParallelFaultSimulator
-from ..simulation.logicsim import WORD_BITS, LogicSimulator, unpack_values
+from ..faultsim.legacy import LegacyParallelFaultSimulator, reference_words
+from ..simulation.logicsim import WORD_BITS, unpack_values
 from .signal_prob import input_probability_vector
 
 __all__ = [
@@ -100,10 +101,9 @@ def exact_signal_probability(
     vector = input_probability_vector(circuit, input_probs)
     support = circuit.support_inputs(net)
     _check_size(len(support))
-    simulator = LogicSimulator(circuit)
     total = 0.0
     for words, weights in _minterm_chunks(circuit, support, vector):
-        ones = unpack_values(simulator.simulate_words(words)[net], weights.size)
+        ones = unpack_values(reference_words(circuit, words)[net], weights.size)
         total += float(weights[ones].sum())
     return total
 
@@ -113,11 +113,10 @@ def _exact_detection_probabilities(
 ) -> np.ndarray:
     _check_size(circuit.n_inputs)
     vector = input_probability_vector(circuit, input_probs)
-    simulator = LogicSimulator(circuit)
     legacy = LegacyParallelFaultSimulator(circuit, faults)
     totals = np.zeros(len(faults))
     for words, weights in _minterm_chunks(circuit, circuit.inputs, vector):
-        good = simulator.simulate_words(words)
+        good = reference_words(circuit, words)
         for index, fault in enumerate(faults):
             detected = unpack_values(
                 legacy.detection_words(fault, good, words.shape[1]), weights.size

@@ -9,8 +9,8 @@ Public surface:
 * :func:`~repro.circuit.bench.parse_bench` / :func:`~repro.circuit.bench.write_bench`
   — ISCAS ``.bench`` interchange.
 * :func:`~repro.circuit.analysis.circuit_stats` — structural statistics.
-* :mod:`repro.circuit.library` — adders, comparators, decoders and other blocks
-  used by the benchmark circuit generators.
+* :mod:`repro.circuit.library` — adders, subtractors and reduction trees used
+  by the benchmark circuit generators.
 """
 
 from .gates import GateType, eval_bool, eval_probability, eval_words

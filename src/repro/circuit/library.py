@@ -2,8 +2,8 @@
 
 The benchmark circuit generators in :mod:`repro.circuits` are assembled from
 these gate-level blocks: half/full adders, ripple-carry adders and subtractors,
-equality and magnitude comparators, decoders and multiplexers.  All blocks take
-a :class:`~repro.circuit.builder.CircuitBuilder` plus signal handles and return
+and balanced AND/OR/XOR reduction trees.  All blocks take a
+:class:`~repro.circuit.builder.CircuitBuilder` plus signal handles and return
 signal handles, so they compose freely.
 """
 
@@ -18,10 +18,6 @@ __all__ = [
     "full_adder",
     "ripple_carry_adder",
     "ripple_borrow_subtractor",
-    "equality_comparator",
-    "magnitude_comparator",
-    "decoder",
-    "mux_tree",
     "parity_tree",
     "and_tree",
     "or_tree",
@@ -76,72 +72,6 @@ def ripple_borrow_subtractor(
     b_inverted = [builder.not_(bit) for bit in b]
     diff, carry_out = ripple_carry_adder(builder, list(a), b_inverted, carry_in=one)
     return diff, builder.not_(carry_out)
-
-
-def equality_comparator(builder: CircuitBuilder, a: Sequence[int], b: Sequence[int]) -> int:
-    """Return a signal that is 1 iff the two bit vectors are equal."""
-    if len(a) != len(b):
-        raise ValueError("operand widths differ")
-    bit_equal = [builder.xnor(x, y) for x, y in zip(a, b)]
-    return and_tree(builder, bit_equal)
-
-
-def magnitude_comparator(
-    builder: CircuitBuilder, a: Sequence[int], b: Sequence[int]
-) -> Tuple[int, int, int]:
-    """Return ``(a_gt_b, a_eq_b, a_lt_b)`` for little-endian unsigned vectors.
-
-    Classic sum-of-products formulation: ``a > b`` iff there is a bit position
-    ``i`` with ``a_i = 1, b_i = 0`` and all more significant bits equal.
-    """
-    if len(a) != len(b):
-        raise ValueError("operand widths differ")
-    width = len(a)
-    eq_bits = [builder.xnor(a[i], b[i]) for i in range(width)]
-    gt_terms: List[int] = []
-    lt_terms: List[int] = []
-    for i in reversed(range(width)):
-        higher_equal = eq_bits[i + 1 :]
-        gt_core = builder.and_(a[i], builder.not_(b[i]))
-        lt_core = builder.and_(builder.not_(a[i]), b[i])
-        if higher_equal:
-            prefix = and_tree(builder, higher_equal)
-            gt_terms.append(builder.and_(gt_core, prefix))
-            lt_terms.append(builder.and_(lt_core, prefix))
-        else:
-            gt_terms.append(gt_core)
-            lt_terms.append(lt_core)
-    a_gt_b = or_tree(builder, gt_terms)
-    a_lt_b = or_tree(builder, lt_terms)
-    a_eq_b = and_tree(builder, eq_bits)
-    return a_gt_b, a_eq_b, a_lt_b
-
-
-def decoder(builder: CircuitBuilder, select: Sequence[int], enable: int | None = None) -> List[int]:
-    """n-to-2^n one-hot decoder; each output is a wide AND over the selects."""
-    width = len(select)
-    inverted = [builder.not_(s) for s in select]
-    outputs: List[int] = []
-    for value in range(1 << width):
-        terms = [
-            select[bit] if (value >> bit) & 1 else inverted[bit] for bit in range(width)
-        ]
-        if enable is not None:
-            terms.append(enable)
-        outputs.append(and_tree(builder, terms))
-    return outputs
-
-
-def mux_tree(builder: CircuitBuilder, select: Sequence[int], data: Sequence[int]) -> int:
-    """2^k:1 multiplexer controlled by ``select`` (little endian)."""
-    if len(data) != 1 << len(select):
-        raise ValueError("data width must be 2**len(select)")
-    level = list(data)
-    for sel in select:
-        level = [
-            builder.mux(sel, level[i], level[i + 1]) for i in range(0, len(level), 2)
-        ]
-    return level[0]
 
 
 def parity_tree(builder: CircuitBuilder, bits: Sequence[int]) -> int:

@@ -6,7 +6,6 @@ generator refs behind :class:`~repro.api.spec.PipelineSpec`) and the seeded
 synthetic netlist generator (:mod:`repro.circuits.generator`).
 """
 
-from .adders import carry_select_adder_circuit, ripple_adder_circuit
 from .alu import alu_circuit
 from .comparator import comparator_circuit, s1_comparator, sn7485_slice
 from .divider import divider_circuit, s2_divider
@@ -24,8 +23,6 @@ from .registry import (
 from .sources import SOURCE_KINDS, CircuitSource, normalize_circuit_ref
 
 __all__ = [
-    "ripple_adder_circuit",
-    "carry_select_adder_circuit",
     "alu_circuit",
     "comparator_circuit",
     "s1_comparator",

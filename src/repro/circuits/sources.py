@@ -63,9 +63,20 @@ class CircuitSource:
     # ------------------------------------------------------------------ #
     @classmethod
     def builtin(cls, key: str) -> "CircuitSource":
-        """A benchmark-registry circuit by key."""
+        """A benchmark-registry circuit by key (case insensitive).
+
+        The key is kept as spelled, so its wire form and the spec hash do
+        not change; an unknown key is a ``ValueError`` here, not a failed
+        build later.
+        """
         if not isinstance(key, str) or not key:
             raise ValueError(f"registry circuit reference must be a non-empty key, got {key!r}")
+        from .registry import circuit_keys, get_entry
+
+        if get_entry(key) is None:
+            raise ValueError(
+                f"unknown benchmark circuit {key!r}; available: {', '.join(circuit_keys())}"
+            )
         return cls(kind="builtin", key=key)
 
     @classmethod

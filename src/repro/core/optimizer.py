@@ -58,7 +58,7 @@ from .minimize import minimize_coordinates
 from .quantize import quantize_weights
 from .testlength import NormalizeResult, required_test_length, sort_faults
 
-__all__ = ["OptimizationResult", "WeightOptimizer", "optimize_input_probabilities"]
+__all__ = ["OptimizationResult", "WeightOptimizer"]
 
 
 @dataclass
@@ -243,25 +243,6 @@ class WeightOptimizer:
     # ------------------------------------------------------------------ #
     # The building blocks named like the paper's procedures
     # ------------------------------------------------------------------ #
-    def analysis(self, weights: np.ndarray, faults: Sequence[Fault]) -> np.ndarray:
-        """ANALYSIS: detection probabilities of ``faults`` under ``weights``."""
-        return self.estimator.detection_probabilities(self.circuit, list(faults), weights)
-
-    def prepare(
-        self, weights: np.ndarray, input_index: int, faults: Sequence[Fault]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """PREPARE: cofactor detection probabilities with one input pinned.
-
-        Returns ``(p_f(X,0|i), p_f(X,1|i))`` for the given faults.
-        """
-        pinned0 = weights.copy()
-        pinned0[input_index] = 0.0
-        pinned1 = weights.copy()
-        pinned1[input_index] = 1.0
-        p0 = self.analysis(pinned0, faults)
-        p1 = self.analysis(pinned1, faults)
-        return p0, p1
-
     def prepare_sweep(
         self, weights: np.ndarray, faults: Sequence[Fault]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -459,32 +440,3 @@ class WeightOptimizer:
             weight_map=weight_map,
             converged=converged,
         )
-
-
-def optimize_input_probabilities(
-    circuit: Circuit,
-    faults: Optional[Sequence[Fault]] = None,
-    estimator: Optional[DetectionProbabilityEstimator] = None,
-    confidence: float = 0.999,
-    initial_weights: Sequence[float] | float = 0.5,
-    alpha: float = 0.01,
-    max_sweeps: int = 8,
-    bounds: Tuple[float, float] = (0.05, 0.95),
-) -> OptimizationResult:
-    """One-call convenience wrapper around :class:`WeightOptimizer`.
-
-    This is the library's headline entry point: given a combinational circuit
-    it returns the optimized probability of applying a logical 1 to each
-    primary input, together with the estimated conventional and optimized test
-    lengths (the quantities reported in Tables 1 and 3 of the paper).
-    """
-    optimizer = WeightOptimizer(
-        circuit,
-        faults=faults,
-        estimator=estimator,
-        confidence=confidence,
-        bounds=bounds,
-        alpha=alpha,
-        max_sweeps=max_sweeps,
-    )
-    return optimizer.optimize(initial_weights=initial_weights)

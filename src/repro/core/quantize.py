@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["quantize_weights", "quantize_to_lfsr_grid", "quantization_error"]
+__all__ = ["quantize_weights", "quantize_to_lfsr_grid"]
 
 
 def quantize_weights(
@@ -70,14 +70,3 @@ def quantize_to_lfsr_grid(
     if keep_interior:
         snapped = np.clip(snapped, 1.0 / scale, 1.0 - 1.0 / scale)
     return snapped
-
-
-def quantization_error(weights: Sequence[float], quantized: Sequence[float]) -> float:
-    """Largest absolute difference introduced by quantization."""
-    a = np.asarray(list(weights), dtype=float)
-    b = np.asarray(list(quantized), dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("weight vectors differ in length")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))

@@ -5,8 +5,9 @@ procedure SORT orders the fault list by increasing probability (removing known
 redundancies) and NORMALIZE determines
 
 * the minimum number ``N`` of random patterns such that the objective
-  ``J_N = Σ exp(-N p_f)`` drops below the threshold ``Q`` derived from the
-  required confidence, and
+  ``J_N = Σ exp(-N p_f)`` (formulas (9)/(10): ``ln c_N ≈ -J_N`` for the
+  confidence ``c_N`` of detecting every fault) drops below the threshold
+  ``Q = -ln c`` derived from the required confidence ``c``, and
 * the number ``nf`` of *relevant* (hardest) faults — observation (1): faults
   with comfortably higher detection probabilities contribute nothing
   numerically to the objective, so the per-input optimization only needs to
@@ -35,9 +36,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .objective import objective_from_confidence
-
-__all__ = ["NormalizeResult", "sort_faults", "normalize", "required_test_length"]
+__all__ = [
+    "NormalizeResult",
+    "sort_faults",
+    "normalize",
+    "required_test_length",
+    "objective_from_confidence",
+]
 
 #: A fault whose objective term is below this fraction of the threshold Q
 #: divided by the fault count is considered numerically irrelevant.
@@ -47,6 +52,13 @@ _RELEVANCE_FRACTION = 1e-6
 #: fault is effectively undetectable); roughly "more patterns than any BIST
 #: session could ever apply".
 MAX_TEST_LENGTH = 10**15
+
+
+def objective_from_confidence(confidence: float) -> float:
+    """Objective threshold ``Q = -ln(c)`` for a required confidence ``c``."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie strictly between 0 and 1")
+    return float(-np.log(confidence))
 
 
 @dataclass

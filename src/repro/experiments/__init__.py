@@ -20,7 +20,6 @@ from .table5 import (
     Table5Row,
     Table5SpeedupRow,
     format_table5,
-    format_table5_speedup,
     run_table5_speedup,
 )
 from .figure2 import Figure2Data, format_figure2
@@ -55,7 +54,6 @@ __all__ = [
     "format_table5",
     "Table5SpeedupRow",
     "run_table5_speedup",
-    "format_table5_speedup",
     "Figure2Data",
     "format_figure2",
     "AppendixListing",

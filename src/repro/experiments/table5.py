@@ -31,7 +31,6 @@ __all__ = [
     "format_table5",
     "Table5SpeedupRow",
     "run_table5_speedup",
-    "format_table5_speedup",
 ]
 
 
@@ -124,35 +123,6 @@ def run_table5_speedup(keys: Optional[List[str]] = None) -> List[Table5SpeedupRo
             )
         )
     return rows
-
-
-def format_table5_speedup(rows: List[Table5SpeedupRow]) -> str:
-    return format_table(
-        [
-            "circuit",
-            "gates",
-            "inputs",
-            "faults",
-            "scalar estimator",
-            "batched estimator",
-            "speedup",
-            "histories equal",
-        ],
-        [
-            [
-                row.paper_name,
-                row.n_gates,
-                row.n_inputs,
-                row.n_faults,
-                format_seconds(row.scalar_seconds),
-                format_seconds(row.batched_seconds),
-                f"x{row.speedup:.1f}",
-                "yes" if row.histories_equal else "NO",
-            ]
-            for row in rows
-        ],
-        title="Table 5 addendum: scalar vs batched COP estimator CPU time",
-    )
 
 
 def format_table5(rows: List[Table5Row]) -> str:

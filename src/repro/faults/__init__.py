@@ -1,14 +1,12 @@
 """Single stuck-at fault model and structural fault collapsing."""
 
-from .model import Fault, fault_name, faults_on_nets, full_fault_list, input_fault_list
+from .model import Fault, fault_name, full_fault_list
 from .collapse import CollapseResult, collapse_faults, collapsed_fault_list
 
 __all__ = [
     "Fault",
     "fault_name",
     "full_fault_list",
-    "input_fault_list",
-    "faults_on_nets",
     "CollapseResult",
     "collapse_faults",
     "collapsed_fault_list",

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 
-__all__ = ["Fault", "full_fault_list", "input_fault_list", "fault_name"]
+__all__ = ["Fault", "full_fault_list", "fault_name"]
 
 
 @dataclass(frozen=True, order=True)
@@ -91,29 +91,4 @@ def full_fault_list(circuit: Circuit, include_branches: bool = True) -> List[Fau
                 if len(circuit.fanout_gates(src)) > 1:
                     faults.append(Fault(src, False, gate=gi))
                     faults.append(Fault(src, True, gate=gi))
-    return faults
-
-
-def input_fault_list(circuit: Circuit) -> List[Fault]:
-    """Stuck-at faults at the primary inputs only.
-
-    The paper requires these to be part of every fault model F (section 2.3):
-    they are what forces the optimal probabilities away from 0 and 1
-    (Lemma 2).
-    """
-    faults: List[Fault] = []
-    for net in circuit.inputs:
-        faults.append(Fault(net, False))
-        faults.append(Fault(net, True))
-    return faults
-
-
-def faults_on_nets(circuit: Circuit, nets: Sequence[int]) -> List[Fault]:
-    """Stem stuck-at faults restricted to the given nets."""
-    faults: List[Fault] = []
-    for net in nets:
-        if not 0 <= net < circuit.n_nets:
-            raise ValueError(f"net {net} out of range")
-        faults.append(Fault(net, False))
-        faults.append(Fault(net, True))
     return faults

@@ -3,7 +3,7 @@ interpreted baseline it is differentially tested against."""
 
 from .parallel import FaultSimResult, FaultSimStats, ParallelFaultSimulator
 from .legacy import LegacyParallelFaultSimulator
-from .coverage import CoverageExperiment, coverage_curve, random_pattern_coverage
+from .coverage import CoverageExperiment, random_pattern_coverage
 
 __all__ = [
     "FaultSimResult",
@@ -12,5 +12,4 @@ __all__ = [
     "LegacyParallelFaultSimulator",
     "CoverageExperiment",
     "random_pattern_coverage",
-    "coverage_curve",
 ]

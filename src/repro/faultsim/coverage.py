@@ -20,16 +20,14 @@ reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..patterns.weighted import WeightedPatternGenerator
 from .parallel import FaultSimResult, ParallelFaultSimulator
 
-__all__ = ["CoverageExperiment", "random_pattern_coverage", "coverage_curve"]
+__all__ = ["CoverageExperiment", "random_pattern_coverage"]
 
 
 @dataclass
@@ -55,9 +53,6 @@ class CoverageExperiment:
     @property
     def fault_coverage_percent(self) -> float:
         return 100.0 * self.result.fault_coverage
-
-    def curve(self, points: Sequence[int]) -> List[Tuple[int, float]]:
-        return self.result.coverage_curve(points)
 
     def to_dict(self) -> dict:
         """JSON-serializable artifact dict (job-spec API)."""
@@ -143,21 +138,3 @@ def random_pattern_coverage(
         target_coverage=target_coverage,
     )
     return CoverageExperiment(circuit.name, result.n_patterns, result, list(weights))
-
-
-def coverage_curve(
-    experiment: CoverageExperiment, n_points: int = 24
-) -> List[Tuple[int, float]]:
-    """A smooth coverage-vs-pattern-count curve (log-spaced sample points)."""
-    n = experiment.n_patterns
-    if n <= 1:
-        return [(n, experiment.fault_coverage)]
-    points = np.unique(
-        np.concatenate(
-            [
-                np.logspace(0, np.log10(n), n_points).astype(int),
-                np.asarray([n], dtype=int),
-            ]
-        )
-    )
-    return experiment.curve([int(p) for p in points])

@@ -1,18 +1,28 @@
-"""Per-fault interpreted fault simulator (pre-compiled-engine baseline).
+"""The slow fault-simulation reference: a gate-by-gate walk in netlist order.
 
-This is the original parallel-pattern *single*-fault-propagation
-implementation: for every live fault the transitive fan-out cone is
-re-simulated with a Python loop over the cone gates and a dict of diverged
-nets.  It computes exactly the same detections as the compiled fault-parallel
-engine in :class:`repro.faultsim.parallel.ParallelFaultSimulator` and is kept
-for three purposes:
+Everything here is interpreted Python over ``uint64`` pattern words, one
+:func:`~repro.circuit.gates.eval_words` call per gate.  It shares no kernel,
+level schedule or injection code with the compiled engine
+(:mod:`repro.simulation.compiled`) it checks:
+
+* :func:`reference_words` is the one reference simulator.  It computes every
+  net's good values, or the values with one stem or branch stuck-at fault
+  injected.
+* :class:`LegacyParallelFaultSimulator` is the original parallel-pattern
+  *single*-fault-propagation simulator.  It takes its good values from
+  :func:`reference_words` and, per live fault, re-simulates the transitive
+  fan-out cone with a Python loop over the cone gates and a dict of diverged
+  nets.
+
+It is kept for three purposes:
 
 * the ``substrate`` bench area (:mod:`repro.bench.areas.substrate`)
-  measures the compiled engine's speedup against it,
-* the equivalence tests use it as the compiled engine's independent
-  fault-detection reference, and
-* :mod:`repro.analysis.exact` enumerates detection probabilities with its
-  per-pattern :meth:`~LegacyParallelFaultSimulator.detection_words`.
+  measures the compiled engine's speedup against the cone loop,
+* the equivalence tests use both as the compiled engine's independent logic
+  and fault-detection references, and
+* :mod:`repro.analysis.exact` enumerates signal and detection probabilities
+  with :func:`reference_words` and the per-pattern
+  :meth:`~LegacyParallelFaultSimulator.detection_words`.
 
 It should not be used on hot paths.
 """
@@ -27,12 +37,49 @@ from ..circuit.gates import eval_words
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
-from ..simulation.logicsim import WORD_BITS, LogicSimulator, pack_patterns
+from ..simulation.logicsim import WORD_BITS, pack_patterns
 from .parallel import FaultSimResult, _first_set_bit, _valid_mask
 
-__all__ = ["LegacyParallelFaultSimulator"]
+__all__ = ["LegacyParallelFaultSimulator", "reference_words"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def reference_words(
+    circuit: Circuit, words: np.ndarray, fault: Optional[Fault] = None
+) -> np.ndarray:
+    """Every net's pattern words from one ``eval_words`` call per gate, in
+    netlist order, optionally with one stuck-at fault injected.
+
+    Args:
+        circuit: the netlist (its gates are in topological order).
+        words: ``uint64`` input words ``(n_inputs, n_words)`` in
+            :attr:`Circuit.inputs` order.
+        fault: a stem fault forces its net; a branch fault forces only the
+            reading pins of its gate.
+
+    Returns:
+        ``uint64`` array ``(n_nets, n_words)``.
+    """
+    n_words = words.shape[1]
+    values = np.zeros((circuit.n_nets, n_words), dtype=np.uint64)
+    values[list(circuit.inputs)] = words
+    stuck = None
+    if fault is not None:
+        stuck = np.full(n_words, _ALL_ONES if fault.stuck_value else 0, dtype=np.uint64)
+        if fault.is_stem:
+            values[fault.net] = stuck
+    for index, gate in enumerate(circuit.gates):
+        operands = [
+            stuck
+            if fault is not None and fault.gate == index and src == fault.net
+            else values[src]
+            for src in gate.inputs
+        ]
+        values[gate.output] = eval_words(gate.gate_type, operands, n_words)
+        if fault is not None and fault.is_stem and gate.output == fault.net:
+            values[gate.output] = stuck
+    return values
 
 
 class LegacyParallelFaultSimulator:
@@ -43,7 +90,6 @@ class LegacyParallelFaultSimulator:
         self.faults: List[Fault] = (
             list(faults) if faults is not None else collapsed_fault_list(circuit)
         )
-        self._logic = LogicSimulator(circuit)
         self._cone_cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -127,7 +173,7 @@ class LegacyParallelFaultSimulator:
             batch = patterns[start : start + batch_size]
             batch_len = batch.shape[0]
             n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
-            good = self._logic.simulate_words(pack_patterns(batch))
+            good = reference_words(self.circuit, pack_patterns(batch))
             mask = _valid_mask(batch_len, n_words)
             still_live: List[Fault] = []
             for fault in live:
@@ -153,7 +199,7 @@ class LegacyParallelFaultSimulator:
             batch = patterns[start : start + batch_size]
             batch_len = batch.shape[0]
             n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
-            good = self._logic.simulate_words(pack_patterns(batch))
+            good = reference_words(self.circuit, pack_patterns(batch))
             mask = _valid_mask(batch_len, n_words)
             for fi, fault in enumerate(self.faults):
                 detection = self.detection_words(fault, good, n_words) & mask

@@ -156,22 +156,6 @@ class FaultSimStats:
             faults_pruned=int(payload["faults_pruned"] or 0),
         )
 
-    def merged_with(self, other: "FaultSimStats") -> "FaultSimStats":
-        """Counters of two back-to-back runs combined."""
-        return FaultSimStats(
-            partition_size=(
-                self.partition_size
-                if self.partition_size == other.partition_size
-                else None
-            ),
-            n_batches=self.n_batches + other.n_batches,
-            faults_simulated=self.faults_simulated + other.faults_simulated,
-            faults_dropped=self.faults_dropped + other.faults_dropped,
-            active_sizes=self.active_sizes + other.active_sizes,
-            fault_words=self.fault_words + other.fault_words,
-            faults_pruned=self.faults_pruned + other.faults_pruned,
-        )
-
 
 @dataclass
 class FaultSimResult:
@@ -213,10 +197,6 @@ class FaultSimResult:
             return 1.0
         detected = sum(1 for idx in self.first_detection.values() if idx < n_patterns)
         return detected / len(self.faults)
-
-    def coverage_curve(self, points: Sequence[int]) -> List[Tuple[int, float]]:
-        """Fault coverage after each pattern count in ``points``."""
-        return [(n, self.coverage_at(n)) for n in points]
 
     def to_dict(self) -> Dict:
         """JSON-serializable artifact dict (job-spec API).
@@ -263,28 +243,6 @@ class FaultSimResult:
             first_detection,
             int(payload["n_patterns"]),
             stats=None if stats is None else FaultSimStats.from_dict(stats),
-        )
-
-    def merged_with(self, other: "FaultSimResult") -> "FaultSimResult":
-        """Combine two runs over the *same* fault list applied back to back.
-
-        ``other``'s patterns are assumed to follow this result's patterns, so
-        its first-detection indices are shifted by ``self.n_patterns``.
-        """
-        if self.faults != other.faults:
-            raise ValueError("results cover different fault lists")
-        combined = dict(self.first_detection)
-        for fault, idx in other.first_detection.items():
-            if fault not in combined:
-                combined[fault] = idx + self.n_patterns
-        stats = None
-        if self.stats is not None and other.stats is not None:
-            stats = self.stats.merged_with(other.stats)
-        return FaultSimResult(
-            self.faults,
-            combined,
-            self.n_patterns + other.n_patterns,
-            stats=stats,
         )
 
 
@@ -640,13 +598,6 @@ class ParallelFaultSimulator:
             survivors, detection = self._detect(order, good, n_words, mask)
             counts[survivors] += popcount_words(detection)
         return counts
-
-    def detects(self, fault: Fault, pattern: Sequence[bool]) -> bool:
-        """True if a single pattern detects ``fault`` (convenience for tests)."""
-        result = ParallelFaultSimulator(self.circuit, [fault]).run(
-            np.asarray([pattern], dtype=bool)
-        )
-        return fault in result.first_detection
 
 
 def _valid_mask(n_patterns: int, n_words: int) -> np.ndarray:

@@ -9,7 +9,7 @@ is what :class:`SelfTestSession`, the one self-test engine, runs on.
 """
 
 from .lfsr import LFSR, PRIMITIVE_TAPS, max_sequence_length
-from .misr import MISR, default_misr_width, golden_signature
+from .misr import MISR, default_misr_width
 from .compiled import (
     CompiledLFSR,
     CompiledLfsrWeightedPatternGenerator,
@@ -31,7 +31,6 @@ __all__ = [
     "max_sequence_length",
     "MISR",
     "default_misr_width",
-    "golden_signature",
     "CompiledLFSR",
     "CompiledMISR",
     "CompiledLfsrWeightedPatternGenerator",

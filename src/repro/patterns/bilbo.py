@@ -166,8 +166,10 @@ class SelfTestSession:
 
             raise SchemaError(
                 f"self-test schedule of {self.n_patterns:,} patterns exceeds "
-                f"MAX_SCHEDULE_PATTERNS = {MAX_SCHEDULE_PATTERNS:,}; set "
-                "multi_weight.budget to bound a multi-weight schedule"
+                f"MAX_SCHEDULE_PATTERNS = {MAX_SCHEDULE_PATTERNS:,}; bound a "
+                "multi-weight schedule with multi_weight.budget, which no "
+                "run/selftest flag sets: pass a --spec file whose spec has "
+                '"multi_weight": {"budget": N}'
             )
         if misr_width is None:
             misr_width = default_misr_width(circuit.n_outputs)

@@ -3,8 +3,9 @@
 Self test does not compare every output pattern against a stored reference;
 the responses are compacted into a signature by a MISR and only the final
 signature is compared.  This module provides a standard type-2 (internal XOR)
-MISR plus a helper computing the fault-free (golden) signature of a circuit
-for a given pattern stream.
+MISR, the scalar reference of :class:`repro.patterns.compiled.CompiledMISR`;
+:meth:`repro.patterns.SelfTestSession.golden_signature` computes a circuit's
+fault-free signature.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .lfsr import PRIMITIVE_TAPS
 
-__all__ = ["MISR", "default_misr_width", "golden_signature", "resolve_misr_taps"]
+__all__ = ["MISR", "default_misr_width", "resolve_misr_taps"]
 
 #: Largest register width with a tabulated primitive polynomial.
 MAX_TABULATED_WIDTH = max(PRIMITIVE_TAPS)
@@ -121,38 +122,3 @@ class MISR:
     @property
     def signature(self) -> int:
         return self.state
-
-
-def golden_signature(
-    circuit,
-    patterns: np.ndarray,
-    width: int | None = None,
-    seed: int = 0,
-    taps: Sequence[int] | None = None,
-) -> int:
-    """Fault-free signature of ``circuit`` for a pattern matrix.
-
-    The responses come from the compiled bit-parallel simulator and are
-    compacted by the vectorized :class:`repro.patterns.compiled.CompiledMISR`
-    (bit-identical to the scalar :class:`MISR`); registers wider than 64 bits
-    fall back to the scalar class.
-
-    Args:
-        circuit: a :class:`~repro.circuit.netlist.Circuit`.
-        patterns: boolean pattern matrix ``(n_patterns, n_inputs)``.
-        width: MISR width; defaults to the smallest tabulated width that holds
-            all primary outputs (raising a :class:`ValueError` when the
-            circuit has more outputs than the largest tabulated width).
-        seed: MISR seed.
-        taps: optional explicit feedback taps (required for untabulated
-            widths).
-    """
-    from ..simulation.logicsim import LogicSimulator
-    from .compiled import CompiledMISR
-
-    if width is None:
-        width = default_misr_width(circuit.n_outputs)
-    responses = LogicSimulator(circuit).simulate_patterns(patterns)
-    if width <= 64:
-        return CompiledMISR(width, taps=taps, seed=seed).compact(responses)
-    return MISR(width, taps=taps, seed=seed).compact(responses)

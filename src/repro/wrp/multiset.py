@@ -27,9 +27,8 @@ import numpy as np
 from ..analysis.compiled import BatchedCopEstimator
 from ..analysis.detection import batch_detection_probabilities
 from ..circuit.netlist import Circuit
-from ..core.objective import objective_from_confidence
 from ..core.optimizer import OptimizationResult, WeightOptimizer
-from ..core.testlength import MAX_TEST_LENGTH
+from ..core.testlength import MAX_TEST_LENGTH, objective_from_confidence
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
 from ..patterns.lfsr import PRIMITIVE_TAPS

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.api import FaultSimConfig, MultiWeightConfig, OptimizeConfig, PipelineSpec
 from repro.circuit import Circuit, CircuitBuilder, GateType
 from repro.circuit.builder import CircuitBuilder as _Builder
-from repro.circuit.gates import eval_words
-from repro.faults import Fault
-from repro.simulation import LogicSimulator
+from repro.faultsim.legacy import reference_words  # noqa: F401  (the tests' logic oracle)
+from repro.simulation import LogicSimulator, pack_patterns, unpack_values
 
 #: The classic ISCAS c17 benchmark netlist (6 NAND gates), used as a literal
 #: parsing fixture and as a small well-known circuit for exact computations.
@@ -124,34 +123,10 @@ def all_patterns(n_inputs: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n_inputs)[None, :]) & 1).astype(bool)
 
 
-def reference_words(
-    circuit: Circuit, words: np.ndarray, fault: Optional[Fault] = None
-) -> np.ndarray:
-    """Every net's pattern words from one ``eval_words`` call per gate, in
-    netlist order, optionally with one stuck-at fault injected.
-
-    The compiled engine's independent reference: it shares no kernel, level
-    schedule or injection code with :mod:`repro.simulation.compiled`.
-    """
-    n_words = words.shape[1]
-    values = np.zeros((circuit.n_nets, n_words), dtype=np.uint64)
-    values[list(circuit.inputs)] = words
-    stuck = None
-    if fault is not None:
-        stuck = np.full(n_words, 2**64 - 1 if fault.stuck_value else 0, dtype=np.uint64)
-        if fault.is_stem:
-            values[fault.net] = stuck
-    for index, gate in enumerate(circuit.gates):
-        operands = [
-            stuck
-            if fault is not None and fault.gate == index and src == fault.net
-            else values[src]
-            for src in gate.inputs
-        ]
-        values[gate.output] = eval_words(gate.gate_type, operands, n_words)
-        if fault is not None and fault.is_stem and gate.output == fault.net:
-            values[gate.output] = stuck
-    return values
+def reference_outputs(circuit: Circuit, patterns: np.ndarray, fault=None) -> np.ndarray:
+    """``(n_patterns, n_outputs)`` output values by the reference walk."""
+    values = reference_words(circuit, pack_patterns(patterns), fault)
+    return unpack_values(values[list(circuit.outputs)], patterns.shape[0])
 
 
 def named_outputs(circuit: Circuit, assignment) -> dict:

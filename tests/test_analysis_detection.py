@@ -21,7 +21,7 @@ from repro.analysis import (
 from repro.circuit import CircuitBuilder, parse_bench
 from repro.circuits import s1_comparator
 from repro.circuits.registry import build_circuit, circuit_keys
-from repro.faults import Fault, collapsed_fault_list, full_fault_list, input_fault_list
+from repro.faults import Fault, collapsed_fault_list, full_fault_list
 
 from .helpers import C17_BENCH, and_or_tree_circuit, half_adder_circuit, redundant_circuit
 
@@ -95,7 +95,7 @@ class TestCopDetection:
 
     def test_weighted_inputs_change_probabilities(self):
         circuit = and_or_tree_circuit()
-        faults = input_fault_list(circuit)
+        faults = [Fault(net, stuck) for net in circuit.inputs for stuck in (False, True)]
         balanced = detection_probabilities(circuit, faults, 0.5)
         skewed = detection_probabilities(circuit, faults, [0.9, 0.9, 0.1, 0.1])
         assert not np.allclose(balanced, skewed)

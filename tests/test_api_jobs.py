@@ -86,7 +86,7 @@ class TestExecuteSpec:
         """Each stage of a run equals the direct library call the spec's
         configs and derived seeds describe."""
         from repro.analysis import CopDetectionEstimator, remove_redundant
-        from repro.core import optimize_input_probabilities, required_test_length
+        from repro.core import WeightOptimizer, required_test_length
         from repro.faults import collapsed_fault_list
         from repro.faultsim import random_pattern_coverage
         from repro.patterns import SelfTestSession
@@ -105,7 +105,7 @@ class TestExecuteSpec:
             circuit, faults, [0.5] * circuit.n_inputs
         )
         assert report.conventional_length == required_test_length(probs).test_length
-        direct = optimize_input_probabilities(circuit, faults=faults, max_sweeps=2)
+        direct = WeightOptimizer(circuit, faults=faults, max_sweeps=2).optimize()
         assert report.optimization.history == direct.history
         np.testing.assert_array_equal(report.optimization.weights, direct.weights)
         np.testing.assert_array_equal(report.quantized_weights, direct.quantized_weights)
@@ -260,8 +260,9 @@ class TestRunJobs:
         )
 
     def test_job_failure_is_reported_with_label(self):
-        specs = [PipelineSpec(circuit="no_such_circuit", fault_sim=None)]
-        with pytest.raises(KeyError):
+        circuit = {"kind": "file", "path": "no_such_circuit.bench"}
+        specs = [PipelineSpec(circuit=circuit, fault_sim=None)]
+        with pytest.raises(FileNotFoundError):
             run_jobs(specs, parallelism=1)
         with pytest.raises(RuntimeError, match="no_such_circuit"):
             run_jobs(specs, parallelism=2)

@@ -32,7 +32,7 @@ from repro.api.artifacts import experiment_rows_dict, report_batch_dict
 from repro.api.serialize import decode_array, encode_array
 from repro.circuit import Circuit
 from repro.circuits import alu_circuit, s1_comparator
-from repro.core import optimize_input_probabilities
+from repro.core import WeightOptimizer
 from repro.faults import Fault, collapsed_fault_list
 from repro.faultsim import random_pattern_coverage
 from repro.faultsim.coverage import CoverageExperiment
@@ -260,7 +260,7 @@ class TestResultArtifacts:
 
     @pytest.fixture(scope="class")
     def optimization(self, circuit):
-        return optimize_input_probabilities(circuit, confidence=0.99, max_sweeps=2)
+        return WeightOptimizer(circuit, confidence=0.99, max_sweeps=2).optimize()
 
     @pytest.fixture(scope="class")
     def coverage(self, circuit):

@@ -44,6 +44,19 @@ class TestFromRef:
         assert source.to_ref() == "s1"
         assert source.build().n_inputs == 48
 
+    def test_unknown_registry_key_is_rejected(self):
+        for ref in ("c17", {"kind": "builtin", "key": "c17"}):
+            with pytest.raises(ValueError, match="unknown benchmark circuit 'c17'; available: s1"):
+                CircuitSource.from_ref(ref)
+        with pytest.raises(SchemaError, match="unknown benchmark circuit"):
+            PipelineSpec.from_dict({**PipelineSpec(circuit="s1").to_dict(), "circuit": "c17"})
+
+    def test_registry_key_is_case_insensitive_and_keeps_its_spelling(self):
+        source = CircuitSource.from_ref("S1")
+        assert source.to_ref() == "S1"
+        assert PipelineSpec(circuit="S1").to_dict()["circuit"] == "S1"
+        assert source.build().n_inputs == 48
+
     def test_plain_netlist_dict_is_inline(self):
         netlist = half_adder_circuit().to_dict()
         source = CircuitSource.from_ref(netlist)

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from repro.circuits import (
     alu_circuit,
     array_multiplier_circuit,
-    carry_select_adder_circuit,
     comparator_circuit,
     divider_circuit,
     ecc_decoder_circuit,
     resistant_circuit,
-    ripple_adder_circuit,
     s1_comparator,
     s2_divider,
 )
@@ -103,28 +101,6 @@ class TestDivider:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             divider_circuit(width=1)
-
-
-class TestAdders:
-    @given(a=st.integers(0, 255), b=st.integers(0, 255), carry=st.booleans())
-    @settings(max_examples=40)
-    def test_ripple_adder(self, a, b, carry):
-        circuit = ripple_adder_circuit(width=8)
-        assignment = {**_named_inputs("a", a, 8), **_named_inputs("b", b, 8), "cin": carry}
-        out = named_outputs(circuit, assignment)
-        total = a + b + int(carry)
-        assert bits_to_int([out[f"s{i}"] for i in range(8)]) == total % 256
-        assert out["cout"] == bool(total >> 8)
-
-    @given(a=st.integers(0, 255), b=st.integers(0, 255), carry=st.booleans())
-    @settings(max_examples=40)
-    def test_carry_select_adder_agrees_with_ripple(self, a, b, carry):
-        csa = carry_select_adder_circuit(width=8, block=3)
-        assignment = {**_named_inputs("a", a, 8), **_named_inputs("b", b, 8), "cin": carry}
-        out = named_outputs(csa, assignment)
-        total = a + b + int(carry)
-        assert bits_to_int([out[f"s{i}"] for i in range(8)]) == total % 256
-        assert out["cout"] == bool(total >> 8)
 
 
 class TestMultiplier:

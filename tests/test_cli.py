@@ -317,6 +317,9 @@ class TestTablesCommand:
         ["selftest", "s1", "--patterns", "0"],
         ["selftest", "s1", "--patterns", str((1 << 20) + 1)],
         ["run", "--bench", "no-such-netlist.bench"],
+        ["run", "c17"],
+        ["sweep", "--circuits", "c17"],
+        ["selftest", "c17"],
     ],
     ids=[
         "seed",
@@ -326,6 +329,9 @@ class TestTablesCommand:
         "selftest-patterns",
         "selftest-patterns-over-cap",
         "missing-bench-file",
+        "unknown-key-run",
+        "unknown-key-sweep",
+        "unknown-key-selftest",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(argv, capsys):
@@ -348,6 +354,8 @@ def test_over_cap_schedule_exits_2_without_traceback(parallelism, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "MAX_SCHEDULE_PATTERNS" in err and "multi_weight.budget" in err
+    # The advice names the one route the CLI offers to a budget.
+    assert "--spec" in err and '"multi_weight": {"budget": N}' in err
     assert "Traceback" not in err
 
 

@@ -9,9 +9,10 @@ every net, pattern and fault it has to agree with
   (:class:`repro.faultsim.legacy.LegacyParallelFaultSimulator`), which is an
   independent implementation of the same detection semantics.
 
-The checks run on C17, the adder generators and randomized netlists
-(property-style over many seeds), covering stem and branch faults, fault
-dropping, first-detection indices and detection counts.
+The checks run on C17, a 4-bit ALU, a carry-select block with constant
+gates and randomized netlists (property-style over many seeds), covering
+stem and branch faults, fault dropping, first-detection indices and
+detection counts.
 """
 
 import numpy as np
@@ -19,34 +20,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import parse_bench
-from repro.circuits import carry_select_adder_circuit, ripple_adder_circuit
+from repro.circuit import CircuitBuilder, parse_bench
+from repro.circuit.library import ripple_carry_adder
+from repro.circuits import alu_circuit
 from repro.faults import collapsed_fault_list, full_fault_list
 from repro.faultsim import LegacyParallelFaultSimulator, ParallelFaultSimulator
 from repro.patterns import WeightedPatternGenerator
-from repro.simulation import LogicSimulator, compile_circuit, pack_patterns, unpack_values
+from repro.simulation import LogicSimulator, compile_circuit, pack_patterns
 from repro.simulation.compiled import first_detection_indices, popcount_words
 
-from .helpers import C17_BENCH, all_patterns, random_circuit, reference_words
+from .helpers import (
+    C17_BENCH,
+    all_patterns,
+    random_circuit,
+    reference_outputs,
+    reference_words,
+)
+
+
+def carry_select_block(width=3):
+    """``a + b + cin`` computed for both carries from CONST0/CONST1 carry-ins
+    and selected by ``cin``: every output depends on both constant gates."""
+    builder = CircuitBuilder(f"carry_select_block{width}")
+    a = builder.input_bus("a", width)
+    b = builder.input_bus("b", width)
+    cin = builder.input("cin")
+    sums0, carry0 = ripple_carry_adder(builder, a, b, builder.const0())
+    sums1, carry1 = ripple_carry_adder(builder, a, b, builder.const1())
+    builder.output_bus("s", [builder.mux(cin, s0, s1) for s0, s1 in zip(sums0, sums1)])
+    builder.output(builder.mux(cin, carry0, carry1), "cout")
+    return builder.build()
 
 
 def reference_circuits():
+    """NAND (c17), AND/OR/XOR/NOT/NOR/XNOR (the ALU) and CONST0/CONST1."""
     return [
         parse_bench(C17_BENCH, name="c17"),
-        ripple_adder_circuit(width=4),
-        carry_select_adder_circuit(width=6, block=3),
+        alu_circuit(width=4),
+        carry_select_block(),
     ]
 
 
 def random_patterns(circuit, n_patterns, seed=5):
     rng = np.random.default_rng(seed)
     return rng.random((n_patterns, circuit.n_inputs)) < 0.5
-
-
-def reference_outputs(circuit, patterns, fault=None):
-    """``(n_patterns, n_outputs)`` output values by the reference pass."""
-    values = reference_words(circuit, pack_patterns(patterns), fault)
-    return unpack_values(values[list(circuit.outputs)], patterns.shape[0])
 
 
 def reference_detections(circuit, fault, patterns):
@@ -100,7 +117,7 @@ class TestCompiledFaultDetection:
             assert counts[fi] == expected, fault
 
     def test_matches_legacy_engine_with_weighted_patterns(self):
-        circuit = carry_select_adder_circuit(width=6, block=3)
+        circuit = carry_select_block()
         faults = collapsed_fault_list(circuit)
         generator = WeightedPatternGenerator([0.7] * circuit.n_inputs, seed=42)
         patterns = generator.generate(500)
@@ -112,7 +129,7 @@ class TestCompiledFaultDetection:
         assert compiled.fault_coverage == legacy.fault_coverage
 
     def test_matches_legacy_engine_without_dropping(self):
-        circuit = ripple_adder_circuit(width=4)
+        circuit = alu_circuit(width=4)
         faults = full_fault_list(circuit)
         patterns = random_patterns(circuit, 200, seed=3)
         compiled = ParallelFaultSimulator(circuit, faults).detection_counts(patterns)

@@ -14,10 +14,9 @@ from repro.circuit.library import and_tree
 from repro.circuits import c7552_like, comparator_circuit, resistant_circuit, s1_comparator
 from repro.core import (
     WeightOptimizer,
-    optimize_input_probabilities,
     required_test_length,
 )
-from repro.faults import collapsed_fault_list, input_fault_list
+from repro.faults import Fault, collapsed_fault_list
 
 from .helpers import half_adder_circuit
 
@@ -36,14 +35,14 @@ class TestOptimizeWideAnd:
         the output-1 condition likely) but keeps it away from 1 so the
         stuck-at-1 input faults stay detectable (Lemma 2)."""
         circuit = wide_and_circuit(8)
-        result = optimize_input_probabilities(circuit, confidence=0.999, max_sweeps=6)
+        result = WeightOptimizer(circuit, confidence=0.999, max_sweeps=6).optimize()
         assert np.all(result.weights > 0.6)
         assert np.all(result.weights <= 0.95)
         assert result.test_length < result.initial_test_length
 
     def test_improvement_factor_consistent(self):
         circuit = wide_and_circuit(8)
-        result = optimize_input_probabilities(circuit, max_sweeps=4)
+        result = WeightOptimizer(circuit, max_sweeps=4).optimize()
         assert result.improvement_factor == pytest.approx(
             result.initial_test_length / result.test_length
         )
@@ -52,7 +51,7 @@ class TestOptimizeWideAnd:
 class TestOptimizeComparator:
     def test_test_length_shrinks_by_orders_of_magnitude(self):
         circuit = comparator_circuit(width=12)
-        result = optimize_input_probabilities(circuit, confidence=0.999, max_sweeps=8)
+        result = WeightOptimizer(circuit, confidence=0.999, max_sweeps=8).optimize()
         assert result.improvement_factor > 20
         # Verify the claim with an independent estimator evaluation.
         faults = collapsed_fault_list(circuit)
@@ -67,7 +66,7 @@ class TestOptimizeComparator:
         the optimized weights of most bit pairs end up on the same side of 0.5."""
         width = 10
         circuit = comparator_circuit(width=width)
-        result = optimize_input_probabilities(circuit, max_sweeps=8)
+        result = WeightOptimizer(circuit, max_sweeps=8).optimize()
         a = result.weights[:width] - 0.5
         b = result.weights[width : 2 * width] - 0.5
         agreeing = int(np.sum(np.sign(a) == np.sign(b)))
@@ -77,7 +76,7 @@ class TestOptimizeComparator:
 class TestOptimizerMechanics:
     def test_weights_respect_bounds_and_map(self):
         circuit = resistant_circuit(width=8, n_blocks=1)
-        result = optimize_input_probabilities(circuit, bounds=(0.1, 0.9), max_sweeps=3)
+        result = WeightOptimizer(circuit, bounds=(0.1, 0.9), max_sweeps=3).optimize()
         assert np.all(result.weights >= 0.1 - 1e-12)
         assert np.all(result.weights <= 0.9 + 1e-12)
         assert set(result.weight_map) == {
@@ -86,13 +85,13 @@ class TestOptimizerMechanics:
 
     def test_quantized_weights_on_grid(self):
         circuit = wide_and_circuit(6)
-        result = optimize_input_probabilities(circuit, max_sweeps=3)
+        result = WeightOptimizer(circuit, max_sweeps=3).optimize()
         snapped = np.round(result.quantized_weights / 0.05) * 0.05
         assert np.allclose(snapped, result.quantized_weights)
 
     def test_history_starts_with_initial_length(self):
         circuit = wide_and_circuit(6)
-        result = optimize_input_probabilities(circuit, max_sweeps=3)
+        result = WeightOptimizer(circuit, max_sweeps=3).optimize()
         assert result.history[0] == result.initial_test_length
         assert len(result.history) == result.sweeps + 1
         assert result.test_length == min(result.history)
@@ -116,7 +115,7 @@ class TestOptimizerMechanics:
 
     def test_restricted_fault_model_is_honoured(self):
         circuit = wide_and_circuit(6)
-        faults = input_fault_list(circuit)
+        faults = [Fault(net, stuck) for net in circuit.inputs for stuck in (False, True)]
         optimizer = WeightOptimizer(circuit, faults=faults, max_sweeps=2)
         result = optimizer.optimize()
         assert len(result.redundant_faults) == 0
@@ -126,16 +125,15 @@ class TestOptimizerMechanics:
     def test_prepare_returns_cofactors(self):
         circuit = half_adder_circuit()
         optimizer = WeightOptimizer(circuit)
-        weights = np.array([0.5, 0.5])
-        p0, p1 = optimizer.prepare(weights, 0, optimizer.faults)
-        direct0 = CopDetectionEstimator().detection_probabilities(
-            circuit, optimizer.faults, np.array([0.0, 0.5])
-        )
-        direct1 = CopDetectionEstimator().detection_probabilities(
-            circuit, optimizer.faults, np.array([1.0, 0.5])
-        )
-        assert np.allclose(p0, direct0)
-        assert np.allclose(p1, direct1)
+        weights = np.array([0.3, 0.6])
+        p0, p1 = optimizer.prepare_sweep(weights, optimizer.faults)
+        reference = CopDetectionEstimator()
+        for i in range(circuit.n_inputs):
+            for rows, value in ((p0, 0.0), (p1, 1.0)):
+                pinned = weights.copy()
+                pinned[i] = value
+                direct = reference.detection_probabilities(circuit, optimizer.faults, pinned)
+                assert np.allclose(rows[i], direct)
 
     @pytest.mark.parametrize("jitter", [0.1, 0.0])
     def test_estimator_calls_per_run(self, jitter):
@@ -203,7 +201,5 @@ class TestOptimizerMechanics:
     def test_works_with_sampling_estimator(self):
         circuit = wide_and_circuit(5)
         estimator = MonteCarloDetectionEstimator(n_samples=512, fixed_seed=True)
-        result = optimize_input_probabilities(
-            circuit, estimator=estimator, max_sweeps=2
-        )
+        result = WeightOptimizer(circuit, estimator=estimator, max_sweeps=2).optimize()
         assert result.test_length <= result.initial_test_length

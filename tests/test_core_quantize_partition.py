@@ -10,8 +10,7 @@ from repro.circuit.library import and_tree
 from repro.analysis import CopDetectionEstimator
 from repro.circuits import s1_comparator
 from repro.core import (
-    optimize_input_probabilities,
-    quantization_error,
+    WeightOptimizer,
     quantize_to_lfsr_grid,
     quantize_weights,
     required_test_length,
@@ -33,7 +32,7 @@ class TestQuantizeWeights:
     @settings(max_examples=80)
     def test_error_bounded_by_half_step_inside_bounds(self, weights):
         snapped = quantize_weights(weights, step=0.05, bounds=(0.0, 1.0))
-        assert quantization_error(weights, snapped) <= 0.025 + 1e-12
+        assert np.max(np.abs(np.asarray(weights) - snapped)) <= 0.025 + 1e-12
         assert np.all(np.isclose(np.round(snapped / 0.05) * 0.05, snapped))
 
     def test_step_validation(self):
@@ -77,10 +76,6 @@ class TestLfsrGrid:
         with pytest.raises(ValueError):
             quantize_to_lfsr_grid([0.5], resolution=0)
 
-    def test_quantization_error_length_check(self):
-        with pytest.raises(ValueError):
-            quantization_error([0.5], [0.5, 0.6])
-
 
 class TestQuantizedOptimum:
     """The paper's 0.05 grid keeps the optimization on S1, and even the coarse
@@ -90,7 +85,7 @@ class TestQuantizedOptimum:
     def lengths(self):
         circuit = s1_comparator(width=12)
         faults = collapsed_fault_list(circuit)
-        result = optimize_input_probabilities(circuit, faults=faults, max_sweeps=8)
+        result = WeightOptimizer(circuit, faults=faults, max_sweeps=8).optimize()
         grids = {
             "continuous": result.weights,
             "grid_0p05": quantize_weights(result.weights, step=0.05),
@@ -143,7 +138,7 @@ class TestPartitioning:
     ):
         circuit = conflicting_detectors_circuit(width, either)
         faults = collapsed_fault_list(circuit)
-        single = optimize_input_probabilities(circuit, faults=faults, max_sweeps=max_sweeps)
+        single = WeightOptimizer(circuit, faults=faults, max_sweeps=max_sweeps).optimize()
         sets = build_weight_sets(circuit, faults=faults, k=2, max_sweeps=max_sweeps)
         assert sets.k == 2
         assert sets.single_set_length == single.test_length

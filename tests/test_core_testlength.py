@@ -9,11 +9,16 @@ from repro.core import (
     MAX_TEST_LENGTH,
     normalize,
     objective_from_confidence,
-    objective_value,
     required_test_length,
     sort_faults,
 )
 from repro.faults import Fault
+
+
+def objective_value(probs, n_patterns):
+    """The paper's objective ``J_N = Σ_f exp(-N p_f)`` (formulas (9)/(10))."""
+    with np.errstate(under="ignore"):
+        return float(np.exp(-float(n_patterns) * np.asarray(probs, dtype=float)).sum())
 
 
 class TestSort:
@@ -46,6 +51,12 @@ class TestNormalize:
         expected = int(np.ceil(np.log(1.0 / threshold) / p))
         assert abs(result.test_length - expected) <= 1
         assert result.objective <= threshold
+
+    def test_threshold_requires_confidence_strictly_inside_the_unit_interval(self):
+        assert objective_from_confidence(0.999) == pytest.approx(-np.log(0.999))
+        for confidence in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                objective_from_confidence(confidence)
 
     def test_result_is_minimal(self):
         probs = sorted([0.004, 0.01, 0.3, 0.6])

@@ -8,9 +8,7 @@ from repro.faults import (
     collapse_faults,
     collapsed_fault_list,
     fault_name,
-    faults_on_nets,
     full_fault_list,
-    input_fault_list,
 )
 from repro.analysis.exact import exact_detection_probability
 
@@ -36,17 +34,6 @@ class TestFaultModel:
         builder.output(builder.not_(builder.not_(a)), "y")
         circuit = builder.build()
         assert all(f.is_stem for f in full_fault_list(circuit))
-
-    def test_input_fault_list(self):
-        circuit = mux_circuit()
-        faults = input_fault_list(circuit)
-        assert len(faults) == 2 * circuit.n_inputs
-        assert all(circuit.is_primary_input(f.net) for f in faults)
-
-    def test_faults_on_nets_validates_range(self):
-        circuit = half_adder_circuit()
-        with pytest.raises(ValueError):
-            faults_on_nets(circuit, [999])
 
     def test_describe_mentions_polarity_and_net(self):
         circuit = half_adder_circuit()

@@ -12,7 +12,6 @@ from repro.faultsim import (
     CoverageExperiment,
     LegacyParallelFaultSimulator,
     ParallelFaultSimulator,
-    coverage_curve,
     random_pattern_coverage,
 )
 
@@ -121,12 +120,12 @@ class TestParallelSimulator:
         result = ParallelFaultSimulator(circuit, [fault]).run(all_patterns(2))
         assert fault in result.first_detection
 
-    def test_detects_helper(self):
+    def test_single_pattern_run(self):
         circuit = half_adder_circuit()
-        carry = circuit.net_index("carry")
-        simulator = ParallelFaultSimulator(circuit)
-        assert simulator.detects(Fault(carry, False), [True, True])
-        assert not simulator.detects(Fault(carry, False), [False, False])
+        fault = Fault(circuit.net_index("carry"), False)
+        simulator = ParallelFaultSimulator(circuit, [fault])
+        assert fault in simulator.run(np.array([[True, True]])).first_detection
+        assert fault not in simulator.run(np.array([[False, False]])).first_detection
 
 
 class TestFaultSimResult:
@@ -143,32 +142,9 @@ class TestFaultSimResult:
 
     def test_coverage_at_is_monotone(self):
         result = self._result()
-        points = [1, 4, 16, 64, 256]
-        curve = result.coverage_curve(points)
-        values = [v for _, v in curve]
+        values = [result.coverage_at(n) for n in (1, 4, 16, 64, 256)]
         assert values == sorted(values)
-        assert curve[-1][1] == pytest.approx(result.fault_coverage)
-
-    def test_merged_with_shifts_indices(self):
-        circuit = half_adder_circuit()
-        faults = collapsed_fault_list(circuit)
-        sim = ParallelFaultSimulator(circuit, faults)
-        first = sim.run(np.array([[False, False]]))
-        second = ParallelFaultSimulator(circuit, faults).run(all_patterns(2))
-        merged = first.merged_with(second)
-        assert merged.n_patterns == 1 + 4
-        for fault, index in merged.first_detection.items():
-            if fault in first.first_detection:
-                assert index == first.first_detection[fault]
-            else:
-                assert index == second.first_detection[fault] + 1
-
-    def test_merged_with_rejects_different_fault_lists(self):
-        circuit = half_adder_circuit()
-        a = ParallelFaultSimulator(circuit, [Fault(0, False)]).run(all_patterns(2))
-        b = ParallelFaultSimulator(circuit, [Fault(0, True)]).run(all_patterns(2))
-        with pytest.raises(ValueError):
-            a.merged_with(b)
+        assert values[-1] == pytest.approx(result.fault_coverage)
 
 
 class TestCoverageExperiment:
@@ -189,13 +165,6 @@ class TestCoverageExperiment:
         weights = [0.85] * circuit.n_inputs
         weighted = random_pattern_coverage(circuit, 512, weights=weights, seed=3)
         assert weighted.fault_coverage >= base.fault_coverage - 0.02
-
-    def test_coverage_curve_ends_at_final_coverage(self):
-        circuit = comparator_circuit(width=4)
-        experiment = random_pattern_coverage(circuit, 300, seed=9)
-        curve = coverage_curve(experiment, n_points=8)
-        assert curve[-1][0] == 300
-        assert curve[-1][1] == pytest.approx(experiment.fault_coverage)
 
     def test_reproducible_with_same_seed(self):
         circuit = comparator_circuit(width=4)

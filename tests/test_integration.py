@@ -13,8 +13,8 @@ import pytest
 
 from repro import (
     CopDetectionEstimator,
+    WeightOptimizer,
     collapsed_fault_list,
-    optimize_input_probabilities,
     random_pattern_coverage,
     required_test_length,
 )
@@ -28,7 +28,7 @@ from repro.faultsim import ParallelFaultSimulator
 def comparator_setup():
     circuit = comparator_circuit(width=12)
     faults = collapsed_fault_list(circuit)
-    result = optimize_input_probabilities(circuit, faults=faults, confidence=0.999, max_sweeps=8)
+    result = WeightOptimizer(circuit, faults=faults, confidence=0.999, max_sweeps=8).optimize()
     return circuit, faults, result
 
 
@@ -73,7 +73,7 @@ class TestResistantCircuitEndToEnd:
         faults = remove_redundant(circuit, collapsed_fault_list(circuit))
         estimator = CopDetectionEstimator()
         before = estimator.detection_probabilities(circuit, faults, [0.5] * circuit.n_inputs)
-        result = optimize_input_probabilities(circuit, faults=faults, max_sweeps=6)
+        result = WeightOptimizer(circuit, faults=faults, max_sweeps=6).optimize()
         after = estimator.detection_probabilities(circuit, faults, result.weights)
         # The hardest fault's detection probability improves by a large factor.
         assert after[np.argmin(before)] > 10 * before.min()
@@ -85,7 +85,7 @@ class TestResistantCircuitEndToEnd:
         estimator = CopDetectionEstimator()
         probs = estimator.detection_probabilities(circuit, faults, [0.5] * circuit.n_inputs)
         hardest = faults[int(np.argmin(probs))]
-        result = optimize_input_probabilities(circuit, faults=faults, max_sweeps=6)
+        result = WeightOptimizer(circuit, faults=faults, max_sweeps=6).optimize()
         generator = WeightedPatternGenerator(result.quantized_weights, seed=11)
         sim = ParallelFaultSimulator(circuit, [hardest])
         outcome = sim.run(generator.generate(4_000))
@@ -96,7 +96,7 @@ class TestDividerEndToEnd:
     def test_divider_optimization_improves_coverage(self):
         circuit = divider_circuit(width=6)
         faults = collapsed_fault_list(circuit)
-        result = optimize_input_probabilities(circuit, faults=faults, max_sweeps=6)
+        result = WeightOptimizer(circuit, faults=faults, max_sweeps=6).optimize()
         n_patterns = 1_500
         conventional = random_pattern_coverage(circuit, n_patterns, faults=faults, seed=5)
         optimized = random_pattern_coverage(

@@ -14,13 +14,12 @@ from repro.patterns import (
     SelfTestSession,
     WeightedPatternGenerator,
     equiprobable_weights,
-    golden_signature,
     max_sequence_length,
     validate_weights,
 )
 from repro.faultsim import random_pattern_coverage
 
-from .helpers import half_adder_circuit, played_patterns
+from .helpers import half_adder_circuit, played_patterns, reference_outputs
 
 
 class TestLFSR:
@@ -143,9 +142,8 @@ class TestMISR:
     def test_golden_signature_matches_session(self):
         circuit = half_adder_circuit()
         session = SelfTestSession(circuit, n_patterns=64, seed=11)
-        assert session.golden_signature() == golden_signature(
-            circuit, played_patterns(session), width=session.misr_width
-        )
+        responses = reference_outputs(circuit, played_patterns(session))
+        assert session.golden_signature() == MISR(session.misr_width).compact(responses)
 
 
 class TestSelfTest:

@@ -26,12 +26,10 @@ from repro.patterns import (
     LfsrWeightedPatternGenerator,
     SelfTestSession,
     default_misr_width,
-    golden_signature,
     pack_response_words,
 )
-from repro.simulation import LogicSimulator, pack_patterns, unpack_values
 
-from .helpers import half_adder_circuit, played_patterns, reference_words
+from .helpers import half_adder_circuit, played_patterns, reference_outputs
 
 #: Circuits are instantiated once per module; the registry builds are pure.
 _SUITE = {entry.key: entry.instantiate() for entry in paper_suite()}
@@ -256,15 +254,14 @@ class TestCompiledMISR:
 class TestGoldenSignatures:
     @pytest.mark.parametrize("key", sorted(_SUITE))
     def test_golden_signature_matches_scalar_misr(self, key):
-        """End-to-end: compiled word packing + compiled MISR equals the
-        scalar per-bit compaction of the simulated responses."""
+        """End-to-end: the session's compiled simulation, word packing and
+        compiled MISR equal the scalar per-bit compaction of the reference
+        walk's responses."""
         circuit = _SUITE[key]
-        rng = np.random.default_rng(11)
-        patterns = rng.random((96, circuit.n_inputs)) < 0.5
+        session = SelfTestSession(circuit, n_patterns=96, seed=11)
+        responses = reference_outputs(circuit, played_patterns(session))
         width = default_misr_width(circuit.n_outputs)
-        responses = LogicSimulator(circuit).simulate_patterns(patterns)
-        scalar_sig = MISR(width).compact(responses)
-        assert golden_signature(circuit, patterns) == scalar_sig
+        assert session.golden_signature() == MISR(width).compact(responses)
 
     def test_width_overflow_raises_clear_error(self):
         builder = CircuitBuilder("wide")
@@ -274,7 +271,7 @@ class TestGoldenSignatures:
         circuit = builder.build()
         assert circuit.n_outputs == 65
         with pytest.raises(ValueError, match="64"):
-            golden_signature(circuit, np.zeros((4, 1), dtype=bool))
+            default_misr_width(circuit.n_outputs)
         with pytest.raises(ValueError, match="misr_width"):
             SelfTestSession(circuit, n_patterns=4)
         # The escape hatch: explicit width + taps of a primitive polynomial.
@@ -291,11 +288,10 @@ class TestSelfTestSessionCompiled:
         circuit = comparator_circuit(width=4)
         session = SelfTestSession(circuit, n_patterns=5000, seed=5)
         patterns = played_patterns(session)
-        outputs = list(circuit.outputs)
         for fault in collapsed_fault_list(circuit)[::9]:
-            values = reference_words(circuit, pack_patterns(patterns), fault)
-            reference = unpack_values(values[outputs], patterns.shape[0])
-            expected = MISR(session.misr_width).compact(reference)
+            expected = MISR(session.misr_width).compact(
+                reference_outputs(circuit, patterns, fault)
+            )
             assert session.run(fault).signature == expected, fault.describe(circuit)
 
     def test_each_faulty_run_is_one_pass(self, monkeypatch):

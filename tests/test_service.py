@@ -399,6 +399,19 @@ class TestHttpServer:
 
         asyncio.run(self._with_server(scenario))
 
+    def test_unknown_registry_key_is_400(self):
+        async def scenario(port, service):
+            data = small_spec().to_dict()
+            data["circuit"] = "c17"
+            body = json.dumps(data).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 400
+            assert "unknown benchmark circuit 'c17'" in payload["error"]
+            assert "available: s1, s2" in payload["error"]
+            assert service.counters["submitted"] == 0
+
+        asyncio.run(self._with_server(scenario))
+
     def test_spec_naming_scalar_estimator_is_400(self):
         async def scenario(port, service):
             data = small_spec().to_dict()
