@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder
+from repro.circuit import GateType
 from repro.circuit.library import (
     and_tree,
+    full_adder,
+    half_adder,
     or_tree,
     parity_tree,
     ripple_borrow_subtractor,
@@ -14,7 +17,7 @@ from repro.circuit.library import (
 )
 from repro.simulation import LogicSimulator
 
-from .helpers import bits_to_int, int_to_bits
+from .helpers import all_patterns, bits_to_int, int_to_bits
 
 
 def _evaluate_outputs(builder, output_signals, input_values):
@@ -25,6 +28,46 @@ def _evaluate_outputs(builder, output_signals, input_values):
 
 
 WIDTH = 5
+
+
+def test_half_adder_truth_table():
+    for a, b in all_patterns(2).tolist():
+        builder = CircuitBuilder("ha")
+        s, c = half_adder(builder, builder.input("a"), builder.input("b"))
+        assert _evaluate_outputs(builder, [s, c], [a, b]) == [a ^ b, a and b]
+
+
+def test_full_adder_truth_table():
+    for a, b, cin in all_patterns(3).tolist():
+        builder = CircuitBuilder("fa")
+        s, cout = full_adder(builder, builder.input("a"), builder.input("b"), builder.input("cin"))
+        total = int(a) + int(b) + int(cin)
+        assert _evaluate_outputs(builder, [s, cout], [a, b, cin]) == [bool(total & 1), total >= 2]
+
+
+def test_adder_without_carry_in_starts_from_constant_zero():
+    width = 3
+    for pattern in all_patterns(2 * width).tolist():
+        builder = CircuitBuilder("adder_no_cin")
+        a_bus = builder.input_bus("a", width)
+        b_bus = builder.input_bus("b", width)
+        sums, cout = ripple_carry_adder(builder, a_bus, b_bus)
+        outputs = _evaluate_outputs(builder, sums + [cout], pattern)
+        a, b = bits_to_int(pattern[:width]), bits_to_int(pattern[width:])
+        assert bits_to_int(outputs) == a + b
+    circuit = builder.build()
+    assert GateType.CONST0 in {gate.gate_type for gate in circuit.gates}
+
+
+def test_single_signal_tree_is_the_signal_itself():
+    builders = [CircuitBuilder("one_leaf"), CircuitBuilder("plain")]
+    leaves = [builder.input("a") for builder in builders]
+    tree, plain = builders
+    a = leaves[0]
+    assert parity_tree(tree, [a]) == and_tree(tree, [a]) == or_tree(tree, [a]) == a
+    for builder, leaf in zip(builders, leaves):
+        builder.output(leaf, "y")
+    assert tree.build().n_gates == plain.build().n_gates
 
 
 @given(

@@ -79,6 +79,16 @@ class TestCompiledLogicSimulation:
         outputs = LogicSimulator(circuit).simulate_patterns(patterns)
         assert np.array_equal(outputs, reference_outputs(circuit, patterns))
 
+    def test_carry_select_block_adds(self):
+        width = 3
+        circuit = carry_select_block(width)
+        assert [circuit.net_name(net) for net in circuit.outputs] == ["s0", "s1", "s2", "cout"]
+        patterns = all_patterns(circuit.n_inputs)  # bit i of the row index is input i
+        codes = np.arange(len(patterns))
+        a, b, cin = codes & 0b111, (codes >> width) & 0b111, codes >> (2 * width)
+        outputs = reference_outputs(circuit, patterns).astype(int)
+        assert np.array_equal(outputs @ (1 << np.arange(width + 1)), a + b + cin)
+
     def test_matches_reference_on_random_netlists(self):
         rng = np.random.default_rng(99)
         for _ in range(8):

@@ -72,6 +72,10 @@ class TestLfsrGrid:
         assert snapped[0] == pytest.approx(1.0 / 16)
         assert snapped[1] == pytest.approx(15.0 / 16)
 
+    def test_endpoints_kept_when_interior_not_required(self):
+        snapped = quantize_to_lfsr_grid([0.0, 0.01, 0.99, 1.0], resolution=4, keep_interior=False)
+        assert snapped.tolist() == [0.0, 0.0, 1.0, 1.0]
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             quantize_to_lfsr_grid([0.5], resolution=0)

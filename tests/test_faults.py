@@ -35,6 +35,24 @@ class TestFaultModel:
         circuit = builder.build()
         assert all(f.is_stem for f in full_fault_list(circuit))
 
+    def test_input_stem_faults_are_two_per_input(self):
+        circuit = mux_circuit()
+        faults = [
+            f for f in full_fault_list(circuit) if f.is_stem and circuit.is_primary_input(f.net)
+        ]
+        assert len(faults) == 2 * circuit.n_inputs
+        assert {(f.net, f.stuck_value) for f in faults} == {
+            (net, value) for net in circuit.inputs for value in (False, True)
+        }
+
+    def test_branch_faults_sit_on_fanout_gates_of_their_net(self):
+        circuit = mux_circuit()
+        branches = [f for f in full_fault_list(circuit) if f.is_branch]
+        assert branches
+        for fault in branches:
+            assert fault.gate in circuit.fanout_gates(fault.net)
+            assert len(circuit.fanout_gates(fault.net)) > 1
+
     def test_describe_mentions_polarity_and_net(self):
         circuit = half_adder_circuit()
         fault = Fault(circuit.net_index("sum"), True)

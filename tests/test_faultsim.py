@@ -166,6 +166,13 @@ class TestCoverageExperiment:
         weighted = random_pattern_coverage(circuit, 512, weights=weights, seed=3)
         assert weighted.fault_coverage >= base.fault_coverage - 0.02
 
+    def test_coverage_at_last_pattern_is_final_coverage(self):
+        circuit = comparator_circuit(width=4)
+        experiment = random_pattern_coverage(circuit, 300, seed=9)
+        assert experiment.n_patterns == experiment.result.n_patterns == 300
+        assert experiment.result.coverage_at(300) == pytest.approx(experiment.fault_coverage)
+        assert experiment.result.coverage_at(299) <= experiment.fault_coverage
+
     def test_reproducible_with_same_seed(self):
         circuit = comparator_circuit(width=4)
         first = random_pattern_coverage(circuit, 256, seed=21)
