@@ -1,16 +1,26 @@
-"""Native tier of the batched COP engine: ``_cop.c`` built at first use.
+"""Native tier of the compiled engines: their C level loops, built at first use.
 
-:class:`~repro.analysis.compiled.CompiledCop` runs its forward and backward
-level loops in C whenever :func:`library` returns a loaded library, and its
-numpy kernels otherwise.  Nothing selects the tier but the presence of a
-working C compiler: the first call looks for ``cc`` (then ``gcc``) on
-``PATH``, compiles :data:`SOURCE` with :data:`FLAGS` into a per-user cache
-directory and loads the result with :class:`ctypes.CDLL`, which releases the
-interpreter lock for the duration of every call.  ``-ffp-contract=off`` and
-the absence of ``-ffast-math`` keep the IEEE operation order of the numpy
-kernels, so both tiers give bit-identical results.
+One library holds the C level loops of two engines:
 
-The library file is named by the sha256 of the source, the flags, the
+* :data:`SOURCE` (``_cop.c``): the forward and backward passes of
+  :class:`~repro.analysis.compiled.CompiledCop`;
+* :data:`WORDS_SOURCE` (``repro/simulation/_words.c``): good-machine
+  simulation and per-fault, event-driven fault propagation of
+  :class:`~repro.simulation.compiled.CompiledCircuit`.
+
+Each engine runs its C loops whenever :func:`library` returns a loaded
+library, and its numpy kernels otherwise.  Nothing selects the tier but the
+presence of a working C compiler: the first call looks for ``cc`` (then
+``gcc``) on ``PATH``, compiles both sources with :data:`FLAGS` into one
+library in a per-user cache directory and loads it with
+:class:`ctypes.CDLL`, which releases the interpreter lock for the duration
+of every call.  ``-ffp-contract=off`` and the absence of ``-ffast-math``
+keep the IEEE operation order of the numpy COP kernels, so both tiers give
+bit-identical results; the word-domain loops are bitwise and exact in any
+order.  No C loop keeps mutable state between calls, so threads may call
+them at once.
+
+The library file is named by the sha256 of every source, the flags, the
 compiler's ``--version`` text and the machine type, so a changed source or
 compiler never loads a stale build.  The cache directory (see
 :func:`default_cache_dir`) must be a directory owned by the current user and
@@ -40,6 +50,7 @@ from typing import Optional
 
 __all__ = [
     "SOURCE",
+    "WORDS_SOURCE",
     "FLAGS",
     "find_compiler",
     "default_cache_dir",
@@ -50,8 +61,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: The C source of both level loops (shipped as package data).
+#: The C source of the COP level loops (shipped as package data).
 SOURCE = Path(__file__).with_name("_cop.c")
+
+#: The C source of the word-domain loops (shipped as package data).
+WORDS_SOURCE = Path(__file__).parent.parent / "simulation" / "_words.c"
 
 #: Compiler flags: optimized, position independent, and no floating-point
 #: contraction or reassociation, so the numpy operation order survives.
@@ -62,13 +76,27 @@ _COMPILER_TIMEOUT = 120.0
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
+#: name -> (argument types, result type) of every exported function.
 _SIGNATURES = {
     # n_rows, n_nets, probs, n_order, order, gate_output, gate_op,
     # gate_invert, fanin_start, fanin_len, fanin_flat
-    "cop_forward": (_I64, _I64, _PTR, _I64) + (_PTR,) * 7,
+    "cop_forward": ((_I64, _I64, _PTR, _I64) + (_PTR,) * 7, None),
     # n_rows, n_nets, n_pins, probs, miss, pin_obs, n_order, order,
     # gate_output, gate_op, fanin_start, fanin_len, fanin_flat, pin_base
-    "cop_backward": (_I64, _I64, _I64, _PTR, _PTR, _PTR, _I64) + (_PTR,) * 7,
+    "cop_backward": ((_I64, _I64, _I64, _PTR, _PTR, _PTR, _I64) + (_PTR,) * 7, None),
+    # n_words, values, max_arity, n_order, order, gate_output, gate_op,
+    # gate_invert, fanin_start, fanin_len, fanin_flat
+    "sim_words": ((_I64, _PTR, _I64, _I64) + (_PTR,) * 7, ctypes.c_int),
+    # n_words, good, n_faults, fault_net, fault_gate, fault_stuck,
+    # valid_mask, detection, out_words, n_outputs, outputs, is_output,
+    # n_nets, n_gates, max_arity, gate_output, gate_op, gate_invert,
+    # fanin_start, fanin_len, fanin_flat, fanout_start, fanout_gate,
+    # n_levels, level_start, gate_level
+    "fault_words": (
+        (_I64, _PTR, _I64) + (_PTR,) * 6 + (_I64,) + (_PTR,) * 2 + (_I64,) * 3
+        + (_PTR,) * 8 + (_I64,) + (_PTR,) * 2,
+        ctypes.c_int,
+    ),
 }
 
 
@@ -113,8 +141,13 @@ def _is_private_dir(path: Path) -> bool:
     )
 
 
+def _sources() -> tuple:
+    """Every C source of the library, in build order."""
+    return (SOURCE, WORDS_SOURCE)
+
+
 def _library_name(compiler: str) -> str:
-    """File name of the build of :data:`SOURCE` by ``compiler`` on this machine."""
+    """File name of the build of :func:`_sources` by ``compiler`` on this machine."""
     version = subprocess.run(
         [compiler, "--version"],
         capture_output=True,
@@ -123,19 +156,20 @@ def _library_name(compiler: str) -> str:
     ).stdout
     digest = hashlib.sha256()
     flags = "\0".join(FLAGS).encode()
-    for part in (SOURCE.read_bytes(), flags, version, platform.machine().encode()):
+    sources = [source.read_bytes() for source in _sources()]
+    for part in (*sources, flags, version, platform.machine().encode()):
         digest.update(part)
         digest.update(b"\0")
-    return f"cop-{digest.hexdigest()}.so"
+    return f"native-{digest.hexdigest()}.so"
 
 
 def _build(compiler: str, target: Path) -> None:
-    """Compile :data:`SOURCE` to ``target`` through a temporary file."""
+    """Compile :func:`_sources` to ``target`` through a temporary file."""
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     os.close(fd)
     try:
         subprocess.run(
-            [compiler, *FLAGS, "-o", tmp, str(SOURCE)],
+            [compiler, *FLAGS, "-o", tmp, *map(str, _sources())],
             capture_output=True,
             check=True,
             timeout=_COMPILER_TIMEOUT,
@@ -147,13 +181,16 @@ def _build(compiler: str, target: Path) -> None:
 
 
 def _open(path: Path) -> ctypes.CDLL:
-    """Load ``path`` and declare the signatures of both level loops."""
+    """Load ``path`` and declare the signatures of its functions."""
     lib = ctypes.CDLL(str(path))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (argtypes, restype) in _SIGNATURES.items():
         function = getattr(lib, name)
         function.argtypes = argtypes
-        function.restype = None
+        function.restype = restype
     return lib
+
+
+_FALLBACK = "COP and fault simulation run on their numpy kernels"
 
 
 def _describe(exc: BaseException) -> str:
@@ -164,13 +201,13 @@ def _describe(exc: BaseException) -> str:
 
 
 def load_library(cache_dir: Path) -> Optional[ctypes.CDLL]:
-    """Build (if needed) and load the native COP library; None on any failure.
+    """Build (if needed) and load the native library; None on any failure.
 
     Every failure logs exactly one ``WARNING`` naming the numpy fallback.
     """
     compiler = find_compiler()
     if compiler is None:
-        log.warning("no C compiler (cc or gcc) on PATH; COP runs on its numpy kernels")
+        log.warning("no C compiler (cc or gcc) on PATH; %s", _FALLBACK)
         return None
     private_tmp = None
     try:
@@ -186,17 +223,17 @@ def load_library(cache_dir: Path) -> Optional[ctypes.CDLL]:
             except (OSError, AttributeError) as exc:
                 failure = exc
         log.warning(
-            "the native COP library %s does not load after a rebuild (%s); "
-            "COP runs on its numpy kernels",
+            "the native library %s does not load after a rebuild (%s); %s",
             path,
             _describe(failure),
+            _FALLBACK,
         )
     except (OSError, subprocess.SubprocessError) as exc:
         log.warning(
-            "building the native COP library with %s failed (%s); "
-            "COP runs on its numpy kernels",
+            "building the native library with %s failed (%s); %s",
             compiler,
             _describe(exc),
+            _FALLBACK,
         )
     finally:
         if private_tmp is not None:
@@ -211,7 +248,7 @@ _LOCK = threading.Lock()
 
 
 def library() -> Optional[ctypes.CDLL]:
-    """The process-wide native COP library, built and loaded on first call.
+    """The process-wide native library, built and loaded on first call.
 
     None when no compiler is available or the build failed (the numpy
     kernels run instead); the outcome is decided once per process.
@@ -224,5 +261,5 @@ def library() -> Optional[ctypes.CDLL]:
 
 
 def tier() -> str:
-    """Which COP tier this process runs: ``"native"`` or ``"numpy"``."""
+    """Which tier this process runs: ``"native"`` or ``"numpy"``."""
     return "numpy" if library() is None else "native"

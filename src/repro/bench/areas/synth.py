@@ -36,6 +36,9 @@ from ..compare import RSS_POLICY, MetricPolicy
 from ..registry import BenchArea, register_area
 from ..runner import BenchRunner
 
+#: Wall time each side of a gated ratio runs for, at least.
+MIN_SECONDS = 1.5
+
 _QUICK = dict(
     generator=GeneratorSpec(
         n_inputs=96, n_gates=4_000, depth=24, seed=11, name="synth4k"
@@ -103,18 +106,22 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
     runner.workload(n_faults=len(faults))
     input_probs = [0.5] * circuit.n_inputs
 
-    scalar = runner.measure(
-        "scalar_cop",
-        lambda: CopDetectionEstimator().detection_probabilities(
-            circuit, faults, input_probs
-        ),
+    # The two sides of each gated ratio alternate until each has run for
+    # MIN_SECONDS: quick mode's compiled runs take a few milliseconds, too
+    # short for a stable best of two, and alternation puts both minima under
+    # the same machine load.
+    cop = runner.measure_interleaved(
+        {
+            "scalar_cop": lambda: CopDetectionEstimator().detection_probabilities(
+                circuit, faults, input_probs
+            ),
+            "batched_cop": lambda: BatchedCopEstimator().detection_probabilities(
+                circuit, faults, input_probs
+            ),
+        },
+        MIN_SECONDS,
     )
-    batched = runner.measure(
-        "batched_cop",
-        lambda: BatchedCopEstimator().detection_probabilities(
-            circuit, faults, input_probs
-        ),
-    )
+    scalar, batched = cop["scalar_cop"], cop["batched_cop"]
     if batched.value.shape != (len(faults),):
         raise AssertionError(
             f"COP returned shape {batched.value.shape} for {len(faults)} faults"
@@ -148,18 +155,18 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
     # points even in quick mode (detection results are batch-size invariant).
     partition_batch = max(64, batch_size // 4)
     runner.workload(partition_batch=partition_batch)
-    partitioned = runner.measure(
-        "fault_sim_partitioned",
-        lambda: ParallelFaultSimulator(
-            circuit, faults, partition_size=partition_size
-        ).run(patterns, batch_size=partition_batch),
+    sides = runner.measure_interleaved(
+        {
+            "fault_sim_partitioned": lambda: ParallelFaultSimulator(
+                circuit, faults, partition_size=partition_size
+            ).run(patterns, batch_size=partition_batch),
+            "fault_sim_nodrop": lambda: ParallelFaultSimulator(circuit, faults).run(
+                patterns, batch_size=partition_batch, drop_detected=False
+            ),
+        },
+        MIN_SECONDS,
     )
-    nodrop = runner.measure(
-        "fault_sim_nodrop",
-        lambda: ParallelFaultSimulator(circuit, faults).run(
-            patterns, batch_size=partition_batch, drop_detected=False
-        ),
-    )
+    partitioned, nodrop = sides["fault_sim_partitioned"], sides["fault_sim_nodrop"]
     if partitioned.value != sim.value or nodrop.value != sim.value:
         raise AssertionError(
             "partitioned / no-drop fault simulation changed detection results"

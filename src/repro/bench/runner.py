@@ -2,7 +2,8 @@
 
 A :class:`BenchRunner` accumulates one :class:`~repro.bench.artifacts.BenchResult`
 while an area runs: timed sections with repeat/warmup control (best-of-N wall
-time, the idiom all the standalone benches used), exact counters (e.g.
+time, the idiom all the standalone benches used, and an interleaved form for
+the two sides of a gated ratio), exact counters (e.g.
 ``repro.lowered.compile_count()`` deltas via :meth:`BenchRunner.compile_delta`),
 directional metrics, and peak-RSS sampling stamped at finish time together
 with a host/interpreter fingerprint in ``meta``.
@@ -14,11 +15,11 @@ import platform
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .artifacts import BenchResult
 
-__all__ = ["Measurement", "BenchRunner", "best_of", "peak_rss_bytes"]
+__all__ = ["Measurement", "BenchRunner", "best_of", "interleaved_best_of", "peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> Optional[int]:
@@ -89,6 +90,41 @@ def best_of(
     )
 
 
+def interleaved_best_of(
+    fns: Mapping[str, Callable[[], Any]], min_seconds: float, repeats: int = 3
+) -> Dict[str, Measurement]:
+    """Best-of timings of several sections, run in alternation.
+
+    Each round runs every section once, in order; rounds go on until every
+    section has run ``repeats`` times and for ``min_seconds`` of wall time
+    in total.  A ratio of two sections then compares minima taken under the
+    same machine load, and a section of a few milliseconds gets as many
+    samples as it needs for a stable minimum.  The first round is timed too:
+    one-time costs stay inside the first sample, as with :func:`best_of`.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    times: Dict[str, list] = {name: [] for name in fns}
+    values: Dict[str, Any] = {}
+    while any(len(t) < repeats or sum(t) < min_seconds for t in times.values()):
+        for name, fn in fns.items():
+            if len(times[name]) >= repeats and sum(times[name]) >= min_seconds:
+                continue
+            start = time.perf_counter()
+            values[name] = fn()
+            times[name].append(time.perf_counter() - start)
+    return {
+        name: Measurement(
+            name=name,
+            best_seconds=min(t),
+            mean_seconds=sum(t) / len(t),
+            repeats=len(t),
+            value=values[name],
+        )
+        for name, t in times.items()
+    }
+
+
 class BenchRunner:
     """Collects workload facts, timings, counters and metrics for one area run."""
 
@@ -137,6 +173,15 @@ class BenchRunner:
         )
         self.timing(f"{name}_seconds", measurement.best_seconds)
         return measurement
+
+    def measure_interleaved(
+        self, fns: Mapping[str, Callable[[], Any]], min_seconds: float
+    ) -> Dict[str, Measurement]:
+        """Time ``fns`` by :func:`interleaved_best_of`; record each as ``<name>_seconds``."""
+        measurements = interleaved_best_of(fns, min_seconds, repeats=self.repeats)
+        for name, measurement in measurements.items():
+            self.timing(f"{name}_seconds", measurement.best_seconds)
+        return measurements
 
     @contextmanager
     def timed(self, name: str):

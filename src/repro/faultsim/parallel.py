@@ -6,14 +6,18 @@ detected and after how many patterns.  The simulator runs on the compiled
 structure-of-arrays engine (:mod:`repro.simulation.compiled`), which itself
 consumes the shared lowered-circuit IR (:mod:`repro.lowered`) — creating a
 simulator never re-walks the netlist; it picks up the cached lowering (level
-kernels, fan-out cone bitsets) every other engine over the circuit uses:
+kernels, fan-out CSR, fan-out cones) every other engine over the circuit
+uses:
 
-* the fault-free circuit is simulated bit-parallel (64 patterns per word)
-  through vectorized per-level kernels,
-* still-undetected faults are simulated in *groups*: every fault of a group
-  owns a block of pattern words in one wide value matrix, and only the union
-  of the group's precomputed fan-out cones is re-evaluated with the fault
-  effects injected,
+* the fault-free circuit is simulated bit-parallel (64 patterns per word),
+  by the engine's C level loop or its numpy level kernels,
+* still-undetected faults are sent to the engine in *groups*
+  (:meth:`~repro.simulation.compiled.CompiledCircuit.fault_batch_detection`).
+  The native tier propagates each fault event-driven from its site and
+  stops where the faulty words equal the good ones; the numpy reference
+  gives every fault of a group a block of pattern words in one wide value
+  matrix and re-evaluates the union of the group's fan-out cones.  Both
+  give the same detection words, so everything below is tier-blind,
 * a fault is detected by every pattern for which some primary output differs
   from the fault-free value, and detected faults are dropped from subsequent
   batches.
@@ -32,8 +36,8 @@ the good one:
   not excited by any valid pattern, or its site is not a primary output and
   every gate reading the site computes its fault-free value anyway.  Such a
   fault has an all-zero detection row, so it simply stays active.  The check
-  runs off a static per-fault table (:class:`_SiteActivity`) as a fixed
-  number of vectorized calls per batch;
+  runs off a static per-fault table (:class:`_SiteActivity`, read off the
+  lowering's fan-out CSR) as a fixed number of vectorized calls per batch;
 * **one column budget** — the surviving faults are packed into dense groups
   of ``max(1, _GROUP_COLUMNS // n_words)`` faults, so a group's value matrix
   is at most :data:`_GROUP_COLUMNS` words wide whatever the batch width.
@@ -280,15 +284,9 @@ class _SiteActivity:
         # Stem faults on a primary output are detected wherever excited.
         self.observed = stem & is_output[net]
 
-        # Reader gates of every net (CSR; a gate reading a net on several
-        # pins is one reader).
-        n_gates = max(lowered.n_gates, 1)
-        pin_gate = np.repeat(
-            np.arange(lowered.n_gates, dtype=np.int64), lowered.gate_fanin_len
-        )
-        pairs = np.unique(lowered.gate_fanin_flat.astype(np.int64) * n_gates + pin_gate)
-        reader_net, reader_gate = np.divmod(pairs, n_gates)
-        reader_start = np.searchsorted(reader_net, np.arange(lowered.n_nets + 1))
+        # Reader gates of every net (a gate reading a net on several pins is
+        # one reader): the lowering's fan-out CSR, built once per lowering.
+        reader_start, reader_gate = lowered.fanout()
 
         stem_faults = np.flatnonzero(stem)
         counts = reader_start[net[stem_faults] + 1] - reader_start[net[stem_faults]]

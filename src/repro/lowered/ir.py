@@ -20,9 +20,13 @@ near-duplicate per-level kernels, pin maps and fan-out structures.
   descending, gates ascending within a level, input positions ascending.
   Every pin of a gate occupies consecutive slots, so
   :meth:`LoweredCircuit.pin_slot_of` is a single array lookup.
-* **Fan-out cones** — per-net transitive fan-out gate sets as ``uint64``
-  bitsets (built lazily with one reverse-topological sweep) plus cached
-  per-site index arrays, shared by every fault simulator over the circuit.
+* **Fan-out** — the distinct reader gates of every net as one CSR
+  (:meth:`LoweredCircuit.fanout`, built lazily once), which the native
+  event-driven fault kernel and the fault simulator's site prefilter walk;
+  and, for the numpy fault kernel, per-net transitive fan-out gate sets as
+  ``uint64`` bitsets (built lazily with one reverse-topological sweep) plus
+  cached per-site index arrays, shared by every fault simulator over the
+  circuit.
 
 Instances are produced by :func:`repro.lowered.compile_lowered`, which caches
 them process-wide keyed by :meth:`Circuit.structural_hash`, so a circuit is
@@ -265,6 +269,7 @@ class LoweredCircuit:
         self.n_pins = slot
 
         # Lazily built fan-out structures (shared by every consumer).
+        self._fanout: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._reach: Optional[np.ndarray] = None
         self._stem_cones: Dict[int, np.ndarray] = {}
         self._gate_cones: Dict[int, np.ndarray] = {}
@@ -305,8 +310,24 @@ class LoweredCircuit:
         return rel
 
     # ------------------------------------------------------------------ #
-    # Fan-out cones
+    # Fan-out
     # ------------------------------------------------------------------ #
+    def fanout(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct reader gates of every net, as a CSR ``(start, gates)``.
+
+        The readers of net ``n`` are ``gates[start[n] : start[n + 1]]``
+        (``int32``, ascending); a gate reading ``n`` on several pins is one
+        reader.  ``start`` is ``int64`` of length ``n_nets + 1``.  Built once.
+        """
+        if self._fanout is None:
+            n_gates = max(self.n_gates, 1)
+            pin_gate = np.repeat(np.arange(self.n_gates, dtype=np.int64), self.gate_fanin_len)
+            pairs = np.unique(self.gate_fanin_flat.astype(np.int64) * n_gates + pin_gate)
+            reader_net, reader_gate = np.divmod(pairs, n_gates)
+            start = np.searchsorted(reader_net, np.arange(self.n_nets + 1)).astype(np.int64)
+            self._fanout = (start, reader_gate.astype(np.int32))
+        return self._fanout
+
     def _reach_bitsets(self) -> np.ndarray:
         """Per-net transitive fan-out gate sets as ``uint64`` bitsets.
 

@@ -183,7 +183,11 @@ class JobServer:
     async def _send_json(
         self, writer: asyncio.StreamWriter, status: int, payload: Any
     ) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+        await self._send_text(writer, status, json.dumps(payload))
+
+    async def _send_text(self, writer: asyncio.StreamWriter, status: int, text: str) -> None:
+        """Send ``text``, already JSON, as the response body."""
+        body = (text + "\n").encode("utf-8")
         writer.write(self._headers(status, "application/json", len(body)))
         writer.write(body)
         await writer.drain()
@@ -274,13 +278,12 @@ class JobServer:
         if wait and not job.terminal:
             await job.wait_done(wait)
         status = 200 if job.terminal else 202
-        await self._send_json(
+        # The artifact is spliced in as the job's JSON text, never re-encoded.
+        await self._send_text(
             writer,
             status,
-            {
-                "disposition": disposition,
-                "job": job.to_dict(with_artifact=job.terminal),
-            },
+            f'{{"disposition": {json.dumps(disposition)}, '
+            f'"job": {job.to_json(with_artifact=job.terminal)}}}',
         )
 
     async def _job_routes(
@@ -303,9 +306,9 @@ class JobServer:
         elif parts[1:] == ["artifact"]:
             if not job.terminal:
                 raise _HttpError(409, f"job {job.spec_hash} is {job.status}")
-            if job.artifact is None:
+            if job.artifact_json is None:
                 raise _HttpError(409, f"job {job.spec_hash} failed: {job.error}")
-            await self._send_json(writer, 200, job.artifact)
+            await self._send_text(writer, 200, job.artifact_json)
         elif parts[1:] == ["events"]:
             await self._stream_events(writer, job)
         else:

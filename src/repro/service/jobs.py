@@ -5,8 +5,10 @@ accepts :class:`~repro.api.spec.PipelineSpec` dicts, keys every submission
 by :meth:`~repro.api.spec.PipelineSpec.spec_hash`, and guarantees that at
 any moment **at most one execution per spec hash is in flight**:
 
-* a hash whose report already sits in the artifact store is answered
-  immediately from the store (a *hit* — zero stages, zero lowerings);
+* a hash whose job in the table is ``done`` is answered from that job's
+  artifact, and any other hash whose report already sits in the artifact
+  store is answered from the store (a *hit* — zero stages, zero
+  lowerings; a first resubmission after a restart still reads the store);
 * a hash currently queued or running absorbs the new submission into the
   existing job (*in-flight dedup* — the submission count is tracked, the
   work is not repeated);
@@ -17,7 +19,9 @@ any moment **at most one execution per spec hash is in flight**:
 
 Jobs move through ``queued → running → done | failed`` and publish stage
 progress; watchers long-poll (:meth:`JobService.wait_for`) or stream change
-events (:meth:`Job.wait_change`).  The pool is a thread pool by default
+events (:meth:`Job.wait_change`).  A terminal job holds its artifact as
+JSON text, which the HTTP layer splices into its replies as it is; hits
+share the text of the job they answer from.  The pool is a thread pool by default
 (any store works); ``use_processes=True`` fans out over a process pool
 instead, which needs a store that can cross the process boundary (a disk
 store); its jobs publish their stages when the worker returns, not live.
@@ -28,6 +32,7 @@ a grace period for running jobs, then cancellation.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -66,7 +71,8 @@ class Job:
         stage: the most recently completed pipeline stage.
         stages_run: stages executed so far (0 for a cached job).
         error: failure message when ``status == "failed"``.
-        artifact: the finished ``pipeline_report`` dict (terminal jobs).
+        artifact_json: the finished ``pipeline_report`` as JSON text
+            (terminal jobs); :attr:`artifact` decodes it.
     """
 
     spec_hash: str
@@ -80,7 +86,7 @@ class Job:
     stage: Optional[str] = None
     stages_run: int = 0
     error: Optional[str] = None
-    artifact: Optional[Dict[str, Any]] = None
+    artifact_json: Optional[str] = None
     version: int = 0
     _done: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
     _changed: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
@@ -88,6 +94,18 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.status in ("done", "failed")
+
+    @property
+    def artifact(self) -> Optional[Dict[str, Any]]:
+        """The finished ``pipeline_report`` dict, decoded on each access."""
+        return None if self.artifact_json is None else json.loads(self.artifact_json)
+
+    def to_json(self, with_artifact: bool = False) -> str:
+        """:meth:`to_dict` as JSON text, the artifact text spliced in as is."""
+        text = json.dumps(self.to_dict())
+        if not with_artifact:
+            return text
+        return f'{text[:-1]}, "artifact": {self.artifact_json or "null"}}}'
 
     def to_dict(self, with_artifact: bool = False) -> Dict[str, Any]:
         """JSON-safe job view (the HTTP wire form)."""
@@ -148,6 +166,11 @@ class Job:
             return False
 
 
+def _execute_to_json(spec: PipelineSpec, store: Any, on_stage: Any) -> str:
+    """Run ``spec`` and encode its report, both on the worker thread."""
+    return json.dumps(execute_spec(spec, store=store, on_stage=on_stage).to_dict())
+
+
 class JobService:
     """Deduplicating pipeline-execution service over an artifact store.
 
@@ -206,8 +229,9 @@ class JobService:
     def submit(self, spec_dict: Dict[str, Any]) -> Tuple[Job, str]:
         """Submit one spec dict; returns ``(job, disposition)``.
 
-        Dispositions: ``"hit"`` (served from the store, job already
-        terminal), ``"inflight"`` (absorbed into a queued/running job) or
+        Dispositions: ``"hit"`` (served from the ``done`` job of the same
+        hash in the table, else from the store; job already terminal),
+        ``"inflight"`` (absorbed into a queued/running job) or
         ``"queued"`` (a new cold job was scheduled).  Raises
         :class:`~repro.api.serialize.SchemaError` for malformed specs and
         :class:`ServiceClosed` after shutdown has begun.
@@ -225,8 +249,14 @@ class JobService:
             job.notify()
             return job, "inflight"
 
-        report = self.store.load(report_store_key(spec_hash))
-        if isinstance(report, PipelineReport):
+        if job is not None and job.status == "done":
+            artifact_json = job.artifact_json
+        else:
+            report = self.store.load(report_store_key(spec_hash))
+            artifact_json = (
+                json.dumps(report.to_dict()) if isinstance(report, PipelineReport) else None
+            )
+        if artifact_json is not None:
             self.counters["store_hits"] += 1
             now = time.time()
             job = Job(
@@ -237,7 +267,7 @@ class JobService:
                 created=now,
                 started=now,
                 finished=now,
-                artifact=report.to_dict(),
+                artifact_json=artifact_json,
             )
             self._jobs[spec_hash] = job
             job.notify()
@@ -289,16 +319,13 @@ class JobService:
                 # Stages ran in another process: replay their names now.
                 for name in payload["stages"]:
                     self._record_stage(job, name)
-                job.artifact = payload["report"]
+                job.artifact_json = json.dumps(payload["report"])
                 job.cached = bool(payload["store_hit"])
             else:
-                report = await loop.run_in_executor(
+                job.artifact_json = await loop.run_in_executor(
                     self._executor(),
-                    partial(
-                        execute_spec, spec, store=self.store, on_stage=on_stage
-                    ),
+                    partial(_execute_to_json, spec, self.store, on_stage),
                 )
-                job.artifact = report.to_dict()
             job.status = "done"
             self.counters["store_hits" if job.cached else "executed"] += 1
         except asyncio.CancelledError:

@@ -2,41 +2,52 @@
 
 :class:`CompiledCircuit` is the ``uint64`` pattern-word interpretation of the
 shared lowered-circuit IR (:mod:`repro.lowered`): the levelized SoA arrays —
-per-level gate groups, ragged fan-in segments, fan-out cone bitsets — are
-built once by :func:`repro.lowered.compile_lowered` (content-addressed,
-cached process-wide) and this engine only derives the word-domain kernels
-from them, so the hot loops of true-value simulation and fault simulation run
-as a handful of vectorized kernels per logic level instead of a Python loop
-(with dict lookups) per gate:
+per-level gate groups, ragged fan-in segments, the fan-out CSR and fan-out
+cone bitsets — are built once by :func:`repro.lowered.compile_lowered`
+(content-addressed, cached process-wide) and this engine only derives the
+word-domain kernels from them.  Every kernel has two tiers, chosen by
+nothing but the presence of a C compiler (:mod:`repro.analysis.native`):
 
-* gates are grouped into *level kernels* keyed by ``(level, base op)`` where
-  the base ops are AND, OR and XOR -- NAND/NOR/XNOR/NOT fold into a per-gate
-  inversion mask and BUF is a 1-input AND.  Each kernel evaluates all of its
-  gates with one ``gather -> ufunc.reduceat -> scatter`` sequence over
-  64-pattern ``uint64`` words,
-* transitive fan-out cone arrays are precomputed (and cached on the lowered
-  IR) per fault site, so fault simulation only re-evaluates the gates a fault
-  can influence,
-* faults are simulated **fault-parallel x pattern-parallel**: a group of
-  faults shares one wide value matrix in which every fault owns a contiguous
-  block of pattern words.  Fault effects are injected by forcing rows (stem
-  faults) or gathered operand slots (gate-input branch faults), and the union
-  of the group's fan-out cones selects the sub-kernels that are re-evaluated.
-  Every column of a group is evaluated over the whole union cone, so the
-  callers decide what is worth sending: the fault simulator
-  (:mod:`repro.faultsim.parallel`) ramps its batch width from one word,
-  drops faults whose effect provably dies at their site before grouping,
-  and packs the rest into groups of ``max(1, 2048 // n_words)`` faults (one
-  column budget).
+* **native** (``_words.c``, loaded through ctypes, which releases the
+  interpreter lock): :meth:`CompiledCircuit.simulate_words` is one C level
+  loop over the gates, and fault propagation is a per-fault, event-driven
+  C kernel.  The kernel writes the fault at its site (it forces the stem,
+  or evaluates the branch's gate with the faulty pins forced), then visits
+  the readers of every net whose faulty words differ from the good ones in
+  a level-bucketed queue, walking the lowering's fan-out CSR; a gate whose
+  faulty words equal the good ones stops the event there (PPSFP,
+  Waicukauski et al., 1985).  Detection is faulty XOR good ORed over the
+  primary outputs under the valid mask.  Nothing mutable outlives a call,
+  so threads may simulate one circuit at once.
+* **numpy** (the named reference and the no-compiler fallback:
+  :meth:`~CompiledCircuit.simulate_words_numpy`,
+  :meth:`~CompiledCircuit.fault_batch_detection_numpy`,
+  :meth:`~CompiledCircuit.fault_output_words_numpy`): gates are grouped
+  into *level kernels* keyed by ``(level, base op)`` where the base ops are
+  AND, OR and XOR -- NAND/NOR/XNOR/NOT fold into a per-gate inversion mask
+  and BUF is a 1-input AND.  Each kernel evaluates all of its gates with one
+  ``gather -> ufunc.reduceat -> scatter`` sequence.  Faults are simulated
+  **fault-parallel x pattern-parallel**: a group of faults shares one wide
+  value matrix in which every fault owns a contiguous block of pattern
+  words; fault effects are injected by forcing rows (stem faults) or
+  gathered operand slots (gate-input branch faults), and the union of the
+  group's fan-out cones selects the sub-kernels that are re-evaluated.
 
-The engine is exact: for every net and pattern it computes precisely the same
-values as a gate-by-gate ``eval_words`` pass in netlist order, and the same
-detection words as :mod:`repro.faultsim.legacy`, which the test suite asserts
-on reference circuits and randomized netlists.
+Either way the callers decide what is worth sending: the fault simulator
+(:mod:`repro.faultsim.parallel`) ramps its batch width from one word, drops
+faults whose effect provably dies at their site before grouping, and packs
+the rest into groups of ``max(1, 2048 // n_words)`` faults (one column
+budget).
+
+The engine is exact: for every net and pattern both tiers compute precisely
+the same values as a gate-by-gate ``eval_words`` pass in netlist order, and
+the same detection words as :mod:`repro.faultsim.legacy`, which the test
+suite asserts on reference circuits and randomized netlists.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -171,12 +182,81 @@ class CompiledCircuit:
         self.n_nets = lowered.n_nets
         self.n_gates = lowered.n_gates
 
+        from ..analysis import native
+
+        self._native = native.library()
+        if self._native is not None:
+            self._bind_native()
+
+    @property
+    def tier(self) -> str:
+        """``"native"`` when the C kernels run, else ``"numpy"``."""
+        return "numpy" if self._native is None else "native"
+
+    def numpy_reference(self) -> "CompiledCircuit":
+        """This engine with its numpy kernels in charge (every array shared)."""
+        reference = copy.copy(self)
+        reference._native = None
+        return reference
+
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CompiledCircuit":
         return cls(compile_lowered(circuit))
+
+    def _bind_native(self) -> None:
+        """Arguments of the C kernels, taken from the lowered IR.
+
+        Every array is converted to the element type the C signature reads
+        and kept on the engine, so the pointers stay valid.
+        """
+        lowered = self.lowered
+        empty = [np.zeros(0, dtype=np.int32)]
+        order = np.concatenate([group.gate_ids for group in lowered.groups] or empty)
+        fanout_start, fanout_gate = lowered.fanout()
+        gate_level = self.net_level[self.gate_output]
+        n_levels = int(self.net_level.max()) + 1 if self.n_nets else 1
+        level_start = np.zeros(n_levels + 1, dtype=np.int64)
+        np.cumsum(np.bincount(gate_level.astype(np.int64), minlength=n_levels), out=level_start[1:])
+        is_output = np.zeros(self.n_nets, dtype=np.uint8)
+        is_output[self.outputs] = 1
+        fields = (
+            ("order", order, np.int32),
+            ("gate_output", self.gate_output, np.int32),
+            ("gate_op", lowered.gate_op, np.int8),
+            ("gate_invert", lowered.gate_invert, np.uint8),
+            ("fanin_start", lowered.gate_fanin_start, np.int64),
+            ("fanin_len", lowered.gate_fanin_len, np.int64),
+            ("fanin_flat", lowered.gate_fanin_flat, np.int32),
+            ("fanout_start", fanout_start, np.int64),
+            ("fanout_gate", fanout_gate, np.int32),
+            ("level_start", level_start, np.int64),
+            ("gate_level", gate_level, np.int32),
+            ("outputs", self.outputs, np.int64),
+            ("is_output", is_output, np.uint8),
+        )
+        self._native_arrays = {
+            name: np.ascontiguousarray(array, dtype=dtype) for name, array, dtype in fields
+        }
+
+        def pointers(*names: str) -> Tuple[int, ...]:
+            return tuple(self._native_arrays[name].ctypes.data for name in names)
+
+        max_arity = int(lowered.gate_fanin_len.max()) if self.n_gates else 0
+        gate_args = pointers(
+            "gate_output", "gate_op", "gate_invert", "fanin_start", "fanin_len", "fanin_flat"
+        )
+        self._sim_args = (max_arity, order.size) + pointers("order") + gate_args
+        self._output_args = (self.outputs.size,) + pointers("outputs", "is_output")
+        self._fault_args = (
+            (self.n_nets, self.n_gates, max_arity)
+            + gate_args
+            + pointers("fanout_start", "fanout_gate")
+            + (n_levels,)
+            + pointers("level_start", "gate_level")
+        )
 
     # ------------------------------------------------------------------ #
     # True-value simulation
@@ -191,6 +271,26 @@ class CompiledCircuit:
         Returns:
             ``uint64`` array of shape ``(n_nets, n_words)``.
         """
+        if self._native is None:
+            return self.simulate_words_numpy(input_words)
+        values = self._initial_values(input_words)
+        if self._native.sim_words(values.shape[1], values.ctypes.data, *self._sim_args):
+            raise MemoryError("the native logic simulation could not allocate its scratch")
+        return values
+
+    def simulate_words_numpy(self, input_words: np.ndarray) -> np.ndarray:
+        """The numpy level kernels: reference of :meth:`simulate_words`."""
+        values = self._initial_values(input_words)
+        for kern in self.kernels:
+            ops = values[kern.fanin_flat]
+            acc = kern.ufunc.reduceat(ops, kern.seg_starts, axis=0)
+            if kern.has_invert:
+                acc ^= kern.invert[:, None]
+            values[kern.outputs] = acc
+        return values
+
+    def _initial_values(self, input_words: np.ndarray) -> np.ndarray:
+        """``(n_nets, n_words)`` zeros with the inputs and CONST1 nets written."""
         input_words = np.asarray(input_words, dtype=np.uint64)
         if input_words.ndim != 2 or input_words.shape[0] != self.inputs.size:
             raise ValueError(
@@ -203,12 +303,6 @@ class CompiledCircuit:
             values[self.inputs] = input_words
         if self.const1_nets.size:
             values[self.const1_nets] = _ALL_ONES
-        for kern in self.kernels:
-            ops = values[kern.fanin_flat]
-            acc = kern.ufunc.reduceat(ops, kern.seg_starts, axis=0)
-            if kern.has_invert:
-                acc ^= kern.invert[:, None]
-            values[kern.outputs] = acc
         return values
 
     # ------------------------------------------------------------------ #
@@ -299,6 +393,49 @@ class CompiledCircuit:
                     values[net, col] = stuck_word
         return values
 
+    def _native_faults(
+        self,
+        faults: Sequence[Fault],
+        good: np.ndarray,
+        n_words: int,
+        valid_mask: Optional[np.ndarray],
+        detection: Optional[np.ndarray],
+        out_words: Optional[np.ndarray],
+    ) -> None:
+        """Run the C fault kernel into ``detection`` and/or ``out_words``."""
+        good = np.ascontiguousarray(good, dtype=np.uint64)
+        if good.shape != (self.n_nets, n_words):
+            raise ValueError(
+                f"expected good values of shape {(self.n_nets, n_words)}, got {good.shape}"
+            )
+        n_faults = len(faults)
+        net = np.fromiter((f.net for f in faults), dtype=np.int32, count=n_faults)
+        gate = np.fromiter(
+            (-1 if f.gate is None else f.gate for f in faults), dtype=np.int32, count=n_faults
+        )
+        stuck = np.fromiter((f.stuck_value for f in faults), dtype=np.uint8, count=n_faults)
+        if valid_mask is not None:
+            valid_mask = np.ascontiguousarray(valid_mask, dtype=np.uint64)
+            if valid_mask.shape != (n_words,):
+                raise ValueError(
+                    f"expected a valid mask of {n_words} words, got {valid_mask.shape}"
+                )
+        status = self._native.fault_words(
+            n_words,
+            good.ctypes.data,
+            n_faults,
+            net.ctypes.data,
+            gate.ctypes.data,
+            stuck.ctypes.data,
+            None if valid_mask is None else valid_mask.ctypes.data,
+            None if detection is None else detection.ctypes.data,
+            None if out_words is None else out_words.ctypes.data,
+            *self._output_args,
+            *self._fault_args,
+        )
+        if status:
+            raise MemoryError("the native fault kernel could not allocate its scratch")
+
     def fault_batch_detection(
         self,
         faults: Sequence[Fault],
@@ -321,6 +458,21 @@ class CompiledCircuit:
             word ``p // 64`` of row ``i`` is 1 iff pattern ``p`` detects
             ``faults[i]``.
         """
+        if self._native is None:
+            return self.fault_batch_detection_numpy(faults, good, n_words, valid_mask)
+        detection = np.empty((len(faults), n_words), dtype=np.uint64)
+        if len(faults):
+            self._native_faults(faults, good, n_words, valid_mask, detection, None)
+        return detection
+
+    def fault_batch_detection_numpy(
+        self,
+        faults: Sequence[Fault],
+        good: np.ndarray,
+        n_words: int,
+        valid_mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The numpy fault kernel: reference of :meth:`fault_batch_detection`."""
         n_faults = len(faults)
         if n_faults == 0:
             return np.zeros((0, n_words), dtype=np.uint64)
@@ -356,6 +508,17 @@ class CompiledCircuit:
             ``(o, i)`` holds output ``o``'s values with ``faults[i]``
             injected.
         """
+        if self._native is None:
+            return self.fault_output_words_numpy(faults, good, n_words)
+        out_words = np.empty((self.outputs.size, len(faults), n_words), dtype=np.uint64)
+        if len(faults):
+            self._native_faults(faults, good, n_words, None, None, out_words)
+        return out_words
+
+    def fault_output_words_numpy(
+        self, faults: Sequence[Fault], good: np.ndarray, n_words: int
+    ) -> np.ndarray:
+        """The numpy fault kernel: reference of :meth:`fault_output_words`."""
         n_faults = len(faults)
         if n_faults == 0:
             return np.zeros((self.outputs.size, 0, n_words), dtype=np.uint64)

@@ -68,7 +68,7 @@ ALL_CONFIGS = [
 
 class TestConfigRoundTrips:
     @pytest.mark.parametrize(
-        "config", ALL_CONFIGS, ids=lambda c: f"{type(c).__name__}-{hash(str(c)) & 0xFFFF}"
+        "config", ALL_CONFIGS, ids=[f"{type(c).__name__}-{i}" for i, c in enumerate(ALL_CONFIGS)]
     )
     def test_json_roundtrip_is_exact(self, config):
         restored = type(config).from_dict(json_roundtrip(config.to_dict()))

@@ -179,6 +179,51 @@ class TestJobService:
             == PipelineReport.from_dict(cold).canonical_dict()
         )
 
+    def test_resubmission_of_a_done_job_is_answered_from_the_table(self, monkeypatch):
+        """A done job answers its hash without a store read; the text is shared."""
+
+        async def scenario():
+            service = JobService()
+            spec_dict = small_spec().to_dict()
+            job, _ = service.submit(spec_dict)
+            await job.wait_done()
+            assert isinstance(job.artifact_json, str)
+
+            def no_store_read(key):
+                raise AssertionError(f"store.load({key!r}) on a table hit")
+
+            monkeypatch.setattr(service.store, "load", no_store_read)
+            hits = [service.submit(spec_dict) for _ in range(3)]
+            for hit_job, disposition in hits:
+                assert disposition == "hit"
+                assert hit_job.cached and hit_job.status == "done"
+                assert hit_job.stages_run == 0
+                assert hit_job.artifact_json is job.artifact_json
+            assert hits[-1][0] is not job
+            assert hits[-1][0].artifact == job.artifact
+            assert service.counters["store_hits"] == 3
+            assert service.counters["executed"] == 1
+            await service.shutdown(grace=5.0)
+
+        asyncio.run(scenario())
+
+    def test_failed_job_is_not_answered_from_the_table(self):
+        async def scenario():
+            service = JobService()
+            spec_dict = PipelineSpec(
+                circuit={"kind": "file", "path": "/nonexistent/void.bench"}
+            ).to_dict()
+            job, _ = service.submit(spec_dict)
+            await job.wait_done()
+            assert job.status == "failed" and job.artifact_json is None
+            again, disposition = service.submit(spec_dict)
+            assert disposition == "queued" and again is not job
+            await again.wait_done()
+            assert service.counters["failed"] == 2
+            await service.shutdown(grace=1.0)
+
+        asyncio.run(scenario())
+
     def test_stats_shape(self):
         async def scenario():
             service = JobService()
@@ -323,6 +368,27 @@ class TestHttpServer:
                 == PipelineReport.from_dict(first["job"]["artifact"]).canonical_dict()
             )
             assert service.counters["executed"] == 1
+
+        asyncio.run(self._with_server(scenario))
+
+    def test_artifact_text_is_spliced_into_replies(self):
+        """POST /jobs and GET .../artifact send the job's JSON text as is."""
+
+        async def scenario(port, service):
+            body = json.dumps(small_spec(seed=9).to_dict()).encode()
+            await _request(port, "POST", "/jobs?wait=60", body)
+            _, hit = await _request(port, "POST", "/jobs?wait=60", body)
+            job = service.job(hit["job"]["id"])
+            assert hit["disposition"] == "hit"
+            assert hit["job"]["artifact"] == json.loads(job.artifact_json)
+            assert {k: v for k, v in hit["job"].items() if k != "artifact"} == job.to_dict()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"GET /jobs/{job.spec_hash}/artifact HTTP/1.1\r\n\r\n".encode())
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            assert raw.partition(b"\r\n\r\n")[2] == (job.artifact_json + "\n").encode()
 
         asyncio.run(self._with_server(scenario))
 
