@@ -107,9 +107,9 @@ class Job:
             return text
         return f'{text[:-1]}, "artifact": {self.artifact_json or "null"}}}'
 
-    def to_dict(self, with_artifact: bool = False) -> Dict[str, Any]:
-        """JSON-safe job view (the HTTP wire form)."""
-        data: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe job view without the artifact (the HTTP wire form)."""
+        return {
             "id": self.spec_hash,
             "label": self.label,
             "status": self.status,
@@ -122,9 +122,6 @@ class Job:
             "stages_run": self.stages_run,
             "error": self.error,
         }
-        if with_artifact:
-            data["artifact"] = self.artifact
-        return data
 
     def notify(self) -> None:
         """Publish a state change to every watcher."""

@@ -117,7 +117,8 @@ static uint64_t *next_row(struct scratch *s, int64_t n_words)
 }
 
 /* Faults are (net, gate, stuck): gate < 0 is a stem fault on `net`, else a
- * branch fault on every pin of `gate` that reads `net`.
+ * branch fault on every pin of `gate` that reads `net`.  The caller checks
+ * that every net and gate is in range.
  *
  * detection (n_faults, n_words), if not NULL: the OR over the primary
  * outputs of faulty XOR good, ANDed with valid_mask (if not NULL).
@@ -187,7 +188,10 @@ int fault_words(int64_t n_words, const uint64_t *good,
             for (int64_t j = 0; j < len; j++)
                 s.rows[j] = src[j] == fault_net[f] ? faulty : good + (int64_t)src[j] * n_words;
             site = gate_output[g];
-            eval_gate(n_words, row, gate_op[g], gate_invert[g], len, s.rows);
+            if (len == 0) /* a constant gate reads no pin: nothing to force */
+                memcpy(row, good + (int64_t)site * n_words, (size_t)n_words * sizeof(uint64_t));
+            else
+                eval_gate(n_words, row, gate_op[g], gate_invert[g], len, s.rows);
         }
 
         for (int32_t net = site;;) {

@@ -414,6 +414,8 @@ class CompiledCircuit:
             (-1 if f.gate is None else f.gate for f in faults), dtype=np.int32, count=n_faults
         )
         stuck = np.fromiter((f.stuck_value for f in faults), dtype=np.uint8, count=n_faults)
+        if net.min() < 0 or net.max() >= self.n_nets or gate.max() >= self.n_gates:
+            raise IndexError(f"a fault names a net or gate outside {self.circuit.name!r}")
         if valid_mask is not None:
             valid_mask = np.ascontiguousarray(valid_mask, dtype=np.uint64)
             if valid_mask.shape != (n_words,):

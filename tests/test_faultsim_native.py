@@ -177,6 +177,25 @@ class TestCorners:
         assert engine.fault_batch_detection([], good, 2).shape == (0, 2)
         assert engine.fault_output_words([], good, 2).shape == (engine.outputs.size, 0, 2)
 
+    def test_branch_fault_on_a_gate_not_reading_its_net_has_no_effect(self):
+        circuit = _corner_circuit()
+        zero_gate = next(
+            gi for gi, g in enumerate(circuit.gates) if g.gate_type is GateType.CONST0
+        )
+        a = circuit.inputs[0]
+        faults = [Fault(a, True, zero_gate), Fault(a, False, 0)]
+        detection = assert_tiers_match_reference(circuit, faults, 64)
+        assert not detection[0].any()
+
+    def test_fault_outside_the_circuit_is_refused(self):
+        engine = compile_circuit(build_circuit("c432"))
+        if engine.tier != "native":
+            pytest.skip("no C compiler on PATH")
+        good = engine.simulate_words(_words(engine.circuit, 70))
+        for fault in (Fault(engine.n_nets, True), Fault(0, True, engine.n_gates)):
+            with pytest.raises(IndexError):
+                engine.fault_batch_detection([fault], good, 2)
+
     def test_good_values_of_the_wrong_shape_are_refused(self):
         engine = compile_circuit(build_circuit("c432"))
         if engine.tier != "native":
