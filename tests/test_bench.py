@@ -351,6 +351,31 @@ class TestBenchRunner:
         assert len(calls) == 5
         assert measurement.repeats == 2
 
+    def test_interleaved_sections_alternate_until_each_reaches_min_seconds(self):
+        import time
+
+        runner = BenchRunner("demo", quick=True, repeats=2)
+        order = []
+
+        def section(name, seconds):
+            def run():
+                order.append(name)
+                time.sleep(seconds)
+                return name
+
+            return run
+
+        measured = runner.measure_interleaved(
+            {"fast": section("fast", 0.001), "slow": section("slow", 0.02)}, min_seconds=0.05
+        )
+        assert order[:4] == ["fast", "slow", "fast", "slow"]
+        assert measured["slow"].repeats == order.count("slow") >= 3
+        assert measured["fast"].repeats == order.count("fast") > measured["slow"].repeats
+        for name, measurement in measured.items():
+            assert measurement.value == name
+            assert measurement.repeats * measurement.mean_seconds >= 0.05
+            assert runner.result().timing[f"{name}_seconds"] == measurement.best_seconds
+
     def test_compile_delta_counts_lowerings(self):
         from repro.circuits import build_circuit
         from repro.lowered import clear_lowered_cache, compile_lowered
