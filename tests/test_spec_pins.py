@@ -1,5 +1,6 @@
 """Pinned identities of the specs the quickstart and the ``session`` bench
-area run.
+area run, of a c432 spec that declares every stage, and of
+``examples/synthetic_spec.json``.
 
 Both build their specs in process from a :class:`~repro.circuit.Circuit`
 (``PipelineSpec(circuit=<Circuit>, key=...)``).  The literal hashes below
@@ -8,10 +9,19 @@ that holds artifacts of these runs keeps serving them: the spec hash, the
 report key and the stage store keys must never drift.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import PipelineSpec, build_plan
-from repro.api.spec import AnalysisConfig, FaultSimConfig, OptimizeConfig
+from repro.api.spec import (
+    AnalysisConfig,
+    FaultSimConfig,
+    MultiWeightConfig,
+    OptimizeConfig,
+    SelfTestConfig,
+)
 from repro.circuits import build_circuit, s1_comparator
 
 
@@ -78,3 +88,56 @@ def test_session_area_spec_identity(key, spec_hash, optimize_key):
     assert plan.stage("optimize").store_keys == {
         "result": f"stage_optimize/{optimize_key}"
     }
+
+
+def every_stage_spec():
+    """c432 with fault simulation, a self test and two weight sets."""
+    return PipelineSpec(
+        circuit="c432",
+        fault_sim=FaultSimConfig(n_patterns=1024),
+        self_test=SelfTestConfig(n_patterns=512),
+        multi_weight=MultiWeightConfig(k=2, budget=1024),
+    )
+
+
+def test_every_stage_spec_identity():
+    spec = every_stage_spec()
+    spec_hash = "528ab9dd7fe0861eaa1b255416f8b04992a0fbead82ecd1b55ca04af200a4066"
+    assert spec.spec_hash() == spec_hash
+    # The wire form of the fault-sim config, fixed fields included.
+    assert spec.to_dict()["fault_sim"] == {
+        "kind": "fault_sim_config",
+        "schema_version": 1,
+        "backend": None,
+        "allow_fallback": False,
+        "n_patterns": 1024,
+        "batch_size": 2048,
+        "fault_group": None,
+        "target_coverage": None,
+        "partition_size": None,
+    }
+    plan = build_plan(spec)
+    assert plan.store_keys() == {
+        "report": f"pipeline_report/{spec_hash}",
+        "optimize.result": "stage_optimize/"
+        "6a3adaf81fcc8b82055f826f62290b838d2bd69445cb2ede19c38582e5d73e96",
+        "fault_sim.conventional": "stage_fault_sim/"
+        "e1b84e1adb64315560c9152987db2601c1e531148bcf293448f5b8796572aea9",
+        "fault_sim.optimized": "stage_fault_sim/"
+        "81fb7050bcd3d3c03c9b2835eb6eaa452392a9d59df66f34bab75bd2aecfcfa3",
+        "multi_weight.weight_sets": "stage_multi_weight/"
+        "d9b133b20585bc79da0960e0f653ef6df8e61cc9042ce2a6dc0055e088e14960",
+        "multi_weight.result": "stage_multi_weight_report/"
+        "bdd5b28815a548d7c5b17ede33a176d446e9087cbbf992da39cb7d316a5a1734",
+    }
+    # The self test is covered by the report key alone.
+    assert plan.stage("self_test").store_keys == {}
+    assert plan.stage("self_test").seed == 3834953025728122489
+
+
+def test_synthetic_example_spec_identity():
+    path = Path(__file__).resolve().parents[1] / "examples" / "synthetic_spec.json"
+    spec = PipelineSpec.from_dict(json.loads(path.read_text()))
+    assert spec.spec_hash() == (
+        "51a6a784e36e653f81dff4a73235fd4bdc276d3e0491949d8b47f3aeddb14f65"
+    )
