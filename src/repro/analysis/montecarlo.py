@@ -14,7 +14,7 @@ circuit, which makes dense sampling viable on the larger registry circuits.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class MonteCarloDetectionEstimator:
         fixed_seed: reuse exactly the same sample patterns on every call
             (useful in tests to make the estimate deterministic).
         batch_size: bit-parallel batch size for the underlying fault simulator.
-        fault_group: faults simulated simultaneously by the compiled
-            fault-parallel engine (``None`` = adaptive).
     """
 
     def __init__(
@@ -46,7 +44,6 @@ class MonteCarloDetectionEstimator:
         seed: int = 11,
         fixed_seed: bool = False,
         batch_size: int = 2048,
-        fault_group: Optional[int] = None,
     ):
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
@@ -54,7 +51,6 @@ class MonteCarloDetectionEstimator:
         self.seed = seed
         self.fixed_seed = fixed_seed
         self.batch_size = batch_size
-        self.fault_group = fault_group
         self._call_count = 0
 
     def detection_probabilities(
@@ -67,8 +63,6 @@ class MonteCarloDetectionEstimator:
         self._call_count += 1
         generator = WeightedPatternGenerator(input_probs, seed=seed)
         patterns = generator.generate(self.n_samples)
-        simulator = ParallelFaultSimulator(
-            circuit, faults, fault_group=self.fault_group
-        )
+        simulator = ParallelFaultSimulator(circuit, faults)
         counts = simulator.detection_counts(patterns, batch_size=self.batch_size)
         return counts / float(self.n_samples)

@@ -119,18 +119,10 @@ def _load_spec_file(path: str) -> PipelineSpec:
 
 
 def _stage_configs(args: argparse.Namespace) -> Dict[str, Any]:
-    """Translate the shared CLI flags into stage configs.
-
-    Every subcommand funnels through here, so ``--partition-size`` reaches
-    each fault-simulating leg the same way — including specs that declare no
-    fault-sim stage of their own (``selftest``), whose sessions pick it up
-    from the analysis config.
-    """
-    partition_size = getattr(args, "partition_size", None)
+    """Translate the shared CLI flags into stage configs."""
     analysis = AnalysisConfig(
         confidence=args.confidence,
         drop_redundant=not getattr(args, "keep_redundant", False),
-        partition_size=partition_size,
     )
     if getattr(args, "analysis_only", False):
         return {
@@ -151,10 +143,7 @@ def _stage_configs(args: argparse.Namespace) -> Dict[str, Any]:
         "analysis": analysis,
         "optimize": OptimizeConfig(max_sweeps=args.max_sweeps),
         "quantize": QuantizeConfig(),
-        "fault_sim": FaultSimConfig(
-            n_patterns=args.patterns,
-            partition_size=partition_size,
-        ),
+        "fault_sim": FaultSimConfig(n_patterns=args.patterns),
         "multi_weight": multi_weight,
     }
 
@@ -413,14 +402,6 @@ def _add_common(parser: argparse.ArgumentParser, patterns_default=None) -> None:
         type=int,
         default=1,
         help="worker processes for the batch executor (default: serial)",
-    )
-    parser.add_argument(
-        "--partition-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="PPSFP fault partition size for the fault simulator "
-        "(default: one partition; detection results are invariant)",
     )
     parser.add_argument("--json", metavar="PATH", help="write the JSON artifact here")
     parser.add_argument(

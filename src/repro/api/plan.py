@@ -47,8 +47,7 @@ dicts of the upstream keyed rows it consumes (nested, as ``"weights"``).
 * ``stage_multi_weight_report/<digest>`` — the multi-weight report.  Its
   dependency dict is the weight sets' dict plus what only the playback
   reads: ``multi_weight.target_coverage`` and ``scan_chains``, and the
-  signature register and the coverage run's fault-sim partition size, each
-  of these two only when the spec sets it.  A spec that changes only
+  signature register only when the spec sets it.  A spec that changes only
   playback fields reuses the stored sets.
 """
 
@@ -369,10 +368,7 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
                 weights=None if weights is None else need(weights),
                 faults=need("faults"),
                 seed=seed,
-                batch_size=fault_sim.batch_size,
-                fault_group=fault_sim.fault_group,
                 target_coverage=fault_sim.target_coverage,
-                partition_size=fault_sim.partition_size,
             )
 
         legs = [("conventional", None, None)]
@@ -427,16 +423,10 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
         # One signature register per spec: the self-test MISR override.
         misr_width = None if self_test is None else self_test.misr_width
         misr_taps = None if self_test is None else self_test.misr_taps
-        # The session's coverage run is partitioned like the fault-sim
-        # stage, or by the analysis config when the spec has none.
-        partition_size = (
-            analysis.partition_size if fault_sim is None else fault_sim.partition_size
-        )
         # The weight sets depend on everything that shapes the clusters and
         # per-cluster optima.  The report adds what only the playback reads:
-        # its stop target and delivery, and the session's register and
-        # coverage run, each of these two only when set (the analysis config,
-        # already a dependency, carries its own partition size).
+        # its stop target and delivery, and the session's register only when
+        # set.
         weight_deps = {
             "stage": "multi_weight",
             **base,
@@ -455,8 +445,6 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
                 "width": misr_width,
                 "taps": None if misr_taps is None else list(misr_taps),
             }
-        if fault_sim is not None and partition_size is not None:
-            multi_deps["partition_size"] = partition_size
         rows.append(
             Row(
                 "weight_sets",
@@ -487,7 +475,6 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
                     faults=need("faults"),
                     target_coverage=multi_weight.target_coverage,
                     scan_chains=multi_weight.scan_chains,
-                    partition_size=partition_size,
                     misr_width=misr_width,
                     misr_taps=misr_taps,
                 ),

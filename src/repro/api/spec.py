@@ -33,16 +33,20 @@ Consequences:
 
 Wire constants
 --------------
-Every spec runs on one kernel path (the numpy engines of
-:mod:`repro.simulation.compiled` and :mod:`repro.analysis.compiled`) and one
-COP engine (:class:`~repro.analysis.compiled.BatchedCopEstimator`).  The
-configs once named a kernel backend and a scalar or batched estimator; their
-wire dicts still carry ``"backend": null``, ``"allow_fallback": false`` and
-(analysis only) ``"estimator": "batched"`` as fixed constants
-(:data:`WIRE_CONSTANTS`), so spec hashes and stage store keys are unchanged.
-Reading drops them; it also accepts ``"backend": "numpy"`` and any boolean
-``allow_fallback``, and any other value, such as ``"backend": "numba"`` or
-``"estimator": "scalar"``, raises :class:`~repro.api.serialize.SchemaError`.
+No spec field selects how a result is computed.  The kernel tier is chosen
+by the process alone: the native C kernels when a compiler is found, else
+the numpy kernels of :mod:`repro.simulation.compiled` and
+:mod:`repro.analysis.compiled`, with byte-identical results.  Every spec
+runs one COP engine (:class:`~repro.analysis.compiled.BatchedCopEstimator`)
+and one fault-simulation shape, whose detections no batch size, fault
+grouping or partition size can change.  The configs once named a kernel
+backend, a scalar or batched estimator and those three fault-simulation
+knobs; their wire dicts still carry each removed field at its old default
+(:data:`WIRE_CONSTANTS`), so spec hashes and stage store keys are
+unchanged.  Reading drops them; it also accepts
+``"backend": "numpy"`` and any boolean ``allow_fallback``, and any other
+value, such as ``"backend": "numba"`` or ``"estimator": "scalar"``, raises
+:class:`~repro.api.serialize.SchemaError`.
 """
 
 from __future__ import annotations
@@ -93,7 +97,8 @@ WIRE_CONSTANTS: Dict[str, Tuple[Any, Tuple[Any, ...], str]] = {
     "backend": (
         None,
         (None, "numpy"),
-        "backend {!r} was removed; every spec runs on the numpy kernels",
+        "backend {!r} was removed; every spec runs the native kernels when "
+        "a C compiler is found and the numpy kernels otherwise",
     ),
     "allow_fallback": (False, (False, True), "allow_fallback must be a bool, got {!r}"),
     "estimator": (
@@ -101,6 +106,24 @@ WIRE_CONSTANTS: Dict[str, Tuple[Any, Tuple[Any, ...], str]] = {
         ("batched",),
         "estimator {!r} was removed; the estimator switch is gone and every "
         "spec runs the batched COP engine",
+    ),
+    "batch_size": (
+        2048,
+        (2048,),
+        "batch_size {!r} was removed; fault simulation ramps its batches up "
+        "to 2048 patterns, and no batch size changes a detection",
+    ),
+    "fault_group": (
+        None,
+        (None,),
+        "fault_group {!r} was removed; fault simulation groups faults by one "
+        "fixed column budget, and no grouping changes a detection",
+    ),
+    "partition_size": (
+        None,
+        (None,),
+        "partition_size {!r} was removed; fault simulation runs the whole "
+        "active fault set at once, and no partition size changes a detection",
     ),
 }
 
@@ -212,8 +235,17 @@ def _check_schedule_length(name: str, value: int) -> None:
         )
 
 
+def _check_bool(name: str, value: bool) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_fraction(name: str, value: float, open_interval: bool = True) -> None:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = _is_number(value)
     if ok:
         ok = 0.0 < float(value) < 1.0 if open_interval else 0.0 <= float(value) <= 1.0
     if not ok:
@@ -237,11 +269,6 @@ class AnalysisConfig(_ConfigBase):
             shared by the test-length computation and the optimizer.
         drop_redundant: exclude faults proven/estimated undetectable from the
             fault list (the paper's coverage convention).
-        partition_size: PPSFP fault partition size for fault-simulating legs
-            of specs that declare no fault-sim stage of their own (e.g. the
-            multi-weight coverage run of a ``selftest`` job).  ``None`` (one
-            partition) is omitted from the wire dict, so existing spec
-            hashes are unchanged.  Detection results are invariant.
     """
 
     _kind = "analysis_config"
@@ -249,18 +276,10 @@ class AnalysisConfig(_ConfigBase):
 
     confidence: float = 0.999
     drop_redundant: bool = True
-    partition_size: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        if self.partition_size is None:
-            payload.pop("partition_size", None)
-        return payload
 
     def __post_init__(self) -> None:
         _check_fraction("confidence", self.confidence)
-        if self.partition_size is not None:
-            _check_positive_int("partition_size", self.partition_size)
+        _check_bool("drop_redundant", self.drop_redundant)
 
 
 @dataclass(frozen=True)
@@ -283,9 +302,13 @@ class OptimizeConfig(_ConfigBase):
     def __post_init__(self) -> None:
         _check_positive_int("max_sweeps", self.max_sweeps)
         _check_fraction("alpha", self.alpha)
-        if (
-            len(self.bounds) != 2
-            or not 0.0 <= float(self.bounds[0]) < float(self.bounds[1]) <= 1.0
+        if isinstance(self.bounds, list):
+            object.__setattr__(self, "bounds", tuple(self.bounds))
+        if not (
+            isinstance(self.bounds, tuple)
+            and len(self.bounds) == 2
+            and all(_is_number(bound) for bound in self.bounds)
+            and 0.0 <= float(self.bounds[0]) < float(self.bounds[1]) <= 1.0
         ):
             raise ValueError(f"bounds must satisfy 0 <= low < high <= 1, got {self.bounds!r}")
 
@@ -325,34 +348,20 @@ class FaultSimConfig(_ConfigBase):
         n_patterns: pattern budget (an upper bound when ``target_coverage``
             is set).  ``None`` falls back to the circuit's paper budget when
             the spec references a registry circuit, else 4000.
-        batch_size: bit-parallel batch size.
-        fault_group: faults simulated simultaneously per group (``None`` =
-            adaptive).
         target_coverage: optional coverage fraction at which to stop early.
-        partition_size: PPSFP fault partition size (``None`` = one partition
-            spanning all active faults).  Detection results are invariant
-            under this choice; it only shapes working-set size.
     """
 
     _kind = "fault_sim_config"
-    _wire = ("backend", "allow_fallback")
+    _wire = ("backend", "allow_fallback", "batch_size", "fault_group", "partition_size")
 
     n_patterns: Optional[int] = None
-    batch_size: int = 2048
-    fault_group: Optional[int] = None
     target_coverage: Optional[float] = None
-    partition_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_patterns is not None:
             _check_positive_int("n_patterns", self.n_patterns)
-        _check_positive_int("batch_size", self.batch_size)
-        if self.fault_group is not None:
-            _check_positive_int("fault_group", self.fault_group)
         if self.target_coverage is not None:
             _check_fraction("target_coverage", self.target_coverage, open_interval=False)
-        if self.partition_size is not None:
-            _check_positive_int("partition_size", self.partition_size)
 
 
 @dataclass(frozen=True)
@@ -385,6 +394,8 @@ class SelfTestConfig(_ConfigBase):
 
     def __post_init__(self) -> None:
         _check_schedule_length("n_patterns", self.n_patterns)
+        for name in ("use_lfsr", "weighted", "inject_hardest"):
+            _check_bool(name, getattr(self, name))
         if self.misr_taps is not None:
             object.__setattr__(self, "misr_taps", tuple(int(t) for t in self.misr_taps))
         if self.misr_width is not None:

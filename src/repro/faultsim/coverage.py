@@ -92,11 +92,8 @@ def random_pattern_coverage(
     weights: Optional[Sequence[float]] = None,
     faults: Optional[Sequence[Fault]] = None,
     seed: int = 1987,
-    batch_size: int = 2048,
-    fault_group: Optional[int] = None,
     chunk_size: int = 4096,
     target_coverage: Optional[float] = None,
-    partition_size: Optional[int] = None,
 ) -> CoverageExperiment:
     """Fault-simulate up to ``n_patterns`` weighted random patterns, streamed.
 
@@ -112,29 +109,16 @@ def random_pattern_coverage(
             conventional equiprobable test (all 0.5).
         faults: fault list; defaults to the collapsed stuck-at list.
         seed: RNG seed (kept fixed so tables are reproducible).
-        batch_size: bit-parallel batch size.
-        fault_group: faults simulated simultaneously per group (``None`` =
-            adaptive, see :class:`ParallelFaultSimulator`).
         chunk_size: patterns generated (and held in memory) per stream chunk.
         target_coverage: optional fault-coverage fraction at which to stop
             the stream early; the returned experiment's ``n_patterns`` then
             reflects the patterns actually applied.
-        partition_size: PPSFP fault partition size (see
-            :class:`ParallelFaultSimulator`); detection results are
-            invariant under this choice.
     """
     if weights is None:
         weights = [0.5] * circuit.n_inputs
     generator = WeightedPatternGenerator(weights, seed=seed)
-    simulator = ParallelFaultSimulator(
-        circuit,
-        faults,
-        fault_group=fault_group,
-        partition_size=partition_size,
-    )
-    result = simulator.run_stream(
+    result = ParallelFaultSimulator(circuit, faults).run_stream(
         generator.generate_stream(n_patterns, chunk=chunk_size),
-        batch_size=batch_size,
         target_coverage=target_coverage,
     )
     return CoverageExperiment(circuit.name, result.n_patterns, result, list(weights))

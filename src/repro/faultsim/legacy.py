@@ -38,11 +38,20 @@ from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
 from ..simulation.logicsim import WORD_BITS, pack_patterns
-from .parallel import FaultSimResult, _first_set_bit, _valid_mask
+from .parallel import FaultSimResult, _valid_mask
 
 __all__ = ["LegacyParallelFaultSimulator", "reference_words"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _first_set_bit(words: np.ndarray) -> int:
+    """Index of the first set bit in a little-endian word array."""
+    for wi, word in enumerate(words):
+        value = int(word)
+        if value:
+            return wi * WORD_BITS + (value & -value).bit_length() - 1
+    raise ValueError("no bit set")
 
 
 def reference_words(

@@ -31,7 +31,7 @@ the good one:
   64-pattern word and double up to ``batch_size`` (the ramp carries across
   chunk boundaries), so easy faults drop after 64–512 patterns instead of
   riding a full first batch;
-* **site-activity prefilter** — before a partition is grouped, every fault
+* **site-activity prefilter** — before the active set is grouped, every fault
   whose effect provably dies at its site is taken out of the batch: it is
   not excited by any valid pattern, or its site is not a primary output and
   every gate reading the site computes its fault-free value anyway.  Such a
@@ -84,19 +84,17 @@ _GROUP_COLUMNS = 2048
 class FaultSimStats:
     """Observability counters of one :meth:`ParallelFaultSimulator.run_stream`.
 
-    These make the PPSFP fault-dropping machinery *measurable*: partitioning
+    These make the PPSFP fault-dropping machinery *measurable*: dropping
     gains show up as shrinking :attr:`active_sizes` and a falling
     :attr:`faults_simulated` total rather than being inferred from wall time.
 
     Attributes:
-        partition_size: configured PPSFP partition size (``None`` = one
-            partition spanning the whole active set).
         n_batches: pattern batches simulated against at least one live fault.
         faults_simulated: total fault-batch simulations, i.e. the sum of the
             active-set size over all batches.  The batch ramp adds batches,
             so this rises with it even as the kernel work falls.
-        faults_dropped: faults physically removed from the active partition
-            arrays by inter-batch compaction.
+        faults_dropped: faults physically removed from the active set by
+            inter-batch compaction.
         active_sizes: active-set size at the start of each simulated batch.
         fault_words: propagation-kernel work, the sum over batches of the
             faults sent to the kernel times the batch's 64-pattern words.
@@ -104,7 +102,6 @@ class FaultSimStats:
             undetectable, so they never reached the kernel.
     """
 
-    partition_size: Optional[int]
     n_batches: int
     faults_simulated: int
     faults_dropped: int
@@ -119,7 +116,6 @@ class FaultSimStats:
         return tagged_dict(
             "fault_sim_stats",
             {
-                "partition_size": self.partition_size,
                 "n_batches": int(self.n_batches),
                 "faults_simulated": int(self.faults_simulated),
                 "faults_dropped": int(self.faults_dropped),
@@ -133,8 +129,9 @@ class FaultSimStats:
     def from_dict(cls, data: Dict) -> "FaultSimStats":
         """Rebuild stats from :meth:`to_dict` output (validated).
 
-        Blobs written while a kernel backend was selectable still carry a
-        ``backend`` field; it is read and dropped, so stored reports load.
+        Blobs written while a kernel backend or a partition size was
+        selectable still carry a ``backend`` or ``partition_size`` field; it
+        is read and dropped, so stored reports load.
         """
         from ..api.serialize import untag
 
@@ -149,9 +146,7 @@ class FaultSimStats:
             ),
             optional=("partition_size", "fault_words", "faults_pruned", "backend"),
         )
-        partition_size = payload["partition_size"]
         return cls(
-            partition_size=None if partition_size is None else int(partition_size),
             n_batches=int(payload["n_batches"]),
             faults_simulated=int(payload["faults_simulated"]),
             faults_dropped=int(payload["faults_dropped"]),
@@ -172,7 +167,7 @@ class FaultSimResult:
         n_patterns: total number of patterns applied.
         stats: optional run counters (:class:`FaultSimStats`).  Excluded from
             equality — two runs are "the same result" when they agree on the
-            detection outcome, whatever partitioning or batching produced it.
+            detection outcome, whatever batching produced it.
     """
 
     faults: List[Fault]
@@ -357,42 +352,22 @@ class ParallelFaultSimulator:
     Args:
         circuit: circuit under test.
         faults: fault list; defaults to the collapsed stuck-at list.
-        fault_group: number of faults simulated simultaneously per group;
-            ``None`` packs ``max(1, _GROUP_COLUMNS // n_words)`` faults, so
-            every value matrix is at most :data:`_GROUP_COLUMNS` words wide.
-        partition_size: PPSFP-style fault partition size for
-            :meth:`run_stream` — the active fault set is processed in
-            partitions of at most this many faults, and detected faults are
-            physically compacted out of the partition arrays between
-            batches.  ``None`` keeps one partition spanning the active set.
-            Detection results are invariant under this choice.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        faults: Optional[Sequence[Fault]] = None,
-        fault_group: Optional[int] = None,
-        partition_size: Optional[int] = None,
-    ):
+    def __init__(self, circuit: Circuit, faults: Optional[Sequence[Fault]] = None):
         self.circuit = circuit
         self.faults: List[Fault] = (
             list(faults) if faults is not None else collapsed_fault_list(circuit)
         )
-        self.fault_group = fault_group
-        if partition_size is not None and partition_size < 1:
-            raise ValueError(f"partition_size must be positive, got {partition_size!r}")
-        self.partition_size = partition_size
         # One compile per circuit structure process-wide: the engine (and
         # the lowering underneath it) comes from the content-addressed cache.
         self._engine = compile_circuit(circuit)
         self.lowered = self._engine.lowered
         self._activity = _SiteActivity(self.lowered, self.faults)
 
-    def _group_size(self, n_words: int) -> int:
-        if self.fault_group is not None:
-            return max(1, int(self.fault_group))
-        return max(1, _GROUP_COLUMNS // max(1, n_words))
+    @staticmethod
+    def _group_size(n_words: int) -> int:
+        return max(1, _GROUP_COLUMNS // n_words)
 
     def _site_level_order(self) -> np.ndarray:
         """Fault indices stably sorted by fault-site logic level.
@@ -526,25 +501,17 @@ class ParallelFaultSimulator:
                 n_batches += 1
                 active_sizes.append(int(active.size))
                 faults_simulated += int(active.size)
-                partition_size = (
-                    self.partition_size
-                    if self.partition_size is not None
-                    else int(active.size)
-                )
-                for p_start in range(0, int(active.size), partition_size):
-                    partition = active[p_start : p_start + partition_size]
-                    survivors, detection = self._detect(partition, good, n_words, mask)
-                    faults_pruned += int(partition.size - survivors.size)
-                    fault_words += int(survivors.size) * n_words
-                    firsts = first_detection_indices(detection)
-                    hit = firsts >= 0
-                    if hit.any():
-                        # Without dropping a fault stays active after
-                        # detection; never let a later batch overwrite the
-                        # first index.
-                        hit_idx = survivors[hit]
-                        fresh = first_det[hit_idx] < 0
-                        first_det[hit_idx[fresh]] = applied + start + firsts[hit][fresh]
+                survivors, detection = self._detect(active, good, n_words, mask)
+                faults_pruned += int(active.size - survivors.size)
+                fault_words += int(survivors.size) * n_words
+                firsts = first_detection_indices(detection)
+                hit = firsts >= 0
+                if hit.any():
+                    # Without dropping a fault stays active after detection;
+                    # never let a later batch overwrite the first index.
+                    hit_idx = survivors[hit]
+                    fresh = first_det[hit_idx] < 0
+                    first_det[hit_idx[fresh]] = applied + start + firsts[hit][fresh]
                 if drop_detected:
                     before = int(active.size)
                     active = active[first_det[active] < 0]
@@ -564,7 +531,6 @@ class ParallelFaultSimulator:
             if first_det[fi] >= 0
         }
         stats = FaultSimStats(
-            partition_size=self.partition_size,
             n_batches=n_batches,
             faults_simulated=faults_simulated,
             faults_dropped=faults_dropped,
@@ -604,12 +570,3 @@ def _valid_mask(n_patterns: int, n_words: int) -> np.ndarray:
     if remainder:
         mask[-1] = (np.uint64(1) << np.uint64(remainder)) - np.uint64(1)
     return mask
-
-
-def _first_set_bit(words: np.ndarray) -> int:
-    """Index of the first set bit in a little-endian word array."""
-    for wi, word in enumerate(words):
-        value = int(word)
-        if value:
-            return wi * WORD_BITS + (value & -value).bit_length() - 1
-    raise ValueError("no bit set")

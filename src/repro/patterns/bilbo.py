@@ -252,7 +252,6 @@ class SelfTestSession:
         self,
         faults: Optional[Sequence[Fault]] = None,
         target_coverage: Optional[float] = None,
-        partition_size: Optional[int] = None,
     ) -> Tuple[FaultSimResult, Tuple[int, ...]]:
         """Fault-simulate the session's patterns with streamed early stop.
 
@@ -267,9 +266,7 @@ class SelfTestSession:
             the :class:`FaultSimResult` over the played stream and the
             patterns applied per source.
         """
-        simulator = ParallelFaultSimulator(
-            self.circuit, faults=faults, partition_size=partition_size
-        )
+        simulator = ParallelFaultSimulator(self.circuit, faults=faults)
         stream = self._play()
         result = simulator.run_stream(stream, target_coverage=target_coverage)
         if self._golden is None:

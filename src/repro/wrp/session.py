@@ -228,7 +228,6 @@ def run_multi_weight_session(
     faults: Optional[Sequence[Fault]] = None,
     target_coverage: Optional[float] = None,
     scan_chains: Optional[int] = None,
-    partition_size: Optional[int] = None,
     misr_width: Optional[int] = None,
     misr_taps: Optional[Sequence[int]] = None,
 ) -> MultiWeightReport:
@@ -250,11 +249,7 @@ def run_multi_weight_session(
         misr_width=misr_width,
         misr_taps=misr_taps,
     )
-    result, applied = session.coverage(
-        faults=faults,
-        target_coverage=target_coverage,
-        partition_size=partition_size,
-    )
+    result, applied = session.coverage(faults=faults, target_coverage=target_coverage)
     return MultiWeightReport(
         circuit_name=circuit.name,
         weight_sets=weight_sets,

@@ -53,7 +53,7 @@ ALL_CONFIGS = [
     QuantizeConfig(),
     QuantizeConfig(step=0.1, lfsr_resolution=5),
     FaultSimConfig(),
-    FaultSimConfig(n_patterns=512, batch_size=128, fault_group=4, target_coverage=0.9),
+    FaultSimConfig(n_patterns=512, target_coverage=0.9),
     SelfTestConfig(),
     SelfTestConfig(
         n_patterns=64,

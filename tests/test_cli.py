@@ -129,8 +129,16 @@ class TestRunCommand:
                 lambda data: data["analysis"].update(estimator="scalar"),
                 "estimator 'scalar' was removed",
             ),
+            (
+                lambda data: data["fault_sim"].update(partition_size=7),
+                "partition_size 7 was removed",
+            ),
+            (
+                lambda data: data["fault_sim"].update(batch_size=512),
+                "batch_size 512 was removed",
+            ),
         ],
-        ids=["int_key", "scalar_estimator"],
+        ids=["int_key", "scalar_estimator", "partition_size", "batch_size"],
     )
     def test_malformed_spec_exits_2_without_traceback(self, edit, message, tmp_path, capsys):
         data = PipelineSpec(circuit="s1").to_dict()
@@ -312,7 +320,6 @@ class TestTablesCommand:
     [
         ["run", "s1", "--seed", "-1"],
         ["run", "s1", "--confidence", "1.5"],
-        ["run", "s1", "--partition-size", "0"],
         ["tables", "--max-sweeps", "0"],
         ["selftest", "s1", "--patterns", "0"],
         ["selftest", "s1", "--patterns", str((1 << 20) + 1)],
@@ -324,7 +331,6 @@ class TestTablesCommand:
     ids=[
         "seed",
         "confidence",
-        "partition-size",
         "max-sweeps",
         "selftest-patterns",
         "selftest-patterns-over-cap",
@@ -341,6 +347,13 @@ def test_out_of_range_values_exit_2_without_traceback(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_partition_size_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "s1", "--partition-size", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --partition-size" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("parallelism", ["1", "2"])

@@ -176,17 +176,6 @@ class TestCompiledFaultDetection:
         )
         assert kept.first_detection == dropped.first_detection
 
-    def test_group_size_does_not_change_results(self):
-        circuit = parse_bench(C17_BENCH, name="c17")
-        faults = collapsed_fault_list(circuit)
-        patterns = random_patterns(circuit, 100, seed=13)
-        baseline = ParallelFaultSimulator(circuit, faults, fault_group=1).run(patterns)
-        for group in (2, 7, len(faults)):
-            result = ParallelFaultSimulator(circuit, faults, fault_group=group).run(
-                patterns
-            )
-            assert result.first_detection == baseline.first_detection
-
 
 class TestCompiledStructures:
     def test_cones_match_netlist_transitive_fanout(self):

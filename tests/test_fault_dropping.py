@@ -123,11 +123,10 @@ def test_registry_matches_reference(key):
     n_patterns=st.integers(1, 200),
     batch_size=st.sampled_from(BATCH_SIZES),
     chunk=st.integers(1, 400),
-    partition_size=st.one_of(st.none(), st.integers(1, 9)),
     drop_detected=st.booleans(),
 )
 def test_generated_netlists_match_references(
-    seed, n_gates, n_patterns, batch_size, chunk, partition_size, drop_detected
+    seed, n_gates, n_patterns, batch_size, chunk, drop_detected
 ):
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, n_inputs=5, n_gates=n_gates)
@@ -137,7 +136,7 @@ def test_generated_netlists_match_references(
     assert expected.first_detection == _reference_first_detection(
         circuit, faults, patterns
     )
-    sim = ParallelFaultSimulator(circuit, faults, partition_size=partition_size)
+    sim = ParallelFaultSimulator(circuit, faults)
     chunks = [patterns[start : start + chunk] for start in range(0, n_patterns, chunk)]
     result = sim.run_stream(
         chunks, drop_detected=drop_detected, batch_size=batch_size
@@ -377,15 +376,15 @@ class TestSitePrefilter:
 # Column budget and work counters
 # --------------------------------------------------------------------------- #
 class TestWorkCounters:
-    def _run(self, monkeypatch, **kwargs):
+    def _run(self, monkeypatch):
         circuit = build_circuit("s1")
-        sim = ParallelFaultSimulator(circuit, **kwargs)
+        sim = ParallelFaultSimulator(circuit)
         calls = _kernel_calls(sim, monkeypatch)
         patterns = _weighted_patterns(circuit, 3000, seed=8)
         return sim.run(patterns, batch_size=2048), calls
 
     def test_fault_words_and_pruned_are_exact(self, monkeypatch):
-        result, calls = self._run(monkeypatch, partition_size=50)
+        result, calls = self._run(monkeypatch)
         stats = result.stats
         assert stats.fault_words == sum(n * words for n, words in calls)
         sent = sum(n for n, _ in calls)
@@ -395,12 +394,8 @@ class TestWorkCounters:
     def test_groups_fill_one_column_budget(self, monkeypatch):
         result, calls = self._run(monkeypatch)
         assert all(n * words <= 2048 for n, words in calls)
-        # A one-word batch packs its whole partition into one group.
+        # A one-word batch packs its whole active set into one group.
         assert [words for _, words in calls[:2]] == [1, 2]
-
-    def test_fault_group_still_overrides(self, monkeypatch):
-        _, calls = self._run(monkeypatch, fault_group=5)
-        assert max(n for n, _ in calls) == 5
 
     def test_detection_counts_match_legacy(self):
         circuit = build_circuit("c432")
@@ -416,7 +411,6 @@ class TestWorkCounters:
 
     def test_stats_without_new_counters_still_load(self):
         stats = FaultSimStats(
-            partition_size=None,
             n_batches=2,
             faults_simulated=10,
             faults_dropped=3,
@@ -430,37 +424,43 @@ class TestWorkCounters:
         old = FaultSimStats.from_dict(payload)
         assert (old.fault_words, old.faults_pruned) == (0, 0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba", "mixed"])
-    def test_stats_with_backend_field_still_load(self, backend):
-        """Stored blobs from when a kernel backend was selectable keep
-        loading; the field is dropped."""
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("backend", "numpy"),
+            ("backend", "numba"),
+            ("backend", "mixed"),
+            ("partition_size", None),
+            ("partition_size", 4),
+        ],
+    )
+    def test_stats_with_removed_fields_still_load(self, name, value):
+        """Stored blobs from when a kernel backend or a partition size was
+        selectable keep loading; the field is dropped."""
         stats = FaultSimStats(
-            partition_size=4,
             n_batches=1,
             faults_simulated=5,
             faults_dropped=5,
             active_sizes=(5,),
         )
-        payload = {**stats.to_dict(), "backend": backend}
+        payload = {**stats.to_dict(), name: value}
         assert FaultSimStats.from_dict(payload) == stats
-        assert "backend" not in stats.to_dict()
+        assert name not in stats.to_dict()
 
 
 # --------------------------------------------------------------------------- #
-# PPSFP partitioning: counters and invariance
+# Fault dropping: counters
 # --------------------------------------------------------------------------- #
 class TestFaultSimStats:
-    def _run(self, **kwargs):
+    def _run(self):
         circuit = build_circuit("s1")
         rng = np.random.default_rng(17)
         patterns = rng.random((700, circuit.n_inputs)) < 0.5
-        sim = ParallelFaultSimulator(circuit, **kwargs)
-        return sim.run(patterns, batch_size=128)
+        return ParallelFaultSimulator(circuit).run(patterns, batch_size=128)
 
     def test_counters_are_consistent(self):
-        result = self._run(partition_size=16)
+        result = self._run()
         stats = result.stats
-        assert stats.partition_size == 16
         assert stats.n_batches == len(stats.active_sizes)
         assert stats.faults_simulated == sum(stats.active_sizes)
         # Dropping shrinks the active set monotonically across batches.
@@ -481,9 +481,8 @@ class TestFaultSimStats:
         assert stats.faults_simulated == stats.n_batches * n_faults
 
     def test_dropping_reduces_simulated_faults(self):
-        with_drop = self._run(partition_size=16).stats
+        with_drop = self._run().stats
         without = FaultSimStats(
-            partition_size=16,
             n_batches=with_drop.n_batches,
             faults_simulated=with_drop.n_batches * max(with_drop.active_sizes),
             faults_dropped=0,
@@ -491,20 +490,8 @@ class TestFaultSimStats:
         )
         assert with_drop.faults_simulated < without.faults_simulated
 
-    def test_partitioning_never_changes_results(self):
-        baseline = self._run()
-        for partition_size in (1, 7, 64, 10_000):
-            result = self._run(partition_size=partition_size)
-            assert result == baseline
-            assert result.stats.partition_size == partition_size
-        assert baseline.stats.partition_size is None
-
-    def test_invalid_partition_size_rejected(self):
-        with pytest.raises(ValueError, match="partition_size"):
-            ParallelFaultSimulator(build_circuit("s1"), partition_size=0)
-
     def test_stats_serialization_round_trip(self):
-        result = self._run(partition_size=8)
+        result = self._run()
         payload = result.to_dict()
         from repro.faultsim import FaultSimResult
 
@@ -516,25 +503,19 @@ class TestFaultSimStats:
 
 
 # --------------------------------------------------------------------------- #
-# Property: run_stream results are invariant under every execution knob
+# Property: run_stream results are invariant under the batch size
 # --------------------------------------------------------------------------- #
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
-    fault_group=st.one_of(st.none(), st.integers(1, 9)),
-    partition_size=st.one_of(st.none(), st.integers(1, 17)),
     batch_size=st.sampled_from([64, 128, 256]),
 )
-def test_run_stream_invariant_under_execution_knobs(
-    seed, fault_group, partition_size, batch_size
-):
+def test_run_stream_invariant_under_execution_knobs(seed, batch_size):
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, n_inputs=5, n_gates=12)
     patterns = rng.random((300, circuit.n_inputs)) < 0.5
     baseline = ParallelFaultSimulator(circuit).run(patterns, batch_size=128)
-    variant = ParallelFaultSimulator(
-        circuit, fault_group=fault_group, partition_size=partition_size
-    ).run(patterns, batch_size=batch_size)
+    variant = ParallelFaultSimulator(circuit).run(patterns, batch_size=batch_size)
     assert variant == baseline
     points = [1, 10, 100, 300]
     assert [variant.coverage_at(n) for n in points] == [baseline.coverage_at(n) for n in points]

@@ -219,12 +219,12 @@ def test_fault_output_words_under_the_self_test(key):
 
 
 def test_simulator_runs_identically_on_both_tiers():
-    """Batch ramp, prefilter, partitions: results and counters agree."""
+    """Batch ramp, prefilter, groups: results and counters agree."""
     circuit = build_circuit("c1908")
     patterns = np.random.default_rng(4).random((3000, circuit.n_inputs)) < 0.5
     results = []
     for reference in (False, True):
-        simulator = ParallelFaultSimulator(circuit, partition_size=300)
+        simulator = ParallelFaultSimulator(circuit)
         if reference:
             simulator._engine = simulator._engine.numpy_reference()
         results.append(simulator.run(patterns, batch_size=1024))

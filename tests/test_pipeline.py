@@ -144,27 +144,6 @@ class TestSelfTestStage:
         assert plain_keys["result"] != wide_keys["result"]
         assert plain_keys["weight_sets"] == wide_keys["weight_sets"]
 
-    def test_multi_weight_key_covers_the_fault_sim_partition_size(self):
-        """The multi-weight coverage run is partitioned like the fault-sim
-        stage, so a store warmed by one partition size never serves the
-        report of another (the analysis partition size is left unset, as a
-        spec file or HTTP body may send it)."""
-
-        def spec(partition_size):
-            return PipelineSpec(
-                circuit="c432",
-                optimize=OptimizeConfig(max_sweeps=2),
-                fault_sim=FaultSimConfig(n_patterns=256, partition_size=partition_size),
-                multi_weight=MultiWeightConfig(k=2),
-            )
-
-        store = MemoryStore()
-        execute_spec(spec(None), store=store)
-        warm = execute_spec(spec(7), store=store)
-        fresh = execute_spec(spec(7))
-        assert warm.multi_weight.coverage.result.stats.partition_size == 7
-        assert warm.canonical_dict() == fresh.canonical_dict()
-
     def test_weighted_self_test_detects_fault_missed_by_plain(self):
         """Section 5.2 end to end: weights biased toward A == B expose a
         random-pattern-resistant fault that the equiprobable session of the

@@ -222,7 +222,7 @@ class TestRemovedBackendWire:
 
     def test_payload_without_wire_fields_loads(self):
         payload = FaultSimConfig(n_patterns=100).to_dict()
-        for key in ("backend", "allow_fallback", "partition_size"):
+        for key in ("backend", "allow_fallback", "batch_size", "fault_group", "partition_size"):
             del payload[key]
         assert FaultSimConfig.from_dict(payload) == FaultSimConfig(n_patterns=100)
 
@@ -250,6 +250,50 @@ class TestRemovedBackendWire:
         report = execute_spec(spec)
         assert report.canonical_dict() == execute_spec(plain).canonical_dict()
         assert report.optimized_coverage is not None
+
+
+class TestRemovedFaultSimKnobs:
+    """Batch size, fault grouping and partitioning never changed a detection;
+    their wire fields stay at the old defaults."""
+
+    def test_configs_write_the_wire_constants(self):
+        payload = FaultSimConfig(n_patterns=64).to_dict()
+        assert (payload["batch_size"], payload["fault_group"], payload["partition_size"]) == (
+            2048,
+            None,
+            None,
+        )
+        for name in ("batch_size", "fault_group", "partition_size"):
+            assert not hasattr(FaultSimConfig(), name)
+        assert "partition_size" not in AnalysisConfig().to_dict()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("partition_size", 7),
+            ("partition_size", 0),
+            ("fault_group", 4),
+            ("batch_size", 512),
+            ("batch_size", 2048.0),
+            ("batch_size", True),
+        ],
+    )
+    def test_other_values_raise_schema_error(self, name, value):
+        data = spec_naming_backend("fault_sim", None)
+        data["fault_sim"] = {**data["fault_sim"], name: value}
+        with pytest.raises(SchemaError, match=f"{name} {value!r} was removed"):
+            PipelineSpec.from_dict(data)
+
+    def test_default_values_load(self):
+        data = spec_naming_backend("fault_sim", None)
+        data["fault_sim"] = {
+            **data["fault_sim"],
+            "batch_size": 2048,
+            "fault_group": None,
+            "partition_size": None,
+        }
+        spec = PipelineSpec.from_dict(data)
+        assert spec.to_dict() == data
 
 
 class TestBuildPlan:
@@ -387,10 +431,6 @@ _PERTURBATIONS = {
     "base": {},
     "seed": dict(seed=2),
     "n_patterns": dict(fault_sim=FaultSimConfig(n_patterns=256)),
-    "analysis.partition_size": dict(analysis=AnalysisConfig(partition_size=7)),
-    "fault_sim.partition_size": dict(
-        fault_sim=FaultSimConfig(n_patterns=128, partition_size=7)
-    ),
     "fault_sim.target_coverage": dict(
         fault_sim=FaultSimConfig(n_patterns=128, target_coverage=0.9)
     ),
@@ -442,14 +482,13 @@ class TestStoreKeysSoundAndComplete:
         "variant",
         [
             "misr_width",
-            "fault_sim.partition_size",
             "multi_weight.target_coverage",
             "scan_chains",
         ],
     )
     def test_weight_sets_ignore_what_only_the_session_reads(self, variant, monkeypatch):
-        """The MISR override, the coverage run's partition size and stop
-        target and the scan delivery reach the multi-weight report, not the
+        """The MISR override, the coverage run's stop target and the scan
+        delivery reach the multi-weight report, not the
         weight sets: a variant spec reuses the stored sets and still reports
         what a fresh run reports."""
         import repro.api.plan as plan_module

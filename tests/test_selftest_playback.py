@@ -142,42 +142,42 @@ class TestTwoSetSchedule:
                 {},
                 252065581109514,
                 (4500, 5000),
-                "1fd6e3f155ac9b733c3dcacda75d28999ead5cb815c788c79fb88b0e03a3513a",
+                "13c0fb8d3a164436e5e707228f8e0c7f9ce8b36d465955f80fe07490b70370d4",
             ),
             (
                 "c499",
                 {"scan_chains": 3},
                 32318159172985,
                 (4500, 5000),
-                "488840615d7290e6990ef15f9ebafa4b3cf10113551249a8b0450d46caf31824",
+                "bdaf648d71ebcf230d4ad9b66c7831243e9d2842465822e52fd88953b529ff76",
             ),
             (
                 "c499",
                 {"target_coverage": 0.9},
                 252065581109514,
                 (4096, 0),
-                "e6a6ec168f69a0c157fd14224d449544f981eb16f2d62e4dd50664c7947ca2d5",
+                "f404b7fffb64a6255edfc7a2a04c973d38bab0fb1d4e7de6d05a7a6e516a8622",
             ),
             (
                 "c880",
                 {},
                 1724,
                 (4500, 5000),
-                "f630ff23d0f74fe5c24f35c9053c8b73a40f4d96ab4aec530b14a25a01cd21d5",
+                "5793399941b1d0783b1c85983aa9d44be386b02d013460fd8f19d4591aa93541",
             ),
             (
                 "c880",
                 {"scan_chains": 3},
                 1778,
                 (4500, 5000),
-                "ea0cc142c0ba97706971fb318dd51dece8567005b78ead40345e9cff044fea46",
+                "7eede739669cf58b65443692d08a1f8b999e00bd80049dc53a729007dd6ed161",
             ),
             (
                 "c880",
                 {"target_coverage": 0.97},
                 1724,
                 (4500, 4096),
-                "8cac1617183fa72a3cf9736ff20457f7d05f8f716824335fc8243abbf744bc78",
+                "4b4e71bc3e62600c677f311f0ebec0582d18961bba825cc287b6f8619a10b989",
             ),
         ],
     )
@@ -257,7 +257,7 @@ class TestScalarMisr:
         )
         assert report.self_test.signature == 1924485442988938651
         assert _dict_sha(report.coverage.to_dict()) == (
-            "08583cde9478a82a3c75348bac75dbbe1e92bc4d22f61ddc0b36639801411338"
+            "89609e5a49f4786930c9d4867afbefe2df735d518e649d3667d26754ed8b2d9a"
         )
 
 

@@ -490,6 +490,18 @@ class TestHttpServer:
 
         asyncio.run(self._with_server(scenario))
 
+    def test_spec_naming_a_partition_size_is_400(self):
+        async def scenario(port, service):
+            data = small_spec().to_dict()
+            data["fault_sim"] = {**data["fault_sim"], "partition_size": 7}
+            body = json.dumps(data).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 400
+            assert "partition_size 7 was removed" in payload["error"]
+            assert service.counters["submitted"] == 0
+
+        asyncio.run(self._with_server(scenario))
+
     def test_shutdown_endpoint_triggers_callback(self):
         async def scenario(port, service):
             stopped = asyncio.Event()

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from .helpers import C17_BENCH, played_patterns
 from repro.api import (
-    AnalysisConfig,
     MultiWeightConfig,
-    OptimizeConfig,
     PipelineSpec,
     build_plan,
     load_artifact,
@@ -325,30 +323,3 @@ class TestArtifacts:
         bare = build_plan(PipelineSpec(circuit="c432"))
         assert bare.stage("multi_weight") is None
         assert "multi_weight" not in PipelineSpec(circuit="c432").to_dict()
-
-    def test_analysis_partition_size_reaches_multi_weight_coverage(self, c17):
-        """A spec without a fault-sim stage still sizes the partitions of
-        its multi-weight coverage run, through its analysis config."""
-        from repro.api import execute_spec
-
-        def run(partition_size):
-            return execute_spec(
-                PipelineSpec(
-                    circuit=c17,
-                    analysis=AnalysisConfig(partition_size=partition_size),
-                    optimize=OptimizeConfig(max_sweeps=2),
-                    fault_sim=None,
-                    multi_weight=MultiWeightConfig(k=2),
-                )
-            ).multi_weight.coverage.result
-
-        partitioned, whole = run(4), run(None)
-        assert partitioned.stats.partition_size == 4
-        assert whole.stats.partition_size is None
-        assert partitioned.first_detection == whole.first_detection
-        spec = PipelineSpec(
-            circuit="c432",
-            analysis=AnalysisConfig(partition_size=64),
-            fault_sim=None,
-        )
-        assert PipelineSpec.from_dict(spec.to_dict()) == spec
