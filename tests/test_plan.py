@@ -257,14 +257,12 @@ class TestRemovedFaultSimKnobs:
     their wire fields stay at the old defaults."""
 
     def test_configs_write_the_wire_constants(self):
-        payload = FaultSimConfig(n_patterns=64).to_dict()
-        assert (payload["batch_size"], payload["fault_group"], payload["partition_size"]) == (
-            2048,
-            None,
-            None,
-        )
-        for name in ("batch_size", "fault_group", "partition_size"):
-            assert not hasattr(FaultSimConfig(), name)
+        config = FaultSimConfig(n_patterns=64)
+        payload = config.to_dict()
+        knobs = {"batch_size": 2048, "fault_group": None, "partition_size": None}
+        assert {name: payload[name] for name in knobs} == knobs
+        assert not any(hasattr(config, name) for name in knobs)
+        assert FaultSimConfig.from_dict(payload) == config
         assert "partition_size" not in AnalysisConfig().to_dict()
 
     @pytest.mark.parametrize(
@@ -283,17 +281,6 @@ class TestRemovedFaultSimKnobs:
         data["fault_sim"] = {**data["fault_sim"], name: value}
         with pytest.raises(SchemaError, match=f"{name} {value!r} was removed"):
             PipelineSpec.from_dict(data)
-
-    def test_default_values_load(self):
-        data = spec_naming_backend("fault_sim", None)
-        data["fault_sim"] = {
-            **data["fault_sim"],
-            "batch_size": 2048,
-            "fault_group": None,
-            "partition_size": None,
-        }
-        spec = PipelineSpec.from_dict(data)
-        assert spec.to_dict() == data
 
 
 class TestBuildPlan:
