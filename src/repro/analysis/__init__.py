@@ -56,7 +56,7 @@ from .exact import (
 from .cutting import bounds_for_net, probability_bounds
 from .stafan import StafanDetectionEstimator, measured_signal_probabilities
 from .montecarlo import MonteCarloDetectionEstimator
-from .redundancy import estimated_redundant_faults, proven_redundant, remove_redundant
+from .redundancy import proven_redundant, remove_redundant
 
 __all__ = [
     "input_probability_vector",
@@ -82,7 +82,6 @@ __all__ = [
     "StafanDetectionEstimator",
     "measured_signal_probabilities",
     "MonteCarloDetectionEstimator",
-    "estimated_redundant_faults",
     "proven_redundant",
     "remove_redundant",
 ]

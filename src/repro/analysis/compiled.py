@@ -34,6 +34,8 @@ from them, evaluating a whole batch of ``B`` weight vectors per pass:
   :func:`repro.analysis.observability.observabilities`.
 * **Detection probabilities** — one vectorized gather per fault list:
   ``p_f = activation x observability`` for all ``(row, fault)`` pairs at once.
+  The fault list is a :class:`~repro.faults.model.FaultTable`, the one fault
+  encoding: its ``net``/``stuck``/``gate`` columns index the gather directly.
 
 The forward and backward passes have two tiers.  When the native library of
 :mod:`repro.analysis.native` loads (a C compiler is on ``PATH``), both level
@@ -59,7 +61,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit.netlist import Circuit
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..lowered import (
     OP_OR,
     OP_XOR,
@@ -163,7 +165,6 @@ class CompiledCop:
         self.const1_nets = lowered.const1_nets
         self.n_pins = lowered.n_pins
 
-        self._fault_plans: Dict[Tuple[Fault, ...], Tuple[np.ndarray, ...]] = {}
         self._native = native.library()
         if self._native is not None:
             self._bind_native()
@@ -503,25 +504,14 @@ class CompiledCop:
     # Detection probabilities
     # ------------------------------------------------------------------ #
     def _fault_plan(self, faults: Sequence[Fault]) -> Tuple[np.ndarray, ...]:
-        key = tuple(faults)
-        plan = self._fault_plans.get(key)
-        if plan is None:
-            fields = np.array(
-                [(f.net, f.stuck_value, -1 if f.gate is None else f.gate) for f in key],
-                dtype=np.int64,
-            ).reshape(-1, 3)
-            nets = fields[:, 0]
-            gates = fields[:, 2]
-            stem = gates < 0
-            slots = np.zeros(len(key), dtype=np.int64)
-            branch = np.flatnonzero(~stem)
-            if branch.size:
-                slots[branch] = self._branch_pin_slots(gates[branch], nets[branch])
-            plan = (nets, fields[:, 1].astype(bool), stem, slots)
-            if len(self._fault_plans) >= 16:
-                self._fault_plans.clear()
-            self._fault_plans[key] = plan
-        return plan
+        """``(net, stuck, stem, pin slot)`` columns of the detection gather."""
+        faults = FaultTable.of(faults)
+        stem = faults.gate < 0
+        slots = np.zeros(len(faults), dtype=np.int64)
+        branch = np.flatnonzero(~stem)
+        if branch.size:
+            slots[branch] = self._branch_pin_slots(faults.gate[branch], faults.net[branch])
+        return faults.net, faults.stuck, stem, slots
 
     def _branch_pin_slots(self, gates: np.ndarray, nets: np.ndarray) -> np.ndarray:
         """Pin slot of each branch fault: the first pin of ``gates[i]`` reading
@@ -560,8 +550,6 @@ class CompiledCop:
         Returns:
             ``(B, len(faults))`` array of ``p_f`` values.
         """
-        if not faults:
-            return np.zeros((analysis.n_rows, 0), dtype=float)
         nets, stuck, stem, slots = self._fault_plan(faults)
         site_probs = analysis.probs[:, nets]
         activation = np.where(stuck[None, :], 1.0 - site_probs, site_probs)

@@ -80,4 +80,4 @@ class StafanDetectionEstimator:
         analysis = BatchedCopResult(
             probs=probs[None, :], net_obs=net_obs, pin_obs=pin_obs
         )
-        return engine.detection_probabilities_batch(list(faults), analysis)[0]
+        return engine.detection_probabilities_batch(faults, analysis)[0]

@@ -62,12 +62,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..faults.model import FaultTable
 from .artifacts import experiment_rows_dict, report_batch_dict
 from .jobs import iter_jobs
 from .serialize import SchemaError
@@ -240,7 +242,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     print(f"test signature   : 0x{self_test.signature:x}")
     if report.self_test_fault is not None:
         outcome = "DETECTED" if not self_test.passed else "MISSED"
-        print(f"injected fault   : [{report.self_test_fault.to_list()}] {outcome}")
+        print(f"injected fault   : {FaultTable.of([report.self_test_fault]).to_lists()} {outcome}")
     if report.multi_weight is not None:
         print(f"multi-weight     : {report.multi_weight.summary()}")
     _write_artifact(args.json, report.to_dict())
@@ -621,15 +623,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # The bench harness owns its own argv space (areas, --check, --update,
-    # report, ...) — hand everything after "bench" through untouched.
-    if argv and argv[0] == "bench":
-        from ..bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The bench harness owns its own argv space (areas, --check, --update,
+        # report, ...) — hand everything after "bench" through untouched.
+        if argv and argv[0] == "bench":
+            from ..bench.cli import main as bench_main
+
+            status = bench_main(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            status = args.func(args)
+        sys.stdout.flush()
+        return status
     except SchemaError as exc:
         # A spec that validates but cannot run as asked (a self-test schedule
         # over MAX_SCHEDULE_PATTERNS) is a usage error, not a crash.
@@ -640,3 +645,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # way out; report the conventional 128+SIGINT status.
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): exit quietly, with later
+        # writes and the exit-time flush sent to devnull; 141 = 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

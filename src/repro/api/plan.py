@@ -63,7 +63,7 @@ from ..analysis.redundancy import remove_redundant
 from ..core.optimizer import OptimizationResult, WeightOptimizer
 from ..core.quantize import quantize_to_lfsr_grid
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..faultsim.coverage import CoverageExperiment, random_pattern_coverage
 from ..lowered import compile_count, compile_lowered
 from ..patterns.bilbo import SelfTestSession
@@ -273,7 +273,7 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
     # The spec fields every keyed artifact depends on.
     base = {"circuit": spec.circuit, "analysis": analysis.to_dict()}
 
-    def fault_list(need: Need) -> List[Fault]:
+    def fault_list(need: Need) -> FaultTable:
         faults = collapsed_fault_list(need("circuit"))
         if analysis.drop_redundant:
             # The redundancy check runs the batched COP kernel: lower first,

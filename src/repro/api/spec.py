@@ -495,9 +495,12 @@ class PipelineSpec:
     multi_weight: Optional[MultiWeightConfig] = None
 
     def __post_init__(self) -> None:
-        from ..circuits.sources import normalize_circuit_ref
+        from ..circuits.sources import CircuitSource
 
-        object.__setattr__(self, "circuit", normalize_circuit_ref(self.circuit))
+        # Decoding checks the ref whole (an inline netlist as a circuit), once.
+        source = CircuitSource.from_ref(self.circuit)
+        object.__setattr__(self, "circuit", source.to_ref())
+        object.__setattr__(self, "_source", source)
         if self.key is not None and not isinstance(self.key, str):
             raise ValueError(f"key must be a str or None, got {self.key!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
@@ -555,9 +558,7 @@ class PipelineSpec:
     @property
     def source(self) -> "CircuitSource":
         """The typed circuit source behind the wire-form :attr:`circuit` ref."""
-        from ..circuits.sources import CircuitSource
-
-        return CircuitSource.from_ref(self.circuit)
+        return self._source
 
     @property
     def label(self) -> str:

@@ -319,9 +319,12 @@ class Circuit:
         unknown = set(data) - required
         if unknown:
             raise CircuitError(f"netlist dict has unknown fields: {sorted(unknown)}")
+        for k in ("net_names", "inputs", "outputs", "gates"):
+            if not isinstance(data[k], list):
+                raise CircuitError(f"netlist {k!r} must be a list, got {type(data[k]).__name__}")
         gates = []
         for entry in data["gates"]:
-            if len(entry) != 3:
+            if not isinstance(entry, list) or len(entry) != 3:
                 raise CircuitError(
                     f"gate entry must be [type, output, inputs], got {entry!r}"
                 )
@@ -331,11 +334,16 @@ class Circuit:
                 )
             except (ValueError, TypeError) as exc:
                 raise CircuitError(f"malformed gate entry in netlist dict: {exc}") from exc
+        try:
+            inputs = tuple(int(i) for i in data["inputs"])
+            outputs = tuple(int(i) for i in data["outputs"])
+        except (ValueError, TypeError) as exc:
+            raise CircuitError(f"malformed net id in netlist dict: {exc}") from exc
         return cls(
             name=str(data["name"]),
             net_names=[str(n) for n in data["net_names"]],
-            inputs=tuple(int(i) for i in data["inputs"]),
-            outputs=tuple(int(i) for i in data["outputs"]),
+            inputs=inputs,
+            outputs=outputs,
             gates=gates,
         )
 

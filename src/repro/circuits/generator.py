@@ -104,7 +104,10 @@ class GeneratorSpec:
             raise ValueError(f"max_fanin must be <= 16, got {self.max_fanin}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        mix = tuple((str(gate), float(weight)) for gate, weight in self.gate_mix)
+        try:
+            mix = tuple((str(gate), float(weight)) for gate, weight in self.gate_mix)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"gate_mix must hold [gate type, weight] pairs: {exc}") from exc
         if not mix:
             raise ValueError("gate_mix must name at least one gate type")
         for gate, weight in mix:

@@ -42,9 +42,6 @@ __all__ = ["CircuitSource", "SOURCE_KINDS", "normalize_circuit_ref"]
 #: The supported source kinds, in documentation order.
 SOURCE_KINDS = ("builtin", "file", "inline", "generator")
 
-#: Fields of the five netlist-dict keys that identify a legacy inline ref.
-_NETLIST_FIELDS = frozenset({"name", "net_names", "inputs", "outputs", "gates"})
-
 
 @dataclass(frozen=True)
 class CircuitSource:
@@ -96,16 +93,18 @@ class CircuitSource:
 
     @classmethod
     def inline(cls, netlist: Union[Circuit, Mapping[str, Any]]) -> "CircuitSource":
-        """An inline netlist dict (or a circuit, converted via ``to_dict``)."""
+        """An inline netlist dict (or a circuit, converted via ``to_dict``).
+
+        A dict is checked whole, as :meth:`Circuit.from_dict` checks it, so a
+        malformed netlist fails here (a ``CircuitError``) and not at build.
+        """
         if isinstance(netlist, Circuit):
-            netlist = netlist.to_dict()
+            return cls(kind="inline", netlist=netlist.to_dict())
         if not isinstance(netlist, Mapping):
             raise ValueError(
                 f"inline circuit reference must be a netlist dict, got {type(netlist).__name__}"
             )
-        missing = _NETLIST_FIELDS - set(netlist)
-        if missing:
-            raise ValueError(f"inline netlist dict is missing fields: {sorted(missing)}")
+        Circuit.from_dict(dict(netlist))
         return cls(kind="inline", netlist=dict(netlist))
 
     @classmethod

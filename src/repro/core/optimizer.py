@@ -53,7 +53,7 @@ from ..analysis.detection import (
 from ..analysis.signal_prob import input_probability_vector
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from .minimize import minimize_coordinates
 from .quantize import quantize_weights
 from .testlength import NormalizeResult, required_test_length, sort_faults
@@ -89,7 +89,7 @@ class OptimizationResult:
     history: List[int]
     n_hard_faults: int
     sweeps: int
-    redundant_faults: List[Fault]
+    redundant_faults: FaultTable
     cpu_seconds: float
     weight_map: Dict[str, float] = field(default_factory=dict)
     converged: bool = True
@@ -115,7 +115,7 @@ class OptimizationResult:
                 "history": [int(n) for n in self.history],
                 "n_hard_faults": int(self.n_hard_faults),
                 "sweeps": int(self.sweeps),
-                "redundant_faults": [f.to_list() for f in self.redundant_faults],
+                "redundant_faults": self.redundant_faults.to_lists(),
                 "cpu_seconds": float(self.cpu_seconds),
                 "weight_map": {name: float(w) for name, w in self.weight_map.items()},
                 "converged": bool(self.converged),
@@ -152,7 +152,7 @@ class OptimizationResult:
             history=[int(n) for n in payload["history"]],
             n_hard_faults=int(payload["n_hard_faults"]),
             sweeps=int(payload["sweeps"]),
-            redundant_faults=[Fault.from_list(f) for f in payload["redundant_faults"]],
+            redundant_faults=FaultTable.from_lists(payload["redundant_faults"]),
             cpu_seconds=float(payload["cpu_seconds"]),
             weight_map={str(k): float(v) for k, v in payload["weight_map"].items()},
             converged=bool(payload["converged"]),
@@ -217,9 +217,7 @@ class WeightOptimizer:
         block_candidates: int = 8,
     ):
         self.circuit = circuit
-        self.faults: List[Fault] = (
-            list(faults) if faults is not None else collapsed_fault_list(circuit)
-        )
+        self.faults = FaultTable.of(faults if faults is not None else collapsed_fault_list(circuit))
         self.estimator: DetectionProbabilityEstimator = (
             estimator if estimator is not None else BatchedCopEstimator()
         )
@@ -260,7 +258,7 @@ class WeightOptimizer:
         """
         batch, overrides = cofactor_batch(self.circuit, weights)
         rows = batch_detection_probabilities(
-            self.circuit, list(faults), batch, self.estimator, overrides
+            self.circuit, faults, batch, self.estimator, overrides
         )
         return rows[0::2], rows[1::2]
 
@@ -355,7 +353,7 @@ class WeightOptimizer:
                 self.min_hard_faults,
                 int(np.ceil(self.min_hard_fraction * len(sorted_faults))),
             )
-            hard_faults = sorted_faults[:hard_count]
+            hard_faults = sorted_faults.take(slice(hard_count))
             cofactors0, cofactors1 = self.prepare_sweep(weights, hard_faults)
             proposal = minimize_coordinates(
                 cofactors0,

@@ -25,16 +25,18 @@ is not computed.  What ``u <= Q`` would add is a certificate that the *full*
 
 The optimizer ranks its step candidates by test length alone, so it calls
 :func:`normalize` on each candidate's sorted positive probabilities and runs
-:func:`sort_faults`, which reorders the fault objects, only on the accepted
+:func:`sort_faults`, which reorders the fault table, only on the accepted
 candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from ..faults.model import Fault, FaultTable
 
 __all__ = [
     "NormalizeResult",
@@ -90,8 +92,8 @@ def _as_float_array(values: Sequence[float]) -> np.ndarray:
 
 
 def sort_faults(
-    faults: Sequence, detection_probs: Sequence[float]
-) -> Tuple[List, np.ndarray, List]:
+    faults: Sequence[Fault], detection_probs: Sequence[float]
+) -> Tuple[FaultTable, np.ndarray, FaultTable]:
     """SORT: order faults by increasing detection probability.
 
     Faults with probability exactly zero are treated as (estimated) redundant
@@ -100,15 +102,13 @@ def sort_faults(
     Returns:
         ``(sorted_faults, sorted_probs, redundant_faults)``.
     """
+    faults = FaultTable.of(faults)
     probs = _as_float_array(detection_probs)
     if len(faults) != probs.size:
         raise ValueError("faults and detection probabilities differ in length")
     order = np.argsort(probs, kind="stable")
-    sorted_probs = probs[order]
-    detectable_mask = sorted_probs > 0.0
-    kept_faults = [faults[i] for i in order[detectable_mask].tolist()]
-    redundant = [faults[i] for i in order[~detectable_mask].tolist()]
-    return kept_faults, sorted_probs[detectable_mask], redundant
+    detectable = probs[order] > 0.0
+    return faults.take(order[detectable]), probs[order][detectable], faults.take(order[~detectable])
 
 
 def normalize(

@@ -15,142 +15,105 @@ a *stem* that feeds several gates is not equivalent to the fault on one branch.
 Representatives are chosen to be the fault closest to the primary inputs so
 that primary-input faults (which the paper's fault model must contain) always
 survive collapsing.
+
+Collapse reads and writes :class:`~repro.faults.model.FaultTable` columns,
+the one fault encoding: the classes are a union-find over integer fault ids
+and the representatives a sub-table in rank order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Union
+
+import numpy as np
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
-from .model import Fault, full_fault_list
+from .model import Fault, FaultTable, full_fault_list
 
 __all__ = ["collapse_faults", "collapsed_fault_list", "CollapseResult"]
 
-
-class _UnionFind:
-    """Minimal union-find over hashable items."""
-
-    def __init__(self) -> None:
-        self._parent: Dict = {}
-
-    def find(self, item):
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def classes(self) -> Dict:
-        groups: Dict = {}
-        for item in list(self._parent):
-            groups.setdefault(self.find(item), []).append(item)
-        return groups
+#: Per gate type, the (input stuck value, output stuck value) pairs of the
+#: equivalent faults.  XOR / XNOR input faults are not structurally
+#: equivalent to output faults, so nothing is merged for them.
+_RULES = {
+    GateType.AND: ((False, False),),
+    GateType.NAND: ((False, True),),
+    GateType.OR: ((True, True),),
+    GateType.NOR: ((True, False),),
+    GateType.BUF: ((False, False), (True, True)),
+    GateType.NOT: ((False, True), (True, False)),
+}
 
 
+@dataclass(frozen=True)
 class CollapseResult:
     """Outcome of fault collapsing.
 
     Attributes:
-        representatives: one fault per equivalence class (deterministic order).
-        class_of: maps every original fault to its representative.
-        classes: maps a representative to all faults of its class.
+        representatives: one fault per equivalence class, in rank order.
+        representative_index: for every input fault, the position in
+            :attr:`representatives` of its class's representative.
     """
 
-    def __init__(
-        self,
-        representatives: List[Fault],
-        class_of: Dict[Fault, Fault],
-        classes: Dict[Fault, List[Fault]],
-    ):
-        self.representatives = representatives
-        self.class_of = class_of
-        self.classes = classes
-
-    @property
-    def collapse_ratio(self) -> float:
-        """Fraction of faults removed by collapsing."""
-        total = len(self.class_of)
-        if total == 0:
-            return 0.0
-        return 1.0 - len(self.representatives) / total
+    representatives: FaultTable
+    representative_index: np.ndarray
 
 
-def _equivalences(circuit: Circuit) -> Iterable[Tuple[Fault, Fault]]:
-    """Yield pairs of structurally equivalent (stem) faults."""
+def collapse_faults(
+    circuit: Circuit, faults: Union[FaultTable, Iterable[Fault]]
+) -> CollapseResult:
+    """Collapse an explicit fault list into equivalence-class representatives.
+
+    A fault listed twice is one fault.  The representative of a class is its
+    smallest member by rank: primary-input stem faults first, then lower
+    logic levels, then ``(net, stuck value, branch gate)``.
+    """
+    table = FaultTable.of(faults)
+    stem_input = np.isin(table.net, circuit.inputs) & (table.gate < 0)
+    levels = np.asarray(circuit.levels(), dtype=np.int64)[table.net]
+    order = np.lexsort((table.gate, table.stuck, table.net, levels, ~stem_input))
+
+    # Fault ids count distinct faults in rank order (a repeat sorts next to
+    # its first listing), so the lowest id of a class is its representative.
+    span = circuit.n_gates + 1
+
+    def code(net, stuck, gate):
+        return (net * 2 + stuck) * span + gate + 1
+
+    ranked = code(table.net.astype(np.int64), table.stuck, table.gate)[order]
+    distinct = np.diff(ranked, prepend=-1) != 0
+    fault_id = np.empty(ranked.size, dtype=np.int64)
+    fault_id[order] = np.cumsum(distinct) - 1
+    id_of = {c: i for i, c in enumerate(ranked[distinct].tolist())}
+    parent = list(range(len(id_of)))
+
+    def find(item: int) -> int:
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
     for gi, gate in enumerate(circuit.gates):
-        out = gate.output
         for src in gate.inputs:
-            fan_free = len(circuit.fanout_gates(src)) == 1
             # The fault "seen by this gate" is the branch fault when the source
             # fans out, otherwise the stem fault on the source net.
-            def seen(value: bool) -> Fault:
-                return Fault(src, value) if fan_free else Fault(src, value, gate=gi)
-
-            if gate.gate_type is GateType.AND:
-                yield seen(False), Fault(out, False)
-            elif gate.gate_type is GateType.NAND:
-                yield seen(False), Fault(out, True)
-            elif gate.gate_type is GateType.OR:
-                yield seen(True), Fault(out, True)
-            elif gate.gate_type is GateType.NOR:
-                yield seen(True), Fault(out, False)
-            elif gate.gate_type is GateType.BUF:
-                yield seen(False), Fault(out, False)
-                yield seen(True), Fault(out, True)
-            elif gate.gate_type is GateType.NOT:
-                yield seen(False), Fault(out, True)
-                yield seen(True), Fault(out, False)
-            # XOR / XNOR input faults are not structurally equivalent to output
-            # faults, so nothing is merged for them.
+            seen = -1 if len(circuit.fanout_gates(src)) == 1 else gi
+            for value_in, value_out in _RULES.get(gate.gate_type, ()):
+                a = id_of.get(code(src, value_in, seen))
+                b = id_of.get(code(gate.output, value_out, -1))
+                if a is not None and b is not None:
+                    a, b = sorted((find(a), find(b)))
+                    parent[b] = a
+    roots = np.array([find(i) for i in range(len(parent))], dtype=np.int64)
+    heads = np.flatnonzero(roots == np.arange(roots.size))
+    return CollapseResult(
+        representatives=table.take(order[distinct][heads]),
+        representative_index=np.searchsorted(heads, roots)[fault_id],
+    )
 
 
-def collapse_faults(circuit: Circuit, faults: Iterable[Fault]) -> CollapseResult:
-    """Collapse an explicit fault list into equivalence-class representatives."""
-    fault_list = list(faults)
-    fault_set = set(fault_list)
-    uf = _UnionFind()
-    for fault in fault_list:
-        uf.find(fault)
-    for a, b in _equivalences(circuit):
-        if a in fault_set and b in fault_set:
-            uf.union(a, b)
-
-    levels = circuit.levels()
-
-    def rank(fault: Fault) -> Tuple:
-        # Prefer primary-input stem faults, then lower logic levels, then
-        # stable tie-breaking on (net, stuck value, branch gate).
-        is_pi = 0 if circuit.is_primary_input(fault.net) and fault.is_stem else 1
-        return (
-            is_pi,
-            levels[fault.net],
-            fault.net,
-            fault.stuck_value,
-            -1 if fault.gate is None else fault.gate,
-        )
-
-    classes_raw = uf.classes()
-    class_of: Dict[Fault, Fault] = {}
-    classes: Dict[Fault, List[Fault]] = {}
-    representatives: List[Fault] = []
-    for members in classes_raw.values():
-        members = sorted(members, key=rank)
-        representative = members[0]
-        representatives.append(representative)
-        classes[representative] = members
-        for member in members:
-            class_of[member] = representative
-    representatives.sort(key=rank)
-    return CollapseResult(representatives, class_of, classes)
-
-
-def collapsed_fault_list(circuit: Circuit, include_branches: bool = True) -> List[Fault]:
+def collapsed_fault_list(circuit: Circuit, include_branches: bool = True) -> FaultTable:
     """Equivalence-collapsed single stuck-at fault list of a circuit."""
     return collapse_faults(circuit, full_fault_list(circuit, include_branches)).representatives

@@ -36,7 +36,7 @@ import numpy as np
 from ..circuit.gates import eval_words
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..simulation.logicsim import WORD_BITS, pack_patterns
 from .parallel import FaultSimResult, _valid_mask
 
@@ -96,9 +96,7 @@ class LegacyParallelFaultSimulator:
 
     def __init__(self, circuit: Circuit, faults: Optional[Sequence[Fault]] = None):
         self.circuit = circuit
-        self.faults: List[Fault] = (
-            list(faults) if faults is not None else collapsed_fault_list(circuit)
-        )
+        self.faults = list(faults if faults is not None else collapsed_fault_list(circuit))
         self._cone_cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -173,8 +171,8 @@ class LegacyParallelFaultSimulator:
         """Fault-simulate a pattern matrix (same contract as the compiled engine)."""
         patterns = np.asarray(patterns, dtype=bool)
         n_patterns = patterns.shape[0]
-        live: List[Fault] = list(self.faults)
-        first_detection: Dict[Fault, int] = {}
+        live = list(range(len(self.faults)))
+        first_detection = np.full(len(self.faults), -1, dtype=np.int64)
 
         for start in range(0, n_patterns, batch_size):
             if not live:
@@ -184,18 +182,18 @@ class LegacyParallelFaultSimulator:
             n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
             good = reference_words(self.circuit, pack_patterns(batch))
             mask = _valid_mask(batch_len, n_words)
-            still_live: List[Fault] = []
-            for fault in live:
-                detection = self.detection_words(fault, good, n_words) & mask
+            still_live: List[int] = []
+            for fi in live:
+                detection = self.detection_words(self.faults[fi], good, n_words) & mask
                 if detection.any():
-                    if fault not in first_detection:
-                        first_detection[fault] = start + _first_set_bit(detection)
+                    if first_detection[fi] < 0:
+                        first_detection[fi] = start + _first_set_bit(detection)
                     if not drop_detected:
-                        still_live.append(fault)
+                        still_live.append(fi)
                 else:
-                    still_live.append(fault)
+                    still_live.append(fi)
             live = still_live
-        return FaultSimResult(list(self.faults), first_detection, n_patterns)
+        return FaultSimResult(FaultTable.of(self.faults), first_detection, n_patterns)
 
     def detection_counts(
         self, patterns: np.ndarray, batch_size: int = 2048

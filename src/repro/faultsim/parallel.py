@@ -22,6 +22,9 @@ uses:
   from the fault-free value, and detected faults are dropped from subsequent
   batches.
 
+Faults are indices into one :class:`~repro.faults.model.FaultTable`, the one
+fault encoding, from the active set to :attr:`FaultSimResult.first_detection`.
+
 Fault dropping takes effect before the propagation kernel pays for a fault,
 in the PPSFP spirit of Waicukauski et al. ("Fault Simulation for Structured
 VLSI", 1985) — simulate a fault only while its machine can still differ from
@@ -52,14 +55,14 @@ differential-tested against this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..lowered import LoweredCircuit, ragged_positions
 from ..simulation.compiled import (
     _OP_UFUNC,
@@ -156,64 +159,60 @@ class FaultSimStats:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultSimResult:
     """Result of a fault simulation run.
 
     Attributes:
         faults: the faults that were simulated (collapsed list).
-        first_detection: maps each detected fault to the (0-based) index of the
-            first pattern that detects it.
+        first_detection: ``int64`` per fault, the (0-based) index of the
+            first pattern that detects it, ``-1`` if none does.
         n_patterns: total number of patterns applied.
         stats: optional run counters (:class:`FaultSimStats`).  Excluded from
             equality — two runs are "the same result" when they agree on the
             detection outcome, whatever batching produced it.
     """
 
-    faults: List[Fault]
-    first_detection: Dict[Fault, int]
+    faults: FaultTable
+    first_detection: np.ndarray
     n_patterns: int
-    stats: Optional[FaultSimStats] = field(default=None, compare=False)
+    stats: Optional[FaultSimStats] = None
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, FaultSimResult)
+            and (self.faults, self.n_patterns) == (other.faults, other.n_patterns)
+            and np.array_equal(self.first_detection, other.first_detection)
+        )
 
     @property
-    def detected(self) -> List[Fault]:
-        return [f for f in self.faults if f in self.first_detection]
-
-    @property
-    def undetected(self) -> List[Fault]:
-        return [f for f in self.faults if f not in self.first_detection]
+    def undetected(self) -> FaultTable:
+        return self.faults.take(self.first_detection < 0)
 
     @property
     def fault_coverage(self) -> float:
         """Fraction of simulated faults detected by the full pattern set."""
-        if not self.faults:
-            return 1.0
-        return len(self.first_detection) / len(self.faults)
+        return self.coverage_at(self.n_patterns)
 
     def coverage_at(self, n_patterns: int) -> float:
         """Fault coverage achieved by the first ``n_patterns`` patterns."""
-        if not self.faults:
-            return 1.0
-        detected = sum(1 for idx in self.first_detection.values() if idx < n_patterns)
-        return detected / len(self.faults)
+        first = self.first_detection
+        return float(np.mean((first >= 0) & (first < n_patterns))) if first.size else 1.0
 
     def to_dict(self) -> Dict:
         """JSON-serializable artifact dict (job-spec API).
 
         Faults are encoded once as ``[net, stuck_value, gate]`` triples and
-        the first-detection map as ``[fault_index, pattern_index]`` pairs
-        into that list, so the artifact stays compact while the decoded
-        result is exactly equal to the original (same faults, same indices).
+        the detected faults as ``[fault_index, pattern_index]`` pairs into
+        that list, in fault order, so the artifact stays compact while the
+        decoded result is exactly equal to the original.
         """
         from ..api.serialize import tagged_dict
 
-        index_of = {fault: i for i, fault in enumerate(self.faults)}
+        detected = np.flatnonzero(self.first_detection >= 0)
         payload = {
-            "faults": [fault.to_list() for fault in self.faults],
-            "first_detection": sorted(
-                [index_of[fault], int(idx)]
-                for fault, idx in self.first_detection.items()
-            ),
+            "faults": self.faults.to_lists(),
+            "first_detection": np.column_stack((detected, self.first_detection[detected])).tolist(),
             "n_patterns": int(self.n_patterns),
         }
         if self.stats is not None:
@@ -231,11 +230,12 @@ class FaultSimResult:
             required=("faults", "first_detection", "n_patterns"),
             optional=("stats",),
         )
-        faults = [Fault.from_list(entry) for entry in payload["faults"]]
-        first_detection = {
-            faults[int(fault_index)]: int(pattern_index)
-            for fault_index, pattern_index in payload["first_detection"]
-        }
+        faults = FaultTable.from_lists(payload["faults"])
+        pairs = np.array(payload["first_detection"], dtype=np.int64).reshape(-1, 2)
+        if len(pairs) != len(payload["first_detection"]) or pairs.min(initial=0) < 0:
+            raise ValueError("first_detection must hold [fault, pattern] index pairs")
+        first_detection = np.full(len(faults), -1, dtype=np.int64)
+        first_detection[pairs[:, 0]] = pairs[:, 1]
         stats = payload["stats"]
         return cls(
             faults,
@@ -263,19 +263,15 @@ class _SiteActivity:
     number of vectorized calls whatever the number of faults.
     """
 
-    def __init__(self, lowered: LoweredCircuit, faults: Sequence[Fault]):
+    def __init__(self, lowered: LoweredCircuit, faults: FaultTable):
         n_faults = len(faults)
-        net = np.fromiter((f.net for f in faults), dtype=np.int64, count=n_faults)
-        gate = np.fromiter(
-            (-1 if f.is_stem else f.gate for f in faults), dtype=np.int64, count=n_faults
-        )
-        stuck = np.fromiter((f.stuck_value for f in faults), dtype=bool, count=n_faults)
+        net, gate = faults.net, faults.gate
         stem = gate < 0
         is_output = np.zeros(lowered.n_nets, dtype=bool)
         is_output[lowered.outputs] = True
         self.n_faults = n_faults
         self.net = net
-        self.stuck = np.where(stuck, _ALL_ONES, _ZERO)
+        self.stuck = np.where(faults.stuck, _ALL_ONES, _ZERO)
         # Stem faults on a primary output are detected wherever excited.
         self.observed = stem & is_output[net]
 
@@ -356,9 +352,7 @@ class ParallelFaultSimulator:
 
     def __init__(self, circuit: Circuit, faults: Optional[Sequence[Fault]] = None):
         self.circuit = circuit
-        self.faults: List[Fault] = (
-            list(faults) if faults is not None else collapsed_fault_list(circuit)
-        )
+        self.faults = FaultTable.of(faults if faults is not None else collapsed_fault_list(circuit))
         # One compile per circuit structure process-wide: the engine (and
         # the lowering underneath it) comes from the content-addressed cache.
         self._engine = compile_circuit(circuit)
@@ -377,7 +371,7 @@ class ParallelFaultSimulator:
         processing order does not affect results (detections are per fault and
         per pattern), only locality.
         """
-        levels = self._engine.net_level[self._activity.net]
+        levels = self._engine.net_level[self.faults.net]
         return np.argsort(levels, kind="stable").astype(np.int64)
 
     def _detect(
@@ -395,7 +389,7 @@ class ParallelFaultSimulator:
         group_size = self._group_size(n_words)
         rows = [
             self._engine.fault_batch_detection(
-                [self.faults[fi] for fi in survivors[g_start : g_start + group_size]],
+                self.faults.take(survivors[g_start : g_start + group_size]),
                 good,
                 n_words,
                 valid_mask=mask,
@@ -525,11 +519,6 @@ class ParallelFaultSimulator:
                 and int((first_det >= 0).sum()) / n_faults >= target_coverage
             ):
                 break
-        first_detection = {
-            self.faults[fi]: int(first_det[fi])
-            for fi in range(n_faults)
-            if first_det[fi] >= 0
-        }
         stats = FaultSimStats(
             n_batches=n_batches,
             faults_simulated=faults_simulated,
@@ -538,7 +527,7 @@ class ParallelFaultSimulator:
             fault_words=fault_words,
             faults_pruned=faults_pruned,
         )
-        return FaultSimResult(list(self.faults), first_detection, applied, stats=stats)
+        return FaultSimResult(self.faults, first_det, applied, stats=stats)
 
     def detection_counts(
         self, patterns: np.ndarray, batch_size: int = 2048

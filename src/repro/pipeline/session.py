@@ -35,7 +35,7 @@ import numpy as np
 
 from ..api.serialize import scrub_volatile, tagged_dict, untag
 from ..core.optimizer import OptimizationResult
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..faultsim.coverage import CoverageExperiment
 from ..patterns.bilbo import SelfTestReport
 from ..wrp import MultiWeightReport
@@ -185,7 +185,9 @@ class PipelineReport:
                 "optimized_experiment": _opt_dict(self.optimized_experiment),
                 "self_test": _opt_dict(self.self_test),
                 "self_test_fault": (
-                    None if self.self_test_fault is None else self.self_test_fault.to_list()
+                    None
+                    if self.self_test_fault is None
+                    else FaultTable.of([self.self_test_fault]).to_lists()[0]
                 ),
                 "lowerings": int(self.lowerings),
                 "seconds": float(self.seconds),
@@ -270,7 +272,7 @@ class PipelineReport:
             self_test_fault=(
                 None
                 if payload["self_test_fault"] is None
-                else Fault.from_list(payload["self_test_fault"])
+                else FaultTable.from_lists([payload["self_test_fault"]])[0]
             ),
             multi_weight=(
                 None

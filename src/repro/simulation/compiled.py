@@ -33,6 +33,9 @@ nothing but the presence of a C compiler (:mod:`repro.analysis.native`):
   gathered operand slots (gate-input branch faults), and the union of the
   group's fan-out cones selects the sub-kernels that are re-evaluated.
 
+Both tiers take a fault group as a :class:`~repro.faults.model.FaultTable`,
+the one fault encoding; the C kernel reads its columns as they are.
+
 Either way the callers decide what is worth sending: the fault simulator
 (:mod:`repro.faultsim.parallel`) ramps its batch width from one word, drops
 faults whose effect provably dies at their site before grouping, and packs
@@ -54,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit.netlist import Circuit
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..lowered import (
     OP_AND,
     OP_OR,
@@ -328,10 +331,11 @@ class CompiledCircuit:
         which fault ``fi`` owns the column block
         ``[fi * n_words, (fi + 1) * n_words)``.
         """
+        faults = FaultTable.of(faults)
         n_faults = len(faults)
         values = np.tile(good, (1, n_faults))
         cols = [slice(fi * n_words, (fi + 1) * n_words) for fi in range(n_faults)]
-        stuck = [_ALL_ONES if f.stuck_value else _ZERO for f in faults]
+        stuck = np.where(faults.stuck, _ALL_ONES, _ZERO)
 
         member = np.zeros(self.n_gates, dtype=bool)
         # kernel index -> [(net, column slice, stuck word, writer gate)]
@@ -408,12 +412,10 @@ class CompiledCircuit:
             raise ValueError(
                 f"expected good values of shape {(self.n_nets, n_words)}, got {good.shape}"
             )
+        faults = FaultTable.of(faults)
         n_faults = len(faults)
-        net = np.fromiter((f.net for f in faults), dtype=np.int32, count=n_faults)
-        gate = np.fromiter(
-            (-1 if f.gate is None else f.gate for f in faults), dtype=np.int32, count=n_faults
-        )
-        stuck = np.fromiter((f.stuck_value for f in faults), dtype=np.uint8, count=n_faults)
+        # The table's columns are contiguous int32/bool arrays already.
+        net, gate, stuck = faults.net, faults.gate, faults.stuck.view(np.uint8)
         if net.min() < 0 or net.max() >= self.n_nets or gate.max() >= self.n_gates:
             raise IndexError(f"a fault names a net or gate outside {self.circuit.name!r}")
         if valid_mask is not None:

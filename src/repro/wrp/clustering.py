@@ -70,7 +70,7 @@ def detection_profiles(
     batch = np.vstack([base[None, :], batch])
     overrides = [None, *overrides]
     rows = batch_detection_probabilities(
-        circuit, list(faults), batch, estimator, overrides
+        circuit, faults, batch, estimator, overrides
     )
     return np.ascontiguousarray(rows.T)
 

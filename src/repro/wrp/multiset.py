@@ -30,7 +30,7 @@ from ..circuit.netlist import Circuit
 from ..core.optimizer import OptimizationResult, WeightOptimizer
 from ..core.testlength import MAX_TEST_LENGTH, objective_from_confidence
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault
+from ..faults.model import Fault, FaultTable
 from ..patterns.lfsr import PRIMITIVE_TAPS
 from .clustering import cluster_faults, detection_profiles
 
@@ -407,7 +407,7 @@ def build_weight_sets(
             executor passes the cached optimize-stage artifact); ``None``
             runs the baseline optimization here.
     """
-    fault_list = list(faults) if faults is not None else collapsed_fault_list(circuit)
+    fault_list = FaultTable.of(faults if faults is not None else collapsed_fault_list(circuit))
     if estimator is None:
         estimator = BatchedCopEstimator()
     if base_result is None:
@@ -440,7 +440,7 @@ def build_weight_sets(
         redundant = tuple(
             int(i) for i in np.flatnonzero(profiles[:, 0] == 0.0)
         )
-        sub_faults = [fault_list[i] for i in detectable]
+        sub_faults = fault_list.take(detectable)
         sub_clusters = cluster_faults(
             circuit,
             sub_faults,
@@ -459,7 +459,7 @@ def build_weight_sets(
         results = [
             WeightOptimizer(
                 circuit,
-                faults=[fault_list[i] for i in cluster],
+                faults=fault_list.take(cluster),
                 estimator=estimator,
                 confidence=confidence,
                 bounds=bounds,

@@ -301,7 +301,7 @@ def _reference_fault_plan(engine, faults):
     """Frozen copy of the original per-fault plan loop (first occurrence of
     the faulted net among the gate's inputs)."""
     lowered = engine.lowered
-    nets = np.asarray([f.net for f in faults], dtype=np.int64)
+    nets = np.asarray([f.net for f in faults], dtype=np.int32)
     stuck = np.asarray([f.stuck_value for f in faults], dtype=bool)
     stem = np.asarray([f.is_stem for f in faults], dtype=bool)
     slots = np.zeros(len(faults), dtype=np.int64)
@@ -330,7 +330,6 @@ def _shared_pin_circuit():
 class TestFaultPlan:
     def _assert_plan_matches(self, circuit, faults):
         engine = compile_cop(circuit)
-        engine._fault_plans.clear()
         plan = engine._fault_plan(faults)
         reference = _reference_fault_plan(engine, faults)
         for got, want in zip(plan, reference):

@@ -11,7 +11,6 @@ from repro.analysis import (
     MonteCarloDetectionEstimator,
     StafanDetectionEstimator,
     detection_probabilities,
-    estimated_redundant_faults,
     exact_detection_probability,
     observabilities,
     proven_redundant,
@@ -203,8 +202,8 @@ class TestRedundancy:
     def test_constant_masked_fault_estimated_and_proven(self):
         circuit = constant_redundant_circuit()
         inner_s_a_0 = Fault(circuit.net_index("inner"), False)
-        estimated = estimated_redundant_faults(circuit, [inner_s_a_0])
-        assert estimated == [inner_s_a_0]
+        # Estimated redundant: the filter removes it.
+        assert list(remove_redundant(circuit, [inner_s_a_0])) == []
         assert proven_redundant(circuit, inner_s_a_0)
 
     def test_absorption_redundancy_needs_the_exact_check(self):
@@ -213,13 +212,13 @@ class TestRedundancy:
         of residual redundancy the paper acknowledges PROTEST cannot prove."""
         circuit = redundant_circuit()
         inner_s_a_0 = Fault(circuit.net_index("inner"), False)
-        assert estimated_redundant_faults(circuit, [inner_s_a_0]) == []
+        assert list(remove_redundant(circuit, [inner_s_a_0])) == [inner_s_a_0]
         assert proven_redundant(circuit, inner_s_a_0)
 
     def test_detectable_fault_not_flagged(self):
         circuit = half_adder_circuit()
         fault = Fault(circuit.net_index("carry"), False)
-        assert estimated_redundant_faults(circuit, [fault]) == []
+        assert list(remove_redundant(circuit, [fault])) == [fault]
         assert not proven_redundant(circuit, fault)
 
     def test_remove_redundant_filters_list(self):
@@ -232,7 +231,7 @@ class TestRedundancy:
 
     def test_interior_probability_validation(self):
         with pytest.raises(ValueError):
-            estimated_redundant_faults(half_adder_circuit(), [], interior_probability=1.0)
+            remove_redundant(half_adder_circuit(), [], interior_probability=1.0)
 
     @pytest.mark.parametrize("key", circuit_keys())
     def test_batched_zero_set_matches_scalar_reference(self, key):
@@ -241,8 +240,8 @@ class TestRedundancy:
         scalar = CopDetectionEstimator().detection_probabilities(
             circuit, faults, [0.5] * circuit.n_inputs
         )
-        expected = [fault for fault, p in zip(faults, scalar) if p == 0.0]
-        assert estimated_redundant_faults(circuit, faults) == expected
+        expected = [fault for fault, p in zip(faults, scalar) if p != 0.0]
+        assert list(remove_redundant(circuit, faults)) == expected
 
     def test_proven_redundant_refuses_large_circuits(self):
         from repro.circuits import s1_comparator

@@ -117,7 +117,9 @@ class TestExecuteSpec:
             expected = random_pattern_coverage(
                 circuit, 256, weights=weights, faults=faults, seed=seed
             )
-            assert experiment.result.first_detection == expected.result.first_detection
+            assert np.array_equal(
+                experiment.result.first_detection, expected.result.first_detection
+            )
         assert report.self_test == SelfTestSession(
             circuit,
             128,
@@ -300,9 +302,9 @@ class TestSeedPlumbing:
                 fault_sim=FaultSimConfig(n_patterns=128),
             )
         )
-        assert (
-            a.conventional_experiment.result.first_detection
-            != b.conventional_experiment.result.first_detection
+        assert not np.array_equal(
+            a.conventional_experiment.result.first_detection,
+            b.conventional_experiment.result.first_detection,
         )
 
 

@@ -33,7 +33,7 @@ from repro.api.serialize import decode_array, encode_array
 from repro.circuit import Circuit
 from repro.circuits import alu_circuit, s1_comparator
 from repro.core import WeightOptimizer
-from repro.faults import Fault, collapsed_fault_list
+from repro.faults import Fault, FaultTable, collapsed_fault_list
 from repro.faultsim import random_pattern_coverage
 from repro.faultsim.coverage import CoverageExperiment
 from repro.patterns import SelfTestSession
@@ -246,11 +246,12 @@ class TestFaultEncoding:
         "fault", [Fault(3, False), Fault(7, True, gate=2), Fault(0, True)]
     )
     def test_roundtrip(self, fault):
-        assert Fault.from_list(json_roundtrip(fault.to_list())) == fault
+        wire = json_roundtrip(FaultTable.of([fault]).to_lists())
+        assert FaultTable.from_lists(wire)[0] == fault
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
-            Fault.from_list([1, True])
+            FaultTable.from_lists([[1, True]])
 
 
 class TestResultArtifacts:
@@ -281,7 +282,7 @@ class TestResultArtifacts:
     def test_coverage_experiment_exact(self, coverage):
         restored = CoverageExperiment.from_dict(json_roundtrip(coverage.to_dict()))
         assert restored == coverage
-        assert restored.result.first_detection == coverage.result.first_detection
+        assert np.array_equal(restored.result.first_detection, coverage.result.first_detection)
 
     def test_self_test_report_exact(self, circuit):
         session = SelfTestSession(circuit, 64, seed=9)
@@ -306,9 +307,9 @@ class TestResultArtifacts:
         )
         assert restored.conventional_length == report.conventional_length
         assert restored.optimization.history == report.optimization.history
-        assert (
-            restored.conventional_experiment.result.first_detection
-            == report.conventional_experiment.result.first_detection
+        assert np.array_equal(
+            restored.conventional_experiment.result.first_detection,
+            report.conventional_experiment.result.first_detection,
         )
         assert restored.self_test == report.self_test
         assert restored.self_test_fault == report.self_test_fault

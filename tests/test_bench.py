@@ -351,22 +351,34 @@ class TestBenchRunner:
         assert len(calls) == 5
         assert measurement.repeats == 2
 
-    def test_interleaved_sections_alternate_until_each_reaches_min_seconds(self):
+    def test_interleaved_sections_alternate_until_each_reaches_min_seconds(self, monkeypatch):
         import time
+        from types import SimpleNamespace
 
+        from repro.bench import runner as runner_module
+
+        # A fake clock that only a section advances, by exactly its duration
+        # (binary fractions, so the sums are exact): the repeat counts then
+        # do not depend on how precisely the machine sleeps.
+        now = [0.0]
+        clock = SimpleNamespace(
+            perf_counter=lambda: now[0], strftime=time.strftime, gmtime=time.gmtime
+        )
+        monkeypatch.setattr(runner_module, "time", clock)
         runner = BenchRunner("demo", quick=True, repeats=2)
         order = []
 
         def section(name, seconds):
             def run():
                 order.append(name)
-                time.sleep(seconds)
+                now[0] += seconds
                 return name
 
             return run
 
         measured = runner.measure_interleaved(
-            {"fast": section("fast", 0.001), "slow": section("slow", 0.02)}, min_seconds=0.05
+            {"fast": section("fast", 2**-10), "slow": section("slow", 5 * 2**-8)},
+            min_seconds=0.05,
         )
         assert order[:4] == ["fast", "slow", "fast", "slow"]
         assert measured["slow"].repeats == order.count("slow") >= 3

@@ -7,15 +7,20 @@ smoke job performs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.api import AnalysisConfig, PipelineSpec, execute_spec, load_artifact
 from repro.api.cli import main
+from repro.circuit import parse_bench
 from repro.circuits import alu_circuit
 from repro.pipeline import PipelineReport
 
-from .helpers import over_cap_multi_weight_spec
+from .helpers import C17_BENCH, over_cap_multi_weight_spec
 
 
 def read_json(path):
@@ -137,8 +142,14 @@ class TestRunCommand:
                 lambda data: data["fault_sim"].update(batch_size=512),
                 "batch_size 512 was removed",
             ),
+            (
+                lambda data: data.update(
+                    circuit={**parse_bench(C17_BENCH, name="c17").to_dict(), "gates": 5}
+                ),
+                "netlist 'gates' must be a list, got int",
+            ),
         ],
-        ids=["int_key", "scalar_estimator", "partition_size", "batch_size"],
+        ids=["int_key", "scalar_estimator", "partition_size", "batch_size", "inline_gates"],
     )
     def test_malformed_spec_exits_2_without_traceback(self, edit, message, tmp_path, capsys):
         data = PipelineSpec(circuit="s1").to_dict()
@@ -150,6 +161,7 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec_path}:")
+        assert len(err.splitlines()) == 1
         assert message in err
         assert "Traceback" not in err
 
@@ -428,3 +440,26 @@ class TestStoreCli:
         assert "evicted" in capsys.readouterr().out
         assert main(["store", "--store", str(root), "ls"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_store_get_into_a_closed_pipe_exits_quietly(tmp_path):
+    """A reader that stops early (``| head -c 100``) ends the command quietly:
+    no traceback on stderr, the 128 + SIGPIPE status."""
+    from repro.store import open_store
+
+    key = "pipeline_report/" + "ab" * 32
+    # Larger than any pipe buffer, so the writer meets the closed pipe.
+    open_store(str(tmp_path)).put(key, {"kind": "blob", "text": "x" * 1_000_000})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "store", "--store", str(tmp_path), "get", key],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -111,15 +111,15 @@ class TestCompiledFaultDetection:
         faults = collapsed_fault_list(circuit)
         patterns = random_patterns(circuit, 96, seed=7)
         result = ParallelFaultSimulator(circuit, faults).run(patterns)
-        for fault in faults:
+        for fi, fault in enumerate(faults):
             detected = np.flatnonzero(reference_detections(circuit, fault, patterns))
-            expected = int(detected[0]) if detected.size else None
-            assert result.first_detection.get(fault) == expected, fault
+            expected = int(detected[0]) if detected.size else -1
+            assert result.first_detection[fi] == expected, fault
 
     @pytest.mark.parametrize("circuit", reference_circuits(), ids=lambda c: c.name)
     def test_detection_counts_match_reference(self, circuit):
         # Branch faults included: full (uncollapsed) list exercises pin injection.
-        faults = full_fault_list(circuit)[::3]
+        faults = list(full_fault_list(circuit))[::3]
         patterns = random_patterns(circuit, 64, seed=11)
         counts = ParallelFaultSimulator(circuit, faults).detection_counts(patterns)
         for fi, fault in enumerate(faults):
@@ -135,7 +135,7 @@ class TestCompiledFaultDetection:
         legacy = LegacyParallelFaultSimulator(circuit, faults).run(
             patterns, batch_size=128
         )
-        assert compiled.first_detection == legacy.first_detection
+        assert np.array_equal(compiled.first_detection, legacy.first_detection)
         assert compiled.fault_coverage == legacy.fault_coverage
 
     def test_matches_legacy_engine_without_dropping(self):
@@ -159,7 +159,7 @@ class TestCompiledFaultDetection:
         legacy = LegacyParallelFaultSimulator(circuit, faults).run(
             patterns, drop_detected=False
         )
-        assert compiled.first_detection == legacy.first_detection
+        assert np.array_equal(compiled.first_detection, legacy.first_detection)
 
     @pytest.mark.parametrize(
         "engine", [ParallelFaultSimulator, LegacyParallelFaultSimulator]
@@ -174,7 +174,7 @@ class TestCompiledFaultDetection:
         kept = engine(circuit, faults).run(
             patterns, drop_detected=False, batch_size=8
         )
-        assert kept.first_detection == dropped.first_detection
+        assert np.array_equal(kept.first_detection, dropped.first_detection)
 
 
 class TestCompiledStructures:

@@ -51,7 +51,7 @@ class TestConfidence:
         assert exact_confidence([0.0, 0.9], 10**6) == 0.0
         faults = [Fault(0, False), Fault(1, True)]
         kept, _, redundant = sort_faults(faults, [0.0, 0.0])
-        assert kept == [] and redundant == faults
+        assert list(kept) == [] and list(redundant) == faults
         result = required_test_length([0.0, 0.0], 0.999)
         assert (result.test_length, result.n_hard_faults, result.objective) == (1, 0, 0.0)
 

@@ -28,12 +28,12 @@ class TestSort:
         sorted_faults, sorted_probs, redundant = sort_faults(faults, probs)
         assert list(sorted_probs) == [0.01, 0.2, 0.5]
         assert sorted_faults[0] == faults[2]
-        assert redundant == [faults[1]]
+        assert list(redundant) == [faults[1]]
 
     def test_stable_for_equal_probabilities(self):
         faults = [Fault(i, False) for i in range(3)]
         sorted_faults, _, _ = sort_faults(faults, [0.5, 0.5, 0.5])
-        assert sorted_faults == faults
+        assert list(sorted_faults) == faults
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

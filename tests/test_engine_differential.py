@@ -67,7 +67,7 @@ def _packed_patterns(circuit, n_patterns, seed=5):
 def _strided(faults, limit):
     if len(faults) <= limit:
         return list(faults)
-    return list(faults[:: max(1, len(faults) // limit)])
+    return list(faults)[:: max(1, len(faults) // limit)]
 
 
 def _budget(circuit):

@@ -35,7 +35,7 @@ BATCH_SIZES = (64, 256, 2048)
 
 
 def _strided(faults, limit):
-    return faults[:: max(1, len(faults) // limit)][:limit]
+    return list(faults)[:: max(1, len(faults) // limit)][:limit]
 
 
 def _weighted_patterns(circuit, n_patterns, seed):
@@ -45,16 +45,17 @@ def _weighted_patterns(circuit, n_patterns, seed):
 
 
 def _reference_first_detection(circuit, faults, patterns):
-    """First detecting pattern per fault, by the gate-by-gate reference pass."""
+    """First detecting pattern per fault (-1: none), by the gate-by-gate
+    reference pass."""
     words = pack_patterns(patterns)
     outputs = list(circuit.outputs)
     good = reference_words(circuit, words)[outputs]
-    firsts = {}
-    for fault in faults:
+    firsts = np.full(len(faults), -1, dtype=np.int64)
+    for fi, fault in enumerate(faults):
         diff = np.bitwise_or.reduce(reference_words(circuit, words, fault)[outputs] ^ good)
         detected = np.flatnonzero(unpack_values(diff, len(patterns)))
         if detected.size:
-            firsts[fault] = int(detected[0])
+            firsts[fi] = int(detected[0])
     return firsts
 
 
@@ -96,7 +97,7 @@ def test_registry_matches_legacy_at_every_batch_size(key):
     sim = ParallelFaultSimulator(circuit, faults)
     for batch_size in BATCH_SIZES:
         result = sim.run(patterns, batch_size=batch_size)
-        assert result.first_detection == expected.first_detection, batch_size
+        assert np.array_equal(result.first_detection, expected.first_detection), batch_size
         assert result.n_patterns == expected.n_patterns
 
 
@@ -110,7 +111,7 @@ def test_registry_matches_reference(key):
         result = ParallelFaultSimulator(circuit, faults).run(
             patterns, batch_size=batch_size
         )
-        assert result.first_detection == expected
+        assert np.array_equal(result.first_detection, expected)
 
 
 # --------------------------------------------------------------------------- #
@@ -133,15 +134,15 @@ def test_generated_netlists_match_references(
     faults = full_fault_list(circuit)
     patterns = rng.random((n_patterns, circuit.n_inputs)) < rng.uniform(0.1, 0.9)
     expected = LegacyParallelFaultSimulator(circuit, faults).run(patterns)
-    assert expected.first_detection == _reference_first_detection(
-        circuit, faults, patterns
+    assert np.array_equal(
+        expected.first_detection, _reference_first_detection(circuit, faults, patterns)
     )
     sim = ParallelFaultSimulator(circuit, faults)
     chunks = [patterns[start : start + chunk] for start in range(0, n_patterns, chunk)]
     result = sim.run_stream(
         chunks, drop_detected=drop_detected, batch_size=batch_size
     )
-    assert result.first_detection == expected.first_detection
+    assert np.array_equal(result.first_detection, expected.first_detection)
     assert result.n_patterns == n_patterns
     stats = result.stats
     assert stats.faults_simulated == sum(stats.active_sizes)
@@ -168,9 +169,10 @@ def test_target_coverage_stops_on_the_same_chunk(seed, target):
         if full.coverage_at(applied) >= target:
             break
     assert result.n_patterns == applied
-    assert result.first_detection == {
-        fault: idx for fault, idx in full.first_detection.items() if idx < applied
-    }
+    assert np.array_equal(
+        result.first_detection,
+        np.where(full.first_detection < applied, full.first_detection, -1),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +208,7 @@ class TestBatchRamp:
         assert widths == [1, 2, 4, 8, 16, 32, 1, 32, 32]
         assert result.stats.n_batches == 9
         expected = LegacyParallelFaultSimulator(circuit).run(patterns)
-        assert result.first_detection == expected.first_detection
+        assert np.array_equal(result.first_detection, expected.first_detection)
 
     def test_no_ramp_without_dropping(self, monkeypatch):
         circuit = _hard_circuit()
@@ -310,7 +312,7 @@ class TestSitePrefilter:
         patterns = np.random.default_rng(5).random((200, 3)) < 0.5
         assert not _assert_exact_prefilter(circuit, faults, patterns).any()
         result = ParallelFaultSimulator(circuit, faults).run(patterns)
-        assert result.first_detection == {}
+        assert np.all(result.first_detection == -1)
         assert result.stats.faults_pruned == result.stats.faults_simulated
         assert result.stats.fault_words == 0
 
@@ -351,7 +353,7 @@ class TestSitePrefilter:
         patterns = rng.random((130, 3)) < 0.5
         result = ParallelFaultSimulator(circuit, faults).run(patterns, batch_size=64)
         expected = _reference_first_detection(circuit, faults, patterns)
-        assert result.first_detection == expected
+        assert np.array_equal(result.first_detection, expected)
 
     @pytest.mark.parametrize("key", REGISTRY)
     def test_registry_pruned_rows_are_zero(self, key):
@@ -465,7 +467,7 @@ class TestFaultSimStats:
         assert stats.faults_simulated == sum(stats.active_sizes)
         # Dropping shrinks the active set monotonically across batches.
         assert list(stats.active_sizes) == sorted(stats.active_sizes, reverse=True)
-        assert stats.faults_dropped == len(result.first_detection)
+        assert stats.faults_dropped == int((result.first_detection >= 0).sum())
         assert stats.faults_dropped > 0
 
     def test_no_dropping_keeps_active_set_full(self):

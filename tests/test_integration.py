@@ -89,7 +89,7 @@ class TestResistantCircuitEndToEnd:
         generator = WeightedPatternGenerator(result.quantized_weights, seed=11)
         sim = ParallelFaultSimulator(circuit, [hardest])
         outcome = sim.run(generator.generate(4_000))
-        assert hardest in outcome.first_detection
+        assert outcome.first_detection[0] >= 0
 
 
 class TestDividerEndToEnd:

@@ -288,7 +288,7 @@ class TestSelfTestSessionCompiled:
         circuit = comparator_circuit(width=4)
         session = SelfTestSession(circuit, n_patterns=5000, seed=5)
         patterns = played_patterns(session)
-        for fault in collapsed_fault_list(circuit)[::9]:
+        for fault in list(collapsed_fault_list(circuit))[::9]:
             expected = MISR(session.misr_width).compact(
                 reference_outputs(circuit, patterns, fault)
             )

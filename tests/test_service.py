@@ -15,12 +15,13 @@ import pytest
 from repro.api import PipelineSpec
 from repro.api.serialize import SchemaError
 from repro.api.spec import FaultSimConfig, MultiWeightConfig, OptimizeConfig, SelfTestConfig
+from repro.circuit import parse_bench
 from repro.pipeline import PipelineReport
 import repro.service.http as http_module
 from repro.service import JobServer, JobService, ServiceClosed
 from repro.store import DiskStore, MemoryStore, StoreError
 
-from .helpers import over_cap_multi_weight_spec
+from .helpers import C17_BENCH, over_cap_multi_weight_spec
 
 
 def small_spec(seed: int = 1987) -> PipelineSpec:
@@ -498,6 +499,18 @@ class TestHttpServer:
             status, payload = await _request(port, "POST", "/jobs?wait=60", body)
             assert status == 400
             assert "partition_size 7 was removed" in payload["error"]
+            assert service.counters["submitted"] == 0
+
+        asyncio.run(self._with_server(scenario))
+
+    def test_inline_netlist_with_malformed_gates_is_400(self):
+        async def scenario(port, service):
+            data = small_spec().to_dict()
+            data["circuit"] = {**parse_bench(C17_BENCH, name="c17").to_dict(), "gates": 5}
+            body = json.dumps(data).encode()
+            status, payload = await _request(port, "POST", "/jobs?wait=60", body)
+            assert status == 400
+            assert "netlist 'gates' must be a list" in payload["error"]
             assert service.counters["submitted"] == 0
 
         asyncio.run(self._with_server(scenario))

@@ -76,10 +76,12 @@ JSON = st.recursive(
 
 
 def _paths(data, prefix=()):
-    """Every key path of a wire dict, nested dicts included."""
-    for key, value in data.items():
+    """Every key and index path of a wire dict, nested dicts and lists (the
+    inline netlist's gates and net ids) included."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
         yield prefix + (key,)
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list)):
             yield from _paths(value, prefix + (key,))
 
 
@@ -104,9 +106,9 @@ def _decode(data):
 def _assert_round_trips(spec):
     """The spec's wire text survives a JSON round trip byte for byte.
 
-    Compared as canonical text, not as objects: an inline netlist is only
-    checked when it is built, so it may carry a NaN, which never equals
-    itself.
+    Compared as canonical text, not as objects: an inline netlist keeps its
+    wire values (a NaN net name reads as the name ``"nan"``), and a NaN never
+    equals itself.
     """
     wire = canonical_json(spec.to_dict())
     again = PipelineSpec.from_dict(json.loads(wire))
@@ -117,7 +119,7 @@ def _assert_round_trips(spec):
 @st.composite
 def damaged(draw):
     data = _copy(draw(st.sampled_from(BASES)))
-    path = draw(st.sampled_from(sorted(_paths(data))))
+    path = draw(st.sampled_from(sorted(_paths(data), key=repr)))
     if draw(st.booleans()):
         del _parent(data, path)[path[-1]]
     else:
@@ -148,6 +150,21 @@ def test_damaged_specs_decode_or_raise_schema_error(data):
 def test_malformed_values_found_by_fuzzing_raise_schema_error(stage, name, value):
     data = _copy(BASES[0])
     data[stage][name] = value
+    assert _decode(data) is None
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        (3, ("circuit", "gates"), 5),
+        (3, ("circuit", "gates", 0), 5),
+        (3, ("circuit", "inputs", 0), "a"),
+        (5, ("circuit", "gate_mix", 0, 1), None),
+    ],
+)
+def test_malformed_circuit_values_found_by_fuzzing_raise_schema_error(base, path, value):
+    data = _copy(BASES[base])
+    _parent(data, path)[path[-1]] = value
     assert _decode(data) is None
 
 
