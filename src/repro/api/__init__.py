@@ -21,8 +21,13 @@ The public seam of the reproduction, decoupling *description* from
   results, bit-identical to the serial path);
 * :mod:`repro.api.artifacts` — :func:`load_artifact` rebuilds any artifact
   dict written by the executor or the ``python -m repro`` CLI;
-* :mod:`repro.api.serialize` — the shared wire format
-  (:data:`SCHEMA_VERSION`, :class:`SchemaError`, exact numpy round trips).
+* :mod:`repro.api.serialize` — the shared wire format and the one artifact
+  codec (:data:`SCHEMA_VERSION`, :class:`SchemaError`, ``@artifact``, exact
+  numpy round trips).
+
+The names below load their module at first use, so the result dataclasses
+across the package can import :mod:`repro.api.serialize` (a leaf) while
+this package is still being imported.
 
 The spec is the only input, and ``execute_spec(PipelineSpec(...),
 store=...)`` is the only way to run a pipeline in process; a spec takes a
@@ -30,59 +35,42 @@ registry key, a source dict or an in-memory
 :class:`~repro.circuit.netlist.Circuit`.
 """
 
-from .artifacts import load_artifact, report_batch_dict, row_from_dict, row_to_dict
-from .executor import execute_spec, execution_count, executor_stats, resolve_n_patterns
-from .jobs import JobResult, iter_jobs, run_jobs
-from .plan import ExecutionPlan, StagePlan, build_plan, report_store_key
-from .serialize import (
-    SCHEMA_VERSION,
-    SchemaError,
-    canonical_json,
-    content_hash,
-    scrub_volatile,
-)
-from .spec import (
-    SEED_NAMESPACES,
-    STAGE_NAMES,
-    AnalysisConfig,
-    FaultSimConfig,
-    MultiWeightConfig,
-    OptimizeConfig,
-    PipelineSpec,
-    QuantizeConfig,
-    SelfTestConfig,
-    derive_seed,
-)
+import importlib
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "STAGE_NAMES",
-    "SEED_NAMESPACES",
-    "AnalysisConfig",
-    "OptimizeConfig",
-    "QuantizeConfig",
-    "FaultSimConfig",
-    "SelfTestConfig",
-    "MultiWeightConfig",
-    "PipelineSpec",
-    "derive_seed",
-    "execute_spec",
-    "execution_count",
-    "executor_stats",
-    "resolve_n_patterns",
-    "ExecutionPlan",
-    "StagePlan",
-    "build_plan",
-    "report_store_key",
-    "canonical_json",
-    "content_hash",
-    "scrub_volatile",
-    "JobResult",
-    "run_jobs",
-    "iter_jobs",
-    "load_artifact",
-    "report_batch_dict",
-    "row_to_dict",
-    "row_from_dict",
-]
+_EXPORTS = {
+    "artifacts": ("load_artifact", "report_batch_dict"),
+    "executor": ("execute_spec", "execution_count", "executor_stats", "resolve_n_patterns"),
+    "jobs": ("JobResult", "iter_jobs", "run_jobs"),
+    "plan": ("ExecutionPlan", "StagePlan", "build_plan", "report_store_key"),
+    "serialize": (
+        "SCHEMA_VERSION",
+        "SchemaError",
+        "canonical_json",
+        "content_hash",
+        "scrub_volatile",
+    ),
+    "spec": (
+        "SEED_NAMESPACES",
+        "STAGE_NAMES",
+        "AnalysisConfig",
+        "FaultSimConfig",
+        "MultiWeightConfig",
+        "OptimizeConfig",
+        "PipelineSpec",
+        "QuantizeConfig",
+        "SelfTestConfig",
+        "derive_seed",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

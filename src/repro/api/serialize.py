@@ -1,4 +1,4 @@
-"""Shared serialization substrate of the job-spec API.
+"""Shared serialization substrate of the job-spec API: one artifact codec.
 
 Every declarative spec and every result artifact in :mod:`repro.api` is a
 plain dict that survives ``json.dumps``/``json.loads`` **exactly**:
@@ -13,6 +13,31 @@ plain dict that survives ``json.dumps``/``json.loads`` **exactly**:
   unknown fields, so stale or hand-edited artifacts fail loudly instead of
   being silently misread.
 
+Declaring an artifact
+---------------------
+An artifact is a dataclass decorated with ``@artifact("<kind>")`` (above
+``@dataclass``).  Its wire form is its fields, in order, each encoded by its
+type hint: ``int``/``bool``/``str`` as themselves, ``float`` as a float (an
+``int`` value stays an ``int``), ``Any`` as is, lists, tuples, ``Dict[str,
+...]`` and ``Optional`` element by element, ``np.ndarray`` as a tagged
+array, another artifact (or a ``Union`` of artifacts, told apart by their
+``kind``) as its nested dict.  A read checks each value against its hint.  A
+field is required on read exactly when it has no default; every other field
+may be absent and then takes its default.  The plan is resolved from the
+hints once per class, at the first encode or decode, and ``artifact``
+registers the class under its kind in :data:`ARTIFACT_TYPES`, the table
+:func:`repro.api.load_artifact` looks kinds up in.
+
+A field's quirks are declared on the field with :func:`wire`:
+``required=True`` (required on read although it has a default),
+``omit_none=True`` (not written while ``None``), ``dtype=`` (an array cast
+to that dtype both ways) and ``codec=(encode, decode)`` (a wire form its
+type does not give, such as a fault table's triples; ``decode(value,
+fields)`` also sees the fields decoded before it).  Wire fields without a
+dataclass field are declared on the class: ``constants`` are written with a
+fixed value and read back only as an accepted value, ``dropped`` names are
+read and discarded.
+
 This module is a leaf (numpy only) so that the result dataclasses across
 ``repro.core`` / ``repro.faultsim`` / ``repro.patterns`` / ``repro.pipeline``
 can use it without import cycles.
@@ -20,9 +45,12 @@ can use it without import cycles.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
+import typing
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +58,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "VOLATILE_KEYS",
+    "ARTIFACT_TYPES",
+    "artifact",
+    "wire",
     "encode_array",
     "decode_array",
-    "encode_optional_array",
-    "decode_optional_array",
     "tagged_dict",
     "untag",
     "scrub_volatile",
@@ -90,14 +119,6 @@ def decode_array(data: Mapping[str, Any]) -> np.ndarray:
         raise SchemaError(f"malformed encoded ndarray: {exc}") from exc
 
 
-def encode_optional_array(array: Optional[np.ndarray]) -> Optional[Dict[str, Any]]:
-    return None if array is None else encode_array(array)
-
-
-def decode_optional_array(data: Optional[Mapping[str, Any]]) -> Optional[np.ndarray]:
-    return None if data is None else decode_array(data)
-
-
 # --------------------------------------------------------------------------- #
 # tagged artifact dicts
 # --------------------------------------------------------------------------- #
@@ -109,6 +130,29 @@ def tagged_dict(kind: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
             raise ValueError(f"payload field {field!r} collides with the envelope")
         data[field] = value
     return data
+
+
+def _check_envelope(data: Any, kind: str) -> None:
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"artifact dict expected, got {type(data).__name__}")
+    got_kind = data.get("kind")
+    if got_kind != kind:
+        raise SchemaError(f"expected artifact kind {kind!r}, got {got_kind!r}")
+    version = data.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(
+            f"unsupported schema_version {version!r} for kind {kind!r} "
+            f"(this build reads version {SCHEMA_VERSION})"
+        )
+
+
+def _check_fields(data: Mapping[str, Any], kind: str, required, allowed) -> None:
+    unknown = set(data) - allowed - {"kind", "schema_version"}
+    if unknown:
+        raise SchemaError(f"artifact kind {kind!r} has unknown fields: {sorted(unknown)}")
+    missing = [field for field in required if field not in data]
+    if missing:
+        raise SchemaError(f"artifact kind {kind!r} is missing fields: {missing}")
 
 
 def untag(
@@ -124,29 +168,284 @@ def untag(
     present, and that no field outside ``required``/``optional`` appears.
     Missing ``optional`` fields default to ``None`` in the returned payload.
     """
-    if not isinstance(data, Mapping):
-        raise SchemaError(f"artifact dict expected, got {type(data).__name__}")
-    got_kind = data.get("kind")
-    if got_kind != kind:
-        raise SchemaError(f"expected artifact kind {kind!r}, got {got_kind!r}")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported schema_version {version!r} for kind {kind!r} "
-            f"(this build reads version {SCHEMA_VERSION})"
-        )
+    _check_envelope(data, kind)
     required = list(required)
-    allowed = set(required) | set(optional) | {"kind", "schema_version"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SchemaError(f"artifact kind {kind!r} has unknown fields: {sorted(unknown)}")
-    missing = [field for field in required if field not in data]
-    if missing:
-        raise SchemaError(f"artifact kind {kind!r} is missing fields: {missing}")
+    _check_fields(data, kind, required, set(required) | set(optional))
     payload = {field: data[field] for field in required}
     for field in optional:
         payload[field] = data.get(field)
     return payload
+
+
+# --------------------------------------------------------------------------- #
+# Declared artifacts
+# --------------------------------------------------------------------------- #
+#: Artifact kind -> the class that reads it (:func:`artifact` fills it).
+ARTIFACT_TYPES: Dict[str, type] = {}
+
+#: A field codec: ``(encode(value), decode(wire_value, fields))``.
+Codec = Tuple[Callable[[Any], Any], Callable[[Any, Dict[str, Any]], Any]]
+
+_WIRE = "repro.wire"
+_MISSING = dataclasses.MISSING
+
+
+class _Quirks(NamedTuple):
+    required: bool = False
+    omit_none: bool = False
+    dtype: Any = None
+    codec: Any = None
+
+
+def wire(
+    default: Any = _MISSING,
+    *,
+    default_factory: Any = _MISSING,
+    required: bool = False,
+    omit_none: bool = False,
+    dtype: Any = None,
+    codec: Any = None,
+) -> Any:
+    """A dataclass field with wire quirks (see the module docstring)."""
+    return dataclasses.field(
+        default=default,
+        default_factory=default_factory,
+        metadata={_WIRE: _Quirks(required, omit_none, dtype, codec)},
+    )
+
+
+def artifact(
+    kind: str,
+    constants: Mapping[str, Tuple[Any, Tuple[Any, ...], str]] = {},
+    dropped: Tuple[str, ...] = (),
+) -> Callable[[type], type]:
+    """Class decorator: give a dataclass ``to_dict``/``from_dict`` and
+    register it under ``kind``.
+
+    ``constants`` maps a wire field with no dataclass field to ``(the value
+    written, the values a read accepts, the error for any other value)``;
+    a read also accepts it absent or null.  ``dropped`` names wire fields a
+    read accepts with any value and ignores.
+    """
+
+    def register(cls: type) -> type:
+        if kind in ARTIFACT_TYPES:
+            raise ValueError(f"artifact kind {kind!r} is already declared")
+        cls._wire = (kind, dict(constants), tuple(dropped))
+        cls.to_dict = _to_dict
+        cls.from_dict = classmethod(_from_dict)
+        ARTIFACT_TYPES[kind] = cls
+        return cls
+
+    return register
+
+
+class _Field(NamedTuple):
+    name: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any, Dict[str, Any]], Any]
+    omit_none: bool
+
+
+class _Plan(NamedTuple):
+    kind: str
+    fields: List[_Field]
+    required: Tuple[str, ...]
+    allowed: frozenset
+    written: Dict[str, Any]
+    constants: Dict[str, Tuple[Any, Tuple[Any, ...], str]]
+
+
+_PLANS: Dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = _build_plan(cls)
+    return plan
+
+
+def _build_plan(cls: type) -> _Plan:
+    kind, constants, dropped = cls._wire
+    hints = typing.get_type_hints(cls)
+    fields, required = [], []
+    for spec in dataclasses.fields(cls):
+        quirks = spec.metadata.get(_WIRE, _Quirks())
+        has_default = (
+            spec.default is not _MISSING or spec.default_factory is not _MISSING
+        )
+        if quirks.required or not has_default:
+            required.append(spec.name)
+        encode, decode = _field_codec(hints[spec.name], quirks)
+        fields.append(_Field(spec.name, encode, decode, quirks.omit_none))
+    names = {field.name for field in fields}
+    return _Plan(
+        kind=kind,
+        fields=fields,
+        required=tuple(required),
+        allowed=frozenset(names | set(constants) | set(dropped)),
+        written={name: value for name, (value, _, _) in constants.items()},
+        constants=constants,
+    )
+
+
+def _to_dict(self) -> Dict[str, Any]:
+    """JSON-serializable artifact dict (exact round trip)."""
+    plan = _plan(type(self))
+    data = {"kind": plan.kind, "schema_version": SCHEMA_VERSION, **plan.written}
+    for field in plan.fields:
+        value = getattr(self, field.name)
+        if value is None and field.omit_none:
+            continue
+        data[field.name] = field.encode(value)
+    return data
+
+
+def _from_dict(cls, data: Mapping[str, Any]) -> Any:
+    """Rebuild an artifact from its wire dict, rejecting unknown versions,
+    unknown fields, missing required fields and ill-typed values."""
+    plan = _plan(cls)
+    _check_envelope(data, plan.kind)
+    _check_fields(data, plan.kind, plan.required, plan.allowed)
+    for name, (_, accepted, message) in plan.constants.items():
+        value = data.get(name)
+        if value is not None and not any(
+            type(value) is type(ok) and value == ok for ok in accepted
+        ):
+            raise SchemaError(message.format(value))
+    fields: Dict[str, Any] = {}
+    for field in plan.fields:
+        if field.name not in data:
+            continue
+        try:
+            fields[field.name] = field.decode(data[field.name], fields)
+        except SchemaError:
+            raise
+        except (TypeError, ValueError, KeyError, IndexError, ArithmeticError) as exc:
+            raise SchemaError(f"invalid {plan.kind}.{field.name}: {exc}") from exc
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SchemaError(f"invalid {plan.kind} payload: {exc}") from exc
+
+
+def _field_codec(hint: Any, quirks: _Quirks) -> Codec:
+    optional, hint = _split_optional(hint)
+    if quirks.codec is not None:
+        encode, decode = quirks.codec
+    elif quirks.dtype is not None:
+        dtype = np.dtype(quirks.dtype)
+        encode = lambda value: encode_array(np.asarray(value, dtype=dtype))  # noqa: E731
+        decode = lambda value, _: decode_array(value).astype(dtype, copy=False)  # noqa: E731
+    else:
+        encode, plain = _codec(hint)
+        decode = lambda value, _: plain(value)  # noqa: E731
+    if not optional:
+        return encode, decode
+    return (
+        lambda value: None if value is None else encode(value),
+        lambda value, fields: None if value is None else decode(value, fields),
+    )
+
+
+def _split_optional(hint: Any) -> Tuple[bool, Any]:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union and type(None) in args:
+        rest = tuple(arg for arg in args if arg is not type(None))
+        return True, rest[0] if len(rest) == 1 else typing.Union[rest]
+    return False, hint
+
+
+def _expect(value: Any, types: Any, what: str) -> Any:
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise SchemaError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _encode_float(value: Any) -> Any:
+    return value if type(value) is int else float(value)
+
+
+#: Scalar hint -> (encode, the types a read accepts, their name).
+_SCALARS = {
+    int: (int, (int,), "an int"),
+    float: (_encode_float, (int, float), "a number"),
+    bool: (bool, (bool,), "a bool"),
+    str: (lambda value: value, (str,), "a str"),
+}
+
+_SEQUENCES = (list, tuple, collections.abc.Sequence)
+
+
+def _codec(hint: Any) -> Tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """``(encode, decode)`` of one type hint."""
+    optional, hint = _split_optional(hint)
+    if optional:
+        encode, decode = _codec(hint)
+        return (
+            lambda value: None if value is None else encode(value),
+            lambda value: None if value is None else decode(value),
+        )
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is Any:
+        return (lambda value: value), (lambda value: value)
+    if hint in _SCALARS:
+        encode, types, what = _SCALARS[hint]
+        return encode, lambda value: _expect(value, types, what)
+    if hint is np.ndarray:
+        return encode_array, decode_array
+    if origin is typing.Union:
+        return _union_codec(args)
+    if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
+        codecs = [_codec(arg) for arg in args]
+
+        def decode_fixed(value):
+            _expect(value, (list, tuple), "a list")
+            if len(value) != len(codecs):
+                raise SchemaError(f"expected {len(codecs)} items, got {len(value)}")
+            return tuple(decode(item) for (_, decode), item in zip(codecs, value))
+
+        return (
+            lambda value: [encode(item) for (encode, _), item in zip(codecs, value)],
+            decode_fixed,
+        )
+    if origin in _SEQUENCES:
+        encode, decode = _codec(args[0])
+        build = tuple if origin is tuple else list
+        return (
+            lambda value: [encode(item) for item in value],
+            lambda value: build(decode(item) for item in _expect(value, (list, tuple), "a list")),
+        )
+    if origin in (dict, collections.abc.Mapping):
+        encode, decode = _codec(args[1])
+
+        def decode_mapping(value):
+            _expect(value, Mapping, "an object")
+            return {_expect(key, (str,), "a str key"): decode(item) for key, item in value.items()}
+
+        return (lambda value: {key: encode(item) for key, item in value.items()}), decode_mapping
+    if hasattr(hint, "to_dict") and hasattr(hint, "from_dict"):
+        return (lambda value: value.to_dict()), hint.from_dict
+    raise TypeError(f"no wire codec for type {hint!r}")
+
+
+def _union_codec(members: Tuple[type, ...]) -> Tuple[Callable, Callable]:
+    """A union of artifact classes, told apart by their ``kind``."""
+    by_kind = {member._wire[0]: member for member in members}
+
+    def encode(value):
+        if type(value) not in members:
+            raise TypeError(f"{type(value).__name__} is not one of {sorted(by_kind)}")
+        return value.to_dict()
+
+    def decode(value):
+        kind = value.get("kind") if isinstance(value, Mapping) else None
+        if kind not in by_kind:
+            raise SchemaError(f"unknown artifact kind {kind!r} (expected one of {sorted(by_kind)})")
+        return by_kind[kind].from_dict(value)
+
+    return encode, decode
 
 
 # --------------------------------------------------------------------------- #

@@ -52,14 +52,14 @@ value, such as ``"backend": "numba"`` or ``"estimator": "scalar"``, raises
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..patterns.bilbo import MAX_SCHEDULE_PATTERNS
-from .serialize import SchemaError, tagged_dict, untag
+from .serialize import ARTIFACT_TYPES, SchemaError, artifact, tagged_dict, untag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuits.sources import CircuitSource
@@ -91,8 +91,8 @@ SEED_NAMESPACES = STAGE_NAMES + ("generate", "cluster", "multi_weight")
 
 #: Wire constants of removed spec choices: field name -> (the value every
 #: config writes, the values a read accepts, the error for any other value).
-#: The configs that carry them (:attr:`_ConfigBase._wire`) still emit them,
-#: so the spec hash and every stage store key stay byte-identical.
+#: The configs that carry them (:func:`_constants`) still emit them, so the
+#: spec hash and every stage store key stay byte-identical.
 WIRE_CONSTANTS: Dict[str, Tuple[Any, Tuple[Any, ...], str]] = {
     "backend": (
         None,
@@ -128,20 +128,14 @@ WIRE_CONSTANTS: Dict[str, Tuple[Any, Tuple[Any, ...], str]] = {
 }
 
 
-def _drop_wire(payload: Dict[str, Any], names: Tuple[str, ...]) -> None:
-    """Validate and drop the :data:`WIRE_CONSTANTS` fields of a read payload.
+def _constants(*names: str) -> Dict[str, Tuple[Any, Tuple[Any, ...], str]]:
+    """The :data:`WIRE_CONSTANTS` entries a config's wire form carries.
 
-    A field may be absent or ``null``, or hold one of its accepted values
-    (compared with their types, so ``1`` is not ``True``); anything else is
-    a typed error.
+    A read accepts each absent or ``null``, or holding one of its accepted
+    values (compared with their types, so ``1`` is not ``True``); anything
+    else is a typed error.
     """
-    for name in names:
-        value = payload.pop(name, None)
-        _, accepted, message = WIRE_CONSTANTS[name]
-        if value is not None and not any(
-            type(value) is type(ok) and value == ok for ok in accepted
-        ):
-            raise SchemaError(message.format(value))
+    return {name: WIRE_CONSTANTS[name] for name in names}
 
 
 # --------------------------------------------------------------------------- #
@@ -182,45 +176,8 @@ def derive_seed(root_seed: int, stage: str, label: str = "") -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Config plumbing shared by all stage dataclasses
+# Config validation shared by the stage dataclasses
 # --------------------------------------------------------------------------- #
-class _ConfigBase:
-    """to_dict/from_dict + validation shared by the frozen stage configs."""
-
-    _kind: str = ""
-    #: The :data:`WIRE_CONSTANTS` fields the wire form carries.
-    _wire: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable dict with ``kind`` and ``schema_version``."""
-        payload = {name: WIRE_CONSTANTS[name][0] for name in self._wire}
-        for spec_field in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, spec_field.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            payload[spec_field.name] = value
-        return tagged_dict(self._kind, payload)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "_ConfigBase":
-        """Rebuild a config, rejecting unknown versions and fields."""
-        names = [spec_field.name for spec_field in fields(cls)]  # type: ignore[arg-type]
-        payload = untag(data, cls._kind, required=(), optional=names + list(cls._wire))
-        _drop_wire(payload, cls._wire)
-        kwargs = {}
-        for spec_field in fields(cls):  # type: ignore[arg-type]
-            if data.get(spec_field.name) is None and spec_field.name not in data:
-                continue  # fall back to the dataclass default
-            value = payload[spec_field.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[spec_field.name] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid {cls._kind} payload: {exc}") from exc
-
-
 def _check_positive_int(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
@@ -255,8 +212,9 @@ def _check_fraction(name: str, value: float, open_interval: bool = True) -> None
 # --------------------------------------------------------------------------- #
 # Per-stage configs
 # --------------------------------------------------------------------------- #
+@artifact("analysis_config", constants=_constants("backend", "allow_fallback", "estimator"))
 @dataclass(frozen=True)
-class AnalysisConfig(_ConfigBase):
+class AnalysisConfig:
     """Stage 1 — testability analysis (COP detection probabilities).
 
     Every spec estimates detection probabilities with the batched COP
@@ -271,9 +229,6 @@ class AnalysisConfig(_ConfigBase):
             fault list (the paper's coverage convention).
     """
 
-    _kind = "analysis_config"
-    _wire = ("backend", "allow_fallback", "estimator")
-
     confidence: float = 0.999
     drop_redundant: bool = True
 
@@ -282,8 +237,9 @@ class AnalysisConfig(_ConfigBase):
         _check_bool("drop_redundant", self.drop_redundant)
 
 
+@artifact("optimize_config")
 @dataclass(frozen=True)
-class OptimizeConfig(_ConfigBase):
+class OptimizeConfig:
     """Stage 2 — input-probability optimization (ANALYSIS/PREPARE/OPTIMIZE).
 
     Attributes:
@@ -292,8 +248,6 @@ class OptimizeConfig(_ConfigBase):
         bounds: allowed interval for each input probability (Lemma 2 keeps
             it away from 0 and 1).
     """
-
-    _kind = "optimize_config"
 
     max_sweeps: int = 8
     alpha: float = 0.01
@@ -313,8 +267,9 @@ class OptimizeConfig(_ConfigBase):
             raise ValueError(f"bounds must satisfy 0 <= low < high <= 1, got {self.bounds!r}")
 
 
+@artifact("quantize_config")
 @dataclass(frozen=True)
-class QuantizeConfig(_ConfigBase):
+class QuantizeConfig:
     """Stage 3 — snapping the optimized weights to a realisable grid.
 
     Attributes:
@@ -322,8 +277,6 @@ class QuantizeConfig(_ConfigBase):
         lfsr_resolution: if set, quantize to the ``k / 2**resolution`` grid
             of an LFSR weighting network instead of the decimal grid.
     """
-
-    _kind = "quantize_config"
 
     step: float = 0.05
     lfsr_resolution: Optional[int] = None
@@ -340,8 +293,14 @@ class QuantizeConfig(_ConfigBase):
             )
 
 
+@artifact(
+    "fault_sim_config",
+    constants=_constants(
+        "backend", "allow_fallback", "batch_size", "fault_group", "partition_size"
+    ),
+)
 @dataclass(frozen=True)
-class FaultSimConfig(_ConfigBase):
+class FaultSimConfig:
     """Stage 4 — fault-simulated validation of (weighted) random patterns.
 
     Attributes:
@@ -350,9 +309,6 @@ class FaultSimConfig(_ConfigBase):
             the spec references a registry circuit, else 4000.
         target_coverage: optional coverage fraction at which to stop early.
     """
-
-    _kind = "fault_sim_config"
-    _wire = ("backend", "allow_fallback", "batch_size", "fault_group", "partition_size")
 
     n_patterns: Optional[int] = None
     target_coverage: Optional[float] = None
@@ -364,8 +320,9 @@ class FaultSimConfig(_ConfigBase):
             _check_fraction("target_coverage", self.target_coverage, open_interval=False)
 
 
+@artifact("self_test_config")
 @dataclass(frozen=True)
-class SelfTestConfig(_ConfigBase):
+class SelfTestConfig:
     """Stage 5 — BILBO-style self test (LFSR weighting network + MISR).
 
     Attributes:
@@ -382,8 +339,6 @@ class SelfTestConfig(_ConfigBase):
             fault (lowest baseline detection probability) injected and
             report that signature, demonstrating end-to-end detection.
     """
-
-    _kind = "self_test_config"
 
     n_patterns: int = 2_000
     use_lfsr: bool = True
@@ -402,8 +357,9 @@ class SelfTestConfig(_ConfigBase):
             _check_positive_int("misr_width", self.misr_width)
 
 
+@artifact("multi_weight_config")
 @dataclass(frozen=True)
-class MultiWeightConfig(_ConfigBase):
+class MultiWeightConfig:
     """Optional stage 6 — multi-weight-set BIST (:mod:`repro.wrp`).
 
     Clusters the fault list by detection-profile similarity around the
@@ -427,8 +383,6 @@ class MultiWeightConfig(_ConfigBase):
         target_coverage: optional fault-coverage fraction at which the
             session's coverage run stops early.
     """
-
-    _kind = "multi_weight_config"
 
     k: int = 4
     budget: Optional[int] = None
@@ -640,3 +594,8 @@ class PipelineSpec:
             return cls(**kwargs)
         except ValueError as exc:
             raise SchemaError(f"invalid pipeline_spec payload: {exc}") from exc
+
+
+# The spec keeps its own codec (absent and null stages read differently);
+# load_artifact reads it through the one registry all the same.
+ARTIFACT_TYPES["pipeline_spec"] = PipelineSpec

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..api.serialize import SchemaError, tagged_dict, untag
+from ..api.serialize import SchemaError, artifact, wire
 
 __all__ = [
     "BenchResult",
@@ -79,16 +79,17 @@ def _check_number_mapping(
     return checked
 
 
+@artifact("bench_result")
 @dataclass(frozen=True)
 class BenchResult:
     """One benchmark run of one area — the schema'd JSON result artifact."""
 
     area: str
     quick: bool
-    workload: Dict[str, Any] = field(default_factory=dict)
-    metrics: Dict[str, float] = field(default_factory=dict)
-    counters: Dict[str, int] = field(default_factory=dict)
-    timing: Dict[str, float] = field(default_factory=dict)
+    workload: Dict[str, Any] = wire(default_factory=dict, required=True)
+    metrics: Dict[str, float] = wire(default_factory=dict, required=True)
+    counters: Dict[str, int] = wire(default_factory=dict, required=True)
+    timing: Dict[str, float] = wire(default_factory=dict, required=True)
     peak_rss_bytes: Optional[int] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -109,47 +110,6 @@ class BenchResult:
             raise ValueError(f"peak_rss_bytes must be an int, got {self.peak_rss_bytes!r}")
         object.__setattr__(self, "meta", _check_scalar_mapping("meta", self.meta))
 
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable artifact dict (kind ``bench_result``)."""
-        return tagged_dict(
-            "bench_result",
-            {
-                "area": self.area,
-                "quick": self.quick,
-                "workload": dict(self.workload),
-                "metrics": dict(self.metrics),
-                "counters": dict(self.counters),
-                "timing": dict(self.timing),
-                "peak_rss_bytes": self.peak_rss_bytes,
-                "meta": dict(self.meta),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchResult":
-        payload = untag(
-            data,
-            "bench_result",
-            required=("area", "quick", "workload", "metrics", "counters", "timing"),
-            optional=("peak_rss_bytes", "meta"),
-        )
-        try:
-            return cls(
-                area=payload["area"],
-                quick=payload["quick"],
-                workload=dict(payload["workload"]),
-                metrics=dict(payload["metrics"]),
-                counters=dict(payload["counters"]),
-                timing=dict(payload["timing"]),
-                peak_rss_bytes=payload["peak_rss_bytes"],
-                meta=dict(payload["meta"] or {}),
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(f"invalid bench_result payload: {exc}") from exc
-
     def canonical_dict(self) -> Dict[str, Any]:
         """The artifact dict minus volatile fields (timings, RSS, host meta).
 
@@ -163,12 +123,13 @@ class BenchResult:
         return data
 
 
+@artifact("bench_trajectory")
 @dataclass(frozen=True)
 class BenchTrajectory:
     """The committed perf history of one area (``BENCH_<area>.json``)."""
 
     area: str
-    points: Tuple[BenchResult, ...] = ()
+    points: Tuple[BenchResult, ...] = wire(default=(), required=True)
 
     def __post_init__(self):
         if not isinstance(self.area, str) or not self.area:
@@ -210,32 +171,6 @@ class BenchTrajectory:
             )
         points = (*self.points, result)[-max_points:]
         return BenchTrajectory(area=self.area, points=points)
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable artifact dict (kind ``bench_trajectory``)."""
-        return tagged_dict(
-            "bench_trajectory",
-            {"area": self.area, "points": [point.to_dict() for point in self.points]},
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchTrajectory":
-        payload = untag(data, "bench_trajectory", required=("area", "points"))
-        points = payload["points"]
-        if not isinstance(points, list):
-            raise SchemaError(
-                f"bench_trajectory points must be a list, got {type(points).__name__}"
-            )
-        try:
-            return cls(
-                area=payload["area"],
-                points=tuple(BenchResult.from_dict(point) for point in points),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"invalid bench_trajectory payload: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #

@@ -39,7 +39,7 @@ paper's Table 3 (optimized test length) and Table 5 (CPU time) numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,9 +51,10 @@ from ..analysis.detection import (
     cofactor_batch,
 )
 from ..analysis.signal_prob import input_probability_vector
+from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault, FaultTable
+from ..faults.model import FAULT_TABLE_WIRE, Fault, FaultTable
 from .minimize import minimize_coordinates
 from .quantize import quantize_weights
 from .testlength import NormalizeResult, required_test_length, sort_faults
@@ -61,6 +62,7 @@ from .testlength import NormalizeResult, required_test_length, sort_faults
 __all__ = ["OptimizationResult", "WeightOptimizer"]
 
 
+@artifact("optimization_result")
 @dataclass
 class OptimizationResult:
     """Outcome of a weight optimization run.
@@ -89,10 +91,10 @@ class OptimizationResult:
     history: List[int]
     n_hard_faults: int
     sweeps: int
-    redundant_faults: FaultTable
+    redundant_faults: FaultTable = wire(codec=FAULT_TABLE_WIRE)
     cpu_seconds: float
-    weight_map: Dict[str, float] = field(default_factory=dict)
-    converged: bool = True
+    weight_map: Dict[str, float] = wire(default_factory=dict, required=True)
+    converged: bool = wire(default=True, required=True)
 
     @property
     def improvement_factor(self) -> float:
@@ -100,63 +102,6 @@ class OptimizationResult:
         if self.test_length <= 0:
             return float("inf")
         return self.initial_test_length / self.test_length
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable artifact dict (exact round trip, job-spec API)."""
-        from ..api.serialize import encode_array, tagged_dict
-
-        return tagged_dict(
-            "optimization_result",
-            {
-                "weights": encode_array(self.weights),
-                "quantized_weights": encode_array(self.quantized_weights),
-                "initial_test_length": int(self.initial_test_length),
-                "test_length": int(self.test_length),
-                "history": [int(n) for n in self.history],
-                "n_hard_faults": int(self.n_hard_faults),
-                "sweeps": int(self.sweeps),
-                "redundant_faults": self.redundant_faults.to_lists(),
-                "cpu_seconds": float(self.cpu_seconds),
-                "weight_map": {name: float(w) for name, w in self.weight_map.items()},
-                "converged": bool(self.converged),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "OptimizationResult":
-        """Rebuild a result from :meth:`to_dict` output (validated)."""
-        from ..api.serialize import decode_array, untag
-
-        payload = untag(
-            data,
-            "optimization_result",
-            required=(
-                "weights",
-                "quantized_weights",
-                "initial_test_length",
-                "test_length",
-                "history",
-                "n_hard_faults",
-                "sweeps",
-                "redundant_faults",
-                "cpu_seconds",
-                "weight_map",
-                "converged",
-            ),
-        )
-        return cls(
-            weights=decode_array(payload["weights"]),
-            quantized_weights=decode_array(payload["quantized_weights"]),
-            initial_test_length=int(payload["initial_test_length"]),
-            test_length=int(payload["test_length"]),
-            history=[int(n) for n in payload["history"]],
-            n_hard_faults=int(payload["n_hard_faults"]),
-            sweeps=int(payload["sweeps"]),
-            redundant_faults=FaultTable.from_lists(payload["redundant_faults"]),
-            cpu_seconds=float(payload["cpu_seconds"]),
-            weight_map={str(k): float(v) for k, v in payload["weight_map"].items()},
-            converged=bool(payload["converged"]),
-        )
 
 
 class WeightOptimizer:

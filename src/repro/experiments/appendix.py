@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..api.serialize import artifact
+
 __all__ = ["AppendixListing", "format_appendix"]
 
 
+@artifact("appendix_listing")
 @dataclass
 class AppendixListing:
     """Optimized weights of one circuit, in primary-input order."""

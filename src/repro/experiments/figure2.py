@@ -16,9 +16,12 @@ from typing import List
 
 import numpy as np
 
+from ..api.serialize import artifact
+
 __all__ = ["Figure2Data", "format_figure2"]
 
 
+@artifact("figure2_data")
 @dataclass
 class Figure2Data:
     """The two coverage curves of Figure 2.

@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..api.serialize import artifact
 from .tables import format_count, format_table
 
 __all__ = ["Table1Row", "format_table1"]
 
 
+@artifact("table1_row")
 @dataclass
 class Table1Row:
     """One circuit's conventional (equiprobable) test-length estimate."""

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..api.serialize import artifact
 from .tables import format_percent, format_table
 
 __all__ = ["Table2Row", "format_table2"]
 
 
+@artifact("table2_row")
 @dataclass
 class Table2Row:
     """Conventional random-test coverage for one hard circuit."""

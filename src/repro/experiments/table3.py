@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..api.serialize import artifact
 from .tables import format_count, format_table
 
 __all__ = ["Table3Row", "format_table3"]
 
 
+@artifact("table3_row")
 @dataclass
 class Table3Row:
     """Optimized test-length estimate for one hard circuit."""

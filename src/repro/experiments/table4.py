@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..api.serialize import artifact
 from .tables import format_percent, format_table
 
 __all__ = ["Table4Row", "format_table4"]
 
 
+@artifact("table4_row")
 @dataclass
 class Table4Row:
     """Optimized random-test coverage for one hard circuit."""

@@ -20,6 +20,7 @@ from typing import List, Optional
 from ..analysis.compiled import BatchedCopEstimator
 from ..analysis.detection import CopDetectionEstimator
 from ..analysis.redundancy import remove_redundant
+from ..api.serialize import artifact
 from ..circuits.registry import build_circuit, hard_suite
 from ..core.optimizer import WeightOptimizer
 from ..faults.collapse import collapsed_fault_list
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 
+@artifact("table5_row")
 @dataclass
 class Table5Row:
     """Optimization run time for one hard circuit."""
@@ -48,6 +50,7 @@ class Table5Row:
     paper_seconds: Optional[float]
 
 
+@artifact("table5_speedup_row")
 @dataclass
 class Table5SpeedupRow:
     """Scalar-vs-batched estimator timing for one hard circuit.

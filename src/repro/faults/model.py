@@ -23,7 +23,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 
-__all__ = ["Fault", "FaultTable", "full_fault_list"]
+__all__ = ["FAULT_TABLE_WIRE", "FAULT_WIRE", "Fault", "FaultTable", "full_fault_list"]
 
 
 @dataclass(frozen=True, order=True)
@@ -123,6 +123,15 @@ class FaultTable:
         return isinstance(other, FaultTable) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
         )
+
+
+#: Artifact field codecs (:func:`repro.api.serialize.wire`): a table as its
+#: :meth:`FaultTable.to_lists` triples, one fault as one triple.
+FAULT_TABLE_WIRE = (FaultTable.to_lists, lambda data, _: FaultTable.from_lists(data))
+FAULT_WIRE = (
+    lambda fault: FaultTable.of([fault]).to_lists()[0],
+    lambda data, _: FaultTable.from_lists([data])[0],
+)
 
 
 def full_fault_list(circuit: Circuit, include_branches: bool = True) -> FaultTable:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..api.serialize import artifact
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..patterns.weighted import WeightedPatternGenerator
@@ -30,6 +31,7 @@ from .parallel import FaultSimResult, ParallelFaultSimulator
 __all__ = ["CoverageExperiment", "random_pattern_coverage"]
 
 
+@artifact("coverage_experiment")
 @dataclass
 class CoverageExperiment:
     """Fault coverage of a random test with given input probabilities.
@@ -53,37 +55,6 @@ class CoverageExperiment:
     @property
     def fault_coverage_percent(self) -> float:
         return 100.0 * self.result.fault_coverage
-
-    def to_dict(self) -> dict:
-        """JSON-serializable artifact dict (job-spec API)."""
-        from ..api.serialize import tagged_dict
-
-        return tagged_dict(
-            "coverage_experiment",
-            {
-                "circuit_name": self.circuit_name,
-                "n_patterns": int(self.n_patterns),
-                "result": self.result.to_dict(),
-                "weights": [float(w) for w in self.weights],
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoverageExperiment":
-        """Rebuild an experiment from :meth:`to_dict` output (validated)."""
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "coverage_experiment",
-            required=("circuit_name", "n_patterns", "result", "weights"),
-        )
-        return cls(
-            circuit_name=str(payload["circuit_name"]),
-            n_patterns=int(payload["n_patterns"]),
-            result=FaultSimResult.from_dict(payload["result"]),
-            weights=[float(w) for w in payload["weights"]],
-        )
 
 
 def random_pattern_coverage(
@@ -121,4 +92,6 @@ def random_pattern_coverage(
         generator.generate_stream(n_patterns, chunk=chunk_size),
         target_coverage=target_coverage,
     )
-    return CoverageExperiment(circuit.name, result.n_patterns, result, list(weights))
+    return CoverageExperiment(
+        circuit.name, result.n_patterns, result, [float(w) for w in weights]
+    )

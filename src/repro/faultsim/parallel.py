@@ -60,9 +60,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault, FaultTable
+from ..faults.model import FAULT_TABLE_WIRE, Fault, FaultTable
 from ..lowered import LoweredCircuit, ragged_positions
 from ..simulation.compiled import (
     _OP_UFUNC,
@@ -83,6 +84,7 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GROUP_COLUMNS = 2048
 
 
+@artifact("fault_sim_stats", dropped=("backend", "partition_size"))
 @dataclass(frozen=True)
 class FaultSimStats:
     """Observability counters of one :meth:`ParallelFaultSimulator.run_stream`.
@@ -103,6 +105,10 @@ class FaultSimStats:
             faults sent to the kernel times the batch's 64-pattern words.
         faults_pruned: fault-batches the site-activity prefilter proved
             undetectable, so they never reached the kernel.
+
+    Blobs written while a kernel backend or a partition size was selectable
+    still carry a ``backend`` or ``partition_size`` field; a read drops it,
+    so stored reports load.
     """
 
     n_batches: int
@@ -112,53 +118,22 @@ class FaultSimStats:
     fault_words: int = 0
     faults_pruned: int = 0
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable artifact dict (job-spec API)."""
-        from ..api.serialize import tagged_dict
 
-        return tagged_dict(
-            "fault_sim_stats",
-            {
-                "n_batches": int(self.n_batches),
-                "faults_simulated": int(self.faults_simulated),
-                "faults_dropped": int(self.faults_dropped),
-                "active_sizes": [int(size) for size in self.active_sizes],
-                "fault_words": int(self.fault_words),
-                "faults_pruned": int(self.faults_pruned),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultSimStats":
-        """Rebuild stats from :meth:`to_dict` output (validated).
-
-        Blobs written while a kernel backend or a partition size was
-        selectable still carry a ``backend`` or ``partition_size`` field; it
-        is read and dropped, so stored reports load.
-        """
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "fault_sim_stats",
-            required=(
-                "n_batches",
-                "faults_simulated",
-                "faults_dropped",
-                "active_sizes",
-            ),
-            optional=("partition_size", "fault_words", "faults_pruned", "backend"),
-        )
-        return cls(
-            n_batches=int(payload["n_batches"]),
-            faults_simulated=int(payload["faults_simulated"]),
-            faults_dropped=int(payload["faults_dropped"]),
-            active_sizes=tuple(int(size) for size in payload["active_sizes"]),
-            fault_words=int(payload["fault_words"] or 0),
-            faults_pruned=int(payload["faults_pruned"] or 0),
-        )
+def _detection_pairs(first_detection: np.ndarray) -> List[List[int]]:
+    detected = np.flatnonzero(first_detection >= 0)
+    return np.column_stack((detected, first_detection[detected])).tolist()
 
 
+def _first_detection(pairs: List[List[int]], fields: Dict) -> np.ndarray:
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(array) != len(pairs) or array.min(initial=0) < 0:
+        raise ValueError("first_detection must hold [fault, pattern] index pairs")
+    first_detection = np.full(len(fields["faults"]), -1, dtype=np.int64)
+    first_detection[array[:, 0]] = array[:, 1]
+    return first_detection
+
+
+@artifact("fault_sim_result")
 @dataclass(eq=False)
 class FaultSimResult:
     """Result of a fault simulation run.
@@ -171,12 +146,16 @@ class FaultSimResult:
         stats: optional run counters (:class:`FaultSimStats`).  Excluded from
             equality — two runs are "the same result" when they agree on the
             detection outcome, whatever batching produced it.
+
+    On the wire the faults are ``[net, stuck_value, gate]`` triples and the
+    detected faults ``[fault_index, pattern_index]`` pairs into that list,
+    in fault order: compact, and the decoded result equals the original.
     """
 
-    faults: FaultTable
-    first_detection: np.ndarray
+    faults: FaultTable = wire(codec=FAULT_TABLE_WIRE)
+    first_detection: np.ndarray = wire(codec=(_detection_pairs, _first_detection))
     n_patterns: int
-    stats: Optional[FaultSimStats] = None
+    stats: Optional[FaultSimStats] = wire(default=None, omit_none=True)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -198,51 +177,6 @@ class FaultSimResult:
         """Fault coverage achieved by the first ``n_patterns`` patterns."""
         first = self.first_detection
         return float(np.mean((first >= 0) & (first < n_patterns))) if first.size else 1.0
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable artifact dict (job-spec API).
-
-        Faults are encoded once as ``[net, stuck_value, gate]`` triples and
-        the detected faults as ``[fault_index, pattern_index]`` pairs into
-        that list, in fault order, so the artifact stays compact while the
-        decoded result is exactly equal to the original.
-        """
-        from ..api.serialize import tagged_dict
-
-        detected = np.flatnonzero(self.first_detection >= 0)
-        payload = {
-            "faults": self.faults.to_lists(),
-            "first_detection": np.column_stack((detected, self.first_detection[detected])).tolist(),
-            "n_patterns": int(self.n_patterns),
-        }
-        if self.stats is not None:
-            payload["stats"] = self.stats.to_dict()
-        return tagged_dict("fault_sim_result", payload)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultSimResult":
-        """Rebuild a result from :meth:`to_dict` output (validated)."""
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "fault_sim_result",
-            required=("faults", "first_detection", "n_patterns"),
-            optional=("stats",),
-        )
-        faults = FaultTable.from_lists(payload["faults"])
-        pairs = np.array(payload["first_detection"], dtype=np.int64).reshape(-1, 2)
-        if len(pairs) != len(payload["first_detection"]) or pairs.min(initial=0) < 0:
-            raise ValueError("first_detection must hold [fault, pattern] index pairs")
-        first_detection = np.full(len(faults), -1, dtype=np.int64)
-        first_detection[pairs[:, 0]] = pairs[:, 1]
-        stats = payload["stats"]
-        return cls(
-            faults,
-            first_detection,
-            int(payload["n_patterns"]),
-            stats=None if stats is None else FaultSimStats.from_dict(stats),
-        )
 
 
 class _SiteActivity:

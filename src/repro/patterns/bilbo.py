@@ -32,6 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..api.serialize import artifact
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..faultsim.parallel import FaultSimResult, ParallelFaultSimulator
@@ -52,6 +53,7 @@ _CHUNK = 4096
 MAX_SCHEDULE_PATTERNS = 1 << 20
 
 
+@artifact("self_test_report")
 @dataclass
 class SelfTestReport:
     """Outcome of one self-test run."""
@@ -65,37 +67,6 @@ class SelfTestReport:
     def passed(self) -> bool:
         """True if the signature matches the fault-free reference."""
         return self.signature == self.golden_signature
-
-    def to_dict(self) -> dict:
-        """JSON-serializable artifact dict (job-spec API)."""
-        from ..api.serialize import tagged_dict
-
-        return tagged_dict(
-            "self_test_report",
-            {
-                "circuit_name": self.circuit_name,
-                "n_patterns": int(self.n_patterns),
-                "signature": int(self.signature),
-                "golden_signature": int(self.golden_signature),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SelfTestReport":
-        """Rebuild a report from :meth:`to_dict` output (validated)."""
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "self_test_report",
-            required=("circuit_name", "n_patterns", "signature", "golden_signature"),
-        )
-        return cls(
-            circuit_name=str(payload["circuit_name"]),
-            n_patterns=int(payload["n_patterns"]),
-            signature=int(payload["signature"]),
-            golden_signature=int(payload["golden_signature"]),
-        )
 
 
 class SelfTestSession:

@@ -28,14 +28,14 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..api.serialize import scrub_volatile, tagged_dict, untag
+from ..api.serialize import artifact, scrub_volatile, wire
 from ..core.optimizer import OptimizationResult
-from ..faults.model import Fault, FaultTable
+from ..faults.model import FAULT_WIRE, Fault
 from ..faultsim.coverage import CoverageExperiment
 from ..patterns.bilbo import SelfTestReport
 from ..wrp import MultiWeightReport
@@ -43,6 +43,7 @@ from ..wrp import MultiWeightReport
 __all__ = ["PipelineReport"]
 
 
+@artifact("pipeline_report")
 @dataclass
 class PipelineReport:
     """Outcome of one pipeline job — the JSON-serializable result artifact.
@@ -72,15 +73,15 @@ class PipelineReport:
         self_test_fault: the fault injected into the self-test run (``None``
             for a clean run); with an injection, ``self_test.passed`` False
             means the signature exposed the fault.
-        multi_weight: report of the multi-weight-set BIST stage
-            (:class:`repro.wrp.MultiWeightReport`), when the spec declared
-            it; serialized only when present, so artifacts of specs without
-            the stage keep their historical wire form.
         lowerings: lowering compilations attributed to this circuit — 1 for a
             fresh circuit, 0 when the content-addressed cache already held
             the structure.
         seconds: wall-clock time of the run (volatile; excluded from
             :meth:`canonical_dict`).
+        multi_weight: report of the multi-weight-set BIST stage
+            (:class:`repro.wrp.MultiWeightReport`), when the spec declared
+            it; serialized only when present, so artifacts of specs without
+            the stage keep their historical wire form.
     """
 
     key: str
@@ -88,8 +89,8 @@ class PipelineReport:
     n_gates: int
     n_inputs: int
     n_faults: int
-    input_names: List[str] = field(default_factory=list)
-    seed: int = 0
+    input_names: List[str] = wire(default_factory=list, required=True)
+    seed: int = wire(default=0, required=True)
     conventional_length: Optional[int] = None
     optimized_length: Optional[int] = None
     weights: Optional[np.ndarray] = None
@@ -101,10 +102,10 @@ class PipelineReport:
     conventional_experiment: Optional[CoverageExperiment] = None
     optimized_experiment: Optional[CoverageExperiment] = None
     self_test: Optional[SelfTestReport] = None
-    self_test_fault: Optional[Fault] = None
-    multi_weight: Optional[MultiWeightReport] = None
+    self_test_fault: Optional[Fault] = wire(default=None, codec=FAULT_WIRE)
     lowerings: int = 0
     seconds: float = 0.0
+    multi_weight: Optional[MultiWeightReport] = wire(default=None, omit_none=True)
 
     @property
     def improvement_factor(self) -> float:
@@ -156,133 +157,6 @@ class PipelineReport:
         )
         return f"{self.circuit_name}: " + ", ".join(parts)
 
-    # ------------------------------------------------------------------ #
-    # Serialization (job-spec API artifact)
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable artifact dict (exact round trip)."""
-        from ..api.serialize import encode_optional_array
-
-        payload = tagged_dict(
-            "pipeline_report",
-            {
-                "key": self.key,
-                "circuit_name": self.circuit_name,
-                "n_gates": int(self.n_gates),
-                "n_inputs": int(self.n_inputs),
-                "n_faults": int(self.n_faults),
-                "input_names": list(self.input_names),
-                "seed": int(self.seed),
-                "conventional_length": _opt_int(self.conventional_length),
-                "optimized_length": _opt_int(self.optimized_length),
-                "weights": encode_optional_array(self.weights),
-                "quantized_weights": encode_optional_array(self.quantized_weights),
-                "n_patterns": _opt_int(self.n_patterns),
-                "conventional_coverage": _opt_float(self.conventional_coverage),
-                "optimized_coverage": _opt_float(self.optimized_coverage),
-                "optimization": _opt_dict(self.optimization),
-                "conventional_experiment": _opt_dict(self.conventional_experiment),
-                "optimized_experiment": _opt_dict(self.optimized_experiment),
-                "self_test": _opt_dict(self.self_test),
-                "self_test_fault": (
-                    None
-                    if self.self_test_fault is None
-                    else FaultTable.of([self.self_test_fault]).to_lists()[0]
-                ),
-                "lowerings": int(self.lowerings),
-                "seconds": float(self.seconds),
-            },
-        )
-        if self.multi_weight is not None:
-            payload["multi_weight"] = self.multi_weight.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PipelineReport":
-        """Rebuild a report from :meth:`to_dict` output (validated).
-
-        Rejects unknown ``schema_version`` values and unknown fields with
-        :class:`repro.api.serialize.SchemaError`.
-        """
-        from ..api.serialize import decode_optional_array
-
-        payload = untag(
-            data,
-            "pipeline_report",
-            required=(
-                "key",
-                "circuit_name",
-                "n_gates",
-                "n_inputs",
-                "n_faults",
-                "input_names",
-                "seed",
-            ),
-            optional=(
-                "conventional_length",
-                "optimized_length",
-                "weights",
-                "quantized_weights",
-                "n_patterns",
-                "conventional_coverage",
-                "optimized_coverage",
-                "optimization",
-                "conventional_experiment",
-                "optimized_experiment",
-                "self_test",
-                "self_test_fault",
-                "multi_weight",
-                "lowerings",
-                "seconds",
-            ),
-        )
-        optimization = payload["optimization"]
-        conventional_experiment = payload["conventional_experiment"]
-        optimized_experiment = payload["optimized_experiment"]
-        self_test = payload["self_test"]
-        return cls(
-            key=str(payload["key"]),
-            circuit_name=str(payload["circuit_name"]),
-            n_gates=int(payload["n_gates"]),
-            n_inputs=int(payload["n_inputs"]),
-            n_faults=int(payload["n_faults"]),
-            input_names=[str(n) for n in payload["input_names"]],
-            seed=int(payload["seed"]),
-            conventional_length=_opt_int(payload["conventional_length"]),
-            optimized_length=_opt_int(payload["optimized_length"]),
-            weights=decode_optional_array(payload["weights"]),
-            quantized_weights=decode_optional_array(payload["quantized_weights"]),
-            n_patterns=_opt_int(payload["n_patterns"]),
-            conventional_coverage=_opt_float(payload["conventional_coverage"]),
-            optimized_coverage=_opt_float(payload["optimized_coverage"]),
-            optimization=(
-                None if optimization is None else OptimizationResult.from_dict(optimization)
-            ),
-            conventional_experiment=(
-                None
-                if conventional_experiment is None
-                else CoverageExperiment.from_dict(conventional_experiment)
-            ),
-            optimized_experiment=(
-                None
-                if optimized_experiment is None
-                else CoverageExperiment.from_dict(optimized_experiment)
-            ),
-            self_test=None if self_test is None else SelfTestReport.from_dict(self_test),
-            self_test_fault=(
-                None
-                if payload["self_test_fault"] is None
-                else FaultTable.from_lists([payload["self_test_fault"]])[0]
-            ),
-            multi_weight=(
-                None
-                if payload["multi_weight"] is None
-                else MultiWeightReport.from_dict(payload["multi_weight"])
-            ),
-            lowerings=int(payload["lowerings"] or 0),
-            seconds=float(payload["seconds"] or 0.0),
-        )
-
     def canonical_dict(self) -> Dict[str, Any]:
         """The artifact dict minus volatile fields (timings, compile counts).
 
@@ -292,14 +166,3 @@ class PipelineReport:
         """
         return scrub_volatile(self.to_dict())
 
-
-def _opt_int(value: Optional[int]) -> Optional[int]:
-    return None if value is None else int(value)
-
-
-def _opt_float(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-def _opt_dict(value) -> Optional[Dict[str, Any]]:
-    return None if value is None else value.to_dict()

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..analysis.compiled import BatchedCopEstimator
 from ..analysis.detection import batch_detection_probabilities
+from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit
 from ..core.optimizer import OptimizationResult, WeightOptimizer
 from ..core.testlength import MAX_TEST_LENGTH, objective_from_confidence
@@ -193,6 +194,7 @@ def joint_schedule(
 # --------------------------------------------------------------------------- #
 # Artifacts
 # --------------------------------------------------------------------------- #
+@artifact("weight_set_entry")
 @dataclass
 class WeightSetEntry:
     """One weight set: a cluster's optimum plus its LFSR and budget.
@@ -215,8 +217,8 @@ class WeightSetEntry:
     """
 
     index: int
-    weights: np.ndarray
-    quantized_weights: np.ndarray
+    weights: np.ndarray = wire(dtype=np.float64)
+    quantized_weights: np.ndarray = wire(dtype=np.float64)
     fault_indices: Tuple[int, ...]
     test_length: int
     n_patterns: int
@@ -224,58 +226,8 @@ class WeightSetEntry:
     lfsr_taps: Tuple[int, ...]
     lfsr_seed: int
 
-    def to_dict(self) -> Dict:
-        from ..api.serialize import encode_array, tagged_dict
 
-        return tagged_dict(
-            "weight_set_entry",
-            {
-                "index": int(self.index),
-                "weights": encode_array(np.asarray(self.weights, dtype=float)),
-                "quantized_weights": encode_array(
-                    np.asarray(self.quantized_weights, dtype=float)
-                ),
-                "fault_indices": [int(i) for i in self.fault_indices],
-                "test_length": int(self.test_length),
-                "n_patterns": int(self.n_patterns),
-                "lfsr_width": int(self.lfsr_width),
-                "lfsr_taps": [int(t) for t in self.lfsr_taps],
-                "lfsr_seed": int(self.lfsr_seed),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "WeightSetEntry":
-        from ..api.serialize import decode_array, untag
-
-        payload = untag(
-            data,
-            "weight_set_entry",
-            required=(
-                "index",
-                "weights",
-                "quantized_weights",
-                "fault_indices",
-                "test_length",
-                "n_patterns",
-                "lfsr_width",
-                "lfsr_taps",
-                "lfsr_seed",
-            ),
-        )
-        return cls(
-            index=int(payload["index"]),
-            weights=decode_array(payload["weights"]),
-            quantized_weights=decode_array(payload["quantized_weights"]),
-            fault_indices=tuple(int(i) for i in payload["fault_indices"]),
-            test_length=int(payload["test_length"]),
-            n_patterns=int(payload["n_patterns"]),
-            lfsr_width=int(payload["lfsr_width"]),
-            lfsr_taps=tuple(int(t) for t in payload["lfsr_taps"]),
-            lfsr_seed=int(payload["lfsr_seed"]),
-        )
-
-
+@artifact("multi_weight_set")
 @dataclass
 class MultiWeightSet:
     """A schedule of per-cluster weight sets for one circuit.
@@ -310,56 +262,6 @@ class MultiWeightSet:
     def multi_set_length(self) -> int:
         """Patterns required when every set plays its required length."""
         return int(sum(entry.test_length for entry in self.sets))
-
-    @property
-    def total_budget(self) -> int:
-        return int(sum(entry.n_patterns for entry in self.sets))
-
-    def to_dict(self) -> Dict:
-        from ..api.serialize import tagged_dict
-
-        return tagged_dict(
-            "multi_weight_set",
-            {
-                "circuit_name": self.circuit_name,
-                "n_inputs": int(self.n_inputs),
-                "sets": [entry.to_dict() for entry in self.sets],
-                "single_set_length": int(self.single_set_length),
-                "redundant_indices": [int(i) for i in self.redundant_indices],
-                "confidence": float(self.confidence),
-                "cluster_seed": int(self.cluster_seed),
-                "session_seed": int(self.session_seed),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MultiWeightSet":
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "multi_weight_set",
-            required=(
-                "circuit_name",
-                "n_inputs",
-                "sets",
-                "single_set_length",
-                "redundant_indices",
-                "confidence",
-                "cluster_seed",
-                "session_seed",
-            ),
-        )
-        return cls(
-            circuit_name=str(payload["circuit_name"]),
-            n_inputs=int(payload["n_inputs"]),
-            sets=[WeightSetEntry.from_dict(entry) for entry in payload["sets"]],
-            single_set_length=int(payload["single_set_length"]),
-            redundant_indices=tuple(int(i) for i in payload["redundant_indices"]),
-            confidence=float(payload["confidence"]),
-            cluster_seed=int(payload["cluster_seed"]),
-            session_seed=int(payload["session_seed"]),
-        )
 
 
 # --------------------------------------------------------------------------- #

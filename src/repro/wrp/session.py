@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..faultsim.parallel import FaultSimResult
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 
+@artifact("multi_set_coverage")
 @dataclass
 class MultiSetCoverage:
     """Fault coverage of a sequenced multi-set schedule.
@@ -64,37 +66,8 @@ class MultiSetCoverage:
     def n_patterns(self) -> int:
         return int(self.result.n_patterns)
 
-    def to_dict(self) -> Dict:
-        from ..api.serialize import tagged_dict
 
-        return tagged_dict(
-            "multi_set_coverage",
-            {
-                "result": self.result.to_dict(),
-                "applied": [int(n) for n in self.applied],
-                "target_coverage": (
-                    None if self.target_coverage is None else float(self.target_coverage)
-                ),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MultiSetCoverage":
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "multi_set_coverage",
-            required=("result", "applied", "target_coverage"),
-        )
-        target = payload["target_coverage"]
-        return cls(
-            result=FaultSimResult.from_dict(payload["result"]),
-            applied=tuple(int(n) for n in payload["applied"]),
-            target_coverage=None if target is None else float(target),
-        )
-
-
+@artifact("multi_weight_report")
 @dataclass
 class MultiWeightReport:
     """Everything the multi-weight stage produced for one circuit.
@@ -113,7 +86,7 @@ class MultiWeightReport:
     weight_sets: MultiWeightSet
     coverage: MultiSetCoverage
     self_test: SelfTestReport
-    scan_chains: Optional[int] = None
+    scan_chains: Optional[int] = wire(default=None, required=True)
     cpu_seconds: float = 0.0
 
     @property
@@ -136,48 +109,6 @@ class MultiWeightReport:
             f"{self.single_set_length} ({reduction:.2f}x), "
             f"coverage {self.coverage.coverage:.4f} after "
             f"{self.coverage.n_patterns} patterns"
-        )
-
-    def to_dict(self) -> Dict:
-        from ..api.serialize import tagged_dict
-
-        return tagged_dict(
-            "multi_weight_report",
-            {
-                "circuit_name": self.circuit_name,
-                "weight_sets": self.weight_sets.to_dict(),
-                "coverage": self.coverage.to_dict(),
-                "self_test": self.self_test.to_dict(),
-                "scan_chains": None if self.scan_chains is None else int(self.scan_chains),
-                "cpu_seconds": float(self.cpu_seconds),
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MultiWeightReport":
-        from ..api.serialize import untag
-
-        payload = untag(
-            data,
-            "multi_weight_report",
-            required=(
-                "circuit_name",
-                "weight_sets",
-                "coverage",
-                "self_test",
-                "scan_chains",
-            ),
-            optional=("cpu_seconds",),
-        )
-        scan_chains = payload["scan_chains"]
-        cpu_seconds = payload["cpu_seconds"]
-        return cls(
-            circuit_name=str(payload["circuit_name"]),
-            weight_sets=MultiWeightSet.from_dict(payload["weight_sets"]),
-            coverage=MultiSetCoverage.from_dict(payload["coverage"]),
-            self_test=SelfTestReport.from_dict(payload["self_test"]),
-            scan_chains=None if scan_chains is None else int(scan_chains),
-            cpu_seconds=0.0 if cpu_seconds is None else float(cpu_seconds),
         )
 
 
@@ -254,7 +185,9 @@ def run_multi_weight_session(
         circuit_name=circuit.name,
         weight_sets=weight_sets,
         coverage=MultiSetCoverage(
-            result=result, applied=applied, target_coverage=target_coverage
+            result=result,
+            applied=applied,
+            target_coverage=None if target_coverage is None else float(target_coverage),
         ),
         # The coverage pass already compacted the whole schedule.
         self_test=session.run(),

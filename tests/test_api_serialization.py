@@ -25,10 +25,8 @@ from repro.api import (
     SelfTestConfig,
     execute_spec,
     load_artifact,
-    row_from_dict,
-    row_to_dict,
 )
-from repro.api.artifacts import experiment_rows_dict, report_batch_dict
+from repro.api.artifacts import ExperimentRows, experiment_rows_dict, report_batch_dict
 from repro.api.serialize import decode_array, encode_array
 from repro.circuit import Circuit
 from repro.circuits import alu_circuit, s1_comparator
@@ -373,40 +371,40 @@ class TestExperimentRows:
 
     def test_row_roundtrip(self):
         for row in self.rows():
-            restored = row_from_dict(json_roundtrip(row_to_dict(row)))
+            restored = load_artifact(json_roundtrip(row.to_dict()))
             assert restored == row
 
     def test_experiment_rows_artifact(self):
         rows = self.rows()
         restored = load_artifact(json_roundtrip(experiment_rows_dict(rows)))
-        assert restored == rows
+        assert restored.rows == rows
 
     def test_speedup_row_roundtrip(self):
         from repro.experiments import Table5SpeedupRow
 
         row = Table5SpeedupRow("s2", "S2", 10, 4, 20, 2.0, 0.5, 2338, True, 3)
-        assert row_from_dict(json_roundtrip(row_to_dict(row))) == row
+        assert load_artifact(json_roundtrip(row.to_dict())) == row
 
     def test_speedup_row_without_sweeps_still_loads(self):
         """Rows serialized before ``sweeps`` existed load with ``None``."""
         from repro.experiments import Table5SpeedupRow
 
         row = Table5SpeedupRow("s2", "S2", 10, 4, 20, 2.0, 0.5, 2338, True, 3)
-        old = row_to_dict(row)
+        old = row.to_dict()
         del old["sweeps"]
-        restored = row_from_dict(json_roundtrip(old))
+        restored = load_artifact(json_roundtrip(old))
         assert restored.sweeps is None
         assert restored.test_length == 2338 and restored.histories_equal
 
     def test_row_missing_required_field_rejected(self):
-        old = row_to_dict(self.rows()[0])
+        old = self.rows()[0].to_dict()
         del old["key"]
         with pytest.raises(SchemaError):
-            row_from_dict(old)
+            load_artifact(old)
 
     def test_unserializable_row_rejected(self):
         with pytest.raises(TypeError):
-            row_to_dict(object())
+            ExperimentRows([object()]).to_dict()
 
     def test_removed_multi_weight_row_is_a_schema_error(self):
         """Rows of the deleted multi-weight experiment, as older runs stored
@@ -445,7 +443,7 @@ class TestLoadArtifactDispatch:
         config = FaultSimConfig(n_patterns=7)
         assert load_artifact(json_roundtrip(config.to_dict())) == config
         report = execute_spec(PipelineSpec(circuit="c432", fault_sim=None))
-        batch = load_artifact(json_roundtrip(report_batch_dict([report])))
+        batch = load_artifact(json_roundtrip(report_batch_dict([report]))).reports
         assert len(batch) == 1
         assert batch[0].canonical_dict() == report.canonical_dict()
 

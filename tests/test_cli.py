@@ -65,7 +65,7 @@ class TestRunCommand:
             ]
         )
         assert rc == 0
-        reports = load_artifact(read_json(artifact))
+        reports = load_artifact(read_json(artifact)).reports
         assert [r.key for r in reports] == ["c432", "c499"]
         assert all(r.optimization is None for r in reports)
 
@@ -218,7 +218,7 @@ class TestSweepCommand:
             ]
         )
         assert rc == 0
-        reports = load_artifact(read_json(artifact))
+        reports = load_artifact(read_json(artifact)).reports
         assert [r.key for r in reports] == ["c432", "c499"]
 
 
@@ -282,7 +282,7 @@ class TestTablesCommand:
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 3" in out and "Table 5" in out
         assert "Table 2" not in out  # fault-sim tables skipped in --quick
-        rows = load_artifact(read_json(artifact))
+        rows = load_artifact(read_json(artifact)).rows
         kinds = {type(row).__name__ for row in rows}
         assert {"Table1Row", "Table3Row", "Table5Row", "AppendixListing"} <= kinds
         assert not any(type(row).__name__ == "Table2Row" for row in rows)
@@ -302,7 +302,7 @@ class TestTablesCommand:
             ]
         )
         assert rc == 0
-        rows = load_artifact(read_json(artifact))
+        rows = load_artifact(read_json(artifact)).rows
         s1 = next(
             row for row in rows if type(row).__name__ == "Table1Row" and row.key == "s1"
         )
