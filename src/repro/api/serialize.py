@@ -113,9 +113,12 @@ def decode_array(data: Mapping[str, Any]) -> np.ndarray:
     if unknown:
         raise SchemaError(f"encoded ndarray has unknown fields: {sorted(unknown)}")
     try:
-        array = np.asarray(data["data"], dtype=np.dtype(data["dtype"]))
+        dtype = np.dtype(data["dtype"])
+        if not isinstance(data["dtype"], str) or dtype.kind not in "biuf":
+            raise ValueError(f"unsupported dtype {data['dtype']!r}")
+        array = np.asarray(data["data"], dtype=dtype)
         return array.reshape(tuple(data.get("shape", array.shape)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed encoded ndarray: {exc}") from exc
 
 

@@ -166,17 +166,6 @@ class Circuit:
         """Return the index (into :attr:`gates`) of the gate driving ``net``."""
         return self._driver.get(net)
 
-    def is_primary_input(self, net: int) -> bool:
-        """True if ``net`` is one of the primary inputs."""
-        return net in self.input_set
-
-    @property
-    def input_set(self) -> frozenset:
-        """The primary inputs as a frozenset (cached)."""
-        if not hasattr(self, "_input_set"):
-            object.__setattr__(self, "_input_set", frozenset(self.inputs))
-        return self._input_set
-
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 

@@ -134,10 +134,6 @@ class LogicSimulator:
         return self.simulate_patterns(np.asarray([pattern], dtype=bool))[0]
 
     # ------------------------------------------------------------------ #
-    def output_words(self, values: np.ndarray) -> np.ndarray:
-        """Extract the primary output rows from a full net-value matrix."""
-        return values[list(self.circuit.outputs)]
-
     def signal_ones_count(
         self, values: np.ndarray, n_patterns: int, nets: Optional[Sequence[int]] = None
     ) -> np.ndarray:

