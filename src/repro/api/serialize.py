@@ -186,10 +186,10 @@ def untag(
 #: Artifact kind -> the class that reads it (:func:`artifact` fills it).
 ARTIFACT_TYPES: Dict[str, type] = {}
 
-#: A field codec: ``(encode(value), decode(wire_value, fields))``.
+#: A codec: ``(encode(value), decode(wire_value, fields))``, where ``fields``
+#: holds the fields of the artifact decoded so far.
 Codec = Tuple[Callable[[Any], Any], Callable[[Any, Dict[str, Any]], Any]]
 
-_WIRE = "repro.wire"
 _MISSING = dataclasses.MISSING
 
 
@@ -213,7 +213,7 @@ def wire(
     return dataclasses.field(
         default=default,
         default_factory=default_factory,
-        metadata={_WIRE: _Quirks(required, omit_none, dtype, codec)},
+        metadata={"wire": _Quirks(required, omit_none, dtype, codec)},
     )
 
 
@@ -243,19 +243,12 @@ def artifact(
     return register
 
 
-class _Field(NamedTuple):
-    name: str
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any, Dict[str, Any]], Any]
-    omit_none: bool
-
-
 class _Plan(NamedTuple):
     kind: str
-    fields: List[_Field]
-    required: Tuple[str, ...]
+    #: ``(name, encode, decode, omit_none)`` per field, in field order.
+    fields: List[Tuple[str, Callable, Callable, bool]]
+    required: List[str]
     allowed: frozenset
-    written: Dict[str, Any]
     constants: Dict[str, Tuple[Any, Tuple[Any, ...], str]]
 
 
@@ -263,45 +256,35 @@ _PLANS: Dict[type, _Plan] = {}
 
 
 def _plan(cls: type) -> _Plan:
+    """The class's codec plan, resolved from its type hints on first use."""
     plan = _PLANS.get(cls)
     if plan is None:
-        plan = _PLANS[cls] = _build_plan(cls)
+        kind, constants, dropped = cls._wire
+        hints = typing.get_type_hints(cls)
+        fields, required = [], []
+        for spec in dataclasses.fields(cls):
+            quirks = spec.metadata.get("wire", _Quirks())
+            if quirks.required or (
+                spec.default is _MISSING and spec.default_factory is _MISSING
+            ):
+                required.append(spec.name)
+            encode, decode = _codec(hints[spec.name], quirks)
+            fields.append((spec.name, encode, decode, quirks.omit_none))
+        allowed = frozenset(name for name, *_ in fields).union(constants, dropped)
+        plan = _PLANS[cls] = _Plan(kind, fields, required, allowed, constants)
     return plan
-
-
-def _build_plan(cls: type) -> _Plan:
-    kind, constants, dropped = cls._wire
-    hints = typing.get_type_hints(cls)
-    fields, required = [], []
-    for spec in dataclasses.fields(cls):
-        quirks = spec.metadata.get(_WIRE, _Quirks())
-        has_default = (
-            spec.default is not _MISSING or spec.default_factory is not _MISSING
-        )
-        if quirks.required or not has_default:
-            required.append(spec.name)
-        encode, decode = _field_codec(hints[spec.name], quirks)
-        fields.append(_Field(spec.name, encode, decode, quirks.omit_none))
-    names = {field.name for field in fields}
-    return _Plan(
-        kind=kind,
-        fields=fields,
-        required=tuple(required),
-        allowed=frozenset(names | set(constants) | set(dropped)),
-        written={name: value for name, (value, _, _) in constants.items()},
-        constants=constants,
-    )
 
 
 def _to_dict(self) -> Dict[str, Any]:
     """JSON-serializable artifact dict (exact round trip)."""
     plan = _plan(type(self))
-    data = {"kind": plan.kind, "schema_version": SCHEMA_VERSION, **plan.written}
-    for field in plan.fields:
-        value = getattr(self, field.name)
-        if value is None and field.omit_none:
-            continue
-        data[field.name] = field.encode(value)
+    data = {"kind": plan.kind, "schema_version": SCHEMA_VERSION}
+    for name, (value, _, _) in plan.constants.items():
+        data[name] = value
+    for name, encode, _, omit_none in plan.fields:
+        value = getattr(self, name)
+        if value is not None or not omit_none:
+            data[name] = encode(value)
     return data
 
 
@@ -318,122 +301,95 @@ def _from_dict(cls, data: Mapping[str, Any]) -> Any:
         ):
             raise SchemaError(message.format(value))
     fields: Dict[str, Any] = {}
-    for field in plan.fields:
-        if field.name not in data:
+    for name, _, decode, _ in plan.fields:
+        if name not in data:
             continue
         try:
-            fields[field.name] = field.decode(data[field.name], fields)
+            fields[name] = decode(data[name], fields)
         except SchemaError:
             raise
         except (TypeError, ValueError, KeyError, IndexError, ArithmeticError) as exc:
-            raise SchemaError(f"invalid {plan.kind}.{field.name}: {exc}") from exc
+            raise SchemaError(f"invalid {plan.kind}.{name}: {exc}") from exc
     try:
         return cls(**fields)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise SchemaError(f"invalid {plan.kind} payload: {exc}") from exc
 
 
-def _field_codec(hint: Any, quirks: _Quirks) -> Codec:
-    optional, hint = _split_optional(hint)
-    if quirks.codec is not None:
-        encode, decode = quirks.codec
-    elif quirks.dtype is not None:
-        dtype = np.dtype(quirks.dtype)
-        encode = lambda value: encode_array(np.asarray(value, dtype=dtype))  # noqa: E731
-        decode = lambda value, _: decode_array(value).astype(dtype, copy=False)  # noqa: E731
-    else:
-        encode, plain = _codec(hint)
-        decode = lambda value, _: plain(value)  # noqa: E731
-    if not optional:
-        return encode, decode
-    return (
-        lambda value: None if value is None else encode(value),
-        lambda value, fields: None if value is None else decode(value, fields),
-    )
-
-
-def _split_optional(hint: Any) -> Tuple[bool, Any]:
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union and type(None) in args:
-        rest = tuple(arg for arg in args if arg is not type(None))
-        return True, rest[0] if len(rest) == 1 else typing.Union[rest]
-    return False, hint
-
-
-def _expect(value: Any, types: Any, what: str) -> Any:
+def _expect(value: Any, types: Tuple[type, ...], what: str) -> Any:
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise SchemaError(f"expected {what}, got {type(value).__name__}")
     return value
 
 
-def _encode_float(value: Any) -> Any:
-    return value if type(value) is int else float(value)
-
-
 #: Scalar hint -> (encode, the types a read accepts, their name).
 _SCALARS = {
     int: (int, (int,), "an int"),
-    float: (_encode_float, (int, float), "a number"),
+    float: (lambda value: value if type(value) is int else float(value), (int, float), "a number"),
     bool: (bool, (bool,), "a bool"),
     str: (lambda value: value, (str,), "a str"),
 }
 
-_SEQUENCES = (list, tuple, collections.abc.Sequence)
 
-
-def _codec(hint: Any) -> Tuple[Callable[[Any], Any], Callable[[Any], Any]]:
-    """``(encode, decode)`` of one type hint."""
-    optional, hint = _split_optional(hint)
-    if optional:
-        encode, decode = _codec(hint)
+def _codec(hint: Any, quirks: _Quirks = _Quirks()) -> Codec:
+    """The codec of one type hint, or of the quirk that replaces it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and type(None) in args:
+        rest = tuple(arg for arg in args if arg is not type(None))
+        encode, decode = _codec(typing.Union[rest], quirks)
         return (
             lambda value: None if value is None else encode(value),
-            lambda value: None if value is None else decode(value),
+            lambda value, fields: None if value is None else decode(value, fields),
         )
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if quirks.codec is not None:
+        return quirks.codec
+    if quirks.dtype is not None:
+        dtype = np.dtype(quirks.dtype)
+        return (
+            lambda value: encode_array(np.asarray(value, dtype=dtype)),
+            lambda value, _: decode_array(value).astype(dtype, copy=False),
+        )
     if hint is Any:
-        return (lambda value: value), (lambda value: value)
+        return (lambda value: value), (lambda value, _: value)
     if hint in _SCALARS:
         encode, types, what = _SCALARS[hint]
-        return encode, lambda value: _expect(value, types, what)
+        return encode, lambda value, _: _expect(value, types, what)
     if hint is np.ndarray:
-        return encode_array, decode_array
+        return encode_array, lambda value, _: decode_array(value)
     if origin is typing.Union:
         return _union_codec(args)
-    if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
-        codecs = [_codec(arg) for arg in args]
-
-        def decode_fixed(value):
-            _expect(value, (list, tuple), "a list")
-            if len(value) != len(codecs):
-                raise SchemaError(f"expected {len(codecs)} items, got {len(value)}")
-            return tuple(decode(item) for (_, decode), item in zip(codecs, value))
-
-        return (
-            lambda value: [encode(item) for (encode, _), item in zip(codecs, value)],
-            decode_fixed,
-        )
-    if origin in _SEQUENCES:
-        encode, decode = _codec(args[0])
+    if origin in (list, tuple, collections.abc.Sequence):
+        # A fixed-length tuple (``Tuple[float, float]``) holds one item type.
+        length = len(args) if origin is tuple and Ellipsis not in args else None
+        if length is not None and len(set(args)) != 1:
+            raise TypeError(f"no wire codec for the mixed tuple {hint!r}")
+        encode, item_decode = _codec(args[0])
         build = tuple if origin is tuple else list
-        return (
-            lambda value: [encode(item) for item in value],
-            lambda value: build(decode(item) for item in _expect(value, (list, tuple), "a list")),
-        )
-    if origin in (dict, collections.abc.Mapping):
-        encode, decode = _codec(args[1])
 
-        def decode_mapping(value):
-            _expect(value, Mapping, "an object")
-            return {_expect(key, (str,), "a str key"): decode(item) for key, item in value.items()}
+        def decode(value, _):
+            _expect(value, (list, tuple), "a list")
+            if length is not None and len(value) != length:
+                raise SchemaError(f"expected {length} items, got {len(value)}")
+            return build(item_decode(item, None) for item in value)
+
+        return (lambda value: [encode(item) for item in value]), decode
+    if origin is dict:
+        encode, item_decode = _codec(args[1])
+
+        def decode_mapping(value, _):
+            _expect(value, (Mapping,), "an object")
+            return {
+                _expect(key, (str,), "a str key"): item_decode(item, None)
+                for key, item in value.items()
+            }
 
         return (lambda value: {key: encode(item) for key, item in value.items()}), decode_mapping
     if hasattr(hint, "to_dict") and hasattr(hint, "from_dict"):
-        return (lambda value: value.to_dict()), hint.from_dict
+        return (lambda value: value.to_dict()), lambda value, _: hint.from_dict(value)
     raise TypeError(f"no wire codec for type {hint!r}")
 
 
-def _union_codec(members: Tuple[type, ...]) -> Tuple[Callable, Callable]:
+def _union_codec(members: Tuple[type, ...]) -> Codec:
     """A union of artifact classes, told apart by their ``kind``."""
     by_kind = {member._wire[0]: member for member in members}
 
@@ -442,7 +398,7 @@ def _union_codec(members: Tuple[type, ...]) -> Tuple[Callable, Callable]:
             raise TypeError(f"{type(value).__name__} is not one of {sorted(by_kind)}")
         return value.to_dict()
 
-    def decode(value):
+    def decode(value, _):
         kind = value.get("kind") if isinstance(value, Mapping) else None
         if kind not in by_kind:
             raise SchemaError(f"unknown artifact kind {kind!r} (expected one of {sorted(by_kind)})")
