@@ -4,75 +4,38 @@ Every spec and result artifact in the job-spec API is a tagged dict
 (``kind`` + ``schema_version``) written and read by the one codec of
 :mod:`repro.api.serialize`: a class declares itself with
 ``@artifact("<kind>")`` and lands in
-:data:`~repro.api.serialize.ARTIFACT_TYPES`.  This module adds the two
-multi-artifact files the CLI writes and the one reader of them all:
+:data:`~repro.api.serialize.ARTIFACT_TYPES`.
 
-* :class:`ReportBatch` (``report_batch``) holds several
-  ``PipelineReport`` artifacts (``python -m repro run``/``sweep`` with more
-  than one job); :class:`ExperimentRows` (``experiment_rows``) holds the
-  table rows of ``python -m repro tables --json`` (Tables 1–5, the Figure 2
-  curves and the appendix listings);
 * :func:`load_artifact` rebuilds any artifact dict — a ``PipelineReport``,
   a ``CoverageExperiment``, a ``PipelineSpec``, a table row, a
-  ``ReportBatch``, a ``BenchResult``/``BenchTrajectory``, ... — as
-  ``ARTIFACT_TYPES[kind].from_dict(data)``.
+  ``BenchResult``/``BenchTrajectory``, ... — as
+  ``ARTIFACT_TYPES[kind].from_dict(data)``;
+* :func:`report_batch_dict` and :func:`experiment_rows_dict` write the two
+  multi-artifact files of the CLI: a
+  :class:`~repro.pipeline.ReportBatch` of several reports (``python -m
+  repro run``/``sweep`` with more than one job) and an
+  :class:`~repro.experiments.ExperimentRows` of table rows (``python -m
+  repro tables --json``), which load back as those types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Union
+import importlib
+from typing import Any, Dict, List, Mapping
 
-from ..bench.artifacts import BenchResult, BenchTrajectory  # noqa: F401 (registers)
-from ..experiments import (
-    AppendixListing,
-    Figure2Data,
-    Table1Row,
-    Table2Row,
-    Table3Row,
-    Table4Row,
-    Table5Row,
-    Table5SpeedupRow,
+from ..pipeline.session import PipelineReport, ReportBatch
+from .serialize import ARTIFACT_TYPES, SCHEMA_VERSION, SchemaError
+
+__all__ = ["load_artifact", "report_batch_dict", "experiment_rows_dict"]
+
+#: The modules that declare the artifact kinds (imported by the first load,
+#: so that ``import repro`` stays free of the bench and table modules).
+_DECLARING_MODULES = (
+    "repro.api.spec",
+    "repro.pipeline.session",
+    "repro.experiments.batch",
+    "repro.bench.artifacts",
 )
-from ..pipeline.session import PipelineReport
-from .serialize import ARTIFACT_TYPES, SCHEMA_VERSION, SchemaError, artifact
-from .spec import PipelineSpec  # noqa: F401 (registers)
-
-__all__ = [
-    "ExperimentRows",
-    "ReportBatch",
-    "load_artifact",
-    "report_batch_dict",
-    "experiment_rows_dict",
-]
-
-#: Every experiment table row.
-Row = Union[
-    Table1Row,
-    Table2Row,
-    Table3Row,
-    Table4Row,
-    Table5Row,
-    Table5SpeedupRow,
-    Figure2Data,
-    AppendixListing,
-]
-
-
-@artifact("report_batch")
-@dataclass
-class ReportBatch:
-    """Several pipeline reports in one file."""
-
-    reports: List[PipelineReport]
-
-
-@artifact("experiment_rows")
-@dataclass
-class ExperimentRows:
-    """The experiment table rows of one ``python -m repro tables`` run."""
-
-    rows: List[Row]
 
 
 def report_batch_dict(reports: List[PipelineReport]) -> Dict[str, Any]:
@@ -82,6 +45,8 @@ def report_batch_dict(reports: List[PipelineReport]) -> Dict[str, Any]:
 
 def experiment_rows_dict(rows: List[Any]) -> Dict[str, Any]:
     """The ``experiment_rows`` artifact dict of table rows."""
+    from ..experiments.batch import ExperimentRows
+
     return ExperimentRows(list(rows)).to_dict()
 
 
@@ -98,6 +63,8 @@ def load_artifact(data: Mapping[str, Any]) -> Any:
     """
     if not isinstance(data, Mapping):
         raise SchemaError(f"artifact dict expected, got {type(data).__name__}")
+    for module in _DECLARING_MODULES:
+        importlib.import_module(module)
     kind = data.get("kind")
     artifact_type = ARTIFACT_TYPES.get(kind) if isinstance(kind, str) else None
     if artifact_type is None:

@@ -7,7 +7,7 @@ plain dict that survives ``json.dumps``/``json.loads`` **exactly**:
   nested-list payload round-trips bit for bit for the integer, boolean and
   IEEE-754 float dtypes used by the reports (Python's ``json`` emits
   shortest-round-trip float literals, so ``float64`` values are preserved
-  exactly, not approximately);
+  exactly, not approximately), and a read refuses any other dtype;
 * every top-level artifact dict carries a ``kind`` tag (which type to
   rebuild) and a ``schema_version``; decoding validates both and rejects
   unknown fields, so stale or hand-edited artifacts fail loudly instead of

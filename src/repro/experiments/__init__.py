@@ -25,6 +25,7 @@ from .table5 import (
 from .figure2 import Figure2Data, format_figure2
 from .appendix import AppendixListing, format_appendix
 from .batch import (
+    ExperimentRows,
     appendix_listings,
     figure2_data,
     reports_by_key,
@@ -38,6 +39,7 @@ from .batch import (
 
 __all__ = [
     "CONFIDENCE",
+    "ExperimentRows",
     "format_table",
     "format_count",
     "format_percent",

@@ -22,10 +22,12 @@ produce bit-identical artifacts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..api.serialize import artifact
 from ..api.spec import FaultSimConfig, OptimizeConfig, PipelineSpec, QuantizeConfig
 from ..circuits.registry import BenchmarkCircuit, paper_suite
 from ..pipeline.session import PipelineReport
@@ -36,9 +38,10 @@ from .table1 import Table1Row
 from .table2 import Table2Row
 from .table3 import Table3Row
 from .table4 import Table4Row
-from .table5 import Table5Row
+from .table5 import Table5Row, Table5SpeedupRow
 
 __all__ = [
+    "ExperimentRows",
     "suite_specs",
     "reports_by_key",
     "table1_rows",
@@ -49,6 +52,27 @@ __all__ = [
     "figure2_data",
     "appendix_listings",
 ]
+
+
+#: Every experiment table row.
+Row = Union[
+    Table1Row,
+    Table2Row,
+    Table3Row,
+    Table4Row,
+    Table5Row,
+    Table5SpeedupRow,
+    Figure2Data,
+    AppendixListing,
+]
+
+
+@artifact("experiment_rows")
+@dataclass
+class ExperimentRows:
+    """The table rows of one ``python -m repro tables`` run, in one file."""
+
+    rows: List[Row]
 
 
 def suite_specs(

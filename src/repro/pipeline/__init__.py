@@ -2,9 +2,9 @@
 
 :class:`PipelineReport` is the per-circuit outcome of
 :func:`~repro.api.execute_spec`, the only way a
-:class:`~repro.api.PipelineSpec` runs.
+:class:`~repro.api.PipelineSpec` runs; a :class:`ReportBatch` holds several.
 """
 
-from .session import PipelineReport
+from .session import PipelineReport, ReportBatch
 
-__all__ = ["PipelineReport"]
+__all__ = ["PipelineReport", "ReportBatch"]

@@ -40,7 +40,7 @@ from ..faultsim.coverage import CoverageExperiment
 from ..patterns.bilbo import SelfTestReport
 from ..wrp import MultiWeightReport
 
-__all__ = ["PipelineReport"]
+__all__ = ["PipelineReport", "ReportBatch"]
 
 
 @artifact("pipeline_report")
@@ -166,3 +166,11 @@ class PipelineReport:
         """
         return scrub_volatile(self.to_dict())
 
+
+@artifact("report_batch")
+@dataclass
+class ReportBatch:
+    """Several pipeline reports in one file (``python -m repro run``/``sweep``
+    with more than one job)."""
+
+    reports: List[PipelineReport]

@@ -26,11 +26,12 @@ from repro.api import (
     execute_spec,
     load_artifact,
 )
-from repro.api.artifacts import ExperimentRows, experiment_rows_dict, report_batch_dict
+from repro.api.artifacts import experiment_rows_dict, report_batch_dict
 from repro.api.serialize import decode_array, encode_array
 from repro.circuit import Circuit
 from repro.circuits import alu_circuit, s1_comparator
 from repro.core import WeightOptimizer
+from repro.experiments import ExperimentRows
 from repro.faults import Fault, FaultTable, collapsed_fault_list
 from repro.faultsim import random_pattern_coverage
 from repro.faultsim.coverage import CoverageExperiment
