@@ -306,8 +306,6 @@ def _from_dict(cls, data: Mapping[str, Any]) -> Any:
             continue
         try:
             fields[name] = decode(data[name], fields)
-        except SchemaError:
-            raise
         except (TypeError, ValueError, KeyError, IndexError, ArithmeticError) as exc:
             raise SchemaError(f"invalid {plan.kind}.{name}: {exc}") from exc
     try:
