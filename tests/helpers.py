@@ -112,6 +112,63 @@ def over_cap_multi_weight_spec():
     )
 
 
+def legacy_result_dict(result: dict, faults: list) -> dict:
+    """A ``fault_sim_result`` wire dict in its earlier shape.
+
+    That shape embedded the fault list as ``[net, stuck_value, gate]``
+    triples and wrote detections as ``[fault_index, pattern_index]`` pairs
+    into it; the current one holds only the dense ``first_detection`` array.
+    A dict already in the earlier shape is returned as is.
+    """
+    if "faults" in result:
+        return result
+    first = result["first_detection"]["data"]
+    pairs = [[index, pattern] for index, pattern in enumerate(first) if pattern >= 0]
+    return {**result, "faults": faults, "first_detection": pairs}
+
+
+def legacy_coverage_dict(coverage: dict, faults: list) -> dict:
+    """A ``multi_set_coverage`` wire dict in its earlier shape."""
+    return {**coverage, "result": legacy_result_dict(coverage["result"], faults)}
+
+
+def legacy_report_dict(report: dict) -> dict:
+    """A ``pipeline_report`` wire dict in its earlier shape.
+
+    The current report states its fault list once, as ``faults``.  The
+    earlier one wrote ``n_faults`` instead, wrapped each fault-simulation leg
+    in a ``coverage_experiment`` (circuit name, pattern count, result, input
+    weights) and embedded the list in every result.  Mapping a new report
+    back lets the digests recorded from the earlier shape keep pinning what
+    a run computes.  A dict already in the earlier shape is returned as is.
+    """
+    if "faults" not in report:
+        return report
+    faults = report["faults"]
+    data = {key: value for key, value in report.items() if key != "faults"}
+    data["n_faults"] = len(faults)
+    quantized = report.get("quantized_weights")
+    weights = {
+        "conventional_experiment": [0.5] * report["n_inputs"],
+        "optimized_experiment": None if quantized is None else quantized["data"],
+    }
+    for leg, leg_weights in weights.items():
+        result = data.get(leg)
+        if result is not None:
+            data[leg] = {
+                "kind": "coverage_experiment",
+                "schema_version": result["schema_version"],
+                "circuit_name": report["circuit_name"],
+                "n_patterns": result["n_patterns"],
+                "result": legacy_result_dict(result, faults),
+                "weights": leg_weights,
+            }
+    multi = data.get("multi_weight")
+    if multi is not None:
+        data["multi_weight"] = {**multi, "coverage": legacy_coverage_dict(multi["coverage"], faults)}
+    return data
+
+
 def played_patterns(session) -> np.ndarray:
     """Every pattern a self-test session plays, its chunks concatenated."""
     return np.concatenate(list(session.pattern_chunks()))

@@ -40,6 +40,8 @@ from repro.experiments.batch import (
 )
 from repro.faultsim import FaultSimStats
 
+from .helpers import legacy_report_dict
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -168,7 +170,7 @@ def test_multi_weight_report_digest(report):
     data = report.canonical_dict()
     assert data["multi_weight"]["scan_chains"] == 4
     assert data["multi_weight"]["coverage"]["target_coverage"] == 0.95
-    assert _digest(data) == (
+    assert _digest(legacy_report_dict(data)) == (
         "0ccba7db96bdf6d165fefe6ee1f72c2cc0f001b307e5604af3ccd3d909929e3b"
     )
 

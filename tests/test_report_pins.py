@@ -17,11 +17,12 @@ from repro.api import PipelineSpec, execute_spec
 from repro.api.cli import _stage_configs, build_parser
 from repro.api.serialize import canonical_json
 
+from .helpers import legacy_report_dict
 from .test_spec_pins import every_stage_spec
 
 
 def _digest(report) -> str:
-    text = canonical_json(report.canonical_dict())
+    text = canonical_json(legacy_report_dict(report.canonical_dict()))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

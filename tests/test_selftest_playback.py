@@ -31,7 +31,12 @@ from repro.patterns.bilbo import MAX_SCHEDULE_PATTERNS, SelfTestSession
 from repro.wrp import MultiWeightSet, WeightSetEntry, run_multi_weight_session
 from repro.wrp.multiset import SET_POLYNOMIAL_WIDTHS, set_seed
 
-from .helpers import C17_BENCH, over_cap_multi_weight_spec, played_patterns
+from .helpers import (
+    C17_BENCH,
+    legacy_coverage_dict,
+    over_cap_multi_weight_spec,
+    played_patterns,
+)
 
 
 def _sha(data) -> str:
@@ -191,18 +196,15 @@ class TestTwoSetSchedule:
             else np.full(circuit.n_inputs, 31 / 32)
         )
         weight_sets = _two_sets(circuit, first)
-        report = run_multi_weight_session(
-            circuit,
-            weight_sets,
-            faults=collapsed_fault_list(circuit),
-            **options,
-        )
+        faults = collapsed_fault_list(circuit)
+        report = run_multi_weight_session(circuit, weight_sets, faults=faults, **options)
         assert report.self_test.n_patterns == 9500
         assert tuple(entry.n_patterns for entry in weight_sets.sets) == (4500, 5000)
         assert report.self_test.passed
         assert report.self_test.signature == signature
         assert report.coverage.applied == applied
-        assert _dict_sha(report.coverage.to_dict()) == coverage_sha
+        coverage = legacy_coverage_dict(report.coverage.to_dict(), faults.to_lists())
+        assert _dict_sha(coverage) == coverage_sha
 
 
 class TestScalarMisr:
@@ -256,7 +258,8 @@ class TestScalarMisr:
             wide, weight_sets, faults=faults, misr_width=65, misr_taps=(65, 47)
         )
         assert report.self_test.signature == 1924485442988938651
-        assert _dict_sha(report.coverage.to_dict()) == (
+        coverage = legacy_coverage_dict(report.coverage.to_dict(), faults.to_lists())
+        assert _dict_sha(coverage) == (
             "89609e5a49f4786930c9d4867afbefe2df735d518e649d3667d26754ed8b2d9a"
         )
 
