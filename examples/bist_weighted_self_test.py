@@ -72,7 +72,7 @@ def main(width: int = 10, n_patterns: int = 2_000) -> None:
     # (Signature aliasing aside, a session detects a fault exactly when the
     # fault simulator sees a differing response to one of its patterns.)
     plain = random_pattern_coverage(circuit, n_patterns, faults=[hardest], seed=42)
-    detected_plain = plain.result.first_detection[0] >= 0
+    detected_plain = plain.first_detection[0] >= 0
     print(f"Unweighted self test  : {n_patterns:,} equiprobable patterns -> "
           f"{'fault detected' if detected_plain else 'FAULT MISSED'}")
 

@@ -52,10 +52,10 @@ def main(width: int = 12, n_patterns: int = 4_000) -> None:
     # --- Step 3: verify by fault simulation ---------------------------------
     before, after = report.conventional_experiment, report.optimized_experiment
     print(f"Fault coverage with {n_patterns:,} patterns:")
-    print(f"  conventional     : {before.fault_coverage_percent:5.1f} % "
-          f"({len(before.result.undetected)} faults missed)")
-    print(f"  optimized        : {after.fault_coverage_percent:5.1f} % "
-          f"({len(after.result.undetected)} faults missed)")
+    print(f"  conventional     : {report.conventional_coverage:5.1f} % "
+          f"({before.n_undetected} faults missed)")
+    print(f"  optimized        : {report.optimized_coverage:5.1f} % "
+          f"({after.n_undetected} faults missed)")
 
     # Every stage above consumed one shared lowered-circuit artifact.
     print(f"Circuit lowerings  : {report.lowerings} (compiled once, reused)")

@@ -7,7 +7,7 @@ Every spec and result artifact in the job-spec API is a tagged dict
 :data:`~repro.api.serialize.ARTIFACT_TYPES`.
 
 * :func:`load_artifact` rebuilds any artifact dict — a ``PipelineReport``,
-  a ``CoverageExperiment``, a ``PipelineSpec``, a table row, a
+  a ``FaultSimResult``, a ``PipelineSpec``, a table row, a
   ``BenchResult``/``BenchTrajectory``, ... — as
   ``ARTIFACT_TYPES[kind].from_dict(data)``;
 * :func:`report_batch_dict` and :func:`experiment_rows_dict` write the two

@@ -141,7 +141,7 @@ def execute_spec(
         circuit_name=circuit.name,
         n_gates=circuit.n_gates,
         n_inputs=circuit.n_inputs,
-        n_faults=len(need("faults")),
+        faults=need("faults"),
         input_names=[circuit.net_name(net) for net in circuit.inputs],
         seed=spec.seed,
         conventional_length=required_test_length(

@@ -34,7 +34,7 @@ dicts of the upstream keyed rows it consumes (nested, as ``"weights"``).
   ``quantized_weights`` computed at the spec's quantization step), but
   *not* on the root seed, the label or the fault-sim budget — optimization
   is deterministic, so two specs differing only in seed share this entry.
-* ``stage_fault_sim/<digest>`` — one key per coverage experiment
+* ``stage_fault_sim/<digest>`` — one key per fault-simulation result
   (conventional, and weighted when the quantize stage runs).  Depends on
   the circuit, analysis config, fault-sim config, resolved pattern budget
   and the *derived* stage seed (which already encodes root seed + label);
@@ -64,7 +64,8 @@ from ..core.optimizer import OptimizationResult, WeightOptimizer
 from ..core.quantize import quantize_to_lfsr_grid
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault, FaultTable
-from ..faultsim.coverage import CoverageExperiment, random_pattern_coverage
+from ..faultsim.coverage import random_pattern_coverage
+from ..faultsim.parallel import FaultSimResult
 from ..lowered import compile_count, compile_lowered
 from ..patterns.bilbo import SelfTestSession
 from ..wrp import (
@@ -384,7 +385,7 @@ def pipeline_rows(spec: PipelineSpec) -> Tuple[Row, ...]:
                     namespace="stage_fault_sim",
                     deps={**sim_deps, "weights": weights_deps},
                     seed=seed,
-                    artifact_type=CoverageExperiment,
+                    artifact_type=FaultSimResult,
                 )
             )
 

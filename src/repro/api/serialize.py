@@ -32,8 +32,8 @@ A field's quirks are declared on the field with :func:`wire`:
 ``required=True`` (required on read although it has a default),
 ``omit_none=True`` (not written while ``None``), ``dtype=`` (an array cast
 to that dtype both ways) and ``codec=(encode, decode)`` (a wire form its
-type does not give, such as a fault table's triples; ``decode(value,
-fields)`` also sees the fields decoded before it).  Wire fields without a
+type does not give, such as a fault table's triples, with ``decode(value)``
+the inverse of ``encode``).  Wire fields without a
 dataclass field are declared on the class: ``constants`` are written with a
 fixed value and read back only as an accepted value, ``dropped`` names are
 read and discarded.
@@ -186,9 +186,8 @@ def untag(
 #: Artifact kind -> the class that reads it (:func:`artifact` fills it).
 ARTIFACT_TYPES: Dict[str, type] = {}
 
-#: A codec: ``(encode(value), decode(wire_value, fields))``, where ``fields``
-#: holds the fields of the artifact decoded so far.
-Codec = Tuple[Callable[[Any], Any], Callable[[Any, Dict[str, Any]], Any]]
+#: A codec: ``(encode(value), decode(wire_value))``.
+Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
 _MISSING = dataclasses.MISSING
 
@@ -305,7 +304,7 @@ def _from_dict(cls, data: Mapping[str, Any]) -> Any:
         if name not in data:
             continue
         try:
-            fields[name] = decode(data[name], fields)
+            fields[name] = decode(data[name])
         except (TypeError, ValueError, KeyError, IndexError, ArithmeticError) as exc:
             raise SchemaError(f"invalid {plan.kind}.{name}: {exc}") from exc
     try:
@@ -337,7 +336,7 @@ def _codec(hint: Any, quirks: _Quirks = _Quirks()) -> Codec:
         encode, decode = _codec(typing.Union[rest], quirks)
         return (
             lambda value: None if value is None else encode(value),
-            lambda value, fields: None if value is None else decode(value, fields),
+            lambda value: None if value is None else decode(value),
         )
     if quirks.codec is not None:
         return quirks.codec
@@ -345,15 +344,15 @@ def _codec(hint: Any, quirks: _Quirks = _Quirks()) -> Codec:
         dtype = np.dtype(quirks.dtype)
         return (
             lambda value: encode_array(np.asarray(value, dtype=dtype)),
-            lambda value, _: decode_array(value).astype(dtype, copy=False),
+            lambda value: decode_array(value).astype(dtype, copy=False),
         )
     if hint is Any:
-        return (lambda value: value), (lambda value, _: value)
+        return (lambda value: value), (lambda value: value)
     if hint in _SCALARS:
         encode, types, what = _SCALARS[hint]
-        return encode, lambda value, _: _expect(value, types, what)
+        return encode, lambda value: _expect(value, types, what)
     if hint is np.ndarray:
-        return encode_array, lambda value, _: decode_array(value)
+        return encode_array, decode_array
     if origin is typing.Union:
         return _union_codec(args)
     if origin in (list, tuple, collections.abc.Sequence):
@@ -364,26 +363,26 @@ def _codec(hint: Any, quirks: _Quirks = _Quirks()) -> Codec:
         encode, item_decode = _codec(args[0])
         build = tuple if origin is tuple else list
 
-        def decode(value, _):
+        def decode(value):
             _expect(value, (list, tuple), "a list")
             if length is not None and len(value) != length:
                 raise SchemaError(f"expected {length} items, got {len(value)}")
-            return build(item_decode(item, None) for item in value)
+            return build(item_decode(item) for item in value)
 
         return (lambda value: [encode(item) for item in value]), decode
     if origin is dict:
         encode, item_decode = _codec(args[1])
 
-        def decode_mapping(value, _):
+        def decode_mapping(value):
             _expect(value, (Mapping,), "an object")
             return {
-                _expect(key, (str,), "a str key"): item_decode(item, None)
+                _expect(key, (str,), "a str key"): item_decode(item)
                 for key, item in value.items()
             }
 
         return (lambda value: {key: encode(item) for key, item in value.items()}), decode_mapping
     if hasattr(hint, "to_dict") and hasattr(hint, "from_dict"):
-        return (lambda value: value.to_dict()), lambda value, _: hint.from_dict(value)
+        return (lambda value: value.to_dict()), hint.from_dict
     raise TypeError(f"no wire codec for type {hint!r}")
 
 
@@ -396,7 +395,7 @@ def _union_codec(members: Tuple[type, ...]) -> Codec:
             raise TypeError(f"{type(value).__name__} is not one of {sorted(by_kind)}")
         return value.to_dict()
 
-    def decode(value, _):
+    def decode(value):
         kind = value.get("kind") if isinstance(value, Mapping) else None
         if kind not in by_kind:
             raise SchemaError(f"unknown artifact kind {kind!r} (expected one of {sorted(by_kind)})")

@@ -140,7 +140,7 @@ def run_bench(quick: bool = False, repeats: int = 2) -> BenchResult:
             patterns, batch_size=batch_size
         ),
     )
-    runner.counter("detected", len(faults) - len(sim.value.undetected))
+    runner.counter("detected", len(faults) - sim.value.n_undetected)
     runner.metric("fault_coverage", sim.value.fault_coverage)
     runner.metric(
         "pairs_per_second", len(faults) * n_patterns / sim.best_seconds

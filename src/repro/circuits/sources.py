@@ -214,22 +214,6 @@ class CircuitSource:
             return parse_bench(self.text, name=self.name)
         return self.generator.generate()
 
-    def describe(self) -> str:
-        """One-line human-readable description of the source."""
-        if self.kind == "builtin":
-            return f"registry circuit {self.key!r}"
-        if self.kind == "inline":
-            return f"inline netlist {self.label!r}"
-        if self.kind == "file":
-            if self.path is not None:
-                return f".bench file {self.path}"
-            return f"inline .bench text {self.label!r}"
-        gen = self.generator
-        return (
-            f"generated netlist {gen.name!r} ({gen.n_inputs} inputs, "
-            f"{gen.n_gates} gates, depth {gen.depth}, seed {gen.seed})"
-        )
-
 
 def normalize_circuit_ref(
     ref: Union[str, Mapping[str, Any], Circuit, CircuitSource],

@@ -168,7 +168,7 @@ def table2_rows(reports: Sequence[PipelineReport]) -> List[Table2Row]:
                 paper_name=entry.paper_name,
                 n_patterns=report.n_patterns,
                 measured_coverage=report.conventional_coverage,
-                n_undetected=len(experiment.result.undetected),
+                n_undetected=experiment.n_undetected,
                 paper_coverage=entry.paper_conventional_coverage,
             )
         )
@@ -209,7 +209,7 @@ def table4_rows(reports: Sequence[PipelineReport]) -> List[Table4Row]:
                 paper_name=entry.paper_name,
                 n_patterns=report.n_patterns,
                 measured_coverage=report.optimized_coverage,
-                n_undetected=len(experiment.result.undetected),
+                n_undetected=experiment.n_undetected,
                 paper_coverage=entry.paper_optimized_coverage,
             )
         )
@@ -244,7 +244,7 @@ def figure2_data(
     """Figure 2 (coverage vs. pattern count for S1) from the S1 artifact.
 
     The curves are resampled from the per-fault first-detection indices
-    embedded in the report's coverage experiments — no re-simulation.
+    embedded in the report's fault-simulation legs — no re-simulation.
     """
     report = reports_by_key(reports).get("s1")
     if (
@@ -255,8 +255,8 @@ def figure2_data(
         return None
     n_patterns = report.n_patterns
     points = _sample_points(n_patterns, n_points)
-    conventional = report.conventional_experiment.result
-    optimized = report.optimized_experiment.result
+    conventional = report.conventional_experiment
+    optimized = report.optimized_experiment
     return Figure2Data(
         circuit_name=report.circuit_name,
         points=points,

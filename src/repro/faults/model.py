@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..api.serialize import SchemaError
 from ..circuit.netlist import Circuit
 
 __all__ = ["FAULT_TABLE_WIRE", "FAULT_WIRE", "Fault", "FaultTable", "full_fault_list"]
@@ -90,15 +91,26 @@ class FaultTable:
         """The table of a fault sequence (a table is returned as is)."""
         if isinstance(faults, FaultTable):
             return faults
-        return cls.from_lists((f.net, f.stuck_value, f.gate) for f in faults)
+        return cls.from_lists(
+            (int(f.net), bool(f.stuck_value), None if f.gate is None else int(f.gate))
+            for f in faults
+        )
 
     @classmethod
     def from_lists(cls, data: Iterable[Sequence]) -> "FaultTable":
-        """Rebuild a table from :meth:`to_lists` output (validated)."""
-        rows = np.array(
-            [(int(n), bool(s), -1 if g is None else int(g)) for n, s, g in data], dtype=np.int64
-        ).reshape(-1, 3)
-        return cls(rows[:, 0], rows[:, 1] != 0, rows[:, 2])
+        """Rebuild a table from :meth:`to_lists` output.
+
+        A triple holds a non-negative ``int`` net, a ``bool`` stuck value and
+        ``null`` or a non-negative ``int`` gate; anything else is a
+        :class:`~repro.api.serialize.SchemaError`, never a coerced fault.
+        """
+        rows = []
+        for net, stuck, gate in data:
+            if not (_is_index(net) and type(stuck) is bool and (gate is None or _is_index(gate))):
+                raise SchemaError(f"malformed [net, stuck_value, gate]: {[net, stuck, gate]!r}")
+            rows.append((net, stuck, -1 if gate is None else gate))
+        array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return cls(array[:, 0], array[:, 1] != 0, array[:, 2])
 
     def to_lists(self) -> List[List]:
         """Wire form (job-spec API): one ``[net, stuck_value, gate]`` triple
@@ -127,11 +139,16 @@ class FaultTable:
 
 #: Artifact field codecs (:func:`repro.api.serialize.wire`): a table as its
 #: :meth:`FaultTable.to_lists` triples, one fault as one triple.
-FAULT_TABLE_WIRE = (FaultTable.to_lists, lambda data, _: FaultTable.from_lists(data))
+FAULT_TABLE_WIRE = (FaultTable.to_lists, FaultTable.from_lists)
 FAULT_WIRE = (
     lambda fault: FaultTable.of([fault]).to_lists()[0],
-    lambda data, _: FaultTable.from_lists([data])[0],
+    lambda data: FaultTable.from_lists([data])[0],
 )
+
+
+def _is_index(value: object) -> bool:
+    """A non-negative ``int`` (not a ``bool``) that fits an int32 column."""
+    return type(value) is int and 0 <= value < 2**31
 
 
 def full_fault_list(circuit: Circuit, include_branches: bool = True) -> FaultTable:

@@ -19,42 +19,14 @@ reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..api.serialize import artifact
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..patterns.weighted import WeightedPatternGenerator
 from .parallel import FaultSimResult, ParallelFaultSimulator
 
-__all__ = ["CoverageExperiment", "random_pattern_coverage"]
-
-
-@artifact("coverage_experiment")
-@dataclass
-class CoverageExperiment:
-    """Fault coverage of a random test with given input probabilities.
-
-    Attributes:
-        circuit_name: name of the circuit under test.
-        n_patterns: number of applied random patterns.
-        result: the underlying fault-simulation result.
-        weights: per-input probabilities used to generate the patterns.
-    """
-
-    circuit_name: str
-    n_patterns: int
-    result: FaultSimResult
-    weights: Sequence[float]
-
-    @property
-    def fault_coverage(self) -> float:
-        return self.result.fault_coverage
-
-    @property
-    def fault_coverage_percent(self) -> float:
-        return 100.0 * self.result.fault_coverage
+__all__ = ["random_pattern_coverage"]
 
 
 def random_pattern_coverage(
@@ -65,7 +37,7 @@ def random_pattern_coverage(
     seed: int = 1987,
     chunk_size: int = 4096,
     target_coverage: Optional[float] = None,
-) -> CoverageExperiment:
+) -> FaultSimResult:
     """Fault-simulate up to ``n_patterns`` weighted random patterns, streamed.
 
     Patterns are generated and simulated chunk by chunk — the full pattern
@@ -82,16 +54,17 @@ def random_pattern_coverage(
         seed: RNG seed (kept fixed so tables are reproducible).
         chunk_size: patterns generated (and held in memory) per stream chunk.
         target_coverage: optional fault-coverage fraction at which to stop
-            the stream early; the returned experiment's ``n_patterns`` then
-            reflects the patterns actually applied.
+            the stream early; the result's ``n_patterns`` then reflects the
+            patterns actually applied.
+
+    Returns:
+        the :class:`~repro.faultsim.parallel.FaultSimResult`, whose
+        ``first_detection`` follows the order of ``faults``.
     """
     if weights is None:
         weights = [0.5] * circuit.n_inputs
     generator = WeightedPatternGenerator(weights, seed=seed)
-    result = ParallelFaultSimulator(circuit, faults).run_stream(
+    return ParallelFaultSimulator(circuit, faults).run_stream(
         generator.generate_stream(n_patterns, chunk=chunk_size),
         target_coverage=target_coverage,
-    )
-    return CoverageExperiment(
-        circuit.name, result.n_patterns, result, [float(w) for w in weights]
     )

@@ -36,7 +36,7 @@ import numpy as np
 from ..circuit.gates import eval_words
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import Fault, FaultTable
+from ..faults.model import Fault
 from ..simulation.logicsim import WORD_BITS, pack_patterns
 from .parallel import FaultSimResult, _valid_mask
 
@@ -193,7 +193,7 @@ class LegacyParallelFaultSimulator:
                 else:
                     still_live.append(fi)
             live = still_live
-        return FaultSimResult(FaultTable.of(self.faults), first_detection, n_patterns)
+        return FaultSimResult(first_detection, n_patterns)
 
     def detection_counts(
         self, patterns: np.ndarray, batch_size: int = 2048

@@ -24,6 +24,10 @@ uses:
 
 Faults are indices into one :class:`~repro.faults.model.FaultTable`, the one
 fault encoding, from the active set to :attr:`FaultSimResult.first_detection`.
+A result is only that dense array (plus the pattern count and counters): it
+does not carry the list, which its caller already holds and a
+:class:`~repro.pipeline.session.PipelineReport` states once for all its
+results.
 
 Fault dropping takes effect before the propagation kernel pays for a fault,
 in the PPSFP spirit of Waicukauski et al. ("Fault Simulation for Structured
@@ -56,14 +60,14 @@ differential-tested against this implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.serialize import artifact, wire
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
-from ..faults.model import FAULT_TABLE_WIRE, Fault, FaultTable
+from ..faults.model import Fault, FaultTable
 from ..lowered import LoweredCircuit, ragged_positions
 from ..simulation.compiled import (
     _OP_UFUNC,
@@ -119,54 +123,47 @@ class FaultSimStats:
     faults_pruned: int = 0
 
 
-def _detection_pairs(first_detection: np.ndarray) -> List[List[int]]:
-    detected = np.flatnonzero(first_detection >= 0)
-    return np.column_stack((detected, first_detection[detected])).tolist()
-
-
-def _first_detection(pairs: List[List[int]], fields: Dict) -> np.ndarray:
-    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(array) != len(pairs) or array.min(initial=0) < 0:
-        raise ValueError("first_detection must hold [fault, pattern] index pairs")
-    first_detection = np.full(len(fields["faults"]), -1, dtype=np.int64)
-    first_detection[array[:, 0]] = array[:, 1]
-    return first_detection
-
-
 @artifact("fault_sim_result")
 @dataclass(eq=False)
 class FaultSimResult:
-    """Result of a fault simulation run.
+    """Result of a fault simulation run, against the fault list it was given.
 
     Attributes:
-        faults: the faults that were simulated (collapsed list).
-        first_detection: ``int64`` per fault, the (0-based) index of the
-            first pattern that detects it, ``-1`` if none does.
+        first_detection: ``int64`` per fault of the simulated list, the
+            (0-based) index of the first pattern that detects it, ``-1`` if
+            none does.  The list itself is not held: the faults a run missed
+            are ``faults.take(result.first_detection < 0)``.
         n_patterns: total number of patterns applied.
         stats: optional run counters (:class:`FaultSimStats`).  Excluded from
             equality — two runs are "the same result" when they agree on the
             detection outcome, whatever batching produced it.
 
-    On the wire the faults are ``[net, stuck_value, gate]`` triples and the
-    detected faults ``[fault_index, pattern_index]`` pairs into that list,
-    in fault order: compact, and the decoded result equals the original.
+    On the wire ``first_detection`` is a tagged ``int64`` array; a read
+    requires every value in ``[-1, n_patterns)``.
     """
 
-    faults: FaultTable = wire(codec=FAULT_TABLE_WIRE)
-    first_detection: np.ndarray = wire(codec=(_detection_pairs, _first_detection))
+    first_detection: np.ndarray
     n_patterns: int
     stats: Optional[FaultSimStats] = wire(default=None, omit_none=True)
+
+    def __post_init__(self) -> None:
+        first = self.first_detection
+        if first.dtype != np.int64 or first.ndim != 1:
+            raise ValueError(f"first_detection must be 1-D int64, got {first.dtype} {first.shape}")
+        if first.size and (first.min() < -1 or first.max() >= self.n_patterns):
+            raise ValueError(f"first_detection values must lie in [-1, {self.n_patterns})")
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FaultSimResult)
-            and (self.faults, self.n_patterns) == (other.faults, other.n_patterns)
+            and self.n_patterns == other.n_patterns
             and np.array_equal(self.first_detection, other.first_detection)
         )
 
     @property
-    def undetected(self) -> FaultTable:
-        return self.faults.take(self.first_detection < 0)
+    def n_undetected(self) -> int:
+        """Number of simulated faults no applied pattern detects."""
+        return int(np.count_nonzero(self.first_detection < 0))
 
     @property
     def fault_coverage(self) -> float:
@@ -461,7 +458,7 @@ class ParallelFaultSimulator:
             fault_words=fault_words,
             faults_pruned=faults_pruned,
         )
-        return FaultSimResult(self.faults, first_det, applied, stats=stats)
+        return FaultSimResult(first_det, applied, stats=stats)
 
     def detection_counts(
         self, patterns: np.ndarray, batch_size: int = 2048

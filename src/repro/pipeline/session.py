@@ -7,7 +7,9 @@ section 5.2 (LFSR weighting network + MISR signature).  Its declarative
 description is :class:`repro.api.spec.PipelineSpec`, its only execution
 path is :func:`repro.api.executor.execute_spec`, and a :class:`PipelineReport`
 is what one run returns (and what an artifact store persists under the
-plan's report key).
+plan's report key).  The report states its fault list once, as ``faults``;
+each fault-simulation result in it (both legs and the multi-weight
+coverage) is a first-detection array indexed by that list.
 
 Single stages are direct library calls: :class:`~repro.core.WeightOptimizer`,
 :func:`~repro.faultsim.random_pattern_coverage`,
@@ -35,8 +37,8 @@ import numpy as np
 
 from ..api.serialize import artifact, scrub_volatile, wire
 from ..core.optimizer import OptimizationResult
-from ..faults.model import FAULT_WIRE, Fault
-from ..faultsim.coverage import CoverageExperiment
+from ..faults.model import FAULT_TABLE_WIRE, FAULT_WIRE, Fault, FaultTable
+from ..faultsim.parallel import FaultSimResult
 from ..patterns.bilbo import SelfTestReport
 from ..wrp import MultiWeightReport
 
@@ -54,7 +56,11 @@ class PipelineReport:
     Attributes:
         key: job label (the spec's :attr:`~repro.api.spec.PipelineSpec.label`).
         circuit_name: name of the circuit under test.
-        n_gates / n_inputs / n_faults: workload size.
+        n_gates / n_inputs: workload size.
+        faults: the fault list every fault-simulation result indexes (the
+            collapsed, redundancy-filtered list of the ``faults`` row),
+            written once as ``[net, stuck_value, gate]`` triples; its length
+            is :attr:`n_faults`.
         input_names: primary input net names, in circuit input order (what
             the appendix listings and weight exports key on).
         seed: root seed the stage seeds were derived from.
@@ -66,9 +72,10 @@ class PipelineReport:
         conventional_coverage / optimized_coverage: fault coverage (percent)
             of ``n_patterns`` conventional / optimized random patterns.
         optimization: the underlying optimization result.
-        conventional_experiment / optimized_experiment: the full coverage
-            experiments (per-fault first-detection indices), from which
-            coverage curves and undetected-fault counts derive.
+        conventional_experiment / optimized_experiment: the fault
+            simulations of the two random tests, one first-detection index
+            per fault of :attr:`faults`, from which coverage curves and
+            undetected-fault counts derive.
         self_test: report of the BIST stage, when the spec requested it.
         self_test_fault: the fault injected into the self-test run (``None``
             for a clean run); with an injection, ``self_test.passed`` False
@@ -82,13 +89,17 @@ class PipelineReport:
             (:class:`repro.wrp.MultiWeightReport`), when the spec declared
             it; serialized only when present, so artifacts of specs without
             the stage keep their historical wire form.
+
+    Every embedded first-detection array (both legs and the multi-weight
+    coverage) has one entry per fault of :attr:`faults`; a report, built or
+    read, that breaks this raises.
     """
 
     key: str
     circuit_name: str
     n_gates: int
     n_inputs: int
-    n_faults: int
+    faults: FaultTable = wire(codec=FAULT_TABLE_WIRE)
     input_names: List[str] = wire(default_factory=list, required=True)
     seed: int = wire(default=0, required=True)
     conventional_length: Optional[int] = None
@@ -99,13 +110,28 @@ class PipelineReport:
     conventional_coverage: Optional[float] = None
     optimized_coverage: Optional[float] = None
     optimization: Optional[OptimizationResult] = None
-    conventional_experiment: Optional[CoverageExperiment] = None
-    optimized_experiment: Optional[CoverageExperiment] = None
+    conventional_experiment: Optional[FaultSimResult] = None
+    optimized_experiment: Optional[FaultSimResult] = None
     self_test: Optional[SelfTestReport] = None
     self_test_fault: Optional[Fault] = wire(default=None, codec=FAULT_WIRE)
     lowerings: int = 0
     seconds: float = 0.0
     multi_weight: Optional[MultiWeightReport] = wire(default=None, omit_none=True)
+
+    def __post_init__(self) -> None:
+        multi = None if self.multi_weight is None else self.multi_weight.coverage.result
+        legs = zip(
+            ("conventional_experiment", "optimized_experiment", "multi_weight.coverage.result"),
+            (self.conventional_experiment, self.optimized_experiment, multi),
+        )
+        for name, leg in legs:
+            n_entries = None if leg is None else len(leg.first_detection)
+            if n_entries not in (None, self.n_faults):
+                raise ValueError(f"{name} has {n_entries} first detections, not {self.n_faults}")
+
+    @property
+    def n_faults(self) -> int:
+        return len(self.faults)
 
     @property
     def improvement_factor(self) -> float:

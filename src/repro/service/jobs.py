@@ -18,8 +18,9 @@ any moment **at most one execution per spec hash is in flight**:
   every later submission, restart, or batch run sharing the store.
 
 Jobs move through ``queued → running → done | failed`` and publish stage
-progress; watchers long-poll (:meth:`JobService.wait_for`) or stream change
-events (:meth:`Job.wait_change`).  A terminal job holds its artifact as
+progress; watchers await a job's end (:meth:`Job.wait_done`, the HTTP
+layer's ``?wait=`` long poll) or stream change events
+(:meth:`Job.wait_change`).  A terminal job holds its artifact as
 JSON text, which the HTTP layer splices into its replies as it is; hits
 share the text of the job they answer from.  The pool is a thread pool by default
 (any store works); ``use_processes=True`` fans out over a process pool
@@ -353,16 +354,6 @@ class JobService:
     def jobs(self) -> List[Job]:
         """All tracked jobs, oldest first."""
         return list(self._jobs.values())
-
-    async def wait_for(
-        self, spec_hash: str, timeout: Optional[float] = None
-    ) -> Optional[Job]:
-        """Await a job's terminal state (or timeout); ``None`` if unknown."""
-        job = self._jobs.get(spec_hash)
-        if job is None:
-            return None
-        await job.wait_done(timeout)
-        return job
 
     def stats(self) -> Dict[str, Any]:
         """The ``/statsz`` payload: service, job and store counters."""

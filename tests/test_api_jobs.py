@@ -100,7 +100,7 @@ class TestExecuteSpec:
         )
         report = execute_spec(spec)
         faults = remove_redundant(circuit, collapsed_fault_list(circuit))
-        assert report.n_faults == len(faults)
+        assert report.faults == faults and report.n_faults == len(faults)
         probs = CopDetectionEstimator().detection_probabilities(
             circuit, faults, [0.5] * circuit.n_inputs
         )
@@ -117,9 +117,7 @@ class TestExecuteSpec:
             expected = random_pattern_coverage(
                 circuit, 256, weights=weights, faults=faults, seed=seed
             )
-            assert np.array_equal(
-                experiment.result.first_detection, expected.result.first_detection
-            )
+            assert experiment == expected
         assert report.self_test == SelfTestSession(
             circuit,
             128,
@@ -303,8 +301,8 @@ class TestSeedPlumbing:
             )
         )
         assert not np.array_equal(
-            a.conventional_experiment.result.first_detection,
-            b.conventional_experiment.result.first_detection,
+            a.conventional_experiment.first_detection,
+            b.conventional_experiment.first_detection,
         )
 
 

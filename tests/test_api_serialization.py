@@ -34,7 +34,7 @@ from repro.core import WeightOptimizer
 from repro.experiments import ExperimentRows
 from repro.faults import Fault, FaultTable, collapsed_fault_list
 from repro.faultsim import random_pattern_coverage
-from repro.faultsim.coverage import CoverageExperiment
+from repro.faultsim import FaultSimResult
 from repro.patterns import SelfTestSession
 from repro.pipeline import PipelineReport
 
@@ -278,10 +278,12 @@ class TestResultArtifacts:
         assert restored.redundant_faults == optimization.redundant_faults
         assert restored.cpu_seconds == optimization.cpu_seconds
 
-    def test_coverage_experiment_exact(self, coverage):
-        restored = CoverageExperiment.from_dict(json_roundtrip(coverage.to_dict()))
+    def test_fault_sim_result_exact(self, coverage):
+        restored = FaultSimResult.from_dict(json_roundtrip(coverage.to_dict()))
         assert restored == coverage
-        assert np.array_equal(restored.result.first_detection, coverage.result.first_detection)
+        assert restored.first_detection.dtype == np.int64
+        assert np.array_equal(restored.first_detection, coverage.first_detection)
+        assert restored.stats == coverage.stats
 
     def test_self_test_report_exact(self, circuit):
         session = SelfTestSession(circuit, 64, seed=9)
@@ -306,9 +308,10 @@ class TestResultArtifacts:
         )
         assert restored.conventional_length == report.conventional_length
         assert restored.optimization.history == report.optimization.history
+        assert restored.faults == report.faults
         assert np.array_equal(
-            restored.conventional_experiment.result.first_detection,
-            report.conventional_experiment.result.first_detection,
+            restored.conventional_experiment.first_detection,
+            report.conventional_experiment.first_detection,
         )
         assert restored.self_test == report.self_test
         assert restored.self_test_fault == report.self_test_fault

@@ -83,8 +83,7 @@ def _bases():
         wire,
         wire["optimization"],
         experiment,
-        experiment["result"],
-        experiment["result"]["stats"],
+        experiment["stats"],
         wire["self_test"],
         multi,
         multi["weight_sets"],
@@ -172,6 +171,7 @@ def test_damaged_artifacts_decode_or_raise_schema_error(data):
 
 def test_bases_cover_every_registered_kind():
     assert {base["kind"] for base in BASES} == set(ARTIFACT_TYPES) == set(REQUIRED)
+    assert len(REQUIRED) == 28
     for base in BASES:
         _assert_round_trips(load_artifact(_copy(base)))
 
@@ -192,12 +192,26 @@ def test_malformed_arrays_found_by_fuzzing_raise_schema_error(dtype, data):
     assert _decode(base) is None
 
 
+def _array(dtype, data):
+    return {"__ndarray__": True, "dtype": dtype, "data": data}
+
+
 @pytest.mark.parametrize(
     "kind, name, value",
     [
-        ("fault_sim_result", "faults", [[2**70, True, None]]),
+        ("pipeline_report", "faults", [[2**70, True, None]]),
+        # Fault triples are not coerced: a string stuck value, a float net
+        # or gate and a negative net are errors, not faults.
+        ("optimization_result", "redundant_faults", [[3, "false", None]]),
+        ("optimization_result", "redundant_faults", [[2.9, 0, 1.5]]),
+        ("optimization_result", "redundant_faults", [[-1, True, None]]),
+        ("pipeline_report", "self_test_fault", [3, "false", None]),
         ("fault_sim_result", "first_detection", [[0, 2**70]]),
-        ("fault_sim_result", "first_detection", [[10**6, 1]]),
+        # A first detection lies in [-1, n_patterns) of a 1-D int64 array.
+        ("fault_sim_result", "first_detection", _array("<i8", [10**6])),
+        ("fault_sim_result", "first_detection", _array("<i8", [-2])),
+        ("fault_sim_result", "first_detection", _array("<f8", [1.5])),
+        ("fault_sim_result", "first_detection", _array("<i8", [[0]])),
         ("pipeline_report", "self_test_fault", [1, True]),
         ("pipeline_report", "lowerings", None),
         ("multi_weight_report", "scan_chains", True),
@@ -208,3 +222,29 @@ def test_malformed_fields_raise_schema_error(kind, name, value):
     base = _copy(next(base for base in BASES if base["kind"] == kind))
     base[name] = value
     assert _decode(base) is None
+
+
+def _first_detection(report, leg):
+    if leg == "multi_weight":
+        return report["multi_weight"]["coverage"]["result"]["first_detection"]
+    return report[leg]["first_detection"]
+
+
+@pytest.mark.parametrize(
+    "leg", ["conventional_experiment", "optimized_experiment", "multi_weight"]
+)
+def test_leg_length_other_than_the_fault_list_is_a_schema_error(leg):
+    base = _copy(BASES[0])
+    assert base["kind"] == "pipeline_report"
+    first = _first_detection(base, leg)
+    assert first["shape"] == [len(base["faults"])]
+    first["data"], first["shape"] = first["data"][:-1], [len(first["data"]) - 1]
+    with pytest.raises(SchemaError, match=leg.split("_")[0]):
+        load_artifact(base)
+
+
+def test_fault_list_shorter_than_the_legs_is_a_schema_error():
+    base = _copy(BASES[0])
+    base["faults"] = base["faults"][:-1]
+    with pytest.raises(SchemaError, match="first detections"):
+        load_artifact(base)

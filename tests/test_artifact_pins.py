@@ -49,15 +49,14 @@ BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 #: and ``schema_version`` always).  Every other field may be absent.
 REQUIRED = {
     "pipeline_report": {
-        "key", "circuit_name", "n_gates", "n_inputs", "n_faults", "input_names", "seed",
+        "key", "circuit_name", "n_gates", "n_inputs", "faults", "input_names", "seed",
     },
     "optimization_result": {
         "weights", "quantized_weights", "initial_test_length", "test_length",
         "history", "n_hard_faults", "sweeps", "redundant_faults", "cpu_seconds",
         "weight_map", "converged",
     },
-    "coverage_experiment": {"circuit_name", "n_patterns", "result", "weights"},
-    "fault_sim_result": {"faults", "first_detection", "n_patterns"},
+    "fault_sim_result": {"first_detection", "n_patterns"},
     "fault_sim_stats": {"n_batches", "faults_simulated", "faults_dropped", "active_sizes"},
     "self_test_report": {"circuit_name", "n_patterns", "signature", "golden_signature"},
     "multi_weight_report": {"circuit_name", "weight_sets", "coverage", "self_test", "scan_chains"},
@@ -170,6 +169,10 @@ def test_multi_weight_report_digest(report):
     data = report.canonical_dict()
     assert data["multi_weight"]["scan_chains"] == 4
     assert data["multi_weight"]["coverage"]["target_coverage"] == 0.95
+    assert _digest(data) == (
+        "ea25ec18ba773445eaeaabbf6207c20252c08bf3e4988dbc031125db67be7302"
+    )
+    # The same report mapped back to the shape with a fault list per leg.
     assert _digest(legacy_report_dict(data)) == (
         "0ccba7db96bdf6d165fefe6ee1f72c2cc0f001b307e5604af3ccd3d909929e3b"
     )
@@ -197,9 +200,8 @@ def samples(report, rows):
     found = {
         "pipeline_report": wire,
         "optimization_result": wire["optimization"],
-        "coverage_experiment": experiment,
-        "fault_sim_result": experiment["result"],
-        "fault_sim_stats": experiment["result"]["stats"],
+        "fault_sim_result": experiment,
+        "fault_sim_stats": experiment["stats"],
         "self_test_report": wire["self_test"],
         "multi_weight_report": multi,
         "multi_weight_set": multi["weight_sets"],

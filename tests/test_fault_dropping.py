@@ -477,7 +477,7 @@ class TestFaultSimStats:
         sim = ParallelFaultSimulator(circuit)
         result = sim.run(patterns, batch_size=128, drop_detected=False)
         stats = result.stats
-        n_faults = len(result.faults)
+        n_faults = len(sim.faults)
         assert stats.faults_dropped == 0
         assert set(stats.active_sizes) == {n_faults}
         assert stats.faults_simulated == stats.n_batches * n_faults

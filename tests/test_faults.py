@@ -14,6 +14,7 @@ from repro.faults import (
     full_fault_list,
 )
 from repro.analysis.exact import exact_detection_probability
+from repro.api.serialize import SchemaError
 
 from .helpers import C17_BENCH, half_adder_circuit, mux_circuit, random_circuit
 
@@ -273,6 +274,19 @@ class TestFaultTable:
         table = FaultTable.of([Fault(0, False)])
         with pytest.raises(ValueError):
             table.net[0] = 1
+
+    @pytest.mark.parametrize(
+        "triple",
+        [[3, "false", None], [2.9, 0, 1.5], [-1, True, None], [1, 1, None], [1, True, -2]],
+    )
+    def test_wire_triples_are_not_coerced(self, triple):
+        with pytest.raises(SchemaError):
+            FaultTable.from_lists([triple])
+
+    def test_of_takes_fault_values(self):
+        faults = [Fault(np.int64(3), np.bool_(True)), Fault(1, False, gate=np.int32(2))]
+        table = FaultTable.of(faults)
+        assert table.to_lists() == [[3, True, None], [1, False, 2]]
 
     def test_empty_and_malformed(self):
         assert len(FaultTable.of([])) == 0 and FaultTable.from_lists([]).to_lists() == []

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.circuit import parse_bench
 from repro.circuits import comparator_circuit
-from repro.faults import Fault, collapsed_fault_list, full_fault_list
+from repro.faults import Fault, FaultTable, collapsed_fault_list, full_fault_list
 from repro.faultsim import (
-    CoverageExperiment,
+    FaultSimResult,
     LegacyParallelFaultSimulator,
     ParallelFaultSimulator,
     random_pattern_coverage,
@@ -110,7 +110,8 @@ class TestParallelSimulator:
         inner = circuit.net_index("inner")
         fault = Fault(inner, False)
         result = ParallelFaultSimulator(circuit, [fault]).run(all_patterns(2))
-        assert list(result.undetected) == [fault]
+        assert result.n_undetected == 1
+        assert list(FaultTable.of([fault]).take(result.first_detection < 0)) == [fault]
         assert result.fault_coverage == 0.0
 
     def test_output_stem_fault_detected(self):
@@ -138,9 +139,11 @@ class TestFaultSimResult:
     def test_coverage_between_zero_and_one(self):
         result = self._result()
         assert 0.0 < result.fault_coverage <= 1.0
+        n_faults = len(collapsed_fault_list(comparator_circuit(width=4)))
         n_detected = int((result.first_detection >= 0).sum())
-        assert n_detected + len(result.undetected) == len(result.faults)
-        assert result.fault_coverage == n_detected / len(result.faults)
+        assert len(result.first_detection) == n_faults
+        assert n_detected + result.n_undetected == n_faults
+        assert result.fault_coverage == n_detected / n_faults
 
     def test_coverage_at_is_monotone(self):
         result = self._result()
@@ -149,16 +152,14 @@ class TestFaultSimResult:
         assert values[-1] == pytest.approx(result.fault_coverage)
 
 
-class TestCoverageExperiment:
+class TestRandomPatternCoverage:
     def test_random_pattern_coverage_defaults_to_equiprobable(self):
         circuit = comparator_circuit(width=4)
         experiment = random_pattern_coverage(circuit, 512, seed=3)
-        assert isinstance(experiment, CoverageExperiment)
-        assert experiment.weights == [0.5] * circuit.n_inputs
+        assert isinstance(experiment, FaultSimResult)
+        weighted = random_pattern_coverage(circuit, 512, [0.5] * circuit.n_inputs, seed=3)
+        assert experiment == weighted
         assert 0.5 < experiment.fault_coverage <= 1.0
-        assert experiment.fault_coverage_percent == pytest.approx(
-            100 * experiment.fault_coverage
-        )
 
     def test_weighted_coverage_not_worse_on_comparator(self):
         circuit = comparator_circuit(width=6)
@@ -171,15 +172,15 @@ class TestCoverageExperiment:
     def test_coverage_at_last_pattern_is_final_coverage(self):
         circuit = comparator_circuit(width=4)
         experiment = random_pattern_coverage(circuit, 300, seed=9)
-        assert experiment.n_patterns == experiment.result.n_patterns == 300
-        assert experiment.result.coverage_at(300) == pytest.approx(experiment.fault_coverage)
-        assert experiment.result.coverage_at(299) <= experiment.fault_coverage
+        assert experiment.n_patterns == 300
+        assert experiment.coverage_at(300) == pytest.approx(experiment.fault_coverage)
+        assert experiment.coverage_at(299) <= experiment.fault_coverage
 
     def test_reproducible_with_same_seed(self):
         circuit = comparator_circuit(width=4)
         first = random_pattern_coverage(circuit, 256, seed=21)
         second = random_pattern_coverage(circuit, 256, seed=21)
-        assert np.array_equal(first.result.first_detection, second.result.first_detection)
+        assert np.array_equal(first.first_detection, second.first_detection)
 
 
 class TestStreamingCoverage:
@@ -228,7 +229,7 @@ class TestStreamingCoverage:
         circuit = comparator_circuit(width=6)
         baseline = random_pattern_coverage(circuit, 512, seed=3)
         chunked = random_pattern_coverage(circuit, 512, seed=3, chunk_size=chunk_size)
-        assert np.array_equal(chunked.result.first_detection, baseline.result.first_detection)
+        assert np.array_equal(chunked.first_detection, baseline.first_detection)
         assert chunked.fault_coverage == baseline.fault_coverage
         assert chunked.n_patterns == baseline.n_patterns == 512
 
@@ -252,10 +253,8 @@ class TestStreamingCoverage:
         assert early.n_patterns < full.n_patterns
         assert early.n_patterns % 128 == 0  # stops at a chunk boundary
         # The patterns that were applied saw identical detection indices.
-        detected = early.result.first_detection >= 0
-        assert np.array_equal(
-            early.result.first_detection[detected], full.result.first_detection[detected]
-        )
+        detected = early.first_detection >= 0
+        assert np.array_equal(early.first_detection[detected], full.first_detection[detected])
 
     def test_unreachable_target_consumes_whole_stream(self):
         from .helpers import redundant_circuit

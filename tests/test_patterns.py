@@ -184,7 +184,7 @@ class TestSelfTest:
         def detects(weights):
             return random_pattern_coverage(
                 circuit, n_patterns, weights, faults=[fault], seed=3
-            ).result.first_detection[0] >= 0
+            ).first_detection[0] >= 0
 
         assert not detects(None)
         assert detects(weights)

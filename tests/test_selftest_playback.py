@@ -8,7 +8,10 @@ on a coverage target) and the scalar-MISR path of a 65-output circuit.
 c499 compacts into a 48-bit MISR, so a changed pattern stream or response
 pass cannot collide with the pinned signature by chance.  The first set of
 the two-set schedule is longer than one 4096-pattern streaming chunk, so the
-coverage digests also pin where the chunks restart at the set boundary.
+coverage digests also pin where the chunks restart at the set boundary.  Each
+coverage has two digests: of its wire dict, and of that dict mapped back by
+:func:`~tests.helpers.legacy_coverage_dict` to the earlier shape that
+embedded the fault list (the digest recorded from runs of that shape).
 """
 
 from __future__ import annotations
@@ -140,54 +143,72 @@ class TestTwoSetSchedule:
     chunk boundaries of the coverage stream."""
 
     @pytest.mark.parametrize(
-        "name, options, signature, applied, coverage_sha",
+        "name, options, signature, applied, coverage_shas",
         [
             (
                 "c499",
                 {},
                 252065581109514,
                 (4500, 5000),
-                "13c0fb8d3a164436e5e707228f8e0c7f9ce8b36d465955f80fe07490b70370d4",
+                (
+                    "6a77e4d0e940f0d151313d5720c4b79992a8d911dde470e1819fa3feaf2b57f3",
+                    "13c0fb8d3a164436e5e707228f8e0c7f9ce8b36d465955f80fe07490b70370d4",
+                ),
             ),
             (
                 "c499",
                 {"scan_chains": 3},
                 32318159172985,
                 (4500, 5000),
-                "bdaf648d71ebcf230d4ad9b66c7831243e9d2842465822e52fd88953b529ff76",
+                (
+                    "ad80535c0dabe1ddc70f82d0f55fec1187e7a94e27825643fac39e4f5a7fd06b",
+                    "bdaf648d71ebcf230d4ad9b66c7831243e9d2842465822e52fd88953b529ff76",
+                ),
             ),
             (
                 "c499",
                 {"target_coverage": 0.9},
                 252065581109514,
                 (4096, 0),
-                "f404b7fffb64a6255edfc7a2a04c973d38bab0fb1d4e7de6d05a7a6e516a8622",
+                (
+                    "afd98bdcd5d2e6250a7d21f8d41d12e2c84736a58f548177bca9bdbc7f9cb86e",
+                    "f404b7fffb64a6255edfc7a2a04c973d38bab0fb1d4e7de6d05a7a6e516a8622",
+                ),
             ),
             (
                 "c880",
                 {},
                 1724,
                 (4500, 5000),
-                "5793399941b1d0783b1c85983aa9d44be386b02d013460fd8f19d4591aa93541",
+                (
+                    "cbd908f40e34780bd34d2bf8c308c338108bd3e68bc5227894c07755137c277b",
+                    "5793399941b1d0783b1c85983aa9d44be386b02d013460fd8f19d4591aa93541",
+                ),
             ),
             (
                 "c880",
                 {"scan_chains": 3},
                 1778,
                 (4500, 5000),
-                "7eede739669cf58b65443692d08a1f8b999e00bd80049dc53a729007dd6ed161",
+                (
+                    "f8d7883628d74cbad49ad1299ecc936b61065a6e51684851058314fea800d4c6",
+                    "7eede739669cf58b65443692d08a1f8b999e00bd80049dc53a729007dd6ed161",
+                ),
             ),
             (
                 "c880",
                 {"target_coverage": 0.97},
                 1724,
                 (4500, 4096),
-                "4b4e71bc3e62600c677f311f0ebec0582d18961bba825cc287b6f8619a10b989",
+                (
+                    "7b4fc24f4ccddace5dbe1741781d762cb27ec35442eae4cb3e4e69a256bb86f2",
+                    "4b4e71bc3e62600c677f311f0ebec0582d18961bba825cc287b6f8619a10b989",
+                ),
             ),
         ],
     )
     def test_playback_is_pinned(
-        self, name, options, signature, applied, coverage_sha
+        self, name, options, signature, applied, coverage_shas
     ):
         circuit = build_circuit(name)
         first = (
@@ -203,8 +224,9 @@ class TestTwoSetSchedule:
         assert report.self_test.passed
         assert report.self_test.signature == signature
         assert report.coverage.applied == applied
-        coverage = legacy_coverage_dict(report.coverage.to_dict(), faults.to_lists())
-        assert _dict_sha(coverage) == coverage_sha
+        coverage = report.coverage.to_dict()
+        legacy = legacy_coverage_dict(coverage, faults.to_lists())
+        assert (_dict_sha(coverage), _dict_sha(legacy)) == coverage_shas
 
 
 class TestScalarMisr:
@@ -258,9 +280,11 @@ class TestScalarMisr:
             wide, weight_sets, faults=faults, misr_width=65, misr_taps=(65, 47)
         )
         assert report.self_test.signature == 1924485442988938651
-        coverage = legacy_coverage_dict(report.coverage.to_dict(), faults.to_lists())
-        assert _dict_sha(coverage) == (
-            "89609e5a49f4786930c9d4867afbefe2df735d518e649d3667d26754ed8b2d9a"
+        coverage = report.coverage.to_dict()
+        legacy = legacy_coverage_dict(coverage, faults.to_lists())
+        assert (_dict_sha(coverage), _dict_sha(legacy)) == (
+            "e1c4a7d633a09146f7c02f99bae016651c4dffead89454396993663ed5e5028d",
+            "89609e5a49f4786930c9d4867afbefe2df735d518e649d3667d26754ed8b2d9a",
         )
 
 

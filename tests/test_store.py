@@ -395,6 +395,44 @@ class TestExecutorStoreIntegration:
         assert rerun.canonical_dict() == cold.canonical_dict()
         assert store.load(key).canonical_dict() == cold.canonical_dict()
 
+    def test_blobs_with_a_fault_list_per_leg_are_rejected_and_rewritten(self, tmp_path):
+        """Blobs of the earlier wire form, where each fault-simulation leg
+        was a ``coverage_experiment`` carrying its own fault list, read as
+        schema-rejected misses under the unchanged keys: the run recomputes
+        and overwrites both, and the next run hits."""
+        from repro.api.executor import executor_stats
+        from repro.api.plan import build_plan
+        from repro.faultsim import FaultSimResult
+        from repro.pipeline import PipelineReport
+
+        from .helpers import legacy_report_dict
+
+        spec = PipelineSpec(**self.SPEC)
+        keys = build_plan(spec).store_keys()
+        report_key, leg_key = keys["report"], keys["fault_sim.conventional"]
+        old_report = legacy_report_dict(execute_spec(spec).to_dict())
+        old_leg = old_report["conventional_experiment"]
+        assert old_leg["kind"] == "coverage_experiment" and "faults" in old_leg["result"]
+
+        store = DiskStore(tmp_path / "store")
+        store.put(report_key, old_report)
+        store.put(leg_key, old_leg)
+        before = executor_stats()
+        cold = execute_spec(spec, store=store)
+        after = executor_stats()
+        assert store.stats()["schema_rejected"] == 2
+        assert after["executions"] == before["executions"] + 1
+        assert after["stage_hits"] == before["stage_hits"]
+        assert isinstance(store.load(leg_key), FaultSimResult)
+        assert isinstance(store.load(report_key), PipelineReport)
+
+        hits = store.stats()["hits"]
+        warm = execute_spec(spec, store=store)
+        assert executor_stats()["executions"] == after["executions"]
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["schema_rejected"] == 2
+        assert warm.canonical_dict() == cold.canonical_dict()
+
 
 class TestStageReuse:
     def test_stored_optimize_artifact_feeds_the_weight_sets(self, monkeypatch):
