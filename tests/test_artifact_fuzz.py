@@ -224,7 +224,7 @@ def test_malformed_fields_raise_schema_error(kind, name, value):
     assert _decode(base) is None
 
 
-def _first_detection(report, leg):
+def _leg_first_detection(report, leg):
     if leg == "multi_weight":
         return report["multi_weight"]["coverage"]["result"]["first_detection"]
     return report[leg]["first_detection"]
@@ -236,7 +236,7 @@ def _first_detection(report, leg):
 def test_leg_length_other_than_the_fault_list_is_a_schema_error(leg):
     base = _copy(BASES[0])
     assert base["kind"] == "pipeline_report"
-    first = _first_detection(base, leg)
+    first = _leg_first_detection(base, leg)
     assert first["shape"] == [len(base["faults"])]
     first["data"], first["shape"] = first["data"][:-1], [len(first["data"]) - 1]
     with pytest.raises(SchemaError, match=leg.split("_")[0]):

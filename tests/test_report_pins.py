@@ -92,8 +92,7 @@ def test_cli_run_report(argv, spec_hash, digests, n_redundant):
     [(["s2"], 100_000), (["c432", "--multi-weight", "2"], 14_000)],
 )
 def test_cli_run_report_size(argv, limit):
-    """The fault list is written once, so the compact report stays small
-    (206,304 and 28,042 bytes while every leg embedded its own copy)."""
+    """The report writes its fault list once, which keeps it small."""
     data = execute_spec(_cli_run_spec(argv)).to_dict()
     assert canonical_json(data).count('"faults"') == 1
     assert len(canonical_json(data)) < limit
